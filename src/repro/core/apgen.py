@@ -232,16 +232,15 @@ class AccessPointGenerator:
             if cfg.check_planar
             else None
         )
-        # With no telemetry sink, no verify oracle and via access
-        # required, a point that is dirty for *every* via can never be
-        # accepted -- the ANDed via masks reject it without entering
-        # the per-via validation at all.  Counters advance by
-        # arithmetic so stats match the per-point path exactly.
+        # With no verify oracle and via access required, a point that
+        # is dirty for *every* via can never be accepted -- the ANDed
+        # via masks reject it without entering the per-via validation
+        # at all.  Counters advance by arithmetic so stats match the
+        # per-point path exactly; sinks then get each via's rule named
+        # by the engine, as the per-point path reports a dirty via.
         nvias = len(vias)
         fast_reject = (
             nvias > 0
-            and registry is None
-            and log is None
             and akernel.mode != "verify"
             and cfg.require_via_access
             and not is_macro
@@ -303,6 +302,12 @@ class AccessPointGenerator:
                             if fast_reject and all_dirty >> ni & 1:
                                 akernel.candidates += nvias
                                 akernel.filtered += nvias
+                                if registry is not None or log is not None:
+                                    for viadef, _site, _ms in via_info:
+                                        self._name_rejection(
+                                            layer, x, y, t0, t1, net_key,
+                                            context, viadef, registry, log,
+                                        )
                                 continue
                             ap = self._validate_array(
                                 layer, x, y, t0, t1, net_key, context,
@@ -346,8 +351,6 @@ class AccessPointGenerator:
                 )
                 continue
             akernel.candidates += 1
-            if registry is not None:
-                registry.incr("arraykernel.candidates")
             dirty = bool(row[vi] >> ni & 1)
             if not dirty:
                 if minstep is not None:
@@ -372,25 +375,10 @@ class AccessPointGenerator:
                 valid_vias.append(viadef.name)
                 continue
             akernel.filtered += 1
-            if registry is not None:
-                registry.incr("arraykernel.filtered")
             if registry is not None or log is not None:
-                if violations is None:
-                    violations = self.engine.check_via_placement(
-                        viadef, x, y, net_key, context
-                    )
-                if not violations:
-                    akernel.verify_mismatches += 1
-                    raise ApCheckMismatch(
-                        f"array kernel rejected via {viadef.name} at "
-                        f"({x}, {y}) on {layer.name} "
-                        f"(net {net_key}) but the engine found no "
-                        f"violation"
-                    )
-                self._note_rejection(
-                    registry, log, net_key, layer, Point(x, y), t0, t1,
-                    viadef.name, violations[0].rule,
-                    violations[0].layer_name,
+                self._name_rejection(
+                    layer, x, y, t0, t1, net_key, context, viadef,
+                    registry, log, violations,
                 )
         planar_dirs = []
         if stubs is not None:
@@ -442,6 +430,34 @@ class AccessPointGenerator:
                 t1=t1.name.lower(),
             )
         return ap
+
+    def _name_rejection(
+        self, layer, x, y, t0, t1, net_key, context, viadef, registry,
+        log, violations=None,
+    ) -> None:
+        """Report a table-rejected via under the engine's rule name.
+
+        Runs only when a sink is active, after the tables decided;
+        ``violations`` reuses a verify-mode engine result.  Raises
+        :class:`~repro.core.arraykernel.ApCheckMismatch` when the
+        engine finds the via clean (see :meth:`_validate_array`).
+        """
+        if violations is None:
+            violations = self.engine.check_via_placement(
+                viadef, x, y, net_key, context
+            )
+        if not violations:
+            self.akernel.verify_mismatches += 1
+            raise ApCheckMismatch(
+                f"array kernel rejected via {viadef.name} at "
+                f"({x}, {y}) on {layer.name} "
+                f"(net {net_key}) but the engine found no "
+                f"violation"
+            )
+        self._note_rejection(
+            registry, log, net_key, layer, Point(x, y), t0, t1,
+            viadef.name, violations[0].rule, violations[0].layer_name,
+        )
 
     def _points_of_type(
         self, layer, rect, pref_axis, t0, t1, viadef

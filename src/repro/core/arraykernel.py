@@ -50,11 +50,12 @@ Three modes mirror ``paircheck_mode``:
 * ``verify`` -- compute both and raise :class:`ApCheckMismatch` on any
   divergence (the engine remains the oracle).
 
-:class:`FlatDp` is the Step 2 companion: the layered DP over flat
-contiguous cost arrays indexed by (group, ordinal) with precomputed
-compatibility bitmasks, replacing per-edge closure calls; it produces
-bit-identical choices to :class:`~repro.core.dpgraph.LayeredDpGraph`
-(same strict-less relaxation, same first-minimum trace-back).
+Step 2's flat-array DP lives in :class:`repro.core.dpgraph.FlatDp`
+and runs in every mode; the kernel only counts its solves
+(``dp_solves``).  The work counters (``candidates``, ``filtered``,
+``minstep_engine``, ``dp_solves``) are plain ints on each process's
+kernel: tasks report their deltas and the framework sums them into
+``result.stats`` and the metrics registry.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from repro.drc.pairkernel import (
     _reach_window,
 )
 from repro.geom.rect import Rect
-from repro.perf.profile import tick
+from repro.obs.metrics import tick
 
 APCHECK_MODES = ("array", "engine", "verify")
 
@@ -1075,10 +1076,8 @@ class ArrayKernel:
         table = self.cell_tables(inst).inst_clean[via_name]
         verdict = table.clean(x - inst.location.x, y - inst.location.y)
         self.candidates += 1
-        tick("arraykernel.candidates")
         if not verdict:
             self.filtered += 1
-            tick("arraykernel.filtered")
         if self.mode == "verify":
             oracle = self._engine_instance_clean(via_name, x, y, inst)
             if oracle != verdict:
@@ -1106,6 +1105,21 @@ class ArrayKernel:
 
     # -- observability -------------------------------------------------------
 
+    def work_counts(self) -> dict:
+        """Return the work counters under their stats names.
+
+        Steps 1-3 run on each worker's own kernel, so a task reports
+        the difference of two readings and the framework sums them;
+        the framework also feeds ``candidates`` and ``filtered`` to
+        the metrics registry from these sums.
+        """
+        return {
+            "arraykernel.candidates": self.candidates,
+            "arraykernel.filtered": self.filtered,
+            "arraykernel.minstep_engine": self.minstep_engine,
+            "arraykernel.dp_solves": self.dp_solves,
+        }
+
     def stats(self) -> dict:
         """Return kernel counters for ``PinAccessResult.stats``."""
         return {
@@ -1113,129 +1127,6 @@ class ArrayKernel:
             "arraykernel.tables": len(self.tables),
             "arraykernel.built": self.built,
             "arraykernel.preloaded": self.preloaded,
-            "arraykernel.candidates": self.candidates,
-            "arraykernel.filtered": self.filtered,
-            "arraykernel.minstep_engine": self.minstep_engine,
-            "arraykernel.dp_solves": self.dp_solves,
+            **self.work_counts(),
             "arraykernel.verify_mismatches": self.verify_mismatches,
         }
-
-
-# -- flat-array DP (Step 2) ---------------------------------------------------
-
-
-class FlatDp:
-    """Algorithm 2 over flat cost arrays with precompiled edge masks.
-
-    Vertices are addressed by (group, ordinal); the iteration-invariant
-    parts of Algorithm 3's edge cost -- the pairwise via compatibility
-    between neighboring groups and (for the history term) between a
-    group and the one two back -- compile once into per-vertex integer
-    bitmasks, so each of the N pattern iterations re-runs only the
-    integer relaxation.  Identical to feeding
-    :class:`~repro.core.dpgraph.LayeredDpGraph` the closure: same
-    strict-less relaxation order, same first-minimum trace-back.
-    """
-
-    def __init__(self, groups, compatible, config):
-        self.groups = groups
-        self.config = config
-        scale = config.ap_cost_scale
-        self.src = [
-            [scale * ap.cost for _, ap in group] for group in groups
-        ]
-        self.compat_prev = [None]
-        self.compat_skip = [None, None]
-        for m in range(1, len(groups)):
-            prev_group = groups[m - 1]
-            self.compat_prev.append([
-                self._mask(prev_group, curr, compatible)
-                for curr in groups[m]
-            ])
-            if m >= 2:
-                self.compat_skip.append([
-                    self._mask(groups[m - 2], curr, compatible)
-                    for curr in groups[m]
-                ])
-
-    @staticmethod
-    def _mask(prev_group, curr, compatible) -> int:
-        mask = 0
-        curr_ap = curr[1]
-        for i, (_, prev_ap) in enumerate(prev_group):
-            if compatible(prev_ap, curr_ap):
-                mask |= 1 << i
-        return mask
-
-    def solve(self, is_used) -> tuple:
-        """One DP iteration; returns ``(chosen payloads, cost)``.
-
-        ``is_used`` flags boundary vertices already consumed by earlier
-        patterns (Algorithm 3's boundary-conflict penalty); it is the
-        only part of the edge cost that changes between iterations.
-        """
-        groups = self.groups
-        cfg = self.config
-        bca = cfg.boundary_conflict_aware
-        history = cfg.history_aware
-        penalty = cfg.penalty_cost
-        drc = cfg.drc_cost
-        last = len(groups) - 1
-        used_first = [is_used(v) for v in groups[0]] if bca else None
-        used_last = (
-            [is_used(v) for v in groups[last]] if bca and last else used_first
-        )
-        costs = list(self.src[0])
-        parents = [None]
-        for m in range(1, len(groups)):
-            src_prev = self.src[m - 1]
-            src_curr = self.src[m]
-            cmasks = self.compat_prev[m]
-            smasks = self.compat_skip[m] if history and m >= 2 else None
-            prev_parents = parents[m - 1]
-            prev_used = used_first if m == 1 and bca else None
-            curr_used = used_last if m == last and bca else None
-            nprev = len(src_prev)
-            curr_costs = []
-            curr_parents = []
-            for j in range(len(src_curr)):
-                cmask = cmasks[j]
-                smask = smasks[j] if smasks is not None else None
-                j_used = curr_used is not None and curr_used[j]
-                j_src = src_curr[j]
-                best = None
-                best_i = 0
-                for i in range(nprev):
-                    if prev_used is not None and prev_used[i]:
-                        edge = penalty
-                    elif j_used:
-                        edge = penalty
-                    elif not cmask >> i & 1:
-                        edge = drc
-                    elif (
-                        smask is not None
-                        and not smask >> prev_parents[i] & 1
-                    ):
-                        edge = drc
-                    else:
-                        edge = src_prev[i] + j_src
-                    total = costs[i] + edge
-                    if best is None or total < best:
-                        best = total
-                        best_i = i
-                curr_costs.append(best)
-                curr_parents.append(best_i)
-            costs = curr_costs
-            parents.append(curr_parents)
-        best_j = 0
-        for j in range(1, len(costs)):
-            if costs[j] < costs[best_j]:
-                best_j = j
-        path = []
-        j = best_j
-        for m in range(len(groups) - 1, -1, -1):
-            path.append(groups[m][j])
-            if m:
-                j = parents[m][j]
-        path.reverse()
-        return path, costs[best_j]

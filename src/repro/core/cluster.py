@@ -20,9 +20,8 @@ from repro.drc.context import ShapeContext
 from repro.drc.engine import DrcEngine
 from repro.drc.pairkernel import PairKernel
 from repro.obs.events import active_log
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import tick
 from repro.obs.trace import span
-from repro.perf.profile import tick
 
 
 @dataclass
@@ -449,21 +448,15 @@ class ClusterPatternSelector:
         lname = left.inst.name
         rname = right.inst.name
         kernel = self.kernel
-        tables = (
-            kernel.tables
-            if kernel.mode == "kernel" and active_registry() is None
-            else None
-        )
+        tables = kernel.tables if kernel.mode == "kernel" else None
         pair_clean = kernel.pair_clean
         for pin_a, _ap_a, via_a, ax, ay in left_aps:
             for pin_b, _ap_b, via_b, bx, by in right_aps:
                 if tables is not None:
                     # Inlined kernel-mode fast path: build_all has
                     # precompiled every via combination, so the dict
-                    # hit plus the table probe is the whole verdict.
-                    # Only taken with no metrics registry active --
-                    # the method path is what ticks the query
-                    # counters.
+                    # hit plus the table probe is the whole verdict
+                    # (uncounted by ``pairkernel.query``).
                     table = tables.get((via_a, via_b, False))
                     clean = (
                         table.clean(bx - ax, by - ay)

@@ -12,16 +12,12 @@ failed-pin accounting (Table III), and per-step runtimes.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.apgen import AccessPointGenerator
-from repro.core.cluster import (
-    ClusterPatternSelector,
-    ClusterSelectionResult,
-    SelectedAccess,
-)
+from repro.core.cluster import ClusterSelectionResult, SelectedAccess
 from repro.core.config import PaafConfig
-from repro.core.patterngen import AccessPatternGenerator
 from repro.core.signature import UniqueInstance, unique_instances
 from repro.db.design import Design
 from repro.drc.context import ShapeContext
@@ -269,6 +265,7 @@ class PinAccessFramework:
         jobs = self.config.jobs if jobs is None else jobs
         result = PinAccessResult(design=self.design, config=self.config)
         collector = Collector.from_config(self.config)
+        work = Counter()
         with collector:
             t0 = time.perf_counter()
             with obs_trace.span("paaf.run", design=self.design.name):
@@ -280,6 +277,7 @@ class PinAccessFramework:
                         jobs,
                         use_cache,
                         collector,
+                        work,
                         span12["id"] if span12 else None,
                     )
                 t2 = time.perf_counter()
@@ -288,6 +286,7 @@ class PinAccessFramework:
                         result,
                         jobs,
                         collector,
+                        work,
                         span3["id"] if span3 else None,
                     )
                 t3 = time.perf_counter()
@@ -297,6 +296,7 @@ class PinAccessFramework:
             self.cache.store_array_tables(self.akernel.tables)
         result.stats.update(self.kernel.stats())
         result.stats.update(self.akernel.stats())
+        result.stats.update(work)
         result.timings["step1"] = step1_s
         result.timings["step2"] = step2_s
         result.timings["step3"] = t3 - t2
@@ -305,6 +305,9 @@ class PinAccessFramework:
             result.stats.update(self.cache.stats())
         if collector.registry is not None:
             registry = collector.registry
+            for name in ("arraykernel.candidates", "arraykernel.filtered"):
+                if work[name]:
+                    registry.incr(name, work[name])
             registry.set_gauge("paaf.jobs", jobs)
             for name in (
                 "paaf.unique_instances",
@@ -327,49 +330,6 @@ class PinAccessFramework:
             result.timings["total"] = result.timings["step1"]
             return result
         self._step1(result)
-        return result
-
-    def run_step2(self, result: PinAccessResult) -> PinAccessResult:
-        """Step 2: access pattern generation per unique instance."""
-        generator = AccessPatternGenerator(
-            self.design.tech, self.engine, self.config,
-            kernel=self.kernel, akernel=self.akernel,
-        )
-        for ua in result.unique_accesses:
-            ua.patterns = generator.generate(
-                ua.aps_by_pin,
-                label=ua.unique_instance.representative.name,
-            )
-        return result
-
-    def run_step3(self, result: PinAccessResult) -> PinAccessResult:
-        """Step 3: cluster-based access pattern selection per instance."""
-        candidates_by_inst = {}
-        for ua in result.unique_accesses:
-            for member in ua.unique_instance.members:
-                dx, dy = ua.unique_instance.translation_to(member)
-                candidates_by_inst[member.name] = [
-                    SelectedAccess(inst=member, pattern=p, dx=dx, dy=dy)
-                    for p in ua.patterns
-                ]
-        aps_of_member = {}
-        for ua in result.unique_accesses:
-            for member in ua.unique_instance.members:
-                aps_of_member[member.name] = ua.aps_by_pin
-
-        def alternatives_fn(inst_name, pin_name):
-            return aps_of_member.get(inst_name, {}).get(pin_name, [])
-
-        # The conflict-repair post-pass is a boundary-conflict-aware
-        # mechanism; the paper's "w/o BCA" setup runs the bare cluster
-        # DP only.
-        if not self.config.boundary_conflict_aware:
-            alternatives_fn = None
-        selector = ClusterPatternSelector(
-            self.design, self.engine, self.config,
-            kernel=self.kernel, akernel=self.akernel,
-        )
-        result.selection = selector.select(candidates_by_inst, alternatives_fn)
         return result
 
     # -- internals ---------------------------------------------------------
@@ -402,6 +362,7 @@ class PinAccessFramework:
         jobs: int,
         use_cache: bool,
         collector,
+        work: Counter,
         parent_span=None,
     ) -> tuple:
         """Fused Step 1 + 2: one task per unique instance.
@@ -411,8 +372,9 @@ class PinAccessFramework:
         ``jobs=1``, worker processes otherwise) and are stored back.
         Task observability snapshots merge into ``collector`` in task
         order (worker spans re-parent under ``parent_span``, the
-        ``paaf.step12`` span).  Returns the summed per-phase seconds
-        ``(step1, step2)``.
+        ``paaf.step12`` span) and task kernel counters add into
+        ``work``.  Returns the summed per-phase seconds ``(step1,
+        step2)``.
         """
         from repro.perf import workers
         from repro.perf.parallel import parallel_map
@@ -442,10 +404,13 @@ class PinAccessFramework:
                     self.akernel.tables,
                 ),
             )
-            for index, aps_by_pin, patterns, s1, s2, snap in outcome.results:
+            for (
+                index, aps_by_pin, patterns, s1, s2, counts, snap
+            ) in outcome.results:
                 entries[index] = (aps_by_pin, patterns)
                 step1_s += s1
                 step2_s += s2
+                work.update(counts)
                 collector.merge_task(snap, parent_span=parent_span)
                 if cache is not None:
                     cache.store(uis[index], aps_by_pin, patterns)
@@ -469,6 +434,7 @@ class PinAccessFramework:
         result: PinAccessResult,
         jobs: int,
         collector,
+        work: Counter,
         parent_span=None,
     ) -> None:
         """Step 3 fanned out across independent cluster components.
@@ -480,7 +446,8 @@ class PinAccessFramework:
         reproducing the serial selection and conflict ordering; task
         observability snapshots merge into ``collector`` in task
         order, re-parenting worker spans under ``parent_span`` (the
-        ``paaf.step3`` span).
+        ``paaf.step3`` span), and task kernel counters add into
+        ``work``.
         """
         from repro.perf import workers
         from repro.perf.parallel import parallel_map
@@ -537,7 +504,8 @@ class PinAccessFramework:
             result.stats["parallel.fallback"] = True
 
         per_cluster = []
-        for component_result, snap in outcome.results:
+        for component_result, counts, snap in outcome.results:
+            work.update(counts)
             collector.merge_task(snap, parent_span=parent_span)
             per_cluster.extend(component_result)
         per_cluster.sort(key=lambda item: item[0])

@@ -5,14 +5,17 @@ The iterative flow of Figure 4: order pins, build the layered DP graph
 history-aware edge costs of Algorithm 3, validate the resulting
 pattern with the DRC engine, penalize the used boundary access points
 and iterate for the next pattern.
+
+The DP runs on :class:`~repro.core.dpgraph.FlatDp` whether or not a
+telemetry sink is active; the sinks read its edge prices after each
+solve.
 """
 
 from __future__ import annotations
 
 from repro.core.apgen import AccessPoint
-from repro.core.arraykernel import FlatDp
 from repro.core.config import PaafConfig
-from repro.core.dpgraph import LayeredDpGraph
+from repro.core.dpgraph import FlatDp
 from repro.core.pattern import AccessPattern
 from repro.drc.engine import DrcEngine
 from repro.drc.pairkernel import PairKernel
@@ -53,6 +56,36 @@ def _ap_key(pin_name: str, ap: AccessPoint) -> tuple:
     return (pin_name, ap.primary_via, ap.x, ap.y)
 
 
+def _report_edges(solver: FlatDp, label, registry, log) -> None:
+    """Report the last DP iteration's edge prices to the sinks.
+
+    Every edge cost lands in the ``patterngen.edge_cost`` histogram;
+    each penalized edge (boundary-used, DRC-incompatible,
+    history-incompatible) bumps ``patterngen.edge.<reason>`` and
+    becomes a ``dp.edge.penalized`` event, in relaxation order.
+    """
+    for prev, curr, cost, reason in solver.priced_edges():
+        if registry is not None:
+            registry.observe("patterngen.edge_cost", float(cost))
+        if reason is None:
+            continue
+        if registry is not None:
+            registry.incr("patterngen.edge." + reason.replace("-", "_"))
+        if log is not None:
+            log.emit(
+                "dp.edge.penalized",
+                inst=label,
+                reason=reason,
+                pin_a=prev[0],
+                ax=prev[1].x,
+                ay=prev[1].y,
+                pin_b=curr[0],
+                bx=curr[1].x,
+                by=curr[1].y,
+                cost=cost,
+            )
+
+
 class AccessPatternGenerator:
     """Generates up to N mutually-diverse access patterns per unique instance.
 
@@ -60,7 +93,8 @@ class AccessPatternGenerator:
     :class:`~repro.drc.pairkernel.PairKernel` (pass ``kernel`` to share
     tables across generators and processes); with no kernel given, one
     is built lazily from the technology in the config's
-    ``paircheck_mode``.
+    ``paircheck_mode``.  An attached array kernel (``akernel``) counts
+    the DP solves in ``dp_solves``.
     """
 
     def __init__(
@@ -102,42 +136,9 @@ class AccessPatternGenerator:
         used_boundary_aps = set()
         patterns = []
         seen_signatures = set()
+        registry = active_registry()
         log = active_log()
-        solver = None
-        if (
-            self.akernel is not None
-            and self.akernel.mode != "engine"
-            and log is None
-            and active_registry() is None
-        ):
-            # Flat-array DP: compatibility masks compile once and are
-            # reused by every pattern iteration.  Gated off when
-            # telemetry sinks are active -- the closure path is what
-            # prices each edge into the metrics/event streams.
-            compat = self.aps_compatible
-            kernel = self.kernel
-            if kernel.mode == "kernel":
-                # Mask compilation is the Step 2 hot loop; with no
-                # registry active (guaranteed in this branch) the
-                # query counters are no-ops anyway, so probe the
-                # prebuilt pair tables directly.
-                tables = kernel.tables
-                pair_clean = kernel.pair_clean
-
-                def compat(a, b):
-                    if not a.has_via_access or not b.has_via_access:
-                        return True
-                    table = tables.get(
-                        (a.primary_via, b.primary_via, False)
-                    )
-                    if table is None:
-                        return pair_clean(
-                            a.primary_via, a.x, a.y,
-                            b.primary_via, b.x, b.y,
-                        )
-                    return table.clean(b.x - a.x, b.y - a.y)
-
-            solver = FlatDp(groups, compat, cfg)
+        solver = FlatDp(groups, self._compat_probe(), cfg)
 
         def is_used_boundary(vertex) -> bool:
             pin_name, ap = vertex
@@ -148,16 +149,11 @@ class AccessPatternGenerator:
 
         with span("step2.patterns", inst=label) as record:
             for iteration in range(cfg.patterns_per_unique_instance):
-                if solver is not None:
-                    chosen, cost = solver.solve(is_used_boundary)
+                chosen, cost = solver.solve(is_used_boundary)
+                if self.akernel is not None:
                     self.akernel.dp_solves += 1
-                else:
-                    graph = LayeredDpGraph(groups)
-                    chosen, cost = graph.solve(
-                        self._edge_cost_fn(
-                            boundary_pins, used_boundary_aps, label
-                        )
-                    )
+                if registry is not None or log is not None:
+                    _report_edges(solver, label, registry, log)
                 pattern = AccessPattern(
                     aps={pin_name: ap for pin_name, ap in chosen},
                     cost=int(cost),
@@ -186,111 +182,33 @@ class AccessPatternGenerator:
                 record["attrs"]["patterns"] = len(patterns)
         return patterns
 
-    # -- Algorithm 3 -------------------------------------------------------
+    def _compat_probe(self):
+        """Return the via-compatibility test the DP masks compile from.
 
-    def _edge_cost_fn(
-        self, boundary_pins: set, used_boundary_aps: set, label: str = None
-    ):
-        """Build the Algorithm 3 edge-cost callback for one DP run.
-
-        The observability sinks are captured once per DP run (the
-        callback itself is the Step 2 hot path): with a registry
-        active every edge cost lands in the ``patterngen.edge_cost``
-        histogram, and with an event log active each *penalized* edge
-        (boundary-used, DRC-incompatible, history-incompatible)
-        becomes a ``dp.edge.penalized`` event.
+        In ``kernel`` mode the prebuilt pair tables are probed
+        directly: mask compilation is the Step 2 hot loop, and these
+        inlined probes skip :meth:`PairKernel.pair_clean` and its
+        ``pairkernel.query`` tick.  Other modes go through
+        :meth:`aps_compatible` so ``engine`` and ``verify`` keep their
+        semantics.
         """
-        cfg = self.config
-        registry = active_registry()
-        log = active_log()
+        kernel = self.kernel
+        if kernel.mode != "kernel":
+            return self.aps_compatible
+        tables = kernel.tables
+        pair_clean = kernel.pair_clean
 
-        def is_used_boundary(vertex) -> bool:
-            pin_name, ap = vertex
-            return (
-                pin_name in boundary_pins
-                and _ap_key(pin_name, ap) in used_boundary_aps
-            )
-
-        if registry is None and log is None:
-            # Disabled path: the exact pre-observability closure, with
-            # zero per-edge overhead.
-            def edge_cost(prev, curr, prev_prev) -> float:
-                if prev is None:
-                    # Virtual source edge: the vertex's own quality
-                    # cost.
-                    _, ap = curr
-                    return cfg.ap_cost_scale * ap.cost
-                if cfg.boundary_conflict_aware and is_used_boundary(prev):
-                    return cfg.penalty_cost
-                if cfg.boundary_conflict_aware and is_used_boundary(curr):
-                    return cfg.penalty_cost
-                if not self.aps_compatible(prev[1], curr[1]):
-                    return cfg.drc_cost
-                if (
-                    cfg.history_aware
-                    and prev_prev is not None
-                    and not self.aps_compatible(prev_prev[1], curr[1])
-                ):
-                    return cfg.drc_cost
-                _, prev_ap = prev
-                _, curr_ap = curr
-                return cfg.ap_cost_scale * (prev_ap.cost + curr_ap.cost)
-
-            return edge_cost
-
-        def priced(prev, curr, cost, reason) -> float:
-            if registry is not None:
-                registry.observe("patterngen.edge_cost", float(cost))
-                if reason is not None:
-                    registry.incr(
-                        "patterngen.edge." + reason.replace("-", "_")
-                    )
-            if log is not None and reason is not None and prev is not None:
-                log.emit(
-                    "dp.edge.penalized",
-                    inst=label,
-                    reason=reason,
-                    pin_a=prev[0],
-                    ax=prev[1].x,
-                    ay=prev[1].y,
-                    pin_b=curr[0],
-                    bx=curr[1].x,
-                    by=curr[1].y,
-                    cost=cost,
+        def compat(a, b):
+            if not a.has_via_access or not b.has_via_access:
+                return True
+            table = tables.get((a.primary_via, b.primary_via, False))
+            if table is None:
+                return pair_clean(
+                    a.primary_via, a.x, a.y, b.primary_via, b.x, b.y,
                 )
-            return cost
+            return table.clean(b.x - a.x, b.y - a.y)
 
-        def edge_cost(prev, curr, prev_prev) -> float:
-            if prev is None:
-                # Virtual source edge: the vertex's own quality cost.
-                _, ap = curr
-                return priced(prev, curr, cfg.ap_cost_scale * ap.cost, None)
-            if cfg.boundary_conflict_aware and is_used_boundary(prev):
-                return priced(
-                    prev, curr, cfg.penalty_cost, "boundary-used"
-                )
-            if cfg.boundary_conflict_aware and is_used_boundary(curr):
-                return priced(
-                    prev, curr, cfg.penalty_cost, "boundary-used"
-                )
-            if not self.aps_compatible(prev[1], curr[1]):
-                return priced(prev, curr, cfg.drc_cost, "drc-pair")
-            if (
-                cfg.history_aware
-                and prev_prev is not None
-                and not self.aps_compatible(prev_prev[1], curr[1])
-            ):
-                return priced(prev, curr, cfg.drc_cost, "history-drc")
-            _, prev_ap = prev
-            _, curr_ap = curr
-            return priced(
-                prev,
-                curr,
-                cfg.ap_cost_scale * (prev_ap.cost + curr_ap.cost),
-                None,
-            )
-
-        return edge_cost
+        return compat
 
     def aps_compatible(self, ap_a: AccessPoint, ap_b: AccessPoint) -> bool:
         """Return True if the primary up-vias of two APs are DRC-clean.

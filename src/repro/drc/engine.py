@@ -10,9 +10,8 @@ from repro.drc.minarea import check_min_area
 from repro.drc.minstep import check_min_step
 from repro.drc.spacing import check_metal_spacing
 from repro.geom.rect import Rect
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import active_registry, tick
 from repro.obs.trace import active_tracer, current_span_id
-from repro.perf.profile import tick
 from repro.tech.technology import Technology
 from repro.tech.via import ViaDef
 

@@ -58,8 +58,8 @@ from __future__ import annotations
 
 from repro.drc.engine import DrcEngine
 from repro.drc.eol import eol_trigger_regions
+from repro.obs.metrics import tick
 from repro.obs.trace import span
-from repro.perf.profile import tick
 from repro.tech.technology import Technology
 from repro.tech.via import ViaDef
 

@@ -9,7 +9,7 @@ fast for the IC layout case where shapes are small relative to the die.
 from __future__ import annotations
 
 from repro.geom.rect import Rect
-from repro.perf.profile import tick
+from repro.obs.metrics import tick
 
 
 class GridIndex:

@@ -5,8 +5,8 @@ The package has four layers (see ``docs/OBSERVABILITY.md``):
 * :mod:`repro.obs.metrics` -- typed registry of counters, gauges,
   timers and log-scale histograms; enforces the ``domain.sub.name``
   naming contract; exports Prometheus text and the
-  ``repro.qa.bench/v1`` envelope.  Subsumes the old
-  ``repro.perf.profile.Profiler`` (now a shim over it).
+  ``repro.qa.bench/v1`` envelope.  Subsumes the old ``Profiler``
+  counter bag.
 * :mod:`repro.obs.trace` -- nested spans with per-process buffers,
   cross-process re-stitching and Chrome ``chrome://tracing`` export.
 * :mod:`repro.obs.events` -- opt-in decision-event stream (schema

@@ -1,12 +1,11 @@
 """Typed metrics registry: counters, gauges, timers and histograms.
 
 The registry is the single sink for every hot-path measurement in the
-flow.  It subsumes the original ``repro.perf.profile.Profiler`` (that
-module is now a thin shim re-exporting this one): counters and timers
-keep their historical names and semantics, and two new families are
-added -- **gauges** (last-write-wins values such as fan-out widths)
-and **histograms** (fixed log-scale buckets, e.g. DRC-check latency,
-APs per pin, DP edge costs).
+flow.  It subsumes the original ``Profiler`` counter bag: counters
+and timers keep their historical names and semantics, and two new
+families are added -- **gauges** (last-write-wins values such as
+fan-out widths) and **histograms** (fixed log-scale buckets, e.g.
+DRC-check latency, APs per pin, DP edge costs).
 
 Activation is *context-local* (:mod:`contextvars`), not module-global:
 nested or concurrent activations -- worker tasks running in-process,
@@ -227,11 +226,10 @@ def _quantile_key(fraction: float) -> str:
 class MetricsRegistry:
     """A typed bag of counters, timers, gauges and histograms.
 
-    This is also the historical ``Profiler`` (aliased in
-    :mod:`repro.perf.profile`): ``incr`` / ``add_time`` / ``time`` /
-    ``merge`` / ``snapshot`` keep their original semantics, and
-    worker-process snapshots that carry only ``counters``/``timers``
-    still merge cleanly.
+    This is also the historical ``Profiler``: ``incr`` / ``add_time``
+    / ``time`` / ``merge`` / ``snapshot`` keep their original
+    semantics, and worker-process snapshots that carry only
+    ``counters``/``timers`` still merge cleanly.
     """
 
     __slots__ = ("counters", "timers", "gauges", "histograms", "_checked")

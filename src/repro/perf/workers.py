@@ -126,11 +126,13 @@ def compute_unique_access(
 def step12_task(index: int) -> tuple:
     """Run fused Step 1 + 2 for unique instance ``index``.
 
-    Returns ``(index, aps_by_pin, patterns, step1_s, step2_s,
-    obs_snapshot_or_None)``.  The snapshot is the task's
-    :meth:`repro.obs.collect.Collector.snapshot` -- metrics, span
-    buffer and decision events -- which the parent merges back in
-    deterministic task order.  Entering the task collector shadows
+    Returns ``(index, aps_by_pin, patterns, step1_s, step2_s, counts,
+    obs_snapshot_or_None)``.  ``counts`` is the task's
+    :meth:`~repro.core.arraykernel.ArrayKernel.work_counts` delta,
+    which the parent sums into ``result.stats``.  The snapshot is the
+    task's :meth:`repro.obs.collect.Collector.snapshot` -- metrics,
+    span buffer and decision events -- which the parent merges back
+    in deterministic task order.  Entering the task collector shadows
     any parent-context sinks (context-local activation), so the
     ``jobs=1`` in-process path produces exactly the per-task streams
     a worker process would.
@@ -138,25 +140,22 @@ def step12_task(index: int) -> tuple:
     state = _STATE
     ui = state.uniques[index]
     collector = Collector.from_config(state.config, profile=state.profile)
-    if not collector.enabled:
+    before = state.akernel.work_counts()
+    with collector, span(
+        "step12.unique",
+        index=index,
+        master=ui.master_name,
+        rep=ui.representative.name,
+        members=len(ui.members),
+    ):
         aps_by_pin, patterns, s1, s2 = compute_unique_access(
             state.design, state.engine, state.config, ui,
             state.kernel, state.akernel,
         )
-        return index, aps_by_pin, patterns, s1, s2, None
-    with collector:
-        with span(
-            "step12.unique",
-            index=index,
-            master=ui.master_name,
-            rep=ui.representative.name,
-            members=len(ui.members),
-        ):
-            aps_by_pin, patterns, s1, s2 = compute_unique_access(
-                state.design, state.engine, state.config, ui,
-                state.kernel, state.akernel,
-            )
-    return index, aps_by_pin, patterns, s1, s2, collector.snapshot()
+    counts = _counts_since(state.akernel, before)
+    return (
+        index, aps_by_pin, patterns, s1, s2, counts, collector.snapshot()
+    )
 
 
 def step3_task(payload: dict) -> tuple:
@@ -176,25 +175,30 @@ def step3_task(payload: dict) -> tuple:
     * ``aps`` -- instance name -> Step 1 ``aps_by_pin`` powering the
       conflict-repair post-pass, or None when BCA is off.
 
-    Returns ``(per_cluster, obs_snapshot_or_None)`` where
+    Returns ``(per_cluster, counts, obs_snapshot_or_None)`` where
     ``per_cluster`` is a list of ``(cluster_index, selections,
     conflicts)`` and each selection is the lean transport triple
-    ``(inst_name, pattern_index_or_None, overrides)``.  The snapshot
-    carries the task's metrics/spans/events exactly like
-    :func:`step12_task`.
+    ``(inst_name, pattern_index_or_None, overrides)``.  ``counts``
+    and the snapshot are as in :func:`step12_task`.
     """
     state = _STATE
     collector = Collector.from_config(state.config, profile=state.profile)
-    if not collector.enabled:
-        return _run_step3_component(state, payload), None
-    with collector:
-        with span(
-            "step3.component",
-            clusters=len(payload["clusters"]),
-            first=payload["clusters"][0] if payload["clusters"] else None,
-        ):
-            per_cluster = _run_step3_component(state, payload)
-    return per_cluster, collector.snapshot()
+    before = state.akernel.work_counts()
+    with collector, span(
+        "step3.component",
+        clusters=len(payload["clusters"]),
+        first=payload["clusters"][0] if payload["clusters"] else None,
+    ):
+        per_cluster = _run_step3_component(state, payload)
+    counts = _counts_since(state.akernel, before)
+    return per_cluster, counts, collector.snapshot()
+
+
+def _counts_since(akernel, before: dict) -> dict:
+    return {
+        name: count - before[name]
+        for name, count in akernel.work_counts().items()
+    }
 
 
 def _run_step3_component(state, payload) -> list:

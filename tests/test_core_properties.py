@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.apgen import AccessPoint
+from repro.core.config import PaafConfig
 from repro.core.coords import CoordType
-from repro.core.dpgraph import LayeredDpGraph
+from repro.core.dpgraph import FlatDp, LayeredDpGraph
 from repro.core.patterngen import order_pins
 from repro.tech.rules import SpacingTable
 
@@ -61,6 +62,100 @@ class TestDpOptimality:
         best = min(cost_of(c) for c in itertools.product(*groups))
         assert total == best
         assert cost_of(tuple(path)) == total
+
+
+# -- FlatDp against the LayeredDpGraph reference ------------------------------
+
+
+class _Ap:
+    """Stand-in access point: the Step 2 DP reads only ``cost``."""
+
+    __slots__ = ("cost",)
+
+    def __init__(self, cost):
+        self.cost = cost
+
+
+def _algorithm3(cfg, is_used_boundary, compatible):
+    """The plain Algorithm 3 edge cost, as a LayeredDpGraph callback."""
+
+    def edge_cost(prev, curr, prev_prev):
+        if prev is None:
+            # Virtual source edge: the vertex's own quality cost.
+            return cfg.ap_cost_scale * curr[1].cost
+        if cfg.boundary_conflict_aware and is_used_boundary(prev):
+            return cfg.penalty_cost
+        if cfg.boundary_conflict_aware and is_used_boundary(curr):
+            return cfg.penalty_cost
+        if not compatible(prev[1], curr[1]):
+            return cfg.drc_cost
+        if (
+            cfg.history_aware
+            and prev_prev is not None
+            and not compatible(prev_prev[1], curr[1])
+        ):
+            return cfg.drc_cost
+        return cfg.ap_cost_scale * (prev[1].cost + curr[1].cost)
+
+    return edge_cost
+
+
+@st.composite
+def step2_problems(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    groups = [
+        [(f"P{g}", _Ap(draw(st.integers(0, 6)))) for _ in range(size)]
+        for g, size in enumerate(sizes)
+    ]
+    n = sum(sizes)
+    vertex = st.integers(0, n - 1)
+    incompatible = draw(st.sets(st.tuples(vertex, vertex), max_size=3 * n))
+    # One used-boundary set per pattern iteration.
+    used_sets = draw(st.lists(st.sets(vertex), min_size=1, max_size=3))
+    config = PaafConfig(
+        boundary_conflict_aware=draw(st.booleans()),
+        history_aware=draw(st.booleans()),
+    )
+    return groups, incompatible, used_sets, config
+
+
+class TestFlatDpMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(step2_problems())
+    def test_same_path_cost_and_edge_prices(self, problem):
+        groups, incompatible, used_sets, cfg = problem
+        index = {
+            id(ap): i
+            for i, (_, ap) in enumerate(v for g in groups for v in g)
+        }
+        boundary_pins = {groups[0][0][0], groups[-1][0][0]}
+
+        def compatible(a, b):
+            return (index[id(a)], index[id(b)]) not in incompatible
+
+        solver = FlatDp(groups, compatible, cfg)
+        for used in used_sets:
+
+            def is_used(vertex, used=used):
+                return (
+                    vertex[0] in boundary_pins
+                    and index[id(vertex[1])] in used
+                )
+
+            priced = []
+            reference = _algorithm3(cfg, is_used, compatible)
+
+            def recorded(prev, curr, prev_prev):
+                cost = reference(prev, curr, prev_prev)
+                priced.append((prev, curr, cost))
+                return cost
+
+            expected = LayeredDpGraph(groups).solve(recorded)
+            assert solver.solve(is_used) == expected
+            assert [
+                (prev, curr, cost)
+                for prev, curr, cost, _ in solver.priced_edges()
+            ] == priced
 
 
 # -- pin ordering -------------------------------------------------------------

@@ -32,12 +32,12 @@ from repro.drc.pairkernel import (
     PairTable,
     build_pair_table,
 )
+from repro.obs.metrics import collecting
 from repro.perf.apcache import (
     AccessCache,
     PAIR_TABLE_FILE,
     paaf_fingerprint,
 )
-from repro.perf.profile import profiled
 from tests.conftest import make_simple_design
 
 # Random displacements per via combination, on top of the ~26
@@ -240,7 +240,7 @@ class TestShortCircuit:
         generator.kernel = _ExplodingKernel()
         planar = _ap(0, 0, vias=())
         via_ap = _ap(400, 0)
-        with profiled() as prof:
+        with collecting() as prof:
             assert generator.aps_compatible(planar, via_ap)
             assert generator.aps_compatible(via_ap, planar)
             assert generator.aps_compatible(planar, planar)

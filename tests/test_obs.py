@@ -11,17 +11,22 @@ log) plus the framework-level contracts the ISSUE pins down:
 - a ``jobs=4`` run merges worker metrics/spans/events into exactly
   the stream a ``jobs=1`` run produces, and worker spans re-parent
   under the correct step span;
-- enabling observability never changes the algorithmic result.
+- enabling observability never changes the algorithmic result, nor
+  the code path that computes it.
 """
 
 import json
 import threading
+from collections import Counter
 
 import pytest
 
-from repro.bench import build_testcase
+from repro.bench import build_case, build_testcase
 from repro.core import PinAccessFramework
+from repro.core.apgen import AccessPointGenerator
 from repro.core.config import PaafConfig
+from repro.core.dpgraph import FlatDp, LayeredDpGraph
+from repro.drc.pairkernel import PairKernel
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -451,3 +456,72 @@ class TestFrameworkObservability:
         )
         events = obs_events.read_jsonl(str(events_path))
         assert events == result.events.events
+
+
+# Step 1 candidates, Step 3 via-vs-instance checks and Step 2 DP solves
+# the array kernels counted: equal counts mean the same path ran.
+_WORK_COUNTERS = (
+    "arraykernel.candidates",
+    "arraykernel.filtered",
+    "arraykernel.dp_solves",
+    "arraykernel.minstep_engine",
+)
+
+# The calls that used to depend on whether a sink was active: Step 1's
+# per-point validation (skipped by the fast reject), the pair-kernel
+# method (skipped by inlined table probes) and the two DP solvers.
+_PATH_CALLS = (
+    (AccessPointGenerator, "_validate_array"),
+    (PairKernel, "pair_clean"),
+    (FlatDp, "solve"),
+    (LayeredDpGraph, "solve"),
+)
+
+
+def _count_calls(monkeypatch) -> Counter:
+    calls = Counter()
+    for cls, name in _PATH_CALLS:
+        key = f"{cls.__name__}.{name}"
+
+        def counted(*args, _original=getattr(cls, name), _key=key, **kw):
+            calls[_key] += 1
+            return _original(*args, **kw)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+class TestSinksLeaveThePathUnchanged:
+    @pytest.mark.parametrize(
+        "case", [("ispd18_test1", 0.004), ("pinzoo_hostile", 1)]
+    )
+    def test_same_path_with_and_without_sinks(self, case, monkeypatch):
+        calls = _count_calls(monkeypatch)
+        design = build_case(*case)
+        runs = {}
+        serial_calls = {}
+        for jobs in (1, 2):
+            for config in (PaafConfig(), _obs_config()):
+                calls.clear()
+                result = PinAccessFramework(design, config).run(jobs=jobs)
+                work = {name: result.stats[name] for name in _WORK_COUNTERS}
+                runs[(jobs, config.explain)] = (
+                    result.fingerprint().digest,
+                    work,
+                )
+                if jobs == 1:
+                    serial_calls[config.explain] = dict(calls)
+                if result.metrics is not None:
+                    # The registry reads the kernels' own counters.
+                    counters = result.metrics.counters
+                    for name in _WORK_COUNTERS[:2]:
+                        assert counters[name] == work[name]
+        reference = runs[(1, False)]
+        assert reference[1]["arraykernel.candidates"] > 0
+        assert reference[1]["arraykernel.dp_solves"] > 0
+        for key, run in runs.items():
+            assert run == reference, key
+        assert serial_calls[True] == serial_calls[False]
+        assert serial_calls[False]["FlatDp.solve"] == (
+            reference[1]["arraykernel.dp_solves"]
+        )

@@ -13,7 +13,7 @@ import pytest
 from repro.bench import build_testcase
 from repro.core import PinAccessFramework, evaluate_failed_pins
 from repro.perf.parallel import effective_jobs, parallel_map
-from repro.perf.profile import Profiler, profiled, tick
+from repro.obs.metrics import MetricsRegistry, collecting, tick
 
 # Module-level so they are picklable by worker processes.
 
@@ -90,10 +90,10 @@ class TestParallelMap:
 
 class TestProfiler:
     def test_tick_inactive_is_noop(self):
-        tick("nothing")  # must not raise without an active profiler
+        tick("nothing")  # must not raise without an active registry
 
     def test_profiled_collects_and_restores(self):
-        with profiled() as prof:
+        with collecting() as prof:
             tick("test.a")
             tick("test.a", 2)
             with prof.time("test.t"):
@@ -104,7 +104,7 @@ class TestProfiler:
         assert prof.counters["test.a"] == 3
 
     def test_merge_snapshot(self):
-        prof = Profiler()
+        prof = MetricsRegistry()
         prof.incr("test.x", 5)
         prof.merge({
             "counters": {"test.x": 2, "test.y": 1},
