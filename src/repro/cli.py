@@ -344,10 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
     srun.add_argument("spec", help="sweep spec path (.yaml subset or .json)")
     srun.add_argument("--dir", dest="run_dir",
                       help="run directory (default: sweep-runs/<name>)")
-    srun.add_argument("--workers", type=int,
+    srun.add_argument("--workers", type=_worker_count,
                       help="concurrent point processes (default: spec "
                            "option or 2)")
-    srun.add_argument("--timeout", type=float,
+    srun.add_argument("--timeout", type=_timeout_s,
                       help="per-point timeout in seconds (default: spec "
                            "option or 1800)")
     srun.set_defaults(handler=_cmd_sweep_run)
@@ -415,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     crun.add_argument("-j", "--jobs", type=_job_count, default=1,
                       help="concurrent (case, flow) worker processes "
                            "(0 = all cores)")
-    crun.add_argument("--timeout", type=float, default=1800.0,
+    crun.add_argument("--timeout", type=_timeout_s, default=1800.0,
                       help="per-flow timeout in seconds (default 1800)")
     crun.add_argument("--cache-dir",
                       help="persistent AP/pattern cache root (default: "
@@ -489,6 +489,26 @@ def _job_count(text: str) -> int:
         raise argparse.ArgumentTypeError(
             "jobs must be >= 0 (0 means all cores)"
         )
+    return value
+
+
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("workers must be >= 1")
+    return value
+
+
+def _timeout_s(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not value > 0:
+        raise argparse.ArgumentTypeError("timeout must be > 0 seconds")
     return value
 
 

@@ -6,8 +6,9 @@ asserted bit-identical), and the legacy Dr. CU-style baseline -- and
 scores each routed result: DRC counts by violation class (pin-access
 and full scope, IO-attributed counts separated), opens, wirelength
 and runtime deltas.  Runs are resumable directories of isolated
-(case, flow) worker processes; per-case reports are gated against
-committed goldens under ``goldens/compare/``.
+(case, flow) worker processes on the :mod:`repro.runs` engine;
+per-case reports are gated against committed goldens under
+``goldens/compare/``.
 """
 
 from repro.compare.cases import (

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 
 from repro.compare.cases import CaseSpec, parse_case
+from repro.runs import read_json, write_json
 
 COMPARE_SCHEMA = "repro.compare/v1"
 GOLDEN_SCHEMA = "repro.compare.golden/v1"
@@ -173,15 +174,13 @@ def golden_from_report(report: dict) -> dict:
 
 def write_goldens(run_report: dict, goldens_dir: str) -> list:
     """Accept the run's current numbers as goldens; return paths."""
-    from repro.sweep.runner import _write_json
-
     os.makedirs(goldens_dir, exist_ok=True)
     written = []
     for case in run_report["cases"]:
         if not case["complete"]:
             continue
         path = golden_path(goldens_dir, case["case"])
-        _write_json(path, golden_from_report(case))
+        write_json(path, golden_from_report(case))
         written.append(path)
     return written
 
@@ -191,14 +190,12 @@ def write_goldens(run_report: dict, goldens_dir: str) -> list:
 
 def load_run(run_dir: str) -> list:
     """Load every per-case report under ``run_dir``."""
-    from repro.sweep.runner import _read_json
-
     cases_root = os.path.join(run_dir, "cases")
     reports = []
     if not os.path.isdir(cases_root):
         return reports
     for name in sorted(os.listdir(cases_root)):
-        report = _read_json(os.path.join(cases_root, name, "report.json"))
+        report = read_json(os.path.join(cases_root, name, "report.json"))
         if report is not None:
             reports.append(report)
     return reports
@@ -219,8 +216,6 @@ def build_report(run_dir: str, goldens_dir: str = None) -> dict:
 
     Cases without a committed golden are reported but never gated.
     """
-    from repro.sweep.runner import _read_json
-
     case_reports = load_run(run_dir)
     failures = []
     rows = []
@@ -243,7 +238,7 @@ def build_report(run_dir: str, goldens_dir: str = None) -> dict:
                 )
         golden = None
         if goldens_dir:
-            golden = _read_json(golden_path(goldens_dir, case_id))
+            golden = read_json(golden_path(goldens_dir, case_id))
         if golden is not None:
             failures.extend(_check_golden(report, golden))
         rows.append(

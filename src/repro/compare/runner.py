@@ -1,12 +1,11 @@
 """Resumable comparator runs: (case, flow) points in isolated processes.
 
-Same execution machinery posture as :mod:`repro.sweep.runner` (whose
-atomic JSON/status helpers this module reuses): every (case, flow)
-pair runs in its own worker process inside a run directory, with its
-stdout/stderr in ``log.txt``, a terminal ``status.json`` and its flow
-record in ``flow.json``.  Re-running the same directory re-executes
-only pairs that are missing, failed, or whose fingerprint (case
-parameters + flow) changed -- a finished pair is never re-run.
+Every (case, flow) pair is one :mod:`repro.runs` unit: it runs in its
+own worker process inside the run directory, with its stdout/stderr in
+``log.txt``, a terminal ``status.json`` and its flow record in
+``flow.json``.  Re-running the same directory re-executes only pairs
+that are missing, failed, or whose fingerprint (case parameters +
+flow) changed -- a finished pair is never re-run.
 
 Layout::
 
@@ -26,17 +25,14 @@ comparator runs unchanged.
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
 import os
-import sys
 import time
-import traceback
-from collections import deque
 from dataclasses import dataclass
 
 from repro.compare.cases import CaseSpec
 from repro.compare.flows import execute_flow
-from repro.sweep.runner import _read_json, _write_json, _write_status
+from repro.runs import Unit, read_json, run_units, write_json
 
 RUN_SCHEMA = "repro.compare.run/v1"
 
@@ -89,19 +85,28 @@ def run_compare(
     os.makedirs(run_dir, exist_ok=True)
     if cache_dir is None:
         cache_dir = os.path.join(run_dir, "apcache")
-    planned = [PlannedFlow(case, flow) for case in cases for flow in flows]
-    cached, to_run = [], []
-    for pf in planned:
-        if not force and _is_cached(run_dir, pf):
-            cached.append(pf)
-            out(f"[cached] {pf.key}")
-        else:
-            _scrub_flow(run_dir, pf)
-            to_run.append(pf)
-    states = {pf.key: "cached" for pf in cached}
-    states.update(
-        _schedule(run_dir, to_run, jobs, flow_timeout_s, cache_dir, out)
-    )
+    units = []
+    for case in cases:
+        for flow in flows:
+            pf = PlannedFlow(case, flow)
+            directory = flow_dir(run_dir, pf)
+            units.append(
+                Unit(
+                    key=pf.key,
+                    directory=directory,
+                    record_name="spec.json",
+                    record={"key": pf.key, "fingerprint": pf.fingerprint},
+                    result_name="flow.json",
+                    work=functools.partial(
+                        execute_flow,
+                        case,
+                        flow,
+                        cache_dir=cache_dir,
+                        work_dir=directory,
+                    ),
+                )
+            )
+    states = run_units(units, jobs, flow_timeout_s, out, force=force)
 
     from repro.compare.cases import FLOWS
     from repro.compare.report import case_report, flow_envelope
@@ -114,7 +119,7 @@ def run_compare(
         records = {}
         for flow in FLOWS:
             pf = PlannedFlow(case, flow)
-            record = _read_json(
+            record = read_json(
                 os.path.join(flow_dir(run_dir, pf), "flow.json")
             )
             if record is not None:
@@ -122,14 +127,14 @@ def run_compare(
         wanted = [f for f in FLOWS if f in set(flows) | set(records)]
         wanted += [f for f in flows if f not in FLOWS]
         report = case_report(case, records, wanted_flows=wanted)
-        _write_json(
+        write_json(
             os.path.join(case_dir(run_dir, case), "report.json"), report
         )
         case_states[case.case_id] = report["complete"]
         if records:
             env_dir = os.path.join(run_dir, "envelopes")
             os.makedirs(env_dir, exist_ok=True)
-            _write_json(
+            write_json(
                 os.path.join(
                     env_dir, f"compare-{case.case_id}.json"
                 ),
@@ -149,153 +154,5 @@ def run_compare(
         "counts": counts,
         "finished_unix": round(time.time(), 3),
     }
-    _write_json(os.path.join(run_dir, "run.json"), summary)
+    write_json(os.path.join(run_dir, "run.json"), summary)
     return summary
-
-
-# -- resume bookkeeping -------------------------------------------------------
-
-
-def _is_cached(run_dir: str, pf: PlannedFlow) -> bool:
-    directory = flow_dir(run_dir, pf)
-    status = _read_json(os.path.join(directory, "status.json")) or {}
-    if status.get("state") != "done":
-        return False
-    spec = _read_json(os.path.join(directory, "spec.json")) or {}
-    if spec.get("fingerprint") != pf.fingerprint:
-        return False
-    return _read_json(os.path.join(directory, "flow.json")) is not None
-
-
-def _scrub_flow(run_dir: str, pf: PlannedFlow) -> None:
-    import shutil
-
-    directory = flow_dir(run_dir, pf)
-    if os.path.isdir(directory):
-        shutil.rmtree(directory)
-    os.makedirs(directory)
-    _write_json(
-        os.path.join(directory, "spec.json"),
-        {"key": pf.key, "fingerprint": pf.fingerprint},
-    )
-
-
-# -- the per-flow worker ------------------------------------------------------
-
-
-def _flow_main(run_dir: str, pf: PlannedFlow, cache_dir: str) -> int:
-    directory = flow_dir(run_dir, pf)
-    log_path = os.path.join(directory, "log.txt")
-    with open(log_path, "a") as log:
-        old_out, old_err = sys.stdout, sys.stderr
-        sys.stdout = sys.stderr = log
-        try:
-            _write_status(
-                directory,
-                "running",
-                pf.key,
-                pid=os.getpid(),
-                started_unix=round(time.time(), 3),
-            )
-            started = time.perf_counter()
-            record = execute_flow(
-                pf.case, pf.flow, cache_dir=cache_dir, work_dir=directory
-            )
-            wall_s = round(time.perf_counter() - started, 6)
-            _write_json(os.path.join(directory, "flow.json"), record)
-            _write_status(
-                directory,
-                "done",
-                pf.key,
-                wall_s=wall_s,
-                finished_unix=round(time.time(), 3),
-            )
-            return 0
-        except Exception as exc:
-            traceback.print_exc(file=log)
-            _write_status(
-                directory,
-                "failed",
-                pf.key,
-                error=f"{type(exc).__name__}: {exc}",
-                finished_unix=round(time.time(), 3),
-            )
-            return 1
-        finally:
-            sys.stdout, sys.stderr = old_out, old_err
-
-
-def _flow_entry(run_dir, pf, cache_dir):  # pragma: no cover
-    sys.exit(_flow_main(run_dir, pf, cache_dir))
-
-
-def _schedule(run_dir, to_run, workers, timeout_s, cache_dir, out) -> dict:
-    """Run the pending pairs under a bounded process pool."""
-    states = {}
-    pending = deque(to_run)
-    live = {}
-    context = multiprocessing.get_context()
-    while pending or live:
-        while pending and len(live) < max(1, workers):
-            pf = pending.popleft()
-            try:
-                process = context.Process(
-                    target=_flow_entry,
-                    args=(run_dir, pf, cache_dir),
-                    name=f"compare-{pf.key}",
-                )
-                process.start()
-            except OSError:
-                # No process support: degrade to in-process execution
-                # (no timeout enforcement), as the sweep runner does.
-                code = _flow_main(run_dir, pf, cache_dir)
-                states[pf.key] = _finalize(run_dir, pf, code, out)
-                continue
-            live[pf.key] = (pf, process, time.monotonic() + timeout_s)
-        if not live:
-            continue
-        time.sleep(0.02)
-        for key, (pf, process, deadline) in list(live.items()):
-            if process.is_alive():
-                if time.monotonic() < deadline:
-                    continue
-                process.terminate()
-                process.join(5.0)
-                if process.is_alive():  # pragma: no cover
-                    process.kill()
-                    process.join(5.0)
-                _write_status(
-                    flow_dir(run_dir, pf),
-                    "timeout",
-                    key,
-                    error=f"flow exceeded {timeout_s:g}s",
-                    finished_unix=round(time.time(), 3),
-                )
-                states[key] = "timeout"
-                out(f"[timeout] {key}")
-                del live[key]
-                continue
-            process.join()
-            del live[key]
-            states[key] = _finalize(run_dir, pf, process.exitcode, out)
-    return states
-
-
-def _finalize(run_dir: str, pf: PlannedFlow, exitcode: int, out) -> str:
-    directory = flow_dir(run_dir, pf)
-    status = _read_json(os.path.join(directory, "status.json")) or {}
-    state = status.get("state")
-    if state == "done" and exitcode == 0:
-        out(f"[done] {pf.key} ({status.get('wall_s', 0):.2f}s)")
-        return "done"
-    if state != "failed":
-        _write_status(
-            directory,
-            "failed",
-            pf.key,
-            error=f"worker exited with code {exitcode}",
-            returncode=exitcode,
-            finished_unix=round(time.time(), 3),
-        )
-    out(f"[failed] {pf.key} (exit {exitcode})")
-    return "failed"

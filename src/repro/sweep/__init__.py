@@ -6,10 +6,11 @@ machine-checked workload instead of hand-run benchmark scripts:
 
 * :mod:`repro.sweep.spec` -- declarative YAML/JSON sweep manifests
   expanded into a matrix of run points;
-* :mod:`repro.sweep.runner` -- resumable, process-isolated execution
-  into per-point directories keyed by the AP-cache config fingerprint
-  (completed points skip, interrupted points re-run cleanly), each
-  point emitting one ``repro.qa.bench/v1`` envelope;
+* :mod:`repro.sweep.runner` -- plans per-point directories keyed by
+  the AP-cache config fingerprint and runs them on the
+  :mod:`repro.runs` engine (completed points skip, interrupted or
+  corrupt points re-run cleanly in their own processes), each point
+  emitting one ``repro.qa.bench/v1`` envelope;
 * :mod:`repro.sweep.report` -- trend aggregation (markdown + JSON)
   gated against committed goldens and ``BENCH_*.json`` baselines with
   configurable regression tolerances.

@@ -36,6 +36,7 @@ from repro.qa.metrics import (
     perf_direction,
     perf_tolerance,
 )
+from repro.runs import read_json
 
 REPORT_SCHEMA = "repro.sweep.report/v1"
 
@@ -64,7 +65,7 @@ def load_rows(run_dir: str) -> list:
 
         rows = []
         for status in sweep_status(run_dir)["points"]:
-            envelope = _read_json(
+            envelope = read_json(
                 os.path.join(points_root, status["key"], "envelope.json")
             )
             rows.append(
@@ -83,7 +84,7 @@ def load_rows(run_dir: str) -> list:
     for name in sorted(os.listdir(run_dir)):
         if not name.endswith(".json"):
             continue
-        payload = _read_json(os.path.join(run_dir, name))
+        payload = read_json(os.path.join(run_dir, name))
         entries = payload if isinstance(payload, list) else [payload]
         for index, entry in enumerate(entries):
             if not isinstance(entry, dict):
@@ -105,14 +106,6 @@ def load_rows(run_dir: str) -> list:
                 }
             )
     return rows
-
-
-def _read_json(path: str):
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
 
 
 # -- baseline translation -----------------------------------------------------
@@ -254,7 +247,7 @@ def build_report(
             "digest": (envelope.get("fingerprint") or {}).get("digest"),
         }
         report["points"].append(summary)
-        if summary["state"] != "done":
+        if summary["state"] != "done" or not envelope:
             report["regressions"].append(
                 {
                     "kind": "point",
@@ -358,7 +351,7 @@ def _golden_checks(done, goldens_dir, tolerances, regressions) -> list:
         path = os.path.join(
             goldens_dir, case_id(design, scale) + ".json"
         )
-        record = _read_json(path)
+        record = read_json(path)
         if not record or "fingerprint" not in record:
             continue
         golden_digest = record["fingerprint"].get("digest")

@@ -1,4 +1,4 @@
-"""Sweep execution: resumable, isolated, fingerprint-keyed run dirs.
+"""Sweep execution: fingerprint-keyed point directories.
 
 Each run point of a :class:`~repro.sweep.spec.SweepSpec` executes in
 its own directory under ``<run_dir>/points/<key>``, where the key
@@ -13,45 +13,29 @@ binds together
   over the knobs that only affect how fast results arrive (``jobs``,
   ``paircheck_mode``, ``apcheck_mode``).
 
-A completed point (``status.json`` state ``done`` with a matching
-fingerprint and an ``envelope.json``) is **skipped** on re-run; an
-interrupted or failed point directory is scrubbed and re-executed
-cleanly.  Points run under a bounded pool of worker *processes* --
-one process per point -- so a crashing point marks itself ``failed``
-without killing the sweep, and a point exceeding the per-point
-timeout is terminated and marked ``timeout``.
+The points run on :mod:`repro.runs`: a completed point (status
+``done``, a ``point.json`` with a matching fingerprint and an
+``envelope.json`` that parses) is skipped on re-run, anything else is
+scrubbed and re-executed in its own worker process, under a bounded
+pool and a per-point timeout.
 
 Each successful point rolls its timings, obs stats, quality metrics
 and qa result fingerprint into one ``repro.qa.bench/v1`` envelope
 (``envelope.json``), the unit the reporter aggregates and gates.
-
-Two environment hooks exist purely for the resumability tests:
-``REPRO_SWEEP_TEST_CRASH`` hard-kills a worker whose key contains the
-value (simulating a mid-run crash that leaves a ``running`` status
-behind) and ``REPRO_SWEEP_TEST_HANG`` makes it sleep forever
-(exercising the timeout path).
 """
 
 from __future__ import annotations
 
-import json
-import multiprocessing
+import functools
 import os
-import shutil
-import sys
 import time
-import traceback
-from collections import deque
 from dataclasses import dataclass
 
+from repro.runs import STATUS_SCHEMA, Unit, read_json, run_units, write_json
 from repro.sweep.spec import SweepSpec
 
 RUN_SCHEMA = "repro.sweep.run/v1"
-STATUS_SCHEMA = "repro.sweep.status/v1"
 LAST_RUN_SCHEMA = "repro.sweep.last_run/v1"
-
-#: Worker exit code for the simulated crash (tests only).
-CRASH_EXIT_CODE = 23
 
 DEFAULT_WORKERS = 2
 DEFAULT_POINT_TIMEOUT_S = 1800.0
@@ -153,94 +137,6 @@ def point_dir(run_dir: str, key: str) -> str:
     return os.path.join(run_dir, "points", key)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
-
-
-def _read_json(path: str):
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
-def _write_status(directory: str, state: str, key: str, **extra) -> None:
-    payload = {"schema": STATUS_SCHEMA, "state": state, "key": key}
-    payload.update(extra)
-    _write_json(os.path.join(directory, "status.json"), payload)
-
-
-# -- the per-point worker -----------------------------------------------------
-
-
-def _point_main(run_dir: str, key: str, point: dict, cache_dir: str) -> int:
-    """Execute one point inside its own process.
-
-    Everything user-visible lands in the point directory: stdout and
-    stderr in ``log.txt``, the ``repro.qa.bench/v1`` payload in
-    ``envelope.json`` and the terminal state in ``status.json``.
-    Returns the process exit code (0 on success).
-    """
-    directory = point_dir(run_dir, key)
-    log_path = os.path.join(directory, "log.txt")
-    with open(log_path, "a") as log:
-        old_out, old_err = sys.stdout, sys.stderr
-        sys.stdout = sys.stderr = log
-        try:
-            _write_status(
-                directory,
-                "running",
-                key,
-                pid=os.getpid(),
-                started_unix=round(time.time(), 3),
-            )
-            _test_hooks(key)
-            started = time.perf_counter()
-            envelope = _execute_point(point, key, cache_dir)
-            wall_s = round(time.perf_counter() - started, 6)
-            _write_json(
-                os.path.join(directory, "envelope.json"), envelope
-            )
-            _write_status(
-                directory,
-                "done",
-                key,
-                wall_s=wall_s,
-                finished_unix=round(time.time(), 3),
-            )
-            return 0
-        except Exception as exc:
-            traceback.print_exc(file=log)
-            _write_status(
-                directory,
-                "failed",
-                key,
-                error=f"{type(exc).__name__}: {exc}",
-                finished_unix=round(time.time(), 3),
-            )
-            return 1
-        finally:
-            sys.stdout, sys.stderr = old_out, old_err
-
-
-def _test_hooks(key: str) -> None:
-    crash = os.environ.get("REPRO_SWEEP_TEST_CRASH")
-    if crash and crash in key:
-        # Simulate a hard crash: no status update, no cleanup.  The
-        # parent (or the next run) must cope with the stale
-        # ``running`` state this leaves behind.
-        os._exit(CRASH_EXIT_CODE)
-    hang = os.environ.get("REPRO_SWEEP_TEST_HANG")
-    if hang and hang in key:
-        while True:  # pragma: no cover - killed by the timeout path
-            time.sleep(0.2)
-
-
 def _execute_point(point: dict, key: str, cache_dir: str) -> dict:
     from repro.core import PinAccessFramework
     from repro.core.framework import evaluate_failed_pins
@@ -275,7 +171,7 @@ def _execute_point(point: dict, key: str, cache_dir: str) -> dict:
     return entry
 
 
-# -- the sweep scheduler ------------------------------------------------------
+# -- the sweep ----------------------------------------------------------------
 
 
 def run_sweep(
@@ -306,7 +202,7 @@ def run_sweep(
         cache_dir = os.path.join(run_dir, cache_dir)
 
     planned = plan_points(spec)
-    _write_json(
+    write_json(
         os.path.join(run_dir, "spec.json"),
         {
             "name": spec.name,
@@ -315,7 +211,7 @@ def run_sweep(
             "digest": spec.digest,
         },
     )
-    _write_json(
+    write_json(
         os.path.join(run_dir, "sweep.json"),
         {
             "schema": RUN_SCHEMA,
@@ -326,32 +222,43 @@ def run_sweep(
     )
 
     started = time.perf_counter()
-    skipped, to_run = [], []
-    for pp in planned:
-        if _is_cached(run_dir, pp):
-            skipped.append(pp.key)
-            out(f"[cached] {pp.key}")
-        else:
-            _scrub_point(run_dir, pp)
-            to_run.append(pp)
+    units = [
+        Unit(
+            key=pp.key,
+            directory=point_dir(run_dir, pp.key),
+            record_name="point.json",
+            record={
+                "key": pp.key,
+                "point": pp.point,
+                "fingerprint": pp.fingerprint,
+                "perf_key": pp.perf_key,
+            },
+            result_name="envelope.json",
+            work=functools.partial(
+                _execute_point, pp.point, pp.key, cache_dir
+            ),
+        )
+        for pp in planned
+    ]
+    states = run_units(units, workers, point_timeout_s, out)
 
-    states = _schedule(
-        run_dir, to_run, workers, point_timeout_s, cache_dir, out
-    )
+    def keys(*wanted):
+        return sorted(k for k, s in states.items() if s in wanted)
+
     summary = {
         "schema": LAST_RUN_SCHEMA,
         "name": spec.name,
         "spec_digest": spec.digest,
         "workers": workers,
         "point_timeout_s": point_timeout_s,
-        "skipped": sorted(skipped),
-        "executed": sorted(states),
-        "done": sorted(k for k, s in states.items() if s == "done"),
-        "failed": sorted(k for k, s in states.items() if s == "failed"),
-        "timeout": sorted(k for k, s in states.items() if s == "timeout"),
+        "skipped": keys("cached"),
+        "executed": keys("done", "failed", "timeout"),
+        "done": keys("done"),
+        "failed": keys("failed"),
+        "timeout": keys("timeout"),
         "wall_s": round(time.perf_counter() - started, 6),
     }
-    _write_json(os.path.join(run_dir, "last_run.json"), summary)
+    write_json(os.path.join(run_dir, "last_run.json"), summary)
     return summary
 
 
@@ -360,115 +267,6 @@ def _resolve(*candidates):
         if candidate is not None:
             return candidate
     return None
-
-
-def _is_cached(run_dir: str, pp: PlannedPoint) -> bool:
-    directory = point_dir(run_dir, pp.key)
-    status = _read_json(os.path.join(directory, "status.json"))
-    if not status or status.get("state") != "done":
-        return False
-    if not os.path.exists(os.path.join(directory, "envelope.json")):
-        return False
-    meta = _read_json(os.path.join(directory, "point.json"))
-    return bool(meta) and meta.get("fingerprint") == pp.fingerprint
-
-
-def _scrub_point(run_dir: str, pp: PlannedPoint) -> None:
-    directory = point_dir(run_dir, pp.key)
-    if os.path.isdir(directory):
-        shutil.rmtree(directory)
-    os.makedirs(directory)
-    _write_json(
-        os.path.join(directory, "point.json"),
-        {
-            "key": pp.key,
-            "point": pp.point,
-            "fingerprint": pp.fingerprint,
-            "perf_key": pp.perf_key,
-        },
-    )
-
-
-def _schedule(
-    run_dir, to_run, workers, point_timeout_s, cache_dir, out
-) -> dict:
-    """Run the pending points under a bounded process pool."""
-    states = {}
-    pending = deque(to_run)
-    live = {}
-    context = multiprocessing.get_context()
-    while pending or live:
-        while pending and len(live) < max(1, workers):
-            pp = pending.popleft()
-            try:
-                process = context.Process(
-                    target=_point_entry,
-                    args=(run_dir, pp.key, pp.point, cache_dir),
-                    name=f"sweep-{pp.key}",
-                )
-                process.start()
-            except OSError:
-                # Platforms without process support degrade to
-                # in-process execution (no timeout enforcement), the
-                # same posture as repro.perf.parallel.
-                code = _point_main(run_dir, pp.key, pp.point, cache_dir)
-                states[pp.key] = _finalize(run_dir, pp.key, code, out)
-                continue
-            live[pp.key] = (process, time.monotonic() + point_timeout_s)
-        if not live:
-            continue
-        time.sleep(0.02)
-        for key, (process, deadline) in list(live.items()):
-            if process.is_alive():
-                if time.monotonic() < deadline:
-                    continue
-                process.terminate()
-                process.join(5.0)
-                if process.is_alive():  # pragma: no cover
-                    process.kill()
-                    process.join(5.0)
-                _write_status(
-                    point_dir(run_dir, key),
-                    "timeout",
-                    key,
-                    error=f"point exceeded {point_timeout_s:g}s",
-                    finished_unix=round(time.time(), 3),
-                )
-                states[key] = "timeout"
-                out(f"[timeout] {key}")
-                del live[key]
-                continue
-            process.join()
-            del live[key]
-            states[key] = _finalize(run_dir, key, process.exitcode, out)
-    return states
-
-
-def _point_entry(run_dir, key, point, cache_dir):  # pragma: no cover
-    sys.exit(_point_main(run_dir, key, point, cache_dir))
-
-
-def _finalize(run_dir: str, key: str, exitcode: int, out) -> str:
-    """Reconcile a finished worker's on-disk state with its exit code."""
-    directory = point_dir(run_dir, key)
-    status = _read_json(os.path.join(directory, "status.json")) or {}
-    state = status.get("state")
-    if state == "done" and exitcode == 0:
-        out(f"[done] {key} ({status.get('wall_s', 0):.2f}s)")
-        return "done"
-    if state != "failed":
-        # The worker died without reaching its own failure handler
-        # (hard crash, signal): record what the parent knows.
-        _write_status(
-            directory,
-            "failed",
-            key,
-            error=f"worker exited with code {exitcode}",
-            returncode=exitcode,
-            finished_unix=round(time.time(), 3),
-        )
-    out(f"[failed] {key} (exit {exitcode})")
-    return "failed"
 
 
 # -- status -------------------------------------------------------------------
@@ -481,7 +279,7 @@ def sweep_status(run_dir: str) -> dict:
     (so stale directories from an edited spec are ignored), falling
     back to a scan of ``points/``.
     """
-    manifest = _read_json(os.path.join(run_dir, "sweep.json"))
+    manifest = read_json(os.path.join(run_dir, "sweep.json"))
     points_root = os.path.join(run_dir, "points")
     if manifest and manifest.get("points"):
         keys = list(manifest["points"])
@@ -493,8 +291,8 @@ def sweep_status(run_dir: str) -> dict:
     counts = {}
     for key in keys:
         directory = os.path.join(points_root, key)
-        status = _read_json(os.path.join(directory, "status.json")) or {}
-        meta = _read_json(os.path.join(directory, "point.json")) or {}
+        status = read_json(os.path.join(directory, "status.json")) or {}
+        meta = read_json(os.path.join(directory, "point.json")) or {}
         state = status.get("state", "pending")
         counts[state] = counts.get(state, 0) + 1
         points.append(

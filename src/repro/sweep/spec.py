@@ -186,6 +186,10 @@ def expand_spec(raw: dict, source: str = "<spec>") -> SweepSpec:
                 f"got {value!r}"
             )
         options[key] = coerced
+    if options.get("workers", 1) < 1:
+        raise SpecError(f"{source}: option 'workers' must be >= 1")
+    if options.get("point_timeout_s", 1) <= 0:
+        raise SpecError(f"{source}: option 'point_timeout_s' must be > 0")
 
     digest = hashlib.sha256(
         json.dumps(

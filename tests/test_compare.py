@@ -18,7 +18,7 @@ from repro.compare import (
     write_goldens,
 )
 from repro.compare.report import _check_golden, golden_path
-from repro.sweep.runner import _read_json, _write_json
+from repro.runs import read_json, write_json
 
 
 @pytest.fixture(scope="module")
@@ -61,14 +61,14 @@ class TestRunLifecycle:
         case, run_dir, _ = run
         for flow in FLOWS:
             base = os.path.join(run_dir, "cases", case.case_id, flow)
-            status = _read_json(os.path.join(base, "status.json"))
+            status = read_json(os.path.join(base, "status.json"))
             assert status["state"] == "done"
-            assert _read_json(os.path.join(base, "flow.json")) is not None
+            assert read_json(os.path.join(base, "flow.json")) is not None
             assert os.path.exists(os.path.join(base, "log.txt"))
 
     def test_case_report_written(self, run):
         case, run_dir, _ = run
-        report = _read_json(
+        report = read_json(
             os.path.join(run_dir, "cases", case.case_id, "report.json")
         )
         assert report["schema"] == COMPARE_SCHEMA
@@ -77,7 +77,7 @@ class TestRunLifecycle:
 
     def test_envelope_is_bench_schema(self, run):
         case, run_dir, _ = run
-        envelope = _read_json(
+        envelope = read_json(
             os.path.join(
                 run_dir, "envelopes", f"compare-{case.case_id}.json"
             )
@@ -91,7 +91,7 @@ class TestRunLifecycle:
 
     def test_serve_flow_is_bit_identical_to_pao(self, run):
         case, run_dir, _ = run
-        report = _read_json(
+        report = read_json(
             os.path.join(run_dir, "cases", case.case_id, "report.json")
         )
         pao = report["metrics"]["pao"]
@@ -106,7 +106,7 @@ class TestRunLifecycle:
 
     def test_figure8_ordering_holds(self, run):
         case, run_dir, _ = run
-        report = _read_json(
+        report = read_json(
             os.path.join(run_dir, "cases", case.case_id, "report.json")
         )
         ordering = report["ordering"]
@@ -140,16 +140,88 @@ class TestRunLifecycle:
             [case], ["bogus"], str(tmp_path), jobs=1, out=lambda s: None
         )
         assert summary["counts"]["failed"] == 1
-        status = _read_json(
+        status = read_json(
             os.path.join(
                 str(tmp_path), "cases", case.case_id, "bogus", "status.json"
             )
         )
         assert status["state"] == "failed"
-        report = _read_json(
+        report = read_json(
             os.path.join(str(tmp_path), "cases", case.case_id, "report.json")
         )
         assert not report["complete"]
+
+
+class TestFailurePaths:
+    CASE = CaseSpec("pinzoo_hostile", 1.0)
+
+    def test_crashed_flow_fails_then_resumes(self, run, tmp_path, monkeypatch):
+        run_dir = str(tmp_path)
+        monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "pinzoo_hostile@1/legacy")
+        summary = run_compare(
+            [self.CASE], FLOWS, run_dir, jobs=1, out=lambda s: None
+        )
+        assert summary["states"]["pinzoo_hostile@1/legacy"] == "failed"
+        assert summary["counts"]["failed"] == 1
+        status = read_json(
+            os.path.join(run_dir, "cases", "pinzoo_hostile@1", "legacy",
+                         "status.json")
+        )
+        assert "code 23" in status["error"]
+        assert summary["complete_cases"] == {"pinzoo_hostile@1": False}
+        assert {"kind": "incomplete", "case": "pinzoo_hostile@1"} in (
+            build_report(run_dir)["failures"]
+        )
+
+        monkeypatch.delenv("REPRO_SWEEP_TEST_CRASH")
+        resumed = run_compare(
+            [self.CASE], FLOWS, run_dir, jobs=1, out=lambda s: None
+        )
+        assert resumed["counts"] == {
+            "done": 1, "cached": 2, "failed": 0, "timeout": 0
+        }
+        assert resumed["states"]["pinzoo_hostile@1/legacy"] == "done"
+        _, clean_dir, _ = run
+        report_path = os.path.join("cases", "pinzoo_hostile@1", "report.json")
+        clean = read_json(os.path.join(clean_dir, report_path))
+        resumed_report = read_json(os.path.join(run_dir, report_path))
+        assert resumed_report["complete"]
+        assert resumed_report["metrics"] == clean["metrics"]
+
+    def test_hung_flow_times_out_then_resumes(self, tmp_path, monkeypatch):
+        run_dir = str(tmp_path)
+        monkeypatch.setenv("REPRO_SWEEP_TEST_HANG", "pinzoo_hostile@1/legacy")
+        summary = run_compare(
+            [self.CASE], ["legacy"], run_dir, jobs=1, flow_timeout_s=1.5,
+            out=lambda s: None,
+        )
+        assert summary["states"] == {"pinzoo_hostile@1/legacy": "timeout"}
+        monkeypatch.delenv("REPRO_SWEEP_TEST_HANG")
+        resumed = run_compare(
+            [self.CASE], ["legacy"], run_dir, jobs=1, out=lambda s: None
+        )
+        assert resumed["states"] == {"pinzoo_hostile@1/legacy": "done"}
+
+    def test_units_run_inline_without_processes(self, tmp_path, monkeypatch):
+        import multiprocessing.process
+
+        def no_processes(self):
+            raise OSError("process creation unavailable")
+
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", no_processes
+        )
+        summary = run_compare(
+            [self.CASE], ["pao", "legacy"], str(tmp_path), jobs=2,
+            out=lambda s: None,
+        )
+        assert summary["counts"]["done"] == 2
+        for flow in ("pao", "legacy"):
+            base = os.path.join(str(tmp_path), "cases", "pinzoo_hostile@1",
+                                flow)
+            status = read_json(os.path.join(base, "status.json"))
+            assert status["state"] == "done"
+            assert read_json(os.path.join(base, "flow.json")) is not None
 
 
 class TestGoldenGate:
@@ -173,9 +245,9 @@ class TestGoldenGate:
         goldens = str(tmp_path / "goldens")
         write_goldens(build_report(run_dir), goldens)
         path = golden_path(goldens, "pinzoo_hostile@1")
-        golden = _read_json(path)
+        golden = read_json(path)
         golden["metrics"]["legacy"]["drc.pin_access_total"] = 999
-        _write_json(path, golden)
+        write_json(path, golden)
         report = build_report(run_dir, goldens_dir=goldens)
         assert report["status"] == "regressed"
         kinds = {f["kind"] for f in report["failures"]}
@@ -232,9 +304,9 @@ class TestRendering:
         goldens = str(tmp_path / "goldens")
         write_goldens(build_report(run_dir), goldens)
         path = golden_path(goldens, "pinzoo_hostile@1")
-        golden = _read_json(path)
+        golden = read_json(path)
         golden["metrics"]["pao"]["routing.wirelength"] += 1
-        _write_json(path, golden)
+        write_json(path, golden)
         text = render_markdown(build_report(run_dir, goldens_dir=goldens))
         assert "## Failures" in text
         assert "status: **regressed**" in text
@@ -256,6 +328,17 @@ class TestCli:
             assert json.load(fh)["status"] == "ok"
         capsys.readouterr()
 
+    def test_compare_run_rejects_non_positive_timeout(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+
+        for value in ("0", "-5"):
+            argv = ["compare", "run", "pinzoo_hostile", "--flows", "legacy",
+                    "--dir", str(tmp_path / "run"), "--timeout", value]
+            assert main(argv) == 2
+        assert not os.path.exists(str(tmp_path / "run"))
+        capsys.readouterr()
+
     def test_compare_report_cli_fails_on_regress(
         self, run, tmp_path, capsys
     ):
@@ -266,9 +349,9 @@ class TestCli:
         assert main(["compare", "report", run_dir, "--accept",
                      "--goldens", goldens]) == 0
         path = golden_path(goldens, "pinzoo_hostile@1")
-        golden = _read_json(path)
+        golden = read_json(path)
         golden["metrics"]["legacy"]["routing.wirelength"] = -1
-        _write_json(path, golden)
+        write_json(path, golden)
         assert main(["compare", "report", run_dir, "--goldens", goldens,
                      "--fail-on-regress"]) == 1
         capsys.readouterr()

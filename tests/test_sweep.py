@@ -205,6 +205,22 @@ class TestSpecExpansion:
                 },
                 "must be int",
             ),
+            (
+                {
+                    "name": "m",
+                    "axes": {"design": ["ispd18_test1"]},
+                    "options": {"point_timeout_s": 0},
+                },
+                "point_timeout_s",
+            ),
+            (
+                {
+                    "name": "m",
+                    "axes": {"design": ["ispd18_test1"]},
+                    "options": {"workers": -4},
+                },
+                "workers",
+            ),
         ],
     )
     def test_validation_errors(self, raw, match):
@@ -356,6 +372,24 @@ class TestRunAndResume:
         resumed = run_sweep(spec, run_dir)
         assert resumed["executed"] == [victim]
         assert sweep_status(run_dir)["counts"] == {"done": 2}
+
+    def test_truncated_envelope_regresses_then_reexecutes(
+        self, spec, tmp_path
+    ):
+        run_dir = str(tmp_path / "run")
+        first = run_sweep(spec, run_dir)
+        victim = first["done"][0]
+        path = os.path.join(point_dir(run_dir, victim), "envelope.json")
+        with open(path, "r+") as handle:
+            handle.truncate(100)
+        report = build_report(load_rows(run_dir))
+        assert [(r["kind"], r["point"]) for r in report["regressions"]] == [
+            ("point", victim)
+        ]
+        resumed = run_sweep(spec, run_dir)
+        assert resumed["executed"] == [victim]
+        assert resumed["done"] == [victim]
+        assert not build_report(load_rows(run_dir))["regressions"]
 
     def test_quality_knob_lands_in_new_directory(self, tmp_path):
         base = {
@@ -599,6 +633,14 @@ class TestSweepCli:
         bad = tmp_path / "bad.yaml"
         bad.write_text("axes: {design: [x]}\n")
         assert main(["sweep", "run", str(bad)]) == 2
+        for flag, value in (
+            ("--timeout", "-5"),
+            ("--timeout", "0"),
+            ("--workers", "-4"),
+            ("--workers", "0"),
+        ):
+            argv = ["sweep", "run", spec_path, "--dir", run_dir, flag, value]
+            assert main(argv) == 2
         assert main(["sweep", "status", str(tmp_path / "empty")]) == 2
         assert main(["sweep", "report", str(tmp_path / "empty")]) == 2
         assert (
