@@ -14,9 +14,12 @@ import random
 
 from repro.core import PaafConfig
 from repro.core.apgen import AccessPoint
+from repro.core.arraykernel import ArrayKernel
 from repro.core.coords import CoordType
 from repro.core.patterngen import AccessPatternGenerator
+from repro.db.design import Design
 from repro.drc.engine import DrcEngine
+from repro.drc.pairkernel import PairKernel
 from repro.report import format_table
 from repro.tech import make_n45
 
@@ -63,7 +66,12 @@ def run(population, history):
     config = PaafConfig(
         history_aware=history, patterns_per_unique_instance=1
     )
-    generator = AccessPatternGenerator(tech, DrcEngine(tech), config)
+    engine = DrcEngine(tech)
+    generator = AccessPatternGenerator(
+        tech, engine, config,
+        kernel=PairKernel(tech, mode=config.paircheck_mode, engine=engine),
+        akernel=ArrayKernel(Design("ablation", tech), engine=engine),
+    )
     dirty = 0
     for aps_by_pin in population:
         patterns = generator.generate(aps_by_pin)

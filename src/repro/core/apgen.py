@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.arraykernel import ApCheckMismatch
+from repro.core.arraykernel import ApCheckMismatch, ArrayKernel
 from repro.core.config import PaafConfig
 from repro.core.coords import CoordType, candidate_coords
 from repro.db.design import Design
@@ -94,8 +94,8 @@ class AccessPoint:
 class AccessPointGenerator:
     """Implements Algorithm 1 for one design.
 
-    With an :class:`~repro.core.arraykernel.ArrayKernel` attached (and
-    not in ``engine`` mode), candidate validation runs on the kernel's
+    Unless the shared :class:`~repro.core.arraykernel.ArrayKernel`
+    ``akernel`` is in ``engine`` mode, candidate validation runs on its
     compiled per-cell tables: each candidate row is answered by one
     occupancy bitmask instead of per-candidate engine probes, with the
     engine consulted only to name the violated rule when telemetry
@@ -107,7 +107,8 @@ class AccessPointGenerator:
         design: Design,
         engine: DrcEngine,
         config: PaafConfig = None,
-        akernel=None,
+        *,
+        akernel: ArrayKernel,
     ):
         self.design = design
         self.tech = design.tech
@@ -130,7 +131,7 @@ class AccessPointGenerator:
         net_key = (inst.name, pin.name)
         akernel = self.akernel
         tables = None
-        if akernel is not None and akernel.mode != "engine":
+        if akernel.mode != "engine":
             tables = akernel.cell_tables(inst)
         with span("step1.pin", inst=inst.name, pin=pin.name) as record:
             for layer_name in sorted(shapes):

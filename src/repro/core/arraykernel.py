@@ -16,9 +16,9 @@ from via *pairs* to the two remaining per-candidate engine workloads:
   master/orient combination, persists under the AP-cache fingerprint
   next to ``pairkernel.pkl`` and ships to worker processes whole.
 
-* **Step 3 boundary conflicts** -- ``_via_vs_instance_clean`` is the
-  same check with ``net_key=None`` and min-step off; it compiles to a
-  second table per ``(master, orient, via)``.
+* **Step 3 boundary conflicts** -- :meth:`ArrayKernel.via_vs_instance_clean`
+  is the same check with ``net_key=None`` and min-step off; it
+  compiles to a second table per ``(master, orient, via)``.
 
 The compiled form reuses the pair kernel's verified test records
 (metal short + PRL spacing, EOL open boxes, cut spacing with the
@@ -46,7 +46,8 @@ with ``max_edges > 0`` fall back to the engine's loop walk.
 Three modes mirror ``paircheck_mode``:
 
 * ``array``  -- compiled tables only (the fast path, default);
-* ``engine`` -- the kernel is inert, callers use the DrcEngine;
+* ``engine`` -- no tables: Step 1 callers use the DrcEngine, and
+  :meth:`ArrayKernel.via_vs_instance_clean` asks the engine itself;
 * ``verify`` -- compute both and raise :class:`ApCheckMismatch` on any
   divergence (the engine remains the oracle).
 
@@ -1020,7 +1021,7 @@ class ArrayKernel:
         self.minstep_engine = 0
         self.dp_solves = 0
         self.verify_mismatches = 0
-        self._verify_ctx = {}
+        self._inst_ctx = {}
         self._compile_memo = {}
         if tables:
             self.preload(tables)
@@ -1067,12 +1068,16 @@ class ArrayKernel:
     # -- verdicts -----------------------------------------------------------
 
     def via_vs_instance_clean(self, via_name, x, y, inst) -> bool:
-        """Step 3's via-vs-neighbor-shapes verdict from the tables.
+        """Step 3's via-vs-neighbor-shapes verdict in the kernel's mode.
 
-        The displacement-space equivalent of ``not
-        engine.check_via_placement(via, x, y, None, context,
-        with_min_step=False)`` against ``inst``'s intra-cell context.
+        ``not engine.check_via_placement(via, x, y, None, context,
+        with_min_step=False)`` against ``inst``'s intra-cell context:
+        asked of the engine in ``engine`` mode, answered from the
+        compiled table by displacement otherwise (and cross-checked in
+        ``verify`` mode).
         """
+        if self.mode == "engine":
+            return self._engine_instance_clean(via_name, x, y, inst)
         table = self.cell_tables(inst).inst_clean[via_name]
         verdict = table.clean(x - inst.location.x, y - inst.location.y)
         self.candidates += 1
@@ -1094,10 +1099,14 @@ class ArrayKernel:
     def _engine_instance_clean(self, via_name, x, y, inst) -> bool:
         from repro.drc.context import ShapeContext
 
-        context = self._verify_ctx.get(inst.name)
-        if context is None:
-            context = ShapeContext.from_instance(inst)
-            self._verify_ctx[inst.name] = context
+        # One context per instance, rebuilt when a placement edit has
+        # moved the instance since it was built.
+        origin = (inst.location.x, inst.location.y)
+        hit = self._inst_ctx.get(inst.name)
+        if hit is None or hit[0] != origin:
+            hit = (origin, ShapeContext.from_instance(inst))
+            self._inst_ctx[inst.name] = hit
+        context = hit[1]
         return not self.engine.check_via_placement(
             self.tech.via(via_name), x, y, None, context,
             with_min_step=False,

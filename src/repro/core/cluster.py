@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.arraykernel import ArrayKernel
 from repro.core.config import PaafConfig
 from repro.core.dpgraph import LayeredDpGraph
 from repro.core.pattern import AccessPattern
 from repro.db.design import Design
-from repro.drc.context import ShapeContext
-from repro.drc.engine import DrcEngine
 from repro.drc.pairkernel import PairKernel
 from repro.obs.events import active_log
 from repro.obs.metrics import tick
@@ -118,27 +117,28 @@ class ClusterSelectionResult:
 
 
 class ClusterPatternSelector:
-    """Runs the Step 3 DP over every cluster of a design."""
+    """Runs the Step 3 DP over the clusters of a design.
+
+    Every DRC verdict comes from the two shared kernels, each in its
+    configured mode: via pairs from ``kernel`` (a
+    :class:`~repro.drc.pairkernel.PairKernel`), vias against a
+    neighbor's shapes from ``akernel`` (an
+    :class:`~repro.core.arraykernel.ArrayKernel`).
+    """
 
     def __init__(
         self,
         design: Design,
-        engine: DrcEngine,
         config: PaafConfig = None,
-        kernel: PairKernel = None,
-        akernel=None,
+        *,
+        kernel: PairKernel,
+        akernel: ArrayKernel,
     ):
         self.design = design
         self.tech = design.tech
-        self.engine = engine
         self.config = config or PaafConfig()
-        if kernel is None:
-            kernel = PairKernel(
-                design.tech, mode=self.config.paircheck_mode, engine=engine
-            )
         self.kernel = kernel
         self.akernel = akernel
-        self._shape_ctx_cache = {}
         self._via_vs_inst_cache = {}
         # (id(left), id(right)) -> conflict list, valid only while
         # neither side has repair overrides (the candidate objects are
@@ -178,9 +178,9 @@ class ClusterPatternSelector:
         return window
 
     def select(
-        self, candidates_by_inst: dict, alternatives_fn=None, clusters=None
+        self, candidates_by_inst: dict, alternatives_fn=None
     ) -> ClusterSelectionResult:
-        """Select one pattern per instance.
+        """Select one pattern per instance over every cluster.
 
         ``candidates_by_inst`` maps instance name to a list of
         ``SelectedAccess`` candidates (one per pattern of the unique
@@ -193,15 +193,9 @@ class ClusterPatternSelector:
         coordinates); it powers the conflict-repair post-pass (the
         paper's corner-case post-processing): pins left in conflict by
         the DP are retried with their alternative access points.
-
-        ``clusters`` restricts the selection to an explicit cluster
-        list (the incremental-analysis path); by default every cluster
-        of the design is processed.
         """
         result = ClusterSelectionResult()
-        if clusters is None:
-            clusters = self.design.row_clusters()
-        for cluster in clusters:
+        for cluster in self.design.row_clusters():
             self._select_in_cluster(
                 cluster, candidates_by_inst, result, alternatives_fn
             )
@@ -504,11 +498,9 @@ class ClusterPatternSelector:
     def _via_vs_instance_clean(self, ap, neighbor_inst) -> bool:
         """Check an up-via against a neighboring instance's shapes.
 
-        With an array kernel attached this is one compiled-table lookup
-        keyed by the via's displacement from the neighbor's origin (the
-        ``net_key=None`` site table, shared across every instance of
-        the neighbor's master/orientation); the kernel's verify mode
-        cross-checks the engine internally.
+        The array kernel answers in its configured mode: a compiled
+        table lookup keyed by the via's displacement from the
+        neighbor's origin, a DRC engine probe, or both cross-checked.
         """
         key = (ap.primary_via, ap.x, ap.y, neighbor_inst.name)
         cached = self._via_vs_inst_cache.get(key)
@@ -516,20 +508,8 @@ class ClusterPatternSelector:
             tick("cluster.via_vs_inst_cache.hit")
             return cached
         tick("cluster.via_vs_inst_cache.miss")
-        akernel = self.akernel
-        if akernel is not None and akernel.mode != "engine":
-            clean = akernel.via_vs_instance_clean(
-                ap.primary_via, ap.x, ap.y, neighbor_inst
-            )
-            self._via_vs_inst_cache[key] = clean
-            return clean
-        context = self._shape_ctx_cache.get(neighbor_inst.name)
-        if context is None:
-            context = ShapeContext.from_instance(neighbor_inst)
-            self._shape_ctx_cache[neighbor_inst.name] = context
-        via = self.tech.via(ap.primary_via)
-        clean = not self.engine.check_via_placement(
-            via, ap.x, ap.y, None, context, with_min_step=False
+        clean = self.akernel.via_vs_instance_clean(
+            ap.primary_via, ap.x, ap.y, neighbor_inst
         )
         self._via_vs_inst_cache[key] = clean
         return clean

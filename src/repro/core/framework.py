@@ -196,6 +196,23 @@ class PinAccessResult:
         return out
 
 
+@dataclass
+class TaskReports:
+    """What worker tasks report besides their values.
+
+    ``work`` sums the tasks' array-kernel counter deltas, ``stats``
+    takes the fan-out keys (``parallel.*``, ``paaf.step12_tasks``),
+    ``seconds`` the summed ``step1``/``step2`` times, and
+    ``collector`` (when set) merges the tasks' observability
+    snapshots in task order.
+    """
+
+    collector: object = None
+    work: Counter = field(default_factory=Counter)
+    stats: dict = field(default_factory=dict)
+    seconds: Counter = field(default_factory=Counter)
+
+
 class PinAccessFramework:
     """The paper's complete pin access analysis framework (PAAF).
 
@@ -265,40 +282,38 @@ class PinAccessFramework:
         jobs = self.config.jobs if jobs is None else jobs
         result = PinAccessResult(design=self.design, config=self.config)
         collector = Collector.from_config(self.config)
-        work = Counter()
+        reports = TaskReports(collector=collector, stats=result.stats)
         with collector:
             t0 = time.perf_counter()
             with obs_trace.span("paaf.run", design=self.design.name):
                 with obs_trace.span("paaf.kernel.prepare"):
                     self._prepare_kernel(use_cache)
                 with obs_trace.span("paaf.step12") as span12:
-                    step1_s, step2_s = self._run_step12(
-                        result,
+                    uis = unique_instances(self.design)
+                    result.stats["paaf.unique_instances"] = len(uis)
+                    result.unique_accesses = self.analyze_uniques(
+                        uis,
                         jobs,
                         use_cache,
-                        collector,
-                        work,
+                        reports,
                         span12["id"] if span12 else None,
                     )
                 t2 = time.perf_counter()
                 with obs_trace.span("paaf.step3") as span3:
-                    self._run_step3_components(
-                        result,
-                        jobs,
-                        collector,
-                        work,
-                        span3["id"] if span3 else None,
+                    self._run_step3(
+                        result, jobs, reports, span3["id"] if span3 else None
                     )
                 t3 = time.perf_counter()
         if self.cache is not None and use_cache and self.kernel.built:
             self.cache.store_pair_tables(self.kernel.tables)
         if self.cache is not None and use_cache and self.akernel.built:
             self.cache.store_array_tables(self.akernel.tables)
+        work = reports.work
         result.stats.update(self.kernel.stats())
         result.stats.update(self.akernel.stats())
         result.stats.update(work)
-        result.timings["step1"] = step1_s
-        result.timings["step2"] = step2_s
+        result.timings["step1"] = reports.seconds["step1"]
+        result.timings["step2"] = reports.seconds["step2"]
         result.timings["step3"] = t3 - t2
         result.timings["total"] = t3 - t0
         if self.cache is not None and use_cache:
@@ -332,136 +347,80 @@ class PinAccessFramework:
         self._step1(result)
         return result
 
-    # -- internals ---------------------------------------------------------
-
-    def _prepare_kernel(self, use_cache: bool) -> None:
-        """Warm the pair kernel before any fan-out.
-
-        Preloads persisted forbidden-displacement tables from the
-        cache (they live under the same tech+config fingerprint as the
-        AP entries) and eagerly compiles the rest, so worker processes
-        receive the complete table set and never build their own.  In
-        ``engine`` mode the kernel is inert and stays empty.
-        """
-        if self.kernel.mode != "engine":
-            if self.cache is not None and use_cache:
-                tables = self.cache.load_pair_tables()
-                if tables:
-                    self.kernel.preload(tables)
-            self.kernel.build_all()
-        if self.akernel.mode != "engine":
-            if self.cache is not None and use_cache:
-                tables = self.cache.load_array_tables()
-                if tables:
-                    self.akernel.preload(tables)
-            self.akernel.build_all()
-
-    def _run_step12(
+    def analyze_uniques(
         self,
-        result: PinAccessResult,
-        jobs: int,
-        use_cache: bool,
-        collector,
-        work: Counter,
+        uis: list,
+        jobs: int = 1,
+        use_cache: bool = True,
+        reports: TaskReports = None,
         parent_span=None,
-    ) -> tuple:
-        """Fused Step 1 + 2: one task per unique instance.
+    ) -> list:
+        """Fused Step 1 + 2 for ``uis``: one access per unique instance.
 
-        Cache hits skip task dispatch entirely; misses run through
-        :func:`repro.perf.workers.step12_task` (in-process for
+        The one Step 1/2 path: ``run()`` passes every unique instance
+        of the design, :class:`~repro.core.incremental.
+        IncrementalPinAccess` a signature class first seen after a
+        move.  Cache hits skip task dispatch entirely; misses run
+        through :func:`repro.perf.workers.step12_task` (in-process for
         ``jobs=1``, worker processes otherwise) and are stored back.
-        Task observability snapshots merge into ``collector`` in task
-        order (worker spans re-parent under ``parent_span``, the
-        ``paaf.step12`` span) and task kernel counters add into
-        ``work``.  Returns the summed per-phase seconds ``(step1,
-        step2)``.
+        ``reports`` receives ``paaf.step12_tasks``, the fan-out stats
+        and the summed ``step1``/``step2`` seconds; task spans
+        re-parent under ``parent_span``.
         """
         from repro.perf import workers
-        from repro.perf.parallel import parallel_map
 
-        uis = unique_instances(self.design)
-        entries = [None] * len(uis)
+        reports = reports if reports is not None else TaskReports()
         cache = self.cache if use_cache else None
-        pending = []
-        for index, ui in enumerate(uis):
-            hit = cache.load(ui) if cache is not None else None
-            if hit is not None:
-                entries[index] = hit
-            else:
-                pending.append(index)
-        step1_s = step2_s = 0.0
+        entries = [
+            cache.load(ui) if cache is not None else None for ui in uis
+        ]
+        pending = [index for index, hit in enumerate(entries) if hit is None]
         if pending:
-            outcome = parallel_map(
-                workers.step12_task,
-                pending,
-                jobs=jobs,
-                initializer=workers.init_worker,
-                initargs=(
-                    self.design,
-                    self.config,
-                    self.config.profile,
-                    self.kernel.tables,
-                    self.akernel.tables,
-                ),
+            values = self._fan_out(
+                workers.step12_task, pending, jobs, "step12", reports,
+                parent_span, uniques=uis,
             )
-            for (
-                index, aps_by_pin, patterns, s1, s2, counts, snap
-            ) in outcome.results:
+            for index, aps_by_pin, patterns, s1, s2 in values:
                 entries[index] = (aps_by_pin, patterns)
-                step1_s += s1
-                step2_s += s2
-                work.update(counts)
-                collector.merge_task(snap, parent_span=parent_span)
+                reports.seconds["step1"] += s1
+                reports.seconds["step2"] += s2
                 if cache is not None:
                     cache.store(uis[index], aps_by_pin, patterns)
-            result.stats["parallel.step12_jobs"] = outcome.jobs_used
-            if outcome.fellback:
-                result.stats["parallel.fallback"] = True
-        result.stats["paaf.unique_instances"] = len(uis)
-        result.stats["paaf.step12_tasks"] = len(pending)
-        for ui, (aps_by_pin, patterns) in zip(uis, entries):
-            result.unique_accesses.append(
-                UniqueInstanceAccess(
-                    unique_instance=ui,
-                    aps_by_pin=aps_by_pin,
-                    patterns=patterns,
-                )
+        reports.stats["paaf.step12_tasks"] = len(pending)
+        return [
+            UniqueInstanceAccess(
+                unique_instance=ui, aps_by_pin=aps_by_pin, patterns=patterns
             )
-        return step1_s, step2_s
+            for ui, (aps_by_pin, patterns) in zip(uis, entries)
+        ]
 
-    def _run_step3_components(
+    def select_components(
         self,
-        result: PinAccessResult,
-        jobs: int,
-        collector,
-        work: Counter,
+        clusters: list,
+        components: list,
+        ua_of_inst: dict,
+        translations: dict,
+        jobs: int = 1,
+        reports: TaskReports = None,
         parent_span=None,
-    ) -> None:
-        """Step 3 fanned out across independent cluster components.
+    ) -> ClusterSelectionResult:
+        """Step 3 over ``components`` of ``clusters``, one task each.
 
-        Clusters sharing an instance (multi-height cells span several
-        rows) form one component so the serial pinning semantics hold
-        inside each task; components are mutually independent.  The
-        per-cluster outputs are merged back in design cluster order,
-        reproducing the serial selection and conflict ordering; task
-        observability snapshots merge into ``collector`` in task
-        order, re-parenting worker spans under ``parent_span`` (the
-        ``paaf.step3`` span), and task kernel counters add into
-        ``work``.
+        The one Step 3 path: ``run()`` passes every component of
+        :func:`cluster_components`, :class:`~repro.core.incremental.
+        IncrementalPinAccess` the components a move touched.  Clusters
+        sharing an instance (multi-height cells span several rows) form
+        one component so the serial pinning semantics hold inside each
+        :func:`repro.perf.workers.step3_task`; components are mutually
+        independent.  ``ua_of_inst`` and ``translations`` map every
+        member's name to its unique access and its ``(dx, dy)`` from
+        that access's coordinates.  The per-cluster outputs merge back
+        in cluster order, reproducing the serial selection and conflict
+        ordering.
         """
         from repro.perf import workers
-        from repro.perf.parallel import parallel_map
 
-        clusters = self.design.row_clusters()
-        components = _cluster_components(clusters)
-        ua_of_inst = {}
-        translations = {}
-        for ua in result.unique_accesses:
-            for member in ua.unique_instance.members:
-                ua_of_inst[member.name] = ua
-                translations[member.name] = ua.unique_instance.translation_to(
-                    member
-                )
+        reports = reports if reports is not None else TaskReports()
         bca = self.config.boundary_conflict_aware
         payloads = []
         for component in components:
@@ -484,32 +443,14 @@ class PinAccessFramework:
                     ),
                 }
             )
-        outcome = parallel_map(
-            workers.step3_task,
-            payloads,
-            jobs=jobs,
-            initializer=workers.init_worker,
-            initargs=(
-                self.design,
-                self.config,
-                self.config.profile,
-                self.kernel.tables,
-                self.akernel.tables,
-            ),
+        values = self._fan_out(
+            workers.step3_task, payloads, jobs, "step3", reports,
+            parent_span, clusters=clusters,
         )
-        result.stats["parallel.step3_jobs"] = outcome.jobs_used
-        result.stats["paaf.clusters"] = len(clusters)
-        result.stats["paaf.cluster_components"] = len(components)
-        if outcome.fellback:
-            result.stats["parallel.fallback"] = True
-
-        per_cluster = []
-        for component_result, counts, snap in outcome.results:
-            work.update(counts)
-            collector.merge_task(snap, parent_span=parent_span)
-            per_cluster.extend(component_result)
-        per_cluster.sort(key=lambda item: item[0])
-
+        per_cluster = sorted(
+            (item for value in values for item in value),
+            key=lambda item: item[0],
+        )
         selection = ClusterSelectionResult()
         built = {}
         for _, selections, conflicts in per_cluster:
@@ -541,7 +482,96 @@ class PinAccessFramework:
                 selected.overrides = dict(overrides)
                 selection.selection[inst_name] = selected
             selection.conflicts.extend(conflicts)
-        result.selection = selection
+        return selection
+
+    # -- internals ---------------------------------------------------------
+
+    def _prepare_kernel(self, use_cache: bool) -> None:
+        """Warm the pair kernel before any fan-out.
+
+        Preloads persisted forbidden-displacement tables from the
+        cache (they live under the same tech+config fingerprint as the
+        AP entries) and eagerly compiles the rest, so worker processes
+        receive the complete table set and never build their own.  In
+        ``engine`` mode the kernel is inert and stays empty.
+        """
+        if self.kernel.mode != "engine":
+            if self.cache is not None and use_cache:
+                tables = self.cache.load_pair_tables()
+                if tables:
+                    self.kernel.preload(tables)
+            self.kernel.build_all()
+        if self.akernel.mode != "engine":
+            if self.cache is not None and use_cache:
+                tables = self.cache.load_array_tables()
+                if tables:
+                    self.akernel.preload(tables)
+            self.akernel.build_all()
+
+    def _run_step3(
+        self, result: PinAccessResult, jobs: int, reports, parent_span
+    ) -> None:
+        """Step 3 over every cluster component of the design."""
+        clusters = self.design.row_clusters()
+        components = cluster_components(clusters)
+        ua_of_inst = {}
+        translations = {}
+        for ua in result.unique_accesses:
+            for member in ua.unique_instance.members:
+                ua_of_inst[member.name] = ua
+                translations[member.name] = ua.unique_instance.translation_to(
+                    member
+                )
+        result.selection = self.select_components(
+            clusters, components, ua_of_inst, translations, jobs, reports,
+            parent_span,
+        )
+        result.stats["paaf.clusters"] = len(clusters)
+        result.stats["paaf.cluster_components"] = len(components)
+
+    def _fan_out(
+        self, task, payloads, jobs, label, reports, parent_span,
+        uniques=(), clusters=(),
+    ) -> list:
+        """Run worker ``task`` over ``payloads``; return its values.
+
+        Every task returns ``(value, counts, snapshot)``.  In task
+        order, the kernel counter deltas add into ``reports.work`` and
+        the observability snapshots merge into ``reports.collector``
+        (worker spans re-parent under ``parent_span``).  The workers
+        share this framework's kernels: in-process for ``jobs=1``,
+        as copies of them in worker processes otherwise.
+        """
+        from repro.perf import workers
+        from repro.perf.parallel import parallel_map
+
+        try:
+            outcome = parallel_map(
+                task,
+                payloads,
+                jobs=jobs,
+                initializer=workers.init_worker,
+                initargs=(
+                    self.design,
+                    self.config,
+                    self.kernel,
+                    self.akernel,
+                    uniques,
+                    clusters,
+                ),
+            )
+        finally:
+            workers.release_worker()
+        reports.stats[f"parallel.{label}_jobs"] = outcome.jobs_used
+        if outcome.fellback:
+            reports.stats["parallel.fallback"] = True
+        values = []
+        for value, counts, snapshot in outcome.results:
+            reports.work.update(counts)
+            if reports.collector is not None:
+                reports.collector.merge_task(snapshot, parent_span=parent_span)
+            values.append(value)
+        return values
 
     def _step1(self, result: PinAccessResult) -> None:
         generator = AccessPointGenerator(
@@ -558,7 +588,7 @@ class PinAccessFramework:
             result.unique_accesses.append(ua)
 
 
-def _cluster_components(clusters: list) -> list:
+def cluster_components(clusters: list) -> list:
     """Group cluster indices into instance-sharing components.
 
     Two clusters belong to the same component when they share an

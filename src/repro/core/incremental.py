@@ -7,30 +7,34 @@ optimizations (i.e., detailed placement, sizing, buffering), where
 frequent changes in placement require a tremendous amount of
 inter-cell pin access analysis."
 
-:class:`IncrementalPinAccess` serves exactly that loop: after a full
+:class:`IncrementalPinAccess` serves exactly that loop.  It is
+bookkeeping around the framework's own Step 1-3 path: after a full
 analysis, moving an instance only
 
 1. re-derives the instance's signature -- the per-unique-instance
-   Step 1/2 results are cached by signature and reused whenever the
-   new placement lands on an already-analyzed offset class; and
-2. re-runs the Step 3 cluster DP for the affected rows only (the row
-   left and the row entered), leaving the rest of the design's
-   selection untouched.
+   Step 1/2 results are kept by signature and reused whenever the new
+   placement lands on an already-analyzed offset class; a new class
+   goes through the framework's cache-then-task Step 1/2 path; and
+2. re-runs Step 3 for the affected cluster components -- every
+   component with a cluster in a row the moved instance spans before
+   or after the move -- via the framework's Step 3 unit, on the
+   configured backend, leaving the rest of the selection untouched.
 
-The result is equivalent to a full re-analysis (asserted by tests and
-measured by ``benchmarks/test_incremental.py``) at a small fraction of
-the cost.
+Components are independent, so the result equals a from-scratch
+re-analysis (asserted by tests and measured by
+``benchmarks/test_incremental.py``) at a small fraction of the cost.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.core.cluster import ClusterPatternSelector, SelectedAccess
+from repro.core.cluster import ClusterSelectionResult
 from repro.core.config import PaafConfig
 from repro.core.framework import (
     PinAccessFramework,
     UniqueInstanceAccess,
+    cluster_components,
 )
 from repro.core.oracle import UnknownInstanceError
 from repro.core.signature import UniqueInstance, instance_signature
@@ -55,8 +59,7 @@ class IncrementalPinAccess:
         # in, and rep-relative translation would silently pin the
         # moved instance's answers to its old placement.
         self._ua_origin = {}
-        self._selection = {}
-        self._conflicts_by_cluster = {}
+        self._selection = ClusterSelectionResult()
         self._last_update_seconds = 0.0
 
     # -- full analysis -------------------------------------------------------
@@ -64,40 +67,23 @@ class IncrementalPinAccess:
     def analyze(self) -> None:
         """Run the full three-step flow and prime the caches."""
         result = self.framework.run()
-        self._ua_by_signature = {
-            ua.unique_instance.signature: ua
-            for ua in result.unique_accesses
-        }
         for ua in result.unique_accesses:
-            rep = ua.unique_instance.representative
-            self._ua_origin[ua.unique_instance.signature] = (
-                rep.location.x,
-                rep.location.y,
-            )
-        self._selection = dict(result.selection.selection)
-        self._conflicts_by_cluster = {}
-        for cluster in self.design.row_clusters():
-            key = self._cluster_key(cluster)
-            self._conflicts_by_cluster[key] = []
-        for conflict in result.selection.conflicts:
-            self._file_conflict(conflict)
+            self._remember(ua)
+        self._selection = result.selection
 
     # -- queries --------------------------------------------------------------
 
     def access_map(self) -> dict:
         """Return (inst, pin) -> access point over the current placement."""
         out = {}
-        for inst_name, selected in self._selection.items():
+        for inst_name, selected in self._selection.selection.items():
             for pin_name, ap in selected.access_points().items():
                 out[(inst_name, pin_name)] = ap
         return out
 
     def conflicts(self) -> list:
         """Return all residual inter-cell conflicts."""
-        out = []
-        for conflicts in self._conflicts_by_cluster.values():
-            out.extend(conflicts)
-        return out
+        return list(self._selection.conflicts)
 
     def unique_access_of(self, inst) -> UniqueInstanceAccess:
         """Return the Step 1/2 results covering ``inst``.
@@ -107,7 +93,14 @@ class IncrementalPinAccess:
         serving layer uses this to enumerate every instance's
         alternative access points when publishing a snapshot.
         """
-        return self._ua_of(inst)
+        signature = instance_signature(self.design, inst)
+        ua = self._ua_by_signature.get(signature)
+        if ua is None:
+            ui = UniqueInstance(signature=signature, representative=inst)
+            ui.members.append(inst)
+            (ua,) = self.framework.analyze_uniques([ui])
+            self._remember(ua)
+        return ua
 
     def translation_of(self, inst) -> tuple:
         """Return ``(dx, dy)`` mapping cached AP coords onto ``inst``.
@@ -116,7 +109,7 @@ class IncrementalPinAccess:
         ``_ua_origin``), which stays correct even after the
         representative itself has been moved.
         """
-        ua = self._ua_of(inst)
+        ua = self.unique_access_of(inst)
         ox, oy = self._ua_origin[ua.unique_instance.signature]
         return (inst.location.x - ox, inst.location.y - oy)
 
@@ -134,124 +127,52 @@ class IncrementalPinAccess:
         ``KeyError`` subclass) when ``inst_name`` is not in the design.
         """
         t0 = time.perf_counter()
+        design = self.design
         try:
-            inst = self.design.instance(inst_name)
+            inst = design.instance(inst_name)
         except KeyError:
             raise UnknownInstanceError(inst_name) from None
-        affected_rows = {inst.location.y, new_location.y}
+        rows = set(design.rows_of(inst))
         inst.location = new_location
-        self.design.invalidate_shape_index()
+        design.invalidate_shape_index()
+        rows.update(design.rows_of(inst))
 
-        signature = instance_signature(self.design, inst)
-        ua = self._ua_by_signature.get(signature)
-        if ua is None:
-            ua = self._analyze_unique_instance(inst, signature)
-            self._ua_by_signature[signature] = ua
-        self._reselect_rows(affected_rows)
+        clusters = design.row_clusters()
+        components = [
+            component
+            for component in cluster_components(clusters)
+            if any(
+                member is inst or rows.intersection(design.rows_of(member))
+                for ci in component
+                for member in clusters[ci]
+            )
+        ]
+        members = {
+            member.name: member
+            for component in components
+            for ci in component
+            for member in clusters[ci]
+        }
+        partial = self.framework.select_components(
+            clusters,
+            components,
+            {n: self.unique_access_of(m) for n, m in members.items()},
+            {n: self.translation_of(m) for n, m in members.items()},
+        )
+        self._selection.selection.update(partial.selection)
+        # A conflict pairs two neighbors of one cluster, so either both
+        # or neither of its instances were re-selected.
+        self._selection.conflicts = [
+            conflict
+            for conflict in self._selection.conflicts
+            if conflict[0] not in members
+        ] + partial.conflicts
         self._last_update_seconds = time.perf_counter() - t0
 
     # -- internals ------------------------------------------------------------
 
-    def _analyze_unique_instance(
-        self, inst, signature
-    ) -> UniqueInstanceAccess:
-        """Step 1 + Step 2 for a not-yet-seen signature.
-
-        Consults the framework's persistent AP cache first: a
-        placement edit that lands on an already-fingerprinted offset
-        class (the common incremental case) skips both steps entirely.
-        """
-        ui = UniqueInstance(signature=signature, representative=inst)
-        ui.members.append(inst)
-        self._ua_origin[signature] = (inst.location.x, inst.location.y)
-        cache = self.framework.cache
-        if cache is not None:
-            hit = cache.load(ui)
-            if hit is not None:
-                aps_by_pin, patterns = hit
-                return UniqueInstanceAccess(
-                    unique_instance=ui,
-                    aps_by_pin=aps_by_pin,
-                    patterns=patterns,
-                )
-        from repro.perf.workers import compute_unique_access
-
-        aps_by_pin, patterns, _, _ = compute_unique_access(
-            self.design, self.framework.engine, self.config, ui,
-            kernel=self.framework.kernel,
-        )
-        if cache is not None:
-            cache.store(ui, aps_by_pin, patterns)
-        return UniqueInstanceAccess(
-            unique_instance=ui, aps_by_pin=aps_by_pin, patterns=patterns
-        )
-
-    def _ua_of(self, inst) -> UniqueInstanceAccess:
-        signature = instance_signature(self.design, inst)
-        ua = self._ua_by_signature.get(signature)
-        if ua is None:
-            ua = self._analyze_unique_instance(inst, signature)
-            self._ua_by_signature[signature] = ua
-        return ua
-
-    def _reselect_rows(self, rows: set) -> None:
-        """Re-run Step 3 for the clusters living in the given rows."""
-        clusters = [
-            cluster
-            for cluster in self.design.row_clusters()
-            if cluster[0].location.y in rows
-        ]
-        if not clusters:
-            return
-        candidates = {}
-        ua_by_inst = {}
-        for cluster in clusters:
-            for inst in cluster:
-                ua = self._ua_of(inst)
-                ua_by_inst[inst.name] = ua
-                dx, dy = self.translation_of(inst)
-                candidates[inst.name] = [
-                    SelectedAccess(inst=inst, pattern=p, dx=dx, dy=dy)
-                    for p in ua.patterns
-                ]
-
-        def alternatives_fn(inst_name, pin_name):
-            ua = ua_by_inst.get(inst_name)
-            if ua is None:
-                return []
-            return ua.aps_by_pin.get(pin_name, [])
-
-        if not self.config.boundary_conflict_aware:
-            alternatives_fn = None
-        selector = ClusterPatternSelector(
-            self.design, self.framework.engine, self.config,
-            kernel=self.framework.kernel,
-        )
-        partial = selector.select(
-            candidates, alternatives_fn, clusters=clusters
-        )
-        self._selection.update(partial.selection)
-        # Replace the affected clusters' conflict records.
-        for key in [
-            k
-            for k in self._conflicts_by_cluster
-            if any(name in partial.selection for name in k)
-        ]:
-            del self._conflicts_by_cluster[key]
-        for cluster in clusters:
-            self._conflicts_by_cluster[self._cluster_key(cluster)] = []
-        for conflict in partial.conflicts:
-            self._file_conflict(conflict)
-
-    def _cluster_key(self, cluster) -> frozenset:
-        return frozenset(inst.name for inst in cluster)
-
-    def _file_conflict(self, conflict) -> None:
-        inst_a, _, inst_b, _ = conflict
-        for key, bucket in self._conflicts_by_cluster.items():
-            if inst_a in key or inst_b in key:
-                bucket.append(conflict)
-                return
-        self._conflicts_by_cluster.setdefault(
-            frozenset((inst_a, inst_b)), []
-        ).append(conflict)
+    def _remember(self, ua: UniqueInstanceAccess) -> None:
+        ui = ua.unique_instance
+        self._ua_by_signature[ui.signature] = ua
+        rep = ui.representative
+        self._ua_origin[ui.signature] = (rep.location.x, rep.location.y)

@@ -14,6 +14,7 @@ solve.
 from __future__ import annotations
 
 from repro.core.apgen import AccessPoint
+from repro.core.arraykernel import ArrayKernel
 from repro.core.config import PaafConfig
 from repro.core.dpgraph import FlatDp
 from repro.core.pattern import AccessPattern
@@ -89,12 +90,10 @@ def _report_edges(solver: FlatDp, label, registry, log) -> None:
 class AccessPatternGenerator:
     """Generates up to N mutually-diverse access patterns per unique instance.
 
-    Pairwise via compatibility is served by a shared
-    :class:`~repro.drc.pairkernel.PairKernel` (pass ``kernel`` to share
-    tables across generators and processes); with no kernel given, one
-    is built lazily from the technology in the config's
-    ``paircheck_mode``.  An attached array kernel (``akernel``) counts
-    the DP solves in ``dp_solves``.
+    Pairwise via compatibility is served by the shared
+    :class:`~repro.drc.pairkernel.PairKernel` ``kernel`` in its
+    configured mode; the shared array kernel ``akernel`` counts the DP
+    solves in ``dp_solves``.
     """
 
     def __init__(
@@ -102,16 +101,13 @@ class AccessPatternGenerator:
         tech: Technology,
         engine: DrcEngine,
         config: PaafConfig = None,
-        kernel: PairKernel = None,
-        akernel=None,
+        *,
+        kernel: PairKernel,
+        akernel: ArrayKernel,
     ):
         self.tech = tech
         self.engine = engine
         self.config = config or PaafConfig()
-        if kernel is None:
-            kernel = PairKernel(
-                tech, mode=self.config.paircheck_mode, engine=engine
-            )
         self.kernel = kernel
         self.akernel = akernel
 
@@ -150,8 +146,7 @@ class AccessPatternGenerator:
         with span("step2.patterns", inst=label) as record:
             for iteration in range(cfg.patterns_per_unique_instance):
                 chosen, cost = solver.solve(is_used_boundary)
-                if self.akernel is not None:
-                    self.akernel.dp_solves += 1
+                self.akernel.dp_solves += 1
                 if registry is not None or log is not None:
                     _report_edges(solver, label, registry, log)
                 pattern = AccessPattern(

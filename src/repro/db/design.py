@@ -201,6 +201,20 @@ class Design:
         """Force shape indexes to rebuild (after moving instances)."""
         self._shape_index = None
 
+    def rows_of(self, inst) -> list:
+        """Return the y of every row whose clusters ``inst`` joins.
+
+        A multi-height instance joins every row its bounding box
+        covers; a macro joins none (it forms a singleton cluster).
+        """
+        if inst.master.is_macro:
+            return []
+        site_h = self.tech.site_height or 0
+        if site_h <= 0:
+            return [inst.location.y]
+        covered = max(1, inst.bbox.height // site_h)
+        return [inst.location.y + k * site_h for k in range(covered)]
+
     def row_clusters(self) -> list:
         """Group instances into per-row contiguous clusters.
 
@@ -216,20 +230,15 @@ class Design:
         upper rows are seen too; the pattern selector keeps its choice
         consistent across those clusters.
         """
-        site_h = self.tech.site_height or 0
         by_row_y = {}
         singletons = []
         for inst in self.instances.values():
-            if inst.master.is_macro:
+            rows = self.rows_of(inst)
+            if not rows:
                 singletons.append([inst])
                 continue
-            rows_covered = 1
-            if site_h > 0:
-                rows_covered = max(1, inst.bbox.height // site_h)
-            for k in range(rows_covered):
-                by_row_y.setdefault(
-                    inst.location.y + k * site_h, []
-                ).append(inst)
+            for y in rows:
+                by_row_y.setdefault(y, []).append(inst)
         clusters = []
         for y in sorted(by_row_y):
             insts = sorted(by_row_y[y], key=lambda i: i.location.x)

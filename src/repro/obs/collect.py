@@ -38,16 +38,10 @@ class Collector:
         self._tokens = None
 
     @classmethod
-    def from_config(cls, config, profile: bool = None) -> "Collector":
-        """Build a collector for the config's observability flags.
-
-        ``profile`` overrides ``config.profile`` (the worker state
-        carries it separately so a framework-level override survives
-        the trip through the pool initializer).
-        """
-        profile = config.profile if profile is None else profile
+    def from_config(cls, config) -> "Collector":
+        """Build a collector for the config's observability flags."""
         return cls(
-            metrics=bool(profile or config.metrics_out),
+            metrics=bool(config.profile or config.metrics_out),
             trace=bool(config.trace or config.trace_out),
             events=bool(config.explain),
         )

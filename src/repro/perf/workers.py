@@ -1,16 +1,17 @@
-"""Picklable task functions for the parallel pin access pipeline.
+"""Picklable task functions for the pin access pipeline.
 
-A worker process receives the shared read-only state -- the design and
-the config -- once through the pool initializer (:func:`init_worker`);
-tasks then reference unique instances and row clusters *by index*, so
-only small keys and each task's own result cross the process boundary.
-Because :func:`repro.core.signature.unique_instances` and
-:meth:`repro.db.design.Design.row_clusters` are deterministic, the
-worker's index space is identical to the parent's.
+A worker process receives the shared read-only state -- the design,
+the config, the framework's two kernels and the unique instances or
+row clusters of the fan-out -- once through the pool initializer
+(:func:`init_worker`); tasks then reference unique instances and row
+clusters *by index*, so only small keys and each task's own result
+cross the process boundary.
 
 The same functions run in-process when ``jobs=1`` (the serial
-reference path), which is what makes parallel runs bit-identical to
-serial ones by construction.
+reference path, and every placement move), which is what makes
+parallel runs bit-identical to serial ones by construction.  In
+process the state holds the framework's own kernel objects, so a
+move reuses their compiled tables and caches.
 
 This module is imported lazily by the framework (after ``repro.core``
 has fully initialized) to keep the import graph acyclic.
@@ -18,116 +19,76 @@ has fully initialized) to keep the import graph acyclic.
 
 from __future__ import annotations
 
+import threading
 import time
 
 from repro.core.apgen import AccessPointGenerator
-from repro.core.arraykernel import ArrayKernel
 from repro.core.cluster import (
     ClusterPatternSelector,
     ClusterSelectionResult,
     SelectedAccess,
 )
 from repro.core.patterngen import AccessPatternGenerator
-from repro.core.signature import unique_instances
 from repro.drc.context import ShapeContext
-from repro.drc.engine import DrcEngine
-from repro.drc.pairkernel import PairKernel
 from repro.obs.collect import Collector
 from repro.obs.trace import span
 
 
 class WorkerState:
-    """Per-process shared state, built once by :func:`init_worker`."""
+    """Per-process shared state, installed by :func:`init_worker`.
+
+    ``kernel`` (pair kernel) and ``akernel`` (array kernel) are the
+    framework's: a worker process gets copies carrying the compiled
+    tables, so it never recompiles them.  ``uniques`` and ``clusters``
+    are the fan-out's index spaces for Step 1/2 and Step 3 tasks.
+    """
 
     __slots__ = (
-        "design", "config", "profile", "engine", "kernel", "akernel",
-        "_uniques", "_clusters",
+        "design", "config", "engine", "kernel", "akernel", "uniques",
+        "clusters",
     )
 
-    def __init__(self, design, config, profile=False, pair_tables=None,
-                 array_tables=None):
+    def __init__(self, design, config, kernel, akernel, uniques, clusters):
         self.design = design
         self.config = config
-        self.profile = profile
-        self.engine = DrcEngine(design.tech)
-        # One pair kernel per process, shared by every task: the
-        # parent ships its prebuilt forbidden-displacement tables so
-        # workers never recompile them (tables are value-keyed, hence
-        # valid in any process).
-        self.kernel = PairKernel(
-            design.tech,
-            mode=config.paircheck_mode,
-            engine=self.engine,
-            tables=pair_tables,
-        )
-        # Likewise one array kernel per process: the parent ships its
-        # compiled per-cell occupancy tables (keyed by master/orient,
-        # hence valid in any process) so Step 1 validation and Step 3
-        # boundary checks never recompile them.
-        self.akernel = ArrayKernel(
-            design,
-            mode=config.apcheck_mode,
-            engine=self.engine,
-            tables=array_tables,
-        )
-        self._uniques = None
-        self._clusters = None
-
-    @property
-    def uniques(self):
-        if self._uniques is None:
-            self._uniques = unique_instances(self.design)
-        return self._uniques
-
-    @property
-    def clusters(self):
-        if self._clusters is None:
-            self._clusters = self.design.row_clusters()
-        return self._clusters
+        self.engine = akernel.engine
+        self.kernel = kernel
+        self.akernel = akernel
+        self.uniques = uniques
+        self.clusters = clusters
 
 
-_STATE = None
+# Per thread: the in-process path runs the initializer and its tasks
+# in the calling thread, and daemon sessions analyze and move designs
+# from concurrent threads.  A worker process runs both in one thread.
+_LOCAL = threading.local()
 
 
-def init_worker(design, config, profile=False, pair_tables=None,
-                array_tables=None) -> None:
-    """Pool initializer: install the shared state in this process."""
-    global _STATE
-    _STATE = WorkerState(design, config, profile, pair_tables, array_tables)
+def init_worker(design, config, kernel, akernel, uniques=(),
+                clusters=()) -> None:
+    """Pool initializer: install the shared state in this thread."""
+    _LOCAL.state = WorkerState(
+        design, config, kernel, akernel, uniques, clusters
+    )
 
 
-def compute_unique_access(
-    design, engine, config, ui, kernel=None, akernel=None
-) -> tuple:
-    """Fused Step 1 + Step 2 for one unique instance.
+def release_worker() -> None:
+    """Drop this thread's state once its fan-out is done.
 
-    Returns ``(aps_by_pin, patterns, step1_seconds, step2_seconds)``.
-    The two steps share the representative's intra-cell
-    :class:`ShapeContext`, which is why they are fused into one task:
-    the context is built (and, under process fan-out, shipped) once.
-    ``kernel`` is the shared pair kernel and ``akernel`` the shared
-    array kernel; each generator builds its own when None.
+    In process the state holds the framework's design and kernels;
+    keeping it would pin them, and their memos, past the framework.
     """
-    rep = ui.representative
-    t0 = time.perf_counter()
-    context = ShapeContext.from_instance(rep)
-    generator = AccessPointGenerator(design, engine, config, akernel=akernel)
-    aps_by_pin = {}
-    for pin in rep.master.signal_pins():
-        aps_by_pin[pin.name] = generator.generate_for_pin(rep, pin, context)
-    t1 = time.perf_counter()
-    patterns = AccessPatternGenerator(
-        design.tech, engine, config, kernel=kernel, akernel=akernel
-    ).generate(aps_by_pin, label=rep.name)
-    t2 = time.perf_counter()
-    return aps_by_pin, patterns, t1 - t0, t2 - t1
+    _LOCAL.state = None
 
 
 def step12_task(index: int) -> tuple:
     """Run fused Step 1 + 2 for unique instance ``index``.
 
-    Returns ``(index, aps_by_pin, patterns, step1_s, step2_s, counts,
-    obs_snapshot_or_None)``.  ``counts`` is the task's
+    The two steps share the representative's intra-cell
+    :class:`ShapeContext`, which is why they are fused into one task:
+    the context is built once.  Returns ``((index, aps_by_pin,
+    patterns, step1_s, step2_s), counts, obs_snapshot_or_None)``.
+    ``counts`` is the task's
     :meth:`~repro.core.arraykernel.ArrayKernel.work_counts` delta,
     which the parent sums into ``result.stats``.  The snapshot is the
     task's :meth:`repro.obs.collect.Collector.snapshot` -- metrics,
@@ -137,25 +98,36 @@ def step12_task(index: int) -> tuple:
     ``jobs=1`` in-process path produces exactly the per-task streams
     a worker process would.
     """
-    state = _STATE
+    state = _LOCAL.state
     ui = state.uniques[index]
-    collector = Collector.from_config(state.config, profile=state.profile)
+    rep = ui.representative
+    collector = Collector.from_config(state.config)
     before = state.akernel.work_counts()
     with collector, span(
         "step12.unique",
         index=index,
         master=ui.master_name,
-        rep=ui.representative.name,
+        rep=rep.name,
         members=len(ui.members),
     ):
-        aps_by_pin, patterns, s1, s2 = compute_unique_access(
-            state.design, state.engine, state.config, ui,
-            state.kernel, state.akernel,
+        t0 = time.perf_counter()
+        context = ShapeContext.from_instance(rep)
+        generator = AccessPointGenerator(
+            state.design, state.engine, state.config, akernel=state.akernel
         )
+        aps_by_pin = {
+            pin.name: generator.generate_for_pin(rep, pin, context)
+            for pin in rep.master.signal_pins()
+        }
+        t1 = time.perf_counter()
+        patterns = AccessPatternGenerator(
+            state.design.tech, state.engine, state.config,
+            kernel=state.kernel, akernel=state.akernel,
+        ).generate(aps_by_pin, label=rep.name)
+        t2 = time.perf_counter()
     counts = _counts_since(state.akernel, before)
-    return (
-        index, aps_by_pin, patterns, s1, s2, counts, collector.snapshot()
-    )
+    value = (index, aps_by_pin, patterns, t1 - t0, t2 - t1)
+    return value, counts, collector.snapshot()
 
 
 def step3_task(payload: dict) -> tuple:
@@ -181,8 +153,8 @@ def step3_task(payload: dict) -> tuple:
     ``(inst_name, pattern_index_or_None, overrides)``.  ``counts``
     and the snapshot are as in :func:`step12_task`.
     """
-    state = _STATE
-    collector = Collector.from_config(state.config, profile=state.profile)
+    state = _LOCAL.state
+    collector = Collector.from_config(state.config)
     before = state.akernel.work_counts()
     with collector, span(
         "step3.component",
@@ -224,8 +196,7 @@ def _run_step3_component(state, payload) -> list:
             return aps_by_inst.get(inst_name, {}).get(pin_name, [])
 
     selector = ClusterPatternSelector(
-        design, state.engine, config, kernel=state.kernel,
-        akernel=state.akernel,
+        design, config, kernel=state.kernel, akernel=state.akernel
     )
     result = ClusterSelectionResult()
     per_cluster = []

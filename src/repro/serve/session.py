@@ -13,11 +13,12 @@ daemon's reader-writer discipline:
 * **Writes are serialized.**  ``move_instance`` takes the session
   write lock, routes the edit through
   :class:`~repro.core.incremental.IncrementalPinAccess` (signature
-  cache hit + affected-row Step 3 re-run, the paper's Experiment 2
-  loop), builds the next snapshot off to the side and publishes it
-  with one reference assignment.  Readers see the old generation or
-  the new one, never a mixture; the ``generation`` stamp on every
-  answer makes that observable (and testable).
+  cache hit + Step 3 for the affected cluster components via the
+  framework's Step 3 unit, on the configured backend -- the paper's
+  Experiment 2 loop), builds the next snapshot off to the side and
+  publishes it with one reference assignment.  Readers see the old
+  generation or the new one, never a mixture; the ``generation``
+  stamp on every answer makes that observable (and testable).
 
 The per-query path replicates :meth:`PinAccessOracle.query
 <repro.core.oracle.PinAccessOracle.query>` exactly -- same selected

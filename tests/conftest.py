@@ -91,3 +91,43 @@ def make_simple_design(tech, num_instances=2) -> Design:
 @pytest.fixture
 def simple_design(n45):
     return make_simple_design(n45)
+
+
+def one_site_moves(design) -> list:
+    """One-site moves of cells that share a row with a double-height cell.
+
+    Returns ``(instance, target)`` pairs in row/x order: every
+    single-height standard cell in a row some double-height cell
+    covers, shifted one site right, or left when the right site is
+    taken.  Cells boxed in on both sides are skipped.
+    """
+    site_w = design.tech.site_width
+    site_h = design.tech.site_height
+    shared_rows = {
+        y
+        for inst in design.instances.values()
+        if inst.bbox.height > site_h
+        for y in design.rows_of(inst)
+    }
+    moves = []
+    for inst in sorted(
+        design.instances.values(),
+        key=lambda i: (i.location.y, i.location.x),
+    ):
+        if inst.master.is_macro or inst.bbox.height != site_h:
+            continue
+        if inst.location.y not in shared_rows:
+            continue
+        for dx in (site_w, -site_w):
+            box = Rect(
+                inst.bbox.xlo + dx, inst.bbox.ylo,
+                inst.bbox.xhi + dx, inst.bbox.yhi,
+            )
+            if not any(
+                other is not inst and box.overlaps(other.bbox)
+                for other in design.instances.values()
+            ):
+                target = Point(inst.location.x + dx, inst.location.y)
+                moves.append((inst, target))
+                break
+    return moves

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.apgen import AccessPoint, AccessPointGenerator
+from repro.core.arraykernel import ArrayKernel
 from repro.core.config import PaafConfig
 from repro.core.coords import CoordType
 from repro.drc.context import ShapeContext
@@ -16,9 +17,17 @@ def design(n45):
     return make_simple_design(n45)
 
 
+def engine_generator(design, config=None):
+    engine = DrcEngine(design.tech)
+    return AccessPointGenerator(
+        design, engine, config,
+        akernel=ArrayKernel(design, mode="engine", engine=engine),
+    )
+
+
 @pytest.fixture
 def generator(design):
-    return AccessPointGenerator(design, DrcEngine(design.tech))
+    return engine_generator(design)
 
 
 def gen_for(design, generator, inst_name, pin_name):
@@ -98,10 +107,7 @@ class TestGeneration:
         assert t1s == sorted(t1s)
 
     def test_k_controls_quota(self, design):
-        config = PaafConfig(k=1)
-        generator = AccessPointGenerator(
-            design, DrcEngine(design.tech), config
-        )
+        generator = engine_generator(design, PaafConfig(k=1))
         aps = gen_for(design, generator, "u0", "A")
         # Quota reached after the first complete type group.
         assert 1 <= len(aps) <= 4
@@ -111,9 +117,8 @@ class TestGeneration:
         assert any(ap.planar_dirs for ap in aps)
 
     def test_planar_disabled(self, design):
-        config = PaafConfig(check_planar=False)
-        generator = AccessPointGenerator(
-            design, DrcEngine(design.tech), config
+        generator = engine_generator(
+            design, PaafConfig(check_planar=False)
         )
         aps = gen_for(design, generator, "u0", "A")
         assert all(ap.planar_dirs == [] for ap in aps)
@@ -123,17 +128,15 @@ class TestGeneration:
             preferred_types=(CoordType.ON_TRACK,),
             non_preferred_types=(CoordType.ON_TRACK,),
         )
-        generator = AccessPointGenerator(
-            design, DrcEngine(design.tech), config
-        )
+        generator = engine_generator(design, config)
         aps = gen_for(design, generator, "u0", "A")
         for ap in aps:
             assert ap.pref_type is CoordType.ON_TRACK
             assert ap.nonpref_type is CoordType.ON_TRACK
 
     def test_deterministic(self, design):
-        g1 = AccessPointGenerator(design, DrcEngine(design.tech))
-        g2 = AccessPointGenerator(design, DrcEngine(design.tech))
+        g1 = engine_generator(design)
+        g2 = engine_generator(design)
         a1 = [(a.x, a.y) for a in gen_for(design, g1, "u0", "A")]
         a2 = [(a.x, a.y) for a in gen_for(design, g2, "u0", "A")]
         assert a1 == a2

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core.apgen import AccessPoint
+from repro.core.arraykernel import ArrayKernel
 from repro.core.cluster import ClusterPatternSelector, SelectedAccess
 from repro.core.config import PaafConfig
 from repro.core.coords import CoordType
 from repro.core.pattern import AccessPattern
 from repro.drc.engine import DrcEngine
+from repro.drc.pairkernel import PairKernel
 
 from tests.conftest import make_simple_design
 
@@ -35,7 +37,14 @@ def design(n45):
 
 @pytest.fixture
 def selector(design):
-    return ClusterPatternSelector(design, DrcEngine(design.tech))
+    # Via-vs-neighbor checks on the engine path, pair checks on the
+    # pair kernel's tables.
+    engine = DrcEngine(design.tech)
+    return ClusterPatternSelector(
+        design,
+        kernel=PairKernel(design.tech, engine=engine),
+        akernel=ArrayKernel(design, mode="engine", engine=engine),
+    )
 
 
 class TestSelectedAccess:

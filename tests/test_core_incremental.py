@@ -1,10 +1,14 @@
 """Tests for incremental pin access maintenance."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.bench import build_testcase
-from repro.core import PinAccessFramework, evaluate_failed_pins
+from repro.core import PaafConfig, PinAccessFramework, evaluate_failed_pins
 from repro.core.incremental import IncrementalPinAccess
+from repro.drc.engine import DrcEngine
 from repro.geom.point import Point
 
 
@@ -133,6 +137,20 @@ class TestIncremental:
             want = full_map[(inst_name, pin_name)]
             assert (ap.x, ap.y) == (want.x, want.y)
 
+    def test_macro_move_matches_full_reanalysis(self):
+        # A macro joins no row: its own singleton cluster is re-selected.
+        design = build_testcase("ispd18_test3", scale=0.004)
+        inc = IncrementalPinAccess(design)
+        inc.analyze()
+        macro = next(
+            i for i in design.instances.values() if i.master.is_macro
+        )
+        site = design.tech.site_width
+        target = Point(macro.location.x - 2 * site, macro.location.y)
+        inc.move_instance(macro.name, target)
+        full = PinAccessFramework(design).run()
+        assert inc.access_map() == full.access_map()
+
     def test_repeated_moves_stay_consistent(self, design):
         inc = IncrementalPinAccess(design)
         inc.analyze()
@@ -143,3 +161,90 @@ class TestIncremental:
             )
             inc.move_instance(inst.name, target)
             assert evaluate_failed_pins(design, inc.access_map()) == []
+
+
+class TestMovePath:
+    """Moves run the framework's Step 1-3 path on the configured backend.
+
+    The moves shift instances by one site and back, so they re-select
+    whole clusters (Step 3) and land on new signature classes (Step 1).
+    """
+
+    def probe_moves(self, design, monkeypatch, config):
+        inc = IncrementalPinAccess(design, config)
+        inc.analyze()
+        signatures = len(inc._ua_by_signature)
+        calls = []
+        check = DrcEngine.check_via_placement
+
+        def counted(engine, *args, **kwargs):
+            calls.append(args[0].name)
+            return check(engine, *args, **kwargs)
+
+        monkeypatch.setattr(DrcEngine, "check_via_placement", counted)
+        kernel, akernel = inc.framework.kernel, inc.framework.akernel
+        built = (kernel.built, akernel.built)
+        candidates = akernel.candidates
+        site = design.tech.site_width
+        for inst in list(design.instances.values())[:4]:
+            home = inst.location
+            inc.move_instance(inst.name, Point(home.x + site, home.y))
+            inc.move_instance(inst.name, home)
+        assert len(inc._ua_by_signature) > signatures
+        # Moves reuse the analysis' kernels: no table is compiled.
+        assert (kernel.built, akernel.built) == built
+        return len(calls), akernel.candidates - candidates
+
+    def test_default_moves_run_the_array_kernel(self, design, monkeypatch):
+        calls, candidates = self.probe_moves(
+            design, monkeypatch, PaafConfig()
+        )
+        assert calls == 0
+        assert candidates > 0
+
+    def test_engine_mode_moves_probe_the_engine(self, design, monkeypatch):
+        calls, _ = self.probe_moves(
+            design, monkeypatch, PaafConfig(apcheck_mode="engine")
+        )
+        assert calls > 0
+
+
+class TestConcurrentMoves:
+    def test_analyzers_in_parallel_threads_stay_exact(self):
+        """Moves on separate designs from separate threads -- the
+        daemon's sessions -- each run on their own worker state."""
+        incs = [
+            IncrementalPinAccess(build_testcase(name, scale=0.004))
+            for name in ("ispd18_test1", "ispd18_test2", "ispd18_test3")
+        ]
+        for inc in incs:
+            inc.analyze()
+        errors = []
+
+        def bounce(inc):
+            try:
+                site = inc.design.tech.site_width
+                for inst in list(inc.design.instances.values())[:8]:
+                    home = inst.location
+                    inc.move_instance(inst.name, Point(home.x + site, home.y))
+                    inc.move_instance(inst.name, home)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=bounce, args=(inc,)) for inc in incs
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for inc in incs:
+            full = PinAccessFramework(inc.design).run()
+            assert inc.access_map() == full.access_map()

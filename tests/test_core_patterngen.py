@@ -3,10 +3,14 @@
 import pytest
 
 from repro.core.apgen import AccessPoint
+from repro.core.arraykernel import ArrayKernel
 from repro.core.config import PaafConfig
 from repro.core.coords import CoordType
 from repro.core.patterngen import AccessPatternGenerator, order_pins
 from repro.drc.engine import DrcEngine
+from repro.drc.pairkernel import PairKernel
+
+from tests.conftest import make_simple_design
 
 
 def ap(x, y, cost_types=(0, 0), vias=("V12_P",)):
@@ -50,9 +54,18 @@ class TestOrderPins:
         assert order_pins(aps, 0.3) == ["A"]
 
 
+def make_generator(tech, config=None):
+    engine = DrcEngine(tech)
+    return AccessPatternGenerator(
+        tech, engine, config,
+        kernel=PairKernel(tech, engine=engine),
+        akernel=ArrayKernel(make_simple_design(tech), engine=engine),
+    )
+
+
 @pytest.fixture
 def generator(n45):
-    return AccessPatternGenerator(n45, DrcEngine(n45))
+    return make_generator(n45)
 
 
 class TestPatternGeneration:
@@ -80,7 +93,7 @@ class TestPatternGeneration:
 
     def test_bca_diversifies_boundary_aps(self, n45):
         config = PaafConfig(patterns_per_unique_instance=3)
-        generator = AccessPatternGenerator(n45, DrcEngine(n45), config)
+        generator = make_generator(n45, config)
         aps = {
             "A": [ap(0, 0), ap(0, 280), ap(0, 560)],
             "B": [ap(700, 0), ap(700, 280), ap(700, 560)],
@@ -93,8 +106,7 @@ class TestPatternGeneration:
         assert len(boundary_choices) == 3  # all different
 
     def test_without_bca_single_pattern(self, n45):
-        config = PaafConfig().without_bca()
-        generator = AccessPatternGenerator(n45, DrcEngine(n45), config)
+        generator = make_generator(n45, PaafConfig().without_bca())
         aps = {
             "A": [ap(0, 0), ap(0, 280)],
             "B": [ap(700, 0), ap(700, 280)],
@@ -106,7 +118,7 @@ class TestPatternGeneration:
         # A single AP per pin: every iteration converges to the same
         # pattern, which must be emitted once.
         config = PaafConfig(patterns_per_unique_instance=3)
-        generator = AccessPatternGenerator(n45, DrcEngine(n45), config)
+        generator = make_generator(n45, config)
         aps = {"A": [ap(0, 0)], "B": [ap(700, 0)]}
         patterns = generator.generate(aps)
         assert len(patterns) == 1
@@ -123,7 +135,7 @@ class TestPatternGeneration:
         # Three pins ordered A, B, C where A and C conflict: the chain
         # DP with history should avoid it, but if it cannot (single
         # APs), validation must record the violation.
-        generator = AccessPatternGenerator(n45, DrcEngine(n45))
+        generator = make_generator(n45)
         aps = {
             "A": [ap(0, 0)],
             "B": [ap(300, 600)],  # far in y: clean with both

@@ -20,6 +20,7 @@ import random
 import pytest
 
 from repro.core.apgen import AccessPoint
+from repro.core.arraykernel import ArrayKernel
 from repro.core.config import PaafConfig
 from repro.core.coords import CoordType
 from repro.core.framework import PinAccessFramework
@@ -236,8 +237,11 @@ class _ExplodingKernel:
 
 class TestShortCircuit:
     def test_planar_pairs_never_reach_the_kernel(self, n45):
-        generator = AccessPatternGenerator(n45, DrcEngine(n45))
-        generator.kernel = _ExplodingKernel()
+        generator = AccessPatternGenerator(
+            n45, DrcEngine(n45),
+            kernel=_ExplodingKernel(),
+            akernel=ArrayKernel(make_simple_design(n45)),
+        )
         planar = _ap(0, 0, vias=())
         via_ap = _ap(400, 0)
         with collecting() as prof:

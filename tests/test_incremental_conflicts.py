@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import PinAccessFramework, evaluate_failed_pins
+from repro.bench import build_testcase
+from repro.core import PaafConfig, PinAccessFramework, evaluate_failed_pins
 from repro.core.incremental import IncrementalPinAccess
 from repro.geom.point import Point
 
@@ -70,3 +71,24 @@ class TestConflictTracking:
         inc.move_instance("u2", Point(9800 + 140, 1400))
         assert len(inc._ua_by_signature) >= before
         assert evaluate_failed_pins(design, inc.access_map()) == []
+
+    def test_conflicts_follow_moves_without_bca(self):
+        # Without BCA residual conflicts survive Step 3; moving the
+        # cells involved must drop their old conflicts and record the
+        # new ones exactly as a from-scratch run does.
+        design = build_testcase("ispd18_test1", scale=0.01)
+        config = PaafConfig().without_bca()
+        inc = IncrementalPinAccess(design, config)
+        inc.analyze()
+        involved = sorted({c[0] for c in inc.conflicts()})[:4]
+        assert involved
+        site = design.tech.site_width
+        for name in involved:
+            home = design.instance(name).location
+            for location in (Point(home.x + site, home.y), home):
+                inc.move_instance(name, location)
+                full = PinAccessFramework(design, config).run()
+                assert sorted(inc.conflicts()) == sorted(
+                    full.selection.conflicts
+                )
+                assert inc.access_map() == full.access_map()

@@ -3,16 +3,18 @@
 import pytest
 
 from repro.bench import build_testcase
-from repro.core import PinAccessFramework, evaluate_failed_pins
+from repro.core import PinAccessFramework
+from repro.core.arraykernel import ArrayKernel
 from repro.core.cluster import ClusterPatternSelector
 from repro.core.incremental import IncrementalPinAccess
-from repro.drc.engine import DrcEngine
+from repro.drc.pairkernel import PairKernel
 from repro.drc.violations import Violation
-from repro.geom.point import Point
 from repro.geom.rect import Rect
 from repro.lefdef import parse_def, parse_lef, write_def, write_lef
 from repro.lefdef.def_parser import DefParseError
 from repro.viz import render_pin_access
+
+from tests.conftest import one_site_moves
 
 
 class TestInteractionWindow:
@@ -20,7 +22,11 @@ class TestInteractionWindow:
         from tests.conftest import make_simple_design
 
         design = make_simple_design(n45)
-        selector = ClusterPatternSelector(design, DrcEngine(n45))
+        selector = ClusterPatternSelector(
+            design,
+            kernel=PairKernel(n45),
+            akernel=ArrayKernel(design),
+        )
         window = selector._boundary_window
         via = n45.primary_via_from("M1")
         assert window >= via.bottom_enc.xhi + n45.layer("M1").min_spacing
@@ -65,34 +71,24 @@ class TestMultiHeightIntegrations:
         )
 
     def test_incremental_on_multiheight_design(self, mh_design):
+        """Each move and move back equals a from-scratch analysis.
+
+        Single-height cells sharing a row with a double-height cell
+        move one site and back; after every edit the incremental access
+        map and conflicts equal ``run()`` on the edited placement.
+        """
         inc = IncrementalPinAccess(mh_design)
         inc.analyze()
-        # Move a single-height singleton; the analysis stays clean.
-        single = next(
-            cluster[0]
-            for cluster in mh_design.row_clusters()
-            if len(cluster) == 1
-            and cluster[0].master.height == mh_design.tech.site_height
-        )
-        target = Point(
-            single.location.x + 8 * mh_design.tech.site_width,
-            single.location.y,
-        )
-        blocked = any(
-            other.name != single.name
-            and Rect(
-                target.x,
-                target.y,
-                target.x + single.bbox.width,
-                target.y + single.bbox.height,
-            ).overlaps(other.bbox)
-            for other in mh_design.instances.values()
-        )
-        if not blocked:
-            inc.move_instance(single.name, target)
-            assert (
-                evaluate_failed_pins(mh_design, inc.access_map()) == []
-            )
+        moves = one_site_moves(mh_design)
+        assert len(moves) >= 20
+        for inst, target in moves:
+            for location in (target, inst.location):
+                inc.move_instance(inst.name, location)
+                full = PinAccessFramework(mh_design).run()
+                assert inc.access_map() == full.access_map(), inst.name
+                assert sorted(inc.conflicts()) == sorted(
+                    full.selection.conflicts
+                ), inst.name
 
     def test_viz_renders_multiheight(self, mh_design):
         result = PinAccessFramework(mh_design).run()

@@ -42,7 +42,7 @@ from repro.serve.protocol import (
     read_frame,
 )
 
-from tests.conftest import make_simple_design
+from tests.conftest import make_simple_design, one_site_moves
 
 
 # -- protocol ----------------------------------------------------------------
@@ -330,6 +330,22 @@ class TestEndToEnd:
             server.stop()
 
 
+def four_sites_right(design) -> list:
+    inst = list(design.instances.values())[3]
+    site = design.tech.site_width
+    return [(inst.name, inst.location.x + 4 * site, inst.location.y)]
+
+
+def beside_double_height(design) -> list:
+    """The first six one-site moves next to double-height cells, each
+    followed by its move back."""
+    edits = []
+    for inst, target in one_site_moves(design)[:6]:
+        edits.append((inst.name, target.x, target.y))
+        edits.append((inst.name, inst.location.x, inst.location.y))
+    return edits
+
+
 class TestMoveInstance:
     """Edits through the daemon equal a from-scratch re-analysis."""
 
@@ -338,26 +354,36 @@ class TestMoveInstance:
         return design, DesignSession("t1", design)
 
     def test_move_requery_equals_full_reanalysis(self, tmp_path):
-        design, session = self.fresh_session()
-        server, addr = start_server(tmp_path, session)
+        t1 = build_testcase("ispd18_test1", scale=0.01)
+        mh = build_testcase(
+            "ispd18_test1", scale=0.008, multi_height_fraction=0.1
+        )
+        cases = {
+            "t1": (t1, four_sites_right),
+            "mh": (mh, beside_double_height),
+        }
+        server, addr = start_server(tmp_path)
+        for name, (design, _) in cases.items():
+            server.add_session(DesignSession(name, design))
         try:
-            inst = list(design.instances.values())[3]
-            site = design.tech.site_width
             with OracleClient(addr) as client:
-                moved = client.move_instance(
-                    inst.name,
-                    inst.location.x + 4 * site,
-                    inst.location.y,
-                )
-                assert moved["generation"] == 1
-                answers = client.query_batch(all_pins(design))
-            # A from-scratch analysis of the mutated design must agree
-            # pin for pin, bit for bit, over the wire.
-            full = PinAccessFramework(design).run()
-            oracle = PinAccessOracle(design, result=full)
-            for (inst_name, pin), got in zip(all_pins(design), answers):
-                expect = answer_to_wire(oracle.query(inst_name, pin), 1)
-                assert got == expect
+                for name, (design, plan) in cases.items():
+                    pins = all_pins(design)
+                    for generation, edit in enumerate(plan(design), 1):
+                        moved = client.move_instance(*edit, design=name)
+                        assert moved["generation"] == generation
+                        answers = client.query_batch(pins, design=name)
+                        # A from-scratch analysis of the edited design
+                        # must agree pin for pin, bit for bit, over the
+                        # wire.
+                        oracle = PinAccessOracle(
+                            design, result=PinAccessFramework(design).run()
+                        )
+                        for (inst_name, pin), got in zip(pins, answers):
+                            expect = answer_to_wire(
+                                oracle.query(inst_name, pin), generation
+                            )
+                            assert got == expect, (name, edit)
         finally:
             server.stop()
 
