@@ -427,39 +427,6 @@ def _compile_cut_tests(tech, shapes_by_layer, cut_layer_name, cut):
     return out
 
 
-def _assemble_site_table(metal_entries, cut_entries, own_pin) -> SiteTable:
-    """Filter pre-compiled entries for one probing pin into a SiteTable.
-
-    ``own_pin`` names the probing net's pin: its shapes are exempt
-    from metal/EOL exactly like the engine's same-net skip, and they
-    donate the cut test's identical-rect skip displacement.
-    ``own_pin=None`` reproduces the ``net_key=None`` call (Step 3):
-    *every* shape is foreign to metal/EOL while obstruction cuts take
-    the skip role.
-    """
-    tests = []
-    spans = []
-    for test, span_, fpin in metal_entries:
-        if own_pin is not None and fpin == own_pin:
-            continue
-        tests.append(test)
-        spans.append(span_)
-    for test, span_, fpin, skip in cut_entries:
-        if skip is not None and fpin == own_pin:
-            test = test[:10] + (skip,)
-        tests.append(test)
-        spans.append(span_)
-    if not tests:
-        return SiteTable(None, (), ())
-    window = (
-        min(s[0] for s in spans),
-        max(s[1] for s in spans),
-        min(s[2] for s in spans),
-        max(s[3] for s in spans),
-    )
-    return SiteTable(window, tuple(tests), tuple(spans))
-
-
 def _group_entries(entries) -> dict:
     """Group compiled metal entries by owning pin, with per-group hulls.
 
@@ -522,7 +489,15 @@ def _merge_groups(a: dict, b: dict) -> dict:
 
 
 def _assemble_grouped(groups, cut_entries, own_pin) -> SiteTable:
-    """Grouped-form :func:`_assemble_site_table` (same semantics)."""
+    """Filter grouped entries for one probing pin into a SiteTable.
+
+    ``own_pin`` names the probing net's pin: its shapes are exempt
+    from metal/EOL exactly like the engine's same-net skip, and they
+    donate the cut test's identical-rect skip displacement.
+    ``own_pin=None`` reproduces the ``net_key=None`` call (Step 3):
+    *every* shape is foreign to metal/EOL while obstruction cuts take
+    the skip role.
+    """
     tests = []
     spans = []
     window = None
@@ -564,34 +539,6 @@ def _shapes_by_layer(shapes) -> dict:
     for layer_name, rect, pin_name in shapes:
         by_layer.setdefault(layer_name, []).append((rect, pin_name))
     return by_layer
-
-
-def build_site_table(
-    tech, shapes, moving_metal, moving_cut, own_pin
-) -> SiteTable:
-    """Compile one site table.
-
-    ``shapes`` is the cell's origin-relative geometry as ``(layer
-    name, rect, pin name or None)`` triples (None marks obstructions);
-    ``moving_metal`` lists the translating metal rects as ``(layer
-    name, rect)``; ``moving_cut`` is the translating cut rect (or
-    None, for planar stubs).  See :func:`_assemble_site_table` for the
-    ``own_pin`` semantics.  :func:`build_cell_tables` bypasses this
-    wrapper to share one compilation across all pins of a cell.
-    """
-    by_layer = _shapes_by_layer(shapes)
-    regions = {}
-    metal = []
-    for layer_name, mrect in moving_metal:
-        metal.extend(
-            _compile_metal_tests(tech, by_layer, layer_name, mrect, regions)
-        )
-    cut = (
-        _compile_cut_tests(tech, by_layer, *moving_cut)
-        if moving_cut is not None
-        else ()
-    )
-    return _assemble_site_table(metal, cut, own_pin)
 
 
 # -- min-step ----------------------------------------------------------------

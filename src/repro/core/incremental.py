@@ -134,7 +134,6 @@ class IncrementalPinAccess:
             raise UnknownInstanceError(inst_name) from None
         rows = set(design.rows_of(inst))
         inst.location = new_location
-        design.invalidate_shape_index()
         rows.update(design.rows_of(inst))
 
         clusters = design.row_clusters()

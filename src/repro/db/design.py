@@ -10,7 +10,6 @@ from repro.db.net import IOPin, Net
 from repro.db.tracks import TrackPattern
 from repro.geom.point import Point
 from repro.geom.rect import Rect
-from repro.geom.spatial import GridIndex
 from repro.geom.transform import Orientation
 from repro.tech.technology import Technology
 
@@ -50,10 +49,9 @@ class Row:
 class Design:
     """A placed design: technology, masters, instances, rows, tracks, nets.
 
-    The design also owns the per-layer *fixed-shape* spatial indexes
-    (pin shapes and obstructions of all placed instances, plus IO
-    pins), which are the immovable context the DRC engine checks
-    candidate vias against.
+    The fixed shapes that DRC checks run against (pin shapes and
+    obstructions of all placed instances, plus IO pins) are indexed by
+    :meth:`repro.drc.context.ShapeContext.from_design`.
     """
 
     def __init__(self, name: str, tech: Technology):
@@ -67,7 +65,6 @@ class Design:
         self.track_patterns = []
         self.nets = {}
         self.io_pins = {}
-        self._shape_index = None  # layer name -> GridIndex
         self._net_of_term = None
 
     # -- construction ------------------------------------------------------
@@ -80,13 +77,12 @@ class Design:
         return master
 
     def add_instance(self, inst: Instance) -> Instance:
-        """Place an instance; invalidates cached shape indexes."""
+        """Place an instance."""
         if inst.name in self.instances:
             raise ValueError(f"duplicate instance {inst.name}")
         if inst.master.name not in self.masters:
             self.add_master(inst.master)
         self.instances[inst.name] = inst
-        self._shape_index = None
         return inst
 
     def add_row(self, row: Row) -> Row:
@@ -116,7 +112,6 @@ class Design:
         if pin.name in self.io_pins:
             raise ValueError(f"duplicate IO pin {pin.name}")
         self.io_pins[pin.name] = pin
-        self._shape_index = None
         return pin
 
     # -- queries -----------------------------------------------------------
@@ -155,51 +150,6 @@ class Design:
                 if inst is not None:
                     out.append((inst, inst.master.pin(pin_name)))
         return out
-
-    def shape_index(self, layer_name: str) -> GridIndex:
-        """Return the fixed-shape index for ``layer_name``.
-
-        Each payload is ``(kind, owner, pin_or_none)`` where kind is
-        one of ``"pin"``, ``"obs"``, ``"io"``; owner is the instance
-        (or IO pin) and pin the :class:`MasterPin` for pin shapes.
-        Indexes are built lazily and invalidated by placement edits.
-        """
-        if self._shape_index is None:
-            self._build_shape_index()
-        if layer_name not in self._shape_index:
-            if self.tech.site_width:
-                bucket = max(1, self.tech.site_width * 8)
-            else:
-                bucket = 10000
-            self._shape_index[layer_name] = GridIndex(bucket=bucket)
-        return self._shape_index[layer_name]
-
-    def _build_shape_index(self) -> None:
-        if self.tech.site_width:
-            bucket = max(1, self.tech.site_width * 8)
-        else:
-            bucket = 10000
-        index = {}
-
-        def index_for(layer_name: str) -> GridIndex:
-            if layer_name not in index:
-                index[layer_name] = GridIndex(bucket=bucket)
-            return index[layer_name]
-
-        for inst in self.instances.values():
-            for pin, layer, rect in inst.all_pin_shapes():
-                index_for(layer).insert(rect, ("pin", inst, pin))
-            for layer, rect in inst.obstruction_rects():
-                index_for(layer).insert(rect, ("obs", inst, None))
-        for io_pin in self.io_pins.values():
-            index_for(io_pin.layer_name).insert(
-                io_pin.rect, ("io", io_pin, None)
-            )
-        self._shape_index = index
-
-    def invalidate_shape_index(self) -> None:
-        """Force shape indexes to rebuild (after moving instances)."""
-        self._shape_index = None
 
     def rows_of(self, inst) -> list:
         """Return the y of every row whose clusters ``inst`` joins.

@@ -52,13 +52,17 @@ class ShapeContext:
         return ctx
 
     @staticmethod
-    def from_design(design, bucket: int = 10000) -> "ShapeContext":
+    def from_design(design) -> "ShapeContext":
         """Build the full-design fixed-shape context.
 
         Pin net keys are the owning net's name when the pin is
         connected (so router metal of the same net can touch it), or
-        the ``(instance, pin)`` pair otherwise.
+        the ``(instance, pin)`` pair otherwise.  Buckets are 8 site
+        widths wide (10,000 DBU when the tech has no site), so a
+        region query tests the shapes near it, not the whole die.
         """
+        site_width = design.tech.site_width
+        bucket = max(1, site_width * 8) if site_width else 10000
         ctx = ShapeContext(bucket=bucket)
         for inst in design.instances.values():
             for pin, layer, rect in inst.all_pin_shapes():

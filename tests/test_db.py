@@ -7,6 +7,7 @@ from repro.db.inst import Instance
 from repro.db.master import CellMaster, MasterPin, Obstruction, PinUse
 from repro.db.net import IOPin, Net
 from repro.db.tracks import TrackPattern
+from repro.drc.context import ShapeContext
 from repro.geom.point import Point
 from repro.geom.rect import Rect
 from repro.geom.transform import Orientation
@@ -153,27 +154,6 @@ class TestDesign:
         assert len(pins) == 6
         assert all(pin.is_signal for _, pin in pins)
 
-    def test_shape_index_contains_pins_and_keys(self, n45):
-        design = make_simple_design(n45)
-        index = design.shape_index("M1")
-        hits = index.query(design.die_area)
-        kinds = {kind for kind, _, _ in hits}
-        assert kinds == {"pin"}
-        assert len(hits) == 8  # 2 instances x 4 pins
-
-    def test_shape_index_invalidation(self, n45):
-        design = make_simple_design(n45)
-        before = len(design.shape_index("M1").query(design.die_area))
-        design.add_instance(
-            Instance(
-                "extra",
-                design.masters["CELL_X1"],
-                Point(7000, 1400),
-            )
-        )
-        after = len(design.shape_index("M1").query(design.die_area))
-        assert after == before + 4
-
     def test_track_patterns_on(self, n45):
         design = make_simple_design(n45)
         assert len(design.track_patterns_on("M1")) == 1
@@ -243,5 +223,6 @@ class TestIOPin:
         design.add_io_pin(
             IOPin(name="io1", layer_name="M2", rect=Rect(0, 0, 100, 100))
         )
-        hits = design.shape_index("M2").query(Rect(0, 0, 50, 50))
-        assert [kind for kind, _, _ in hits] == ["io"]
+        context = ShapeContext.from_design(design)
+        hits = context.query("M2", Rect(0, 0, 50, 50))
+        assert hits == [(Rect(0, 0, 100, 100), "io1")]

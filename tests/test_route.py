@@ -1,9 +1,13 @@
 """Unit and integration tests for the routing substrate."""
 
+import hashlib
+import json
+
 import pytest
 
-from repro.bench import build_testcase
+from repro.bench import build_case, build_testcase
 from repro.core import PinAccessFramework
+from repro.core.ioaccess import IoPinAccess
 from repro.route.astar import astar_route
 from repro.route.drcu import drcu_access_map
 from repro.route.grid import RoutingGrid
@@ -288,3 +292,53 @@ class TestIoAccessParity:
         # naive strategy must cover strictly fewer pins than the
         # validated coordinate ladder.
         assert len(legacy_io) < len(pao_io)
+
+
+def pao_route_digest(case_id: str) -> str:
+    """Return a sha256 over the pao flow's routed result on ``case_id``.
+
+    The digest covers the route's wires, vias, failed nets and
+    unconnected-terminal count plus its sorted pin-access violations,
+    so any change of path -- not only of a summary count -- shows.
+    """
+    name, _, scale = case_id.partition("@")
+    design = build_case(name, scale=float(scale))
+    access = PinAccessFramework(design).run().access_map()
+    io_map = {
+        pin: aps[0] for pin, aps in IoPinAccess(design).run().items() if aps
+    }
+    result = DetailedRouter(design).route(access, io_access=io_map)
+    violations = count_route_drcs(design, result, scope="pin-access")
+
+    def box(rect):
+        return [rect.xlo, rect.ylo, rect.xhi, rect.yhi]
+
+    payload = {
+        "wires": [[net, layer, box(r)] for net, layer, r in result.wires],
+        "vias": [list(via) for via in result.vias],
+        "failed_nets": result.failed_nets,
+        "unconnected_terms": result.unconnected_terms,
+        "pin_access_violations": sorted(
+            [v.rule, v.layer_name, box(v.marker), list(v.objects)]
+            for v in violations
+        ),
+    }
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+#: Digests of today's pao routes.  A router speedup must leave every
+#: path as it is; a change of search order or cost shows up here.
+ROUTE_DIGESTS = {
+    "ispd18_test1@0.004": (
+        "1126f521e68cef565823dbcd4b4c0ca565af8663a7f8ec396c7d4d08d0b360ee"
+    ),
+    "ispd18_test5@0.002": (
+        "4637e702dad038d50e521034c176f77b878053af6a20afe937c1a5482cf460a9"
+    ),
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(ROUTE_DIGESTS))
+def test_pao_route_digest(case_id):
+    assert pao_route_digest(case_id) == ROUTE_DIGESTS[case_id]

@@ -1,9 +1,17 @@
 """Properties of the routing substrate: geometry and cost invariants."""
 
+import heapq
+from dataclasses import replace
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.route.astar import WIRE_COST, VIA_COST, astar_route
 from repro.route.grid import RoutingGrid, _nearest
+from repro.tech import make_node
+from repro.tech.layer import RoutingDirection
 
 from tests.conftest import make_simple_design
 
@@ -74,3 +82,177 @@ class TestSourceTargetSets:
     def test_source_equals_target(self, grid):
         path = astar_route(grid, {(0, 3, 3)}, {(0, 3, 3)}, "n")
         assert path == [(0, 3, 3)]
+
+
+# -- reference search ---------------------------------------------------------
+#
+# The A* search as it read before its loop was specialised, kept verbatim
+# as the oracle: one heuristic call and one ``grid.neighbors`` list per
+# step, ``is_free``/``via_allowed`` per neighbour.  The production search
+# must return the same path (or None) on every input.
+
+
+def reference_astar_route(
+    grid,
+    sources: set,
+    targets: set,
+    net_name: str,
+    bounds: tuple = None,
+    max_expansions: int = 200000,
+) -> list:
+    """Find a node path from any source to any target.
+
+    ``sources``/``targets`` are sets of grid nodes.  ``bounds`` is an
+    optional ``(ilo, jlo, ihi, jhi)`` search window (grid indices);
+    nodes outside it are not expanded.  Returns the node path
+    (source..target inclusive) or None when no path exists within the
+    expansion budget.
+    """
+    if not sources or not targets:
+        return None
+    target_points = [grid.point_of(t) for t in targets]
+    target_set = set(targets)
+
+    def heuristic(node):
+        x, y = grid.point_of(node)
+        best = min(
+            abs(x - tx) + abs(y - ty) for tx, ty in target_points
+        )
+        # Scale distance to track steps so the heuristic stays
+        # admissible against WIRE_COST-per-step edges.
+        step = min(
+            grid.xs[1] - grid.xs[0] if len(grid.xs) > 1 else 1,
+            grid.ys[1] - grid.ys[0] if len(grid.ys) > 1 else 1,
+        )
+        return WIRE_COST * best // max(1, step)
+
+    open_heap = []
+    best_cost = {}
+    came_from = {}
+    counter = 0
+    for s in sources:
+        heapq.heappush(open_heap, (heuristic(s), counter, s))
+        counter += 1
+        best_cost[s] = 0
+
+    expansions = 0
+    while open_heap:
+        _, _, node = heapq.heappop(open_heap)
+        if node in target_set:
+            return _reconstruct(came_from, node)
+        expansions += 1
+        if expansions > max_expansions:
+            return None
+        node_cost = best_cost[node]
+        for neighbor, kind in grid.neighbors(node):
+            if bounds is not None and not _inside(neighbor, bounds):
+                continue
+            if not grid.is_free(neighbor, net_name):
+                continue
+            if kind == "via":
+                lower = node if node[0] < neighbor[0] else neighbor
+                if not grid.via_allowed(lower, net_name):
+                    continue
+                edge = VIA_COST
+            else:
+                edge = WIRE_COST
+            cost = node_cost + edge
+            if cost < best_cost.get(neighbor, float("inf")):
+                best_cost[neighbor] = cost
+                came_from[neighbor] = node
+                heapq.heappush(
+                    open_heap, (cost + heuristic(neighbor), counter, neighbor)
+                )
+                counter += 1
+    return None
+
+
+def _inside(node, bounds) -> bool:
+    _, i, j = node
+    ilo, jlo, ihi, jhi = bounds
+    return ilo <= i <= ihi and jlo <= j <= jhi
+
+
+def _reconstruct(came_from, node) -> list:
+    path = [node]
+    while node in came_from:
+        node = came_from[node]
+        path.append(node)
+    path.reverse()
+    return path
+
+
+@lru_cache(maxsize=None)
+def _oracle_design(kind: str):
+    if kind == "n45":
+        return make_simple_design(make_node("N45"))
+    # N32 with vertical tracks stretched to 1.2x pitch, as in the
+    # misaligned ispd18 N32 cases: the x gap (120) differs from the y
+    # gap (100), so the heuristic's step is the smaller of the two.
+    design = make_simple_design(make_node("N32"))
+    design.track_patterns = [
+        replace(p, step=p.step + p.step // 5)
+        if p.direction is RoutingDirection.VERTICAL
+        else p
+        for p in design.track_patterns
+    ]
+    return design
+
+
+#: Searches are drawn in the grid's lower-left WINDOW x WINDOW corner.
+WINDOW = 12
+
+
+@st.composite
+def searches(draw):
+    """A grid kind, occupancy, via exclusions and one search's inputs."""
+    kind = draw(st.sampled_from(("n45", "n32")))
+    # Coordinates shrink toward the middle layer and the middle of the
+    # window, where both vias and both wire moves exist and tie.
+    level = st.integers(0, 4).map(lambda k: (k + 2) % 5)
+    track = st.integers(0, WINDOW - 1).map(
+        lambda k: (k + WINDOW // 2) % WINDOW
+    )
+    nodes = st.tuples(level, track, track)
+    # "n" is the routed net; "a" and "b" are foreign nets.
+    owners = st.sampled_from(("n", "a", "b"))
+    occupancy = draw(st.dictionaries(nodes, owners, max_size=120))
+    via_occupancy = draw(st.dictionaries(nodes, owners, max_size=40))
+    sources = draw(st.sets(nodes, min_size=1, max_size=4))
+    targets = draw(
+        st.sets(
+            nodes.filter(lambda n: n not in sources), min_size=1, max_size=3
+        )
+    )
+    bounds = None
+    if draw(st.booleans()):
+        # A window around the terminals, as the router draws one; a
+        # negative margin leaves some sources or targets outside it.
+        ends = sources | targets
+        margin = st.integers(-1, 4)
+        bounds = (
+            min(n[1] for n in ends) - draw(margin),
+            min(n[2] for n in ends) - draw(margin),
+            max(n[1] for n in ends) + draw(margin),
+            max(n[2] for n in ends) + draw(margin),
+        )
+    # Either a budget small enough to cut the search or a roomy one.
+    if draw(st.booleans()):
+        budget = draw(st.integers(0, 60))
+    else:
+        budget = draw(st.integers(1000, 3000))
+    return kind, occupancy, via_occupancy, sources, targets, bounds, budget
+
+
+class TestAstarMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(searches())
+    def test_same_path_as_reference(self, search):
+        kind, occupancy, via_occupancy, sources, targets, bounds, budget = (
+            search
+        )
+        grid = RoutingGrid(_oracle_design(kind))
+        grid.occupancy.update(occupancy)
+        grid.via_occupancy.update(via_occupancy)
+        args = (grid, sources, targets, "n", bounds, budget)
+        assert astar_route(*args) == reference_astar_route(*args)
