@@ -1,19 +1,16 @@
-"""Parallel fan-out and AP-cache speedups on a fixed design.
+"""AP-cache speedups on a fixed design.
 
-Measures four runs of the full PAAF flow on ispd18_test5:
+Measures three runs of the full PAAF flow on ispd18_test5:
 
-* serial        -- ``run(jobs=1)``, the reference
-* parallel      -- ``run(jobs=2)``, per-unique-instance fan-out
+* serial        -- ``run()`` without a cache, the reference
 * cache cold    -- first run against an empty cache directory
 * cache warm    -- second run, Steps 1/2 served from disk
 
 and records them into ``BENCH_parallel.json`` at the repo root (in the
 shared ``repro.qa.bench/v1`` envelope), so successive commits
-accumulate a runtime history.  Determinism is
-asserted unconditionally: every variant must produce the exact access
-map of the serial run.  The parallel *speedup* assertion is gated on
-``os.cpu_count() >= 2`` (process fan-out cannot beat serial on one
-core); the warm-cache speedup holds everywhere.
+accumulate a runtime history.  Determinism is asserted
+unconditionally: every variant must produce the exact access map of
+the serial run.
 
 ``test_paircheck_kernel_vs_engine`` measures the translation-invariant
 pair kernel against the engine-backed reference on the same design:
@@ -69,25 +66,20 @@ def _timed_run(design, **kwargs):
     return time.perf_counter() - t0, result
 
 
-def test_parallel_and_cache_scaling(once):
+def test_serial_and_cache_scaling(once):
     design = build_testcase("ispd18_test5", scale=SCALE)
 
-    serial_s, serial = once(_timed_run, design, jobs=1)
-    parallel_s, parallel = _timed_run(design, jobs=2)
+    serial_s, serial = once(_timed_run, design)
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        cold_s, cold = _timed_run(design, jobs=1, cache_dir=cache_dir)
-        warm_s, warm = _timed_run(design, jobs=1, cache_dir=cache_dir)
+        cold_s, cold = _timed_run(design, cache_dir=cache_dir)
+        warm_s, warm = _timed_run(design, cache_dir=cache_dir)
         assert warm.stats["paaf.step12_tasks"] == 0
         assert warm.stats["apcache.hit"] > 0
 
     # Determinism before speed: every variant matches serial exactly.
     reference = _access_fingerprint(serial)
-    for label, result in (
-        ("jobs=2", parallel),
-        ("cache cold", cold),
-        ("cache warm", warm),
-    ):
+    for label, result in (("cache cold", cold), ("cache warm", warm)):
         assert _access_fingerprint(result) == reference, label
 
     entry = bench_entry(
@@ -96,21 +88,17 @@ def test_parallel_and_cache_scaling(once):
         design.stats()["num_std_cells"],
         perf={
             "serial_s": round(serial_s, 3),
-            "parallel2_s": round(parallel_s, 3),
             "cache_cold_s": round(cold_s, 3),
             "cache_warm_s": round(warm_s, 3),
         },
         derived={
-            "parallel_speedup": round(serial_s / max(1e-9, parallel_s), 3),
             "warm_speedup": round(cold_s / max(1e-9, warm_s), 3),
         },
         context={"cpu_count": os.cpu_count()},
     )
 
     rows = [
-        ["serial (jobs=1)", f"{serial_s:.2f}", "1.00"],
-        ["parallel (jobs=2)", f"{parallel_s:.2f}",
-         f"{entry['derived']['parallel_speedup']:.2f}"],
+        ["serial (no cache)", f"{serial_s:.2f}", "1.00"],
         ["cache cold", f"{cold_s:.2f}", "-"],
         ["cache warm", f"{warm_s:.2f}",
          f"{entry['derived']['warm_speedup']:.2f}"],
@@ -119,7 +107,7 @@ def test_parallel_and_cache_scaling(once):
         ["Run", "t(s)", "speedup"],
         rows,
         title=(
-            f"Parallel/cache scaling on {design.name} "
+            f"Cache scaling on {design.name} "
             f"({entry['cells']} cells, "
             f"{entry['context']['cpu_count']} cores)"
         ),
@@ -135,15 +123,12 @@ def test_parallel_and_cache_scaling(once):
     # the cold run by more than noise.
     assert warm_s <= cold_s * 1.5
 
-    if (os.cpu_count() or 1) >= 2 and not SMOKE:
-        # With real cores available, fan-out must buy wall time back.
-        assert parallel_s < serial_s * 1.2
-
 
 def _query_throughput(design, seconds=0.25):
     """Raw pair-query rate: compiled table vs engine, queries/second."""
     tech = design.tech
-    kernel = PairKernel(tech).build_all()
+    kernel = PairKernel(tech)
+    kernel.table("V12_P", "V12_P")
     engine = DrcEngine(tech)
     via = tech.via("V12_P")
     probes = [(dx, dy) for dx in range(-300, 301, 20)

@@ -102,8 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="run the legacy TrRte-style flow instead")
     ana.add_argument("--list-failed", action="store_true",
                      help="print each failed pin")
-    ana.add_argument("-j", "--jobs", type=_job_count, default=1,
-                     help="worker processes for steps 1-3 (0 = all cores)")
     ana.add_argument("--cache-dir",
                      help="persistent AP/pattern cache directory")
     ana.add_argument("--no-cache", action="store_true",
@@ -149,9 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--events",
                      help="replay a saved repro.obs.events/v1 JSONL "
                           "stream instead of re-running the analysis")
-    exp.add_argument("-j", "--jobs", type=_job_count, default=1,
-                     help="worker processes when re-running (0 = all "
-                          "cores)")
     exp.set_defaults(handler=_cmd_explain)
 
     rte = sub.add_parser("route", help="route and score pin-access DRCs")
@@ -160,8 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rte.add_argument("--scope", choices=("pin-access", "full"),
                      default="pin-access")
     rte.add_argument("--svg", help="write the routed view to this SVG path")
-    rte.add_argument("-j", "--jobs", type=_job_count, default=1,
-                     help="analysis worker processes (0 = all cores)")
     rte.add_argument("--cache-dir",
                      help="persistent AP/pattern cache root (same cache "
                           "the other commands honor)")
@@ -203,9 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--cache-dir",
                      help="persistent AP cache: restart = cache load, "
                           "not re-analysis")
-    srv.add_argument("-j", "--jobs", type=_job_count, default=1,
-                     help="worker processes for the initial analysis "
-                          "(0 = all cores)")
     srv.add_argument("--max-clients", type=int, default=32,
                      help="concurrent connection cap (excess get an "
                           "'overloaded' error)")
@@ -451,9 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_qa_run_args(sub_parser) -> None:
     sub_parser.add_argument("--goldens", default="goldens",
                             help="golden corpus directory (default: goldens)")
-    sub_parser.add_argument("-j", "--jobs", type=_job_count, default=1,
-                            help="worker processes (0 = all cores); any "
-                                 "value must reproduce the same fingerprint")
     sub_parser.add_argument("--paircheck-mode",
                             choices=("kernel", "engine", "verify"),
                             default="kernel",
@@ -583,7 +570,6 @@ def _cmd_analyze(args) -> int:
         label = "legacy (TrRte-style)"
     else:
         config = PaafConfig(
-            jobs=args.jobs,
             cache_dir=args.cache_dir,
             profile=args.profile,
             paircheck_mode=args.paircheck_mode,
@@ -681,7 +667,7 @@ def _cmd_explain(args) -> int:
     else:
         # A fresh uncached run: cached Steps 1-2 would skip candidate
         # generation and leave the Step 1 story empty.
-        config = PaafConfig(jobs=args.jobs, explain=True)
+        config = PaafConfig(explain=True)
         result = PinAccessFramework(design, config).run()
         events = result.events.events
     try:
@@ -695,7 +681,6 @@ def _cmd_route(args) -> int:
     design = _load(args)
     if args.access == "pao":
         config = PaafConfig(
-            jobs=args.jobs,
             cache_dir=args.cache_dir,
             apcheck_mode=args.apcheck_mode,
             paircheck_mode=args.paircheck_mode,
@@ -729,7 +714,6 @@ def _cmd_serve(args) -> int:
 
     design = _load(args)
     config = PaafConfig(
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         apcheck_mode=args.apcheck_mode,
     )
@@ -1170,7 +1154,6 @@ def _cmd_qa_snapshot(args) -> int:
     record = golden.snapshot_case(
         args.testcase,
         args.scale,
-        jobs=args.jobs,
         paircheck_mode=args.paircheck_mode,
         apcheck_mode=args.apcheck_mode,
     )
@@ -1202,7 +1185,6 @@ def _cmd_qa_check(args) -> int:
         code, report = golden.check_goldens(
             args.goldens,
             cases=args.cases,
-            jobs=args.jobs,
             paircheck_mode=args.paircheck_mode,
             apcheck_mode=args.apcheck_mode,
             tolerances=tolerances,
@@ -1240,7 +1222,6 @@ def _cmd_qa_diff(args) -> int:
         result, _ = golden.run_case(
             case["testcase"],
             case["scale"],
-            jobs=args.jobs,
             paircheck_mode=args.paircheck_mode,
             apcheck_mode=args.apcheck_mode,
         )
@@ -1408,6 +1389,7 @@ def _cmd_compare_run(args) -> int:
         parse_case,
         run_compare,
     )
+    from repro.perf.parallel import effective_jobs
 
     cases = []
     if args.matrix == "golden":
@@ -1430,12 +1412,11 @@ def _cmd_compare_run(args) -> int:
     run_dir = args.run_dir or os.path.join(
         "compare-runs", args.matrix or "run"
     )
-    jobs = args.jobs or os.cpu_count() or 1
     summary = run_compare(
         unique,
         args.flows,
         run_dir,
-        jobs=jobs,
+        jobs=effective_jobs(args.jobs),
         flow_timeout_s=args.timeout,
         cache_dir=args.cache_dir,
         force=args.force,

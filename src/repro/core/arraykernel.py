@@ -13,8 +13,8 @@ from via *pairs* to the two remaining per-candidate engine workloads:
   y - oy)`` from the instance origin -- and because the origin-relative
   geometry of an instance depends only on ``(master, orientation)``,
   one compiled :class:`CellTables` serves every unique instance of a
-  master/orient combination, persists under the AP-cache fingerprint
-  next to ``pairkernel.pkl`` and ships to worker processes whole.
+  master/orient combination and persists under the AP-cache
+  fingerprint next to ``pairkernel.pkl``.
 
 * **Step 3 boundary conflicts** -- :meth:`ArrayKernel.via_vs_instance_clean`
   is the same check with ``net_key=None`` and min-step off; it
@@ -54,9 +54,9 @@ Three modes mirror ``paircheck_mode``:
 Step 2's flat-array DP lives in :class:`repro.core.dpgraph.FlatDp`
 and runs in every mode; the kernel only counts its solves
 (``dp_solves``).  The work counters (``candidates``, ``filtered``,
-``minstep_engine``, ``dp_solves``) are plain ints on each process's
-kernel: tasks report their deltas and the framework sums them into
-``result.stats`` and the metrics registry.
+``minstep_engine``, ``dp_solves``) are plain ints on the kernel: the
+framework reads them before and after a run and reports the
+difference in ``result.stats`` and the metrics registry.
 """
 
 from __future__ import annotations
@@ -943,8 +943,8 @@ class ArrayKernel:
     """Value-keyed per-cell verdict service for Steps 1 and 3.
 
     Tables build lazily per ``(master, orientation)``; a prebuilt dict
-    can be injected (worker shipping, persisted cache) via ``tables``
-    or :meth:`preload`.  ``built`` counts tables compiled by *this*
+    can be injected (the persisted cache) via ``tables`` or
+    :meth:`preload`.  ``built`` counts tables compiled by *this*
     kernel, which decides whether the persisted copy needs rewriting.
     """
 
@@ -999,19 +999,6 @@ class ArrayKernel:
             tick("arraykernel.table.hit")
         return tables
 
-    def build_all(self) -> "ArrayKernel":
-        """Eagerly compile the tables of every unique instance.
-
-        Called before process fan-out so workers receive the complete
-        set and the persisted copy is whole; distinct (master, orient)
-        classes are far fewer than unique instances.
-        """
-        from repro.core.signature import unique_instances
-
-        for ui in unique_instances(self.design):
-            self.cell_tables(ui.representative)
-        return self
-
     # -- verdicts -----------------------------------------------------------
 
     def via_vs_instance_clean(self, via_name, x, y, inst) -> bool:
@@ -1064,10 +1051,10 @@ class ArrayKernel:
     def work_counts(self) -> dict:
         """Return the work counters under their stats names.
 
-        Steps 1-3 run on each worker's own kernel, so a task reports
-        the difference of two readings and the framework sums them;
-        the framework also feeds ``candidates`` and ``filtered`` to
-        the metrics registry from these sums.
+        The counters accumulate over the kernel's life (a session's
+        moves reuse it), so the framework reports the difference of a
+        reading before and after each run and feeds ``candidates`` and
+        ``filtered`` to the metrics registry from it.
         """
         return {
             "arraykernel.candidates": self.candidates,

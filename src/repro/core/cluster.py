@@ -206,11 +206,11 @@ class ClusterPatternSelector:
     ) -> None:
         """Run the DP for one cluster, accumulating into ``result``.
 
-        The per-cluster entry point the parallel Step 3 workers drive:
-        it lets a caller interleave clusters with its own bookkeeping
-        (per-cluster conflict slices) while sharing ``result`` so
-        multi-height pinning works across the caller's cluster
-        sequence.
+        The per-cluster entry point of the Step 3 component unit
+        (:func:`repro.perf.workers.step3_component`): it lets a caller
+        interleave clusters with its own bookkeeping (per-cluster
+        conflict slices) while sharing ``result`` so multi-height
+        pinning works across the caller's cluster sequence.
         """
         self._select_in_cluster(
             cluster, candidates_by_inst, result, alternatives_fn
@@ -447,16 +447,13 @@ class ClusterPatternSelector:
         for pin_a, _ap_a, via_a, ax, ay in left_aps:
             for pin_b, _ap_b, via_b, bx, by in right_aps:
                 if tables is not None:
-                    # Inlined kernel-mode fast path: build_all has
-                    # precompiled every via combination, so the dict
-                    # hit plus the table probe is the whole verdict
-                    # (uncounted by ``pairkernel.query``).
+                    # Inlined kernel-mode fast path: the dict hit (or
+                    # a first-use build) plus the table probe is the
+                    # whole verdict (uncounted by ``pairkernel.query``).
                     table = tables.get((via_a, via_b, False))
-                    clean = (
-                        table.clean(bx - ax, by - ay)
-                        if table is not None
-                        else pair_clean(via_a, ax, ay, via_b, bx, by)
-                    )
+                    if table is None:
+                        table = kernel.table(via_a, via_b, False)
+                    clean = table.clean(bx - ax, by - ay)
                 else:
                     clean = pair_clean(via_a, ax, ay, via_b, bx, by)
                 if not clean:
@@ -517,8 +514,8 @@ class ClusterPatternSelector:
     def _pair_clean(self, ap_a, ap_b) -> bool:
         """Boundary pair verdict via the shared translation-invariant
         kernel -- the same value-keyed backend Step 2 uses, so verdicts
-        are shared across clusters, selectors and worker processes
-        instead of living in a per-selector position-keyed dict."""
+        are shared across clusters and selectors instead of living in
+        a per-selector position-keyed dict."""
         return self.kernel.pair_clean(
             ap_a.primary_via, ap_a.x, ap_a.y,
             ap_b.primary_via, ap_b.x, ap_b.y,

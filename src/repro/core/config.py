@@ -41,9 +41,8 @@ class PaafConfig:
 
     # Performance knobs (repro.perf).  These change how the flow
     # executes, never what it computes: results are bit-identical for
-    # any ``jobs`` value and any ``paircheck_mode``, and the AP cache
-    # fingerprint excludes them.
-    jobs: int = 1                       # worker processes; 0 = all cores
+    # any ``paircheck_mode``, ``apcheck_mode`` and cache state, and
+    # the AP cache fingerprint excludes them.
     cache_dir: str = None               # persistent AP/pattern cache root
     profile: bool = False               # collect hot-path counters
     paircheck_mode: str = "kernel"      # via-pair backend: "kernel"
@@ -74,8 +73,6 @@ class PaafConfig:
             raise ValueError("k must be positive")
         if self.patterns_per_unique_instance <= 0:
             raise ValueError("patterns_per_unique_instance must be positive")
-        if self.jobs < 0:
-            raise ValueError("jobs must be >= 0 (0 means all cores)")
         if self.paircheck_mode not in ("kernel", "engine", "verify"):
             raise ValueError(
                 "paircheck_mode must be 'kernel', 'engine' or 'verify', "

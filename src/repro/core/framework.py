@@ -12,11 +12,9 @@ failed-pin accounting (Table III), and per-step runtimes.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.core.apgen import AccessPointGenerator
-from repro.core.cluster import ClusterSelectionResult, SelectedAccess
+from repro.core.cluster import ClusterSelectionResult
 from repro.core.config import PaafConfig
 from repro.core.signature import UniqueInstance, unique_instances
 from repro.db.design import Design
@@ -44,10 +42,10 @@ class PinAccessResult:
 
     ``timings`` keeps the paper's per-step wall clocks (``step1``,
     ``step2``, ``step3``, ``total``); ``stats`` carries the
-    observability payload -- cache hit/miss counters, parallel
-    fan-out info, pair-kernel table counters and (when profiling or
-    tracing is on) the merged ``metrics.*`` / ``obs.*`` summaries --
-    and is what ``--stats-json`` dumps.  Every stats key follows the
+    observability payload -- cache hit/miss counters, kernel table
+    and work counters and (when profiling or tracing is on) the
+    ``metrics.*`` / ``obs.*`` summaries -- and is what
+    ``--stats-json`` dumps.  Every stats key follows the
     ``domain.sub.name`` contract of
     :func:`repro.obs.metrics.stats_name_violations`.
 
@@ -90,9 +88,10 @@ class PinAccessResult:
     def fingerprint(self):
         """Digest this result (combined + per-step sub-digests).
 
-        The digest is invariant under every perf knob (``jobs``,
-        ``paircheck_mode``, cache state) -- the identity contract
-        ``repro qa check`` enforces against the golden corpus.
+        The digest is invariant under every perf knob
+        (``paircheck_mode``, ``apcheck_mode``, cache state) -- the
+        identity contract ``repro qa check`` enforces against the
+        golden corpus.
         """
         from repro.qa.fingerprint import result_fingerprint
 
@@ -196,34 +195,15 @@ class PinAccessResult:
         return out
 
 
-@dataclass
-class TaskReports:
-    """What worker tasks report besides their values.
-
-    ``work`` sums the tasks' array-kernel counter deltas, ``stats``
-    takes the fan-out keys (``parallel.*``, ``paaf.step12_tasks``),
-    ``seconds`` the summed ``step1``/``step2`` times, and
-    ``collector`` (when set) merges the tasks' observability
-    snapshots in task order.
-    """
-
-    collector: object = None
-    work: Counter = field(default_factory=Counter)
-    stats: dict = field(default_factory=dict)
-    seconds: Counter = field(default_factory=Counter)
-
-
 class PinAccessFramework:
     """The paper's complete pin access analysis framework (PAAF).
 
-    ``run()`` fans Steps 1 + 2 out as one fused task per unique
-    instance and Step 3 as one task per row-cluster *component*
-    (clusters linked by shared multi-height instances), over
-    ``config.jobs`` worker processes.  ``jobs=1`` executes the very
-    same task functions in-process, so parallel results are
-    bit-identical to serial ones by construction.  With
-    ``config.cache_dir`` set, per-unique-instance results persist
-    across runs keyed by signature + tech/config fingerprint.
+    ``run()`` calls Steps 1 + 2 as one fused unit per unique instance
+    and Step 3 as one unit per row-cluster *component* (clusters
+    linked by shared multi-height instances), in this process, on the
+    framework's own kernels.  With ``config.cache_dir`` set,
+    per-unique-instance results persist across runs keyed by
+    signature + tech/config fingerprint.
     """
 
     def __init__(
@@ -243,9 +223,8 @@ class PinAccessFramework:
             )
         self.cache = cache
         # One translation-invariant pair kernel for the whole flow:
-        # Step 2 compatibility, Step 3 boundary conflicts, the
-        # incremental analyzer and every worker process share its
-        # forbidden-displacement tables.
+        # Step 2 compatibility, Step 3 boundary conflicts and the
+        # incremental analyzer share its forbidden-displacement tables.
         self.kernel = PairKernel(
             design.tech,
             mode=self.config.paircheck_mode,
@@ -262,58 +241,51 @@ class PinAccessFramework:
             engine=self.engine,
         )
 
-    def run(self, jobs: int = None, use_cache: bool = True) -> PinAccessResult:
+    def run(self, use_cache: bool = True) -> PinAccessResult:
         """Run all three steps and return the populated result.
 
-        ``jobs`` overrides ``config.jobs`` for this run (``0`` means
-        all cores); ``use_cache=False`` bypasses the persistent cache
-        for both lookup and store (the CLI's ``--no-cache``).
+        ``use_cache=False`` bypasses the persistent cache for both
+        lookup and store (the CLI's ``--no-cache``).
 
         Observability (all perf-only -- results are bit-identical with
         any combination enabled): ``config.profile``/``metrics_out``
-        collect the merged metrics registry, ``trace``/``trace_out``
-        record the stitched span tree, ``explain`` the decision-event
-        stream; :meth:`repro.obs.collect.Collector.finish` attaches
-        them to the result and writes the configured output files.
+        collect the metrics registry, ``trace``/``trace_out`` record
+        the span tree, ``explain`` the decision-event stream;
+        :meth:`repro.obs.collect.Collector.finish` attaches them to
+        the result and writes the configured output files.
         """
         from repro.obs import trace as obs_trace
         from repro.obs.collect import Collector
 
-        jobs = self.config.jobs if jobs is None else jobs
         result = PinAccessResult(design=self.design, config=self.config)
         collector = Collector.from_config(self.config)
-        reports = TaskReports(collector=collector, stats=result.stats)
+        before = self.akernel.work_counts()
         with collector:
             t0 = time.perf_counter()
             with obs_trace.span("paaf.run", design=self.design.name):
                 with obs_trace.span("paaf.kernel.prepare"):
                     self._prepare_kernel(use_cache)
-                with obs_trace.span("paaf.step12") as span12:
+                with obs_trace.span("paaf.step12"):
                     uis = unique_instances(self.design)
                     result.stats["paaf.unique_instances"] = len(uis)
                     result.unique_accesses = self.analyze_uniques(
-                        uis,
-                        jobs,
-                        use_cache,
-                        reports,
-                        span12["id"] if span12 else None,
+                        uis, use_cache, result
                     )
                 t2 = time.perf_counter()
-                with obs_trace.span("paaf.step3") as span3:
-                    self._run_step3(
-                        result, jobs, reports, span3["id"] if span3 else None
-                    )
+                with obs_trace.span("paaf.step3"):
+                    self._run_step3(result)
                 t3 = time.perf_counter()
         if self.cache is not None and use_cache and self.kernel.built:
             self.cache.store_pair_tables(self.kernel.tables)
         if self.cache is not None and use_cache and self.akernel.built:
             self.cache.store_array_tables(self.akernel.tables)
-        work = reports.work
+        work = {
+            name: count - before[name]
+            for name, count in self.akernel.work_counts().items()
+        }
         result.stats.update(self.kernel.stats())
         result.stats.update(self.akernel.stats())
         result.stats.update(work)
-        result.timings["step1"] = reports.seconds["step1"]
-        result.timings["step2"] = reports.seconds["step2"]
         result.timings["step3"] = t3 - t2
         result.timings["total"] = t3 - t0
         if self.cache is not None and use_cache:
@@ -323,7 +295,6 @@ class PinAccessFramework:
             for name in ("arraykernel.candidates", "arraykernel.filtered"):
                 if work[name]:
                     registry.incr(name, work[name])
-            registry.set_gauge("paaf.jobs", jobs)
             for name in (
                 "paaf.unique_instances",
                 "paaf.step12_tasks",
@@ -337,62 +308,68 @@ class PinAccessFramework:
 
     def run_step1(self, result: PinAccessResult = None) -> PinAccessResult:
         """Step 1: pin-based access point generation per unique instance."""
-        if result is None:
+        from repro.perf.workers import step1_unique
+
+        own = result is None
+        if own:
             result = PinAccessResult(design=self.design, config=self.config)
-            t0 = time.perf_counter()
-            self._step1(result)
+        t0 = time.perf_counter()
+        for ui in unique_instances(self.design):
+            aps_by_pin = step1_unique(
+                self.design, self.config, self.engine, self.akernel,
+                ui.representative,
+            )
+            result.unique_accesses.append(
+                UniqueInstanceAccess(unique_instance=ui, aps_by_pin=aps_by_pin)
+            )
+        if own:
             result.timings["step1"] = time.perf_counter() - t0
             result.timings["total"] = result.timings["step1"]
-            return result
-        self._step1(result)
         return result
 
     def analyze_uniques(
-        self,
-        uis: list,
-        jobs: int = 1,
-        use_cache: bool = True,
-        reports: TaskReports = None,
-        parent_span=None,
+        self, uis: list, use_cache: bool = True,
+        result: PinAccessResult = None,
     ) -> list:
         """Fused Step 1 + 2 for ``uis``: one access per unique instance.
 
         The one Step 1/2 path: ``run()`` passes every unique instance
         of the design, :class:`~repro.core.incremental.
         IncrementalPinAccess` a signature class first seen after a
-        move.  Cache hits skip task dispatch entirely; misses run
-        through :func:`repro.perf.workers.step12_task` (in-process for
-        ``jobs=1``, worker processes otherwise) and are stored back.
-        ``reports`` receives ``paaf.step12_tasks``, the fan-out stats
-        and the summed ``step1``/``step2`` seconds; task spans
-        re-parent under ``parent_span``.
+        move.  A cache hit skips the unit; a miss runs
+        :func:`repro.perf.workers.step12_unique` and is stored back.
+        When given, ``result`` receives the ``step1``/``step2`` seconds
+        and ``paaf.step12_tasks``, the number of units run.
         """
-        from repro.perf import workers
+        from repro.perf.workers import step12_unique
 
-        reports = reports if reports is not None else TaskReports()
         cache = self.cache if use_cache else None
-        entries = [
-            cache.load(ui) if cache is not None else None for ui in uis
-        ]
-        pending = [index for index, hit in enumerate(entries) if hit is None]
-        if pending:
-            values = self._fan_out(
-                workers.step12_task, pending, jobs, "step12", reports,
-                parent_span, uniques=uis,
-            )
-            for index, aps_by_pin, patterns, s1, s2 in values:
-                entries[index] = (aps_by_pin, patterns)
-                reports.seconds["step1"] += s1
-                reports.seconds["step2"] += s2
+        accesses = []
+        step1_s = step2_s = 0.0
+        tasks = 0
+        for index, ui in enumerate(uis):
+            entry = cache.load(ui) if cache is not None else None
+            if entry is None:
+                aps_by_pin, patterns, s1, s2 = step12_unique(
+                    self.design, self.config, self.engine, self.kernel,
+                    self.akernel, ui, index,
+                )
+                step1_s += s1
+                step2_s += s2
+                tasks += 1
                 if cache is not None:
-                    cache.store(uis[index], aps_by_pin, patterns)
-        reports.stats["paaf.step12_tasks"] = len(pending)
-        return [
-            UniqueInstanceAccess(
-                unique_instance=ui, aps_by_pin=aps_by_pin, patterns=patterns
+                    cache.store(ui, aps_by_pin, patterns)
+                entry = (aps_by_pin, patterns)
+            accesses.append(
+                UniqueInstanceAccess(
+                    unique_instance=ui, aps_by_pin=entry[0], patterns=entry[1]
+                )
             )
-            for ui, (aps_by_pin, patterns) in zip(uis, entries)
-        ]
+        if result is not None:
+            result.timings["step1"] = step1_s
+            result.timings["step2"] = step2_s
+            result.stats["paaf.step12_tasks"] = tasks
+        return accesses
 
     def select_components(
         self,
@@ -400,117 +377,60 @@ class PinAccessFramework:
         components: list,
         ua_of_inst: dict,
         translations: dict,
-        jobs: int = 1,
-        reports: TaskReports = None,
-        parent_span=None,
     ) -> ClusterSelectionResult:
-        """Step 3 over ``components`` of ``clusters``, one task each.
+        """Step 3 over ``components`` of ``clusters``, one unit each.
 
         The one Step 3 path: ``run()`` passes every component of
         :func:`cluster_components`, :class:`~repro.core.incremental.
-        IncrementalPinAccess` the components a move touched.  Clusters
-        sharing an instance (multi-height cells span several rows) form
-        one component so the serial pinning semantics hold inside each
-        :func:`repro.perf.workers.step3_task`; components are mutually
-        independent.  ``ua_of_inst`` and ``translations`` map every
-        member's name to its unique access and its ``(dx, dy)`` from
-        that access's coordinates.  The per-cluster outputs merge back
-        in cluster order, reproducing the serial selection and conflict
-        ordering.
+        IncrementalPinAccess` the components a move touched.  Each
+        component runs :func:`repro.perf.workers.step3_component`;
+        ``ua_of_inst`` and ``translations`` map every member's name to
+        its unique access and its ``(dx, dy)`` from that access's
+        coordinates.  The per-cluster outputs merge in cluster-index
+        order (a component may hold clusters 0 and 2), reproducing the
+        selection and conflict order of one pass over all clusters.
         """
-        from repro.perf import workers
+        from repro.perf.workers import step3_component
 
-        reports = reports if reports is not None else TaskReports()
-        bca = self.config.boundary_conflict_aware
-        payloads = []
+        per_cluster = {}
         for component in components:
-            names = sorted(
-                {inst.name for ci in component for inst in clusters[ci]}
+            selected, conflicts = step3_component(
+                self.design, self.config, self.kernel, self.akernel,
+                clusters, component, ua_of_inst, translations,
             )
-            payloads.append(
-                {
-                    "clusters": component,
-                    "patterns": {
-                        name: ua_of_inst[name].patterns for name in names
-                    },
-                    "translations": {
-                        name: translations[name] for name in names
-                    },
-                    "aps": (
-                        {name: ua_of_inst[name].aps_by_pin for name in names}
-                        if bca
-                        else None
-                    ),
-                }
-            )
-        values = self._fan_out(
-            workers.step3_task, payloads, jobs, "step3", reports,
-            parent_span, clusters=clusters,
-        )
-        per_cluster = sorted(
-            (item for value in values for item in value),
-            key=lambda item: item[0],
-        )
+            for ci, cluster_conflicts in conflicts:
+                per_cluster[ci] = (selected, cluster_conflicts)
         selection = ClusterSelectionResult()
-        built = {}
-        for _, selections, conflicts in per_cluster:
-            for inst_name, pattern_index, overrides in selections:
-                selected = built.get(inst_name)
-                if selected is None:
-                    if pattern_index is None:
-                        # Mirror the serial placeholder for instances
-                        # without a selectable pattern.
-                        selected = SelectedAccess(
-                            inst=self.design.instance(inst_name),
-                            pattern=None,
-                            dx=0,
-                            dy=0,
-                        )
-                    else:
-                        dx, dy = translations[inst_name]
-                        selected = SelectedAccess(
-                            inst=self.design.instance(inst_name),
-                            pattern=ua_of_inst[inst_name].patterns[
-                                pattern_index
-                            ],
-                            dx=dx,
-                            dy=dy,
-                        )
-                    built[inst_name] = selected
-                # A pinned multi-height instance reports accumulated
-                # overrides from each cluster; the latest snapshot wins.
-                selected.overrides = dict(overrides)
-                selection.selection[inst_name] = selected
+        for ci in sorted(per_cluster):
+            selected, conflicts = per_cluster[ci]
+            for inst in clusters[ci]:
+                selection.selection[inst.name] = selected[inst.name]
             selection.conflicts.extend(conflicts)
         return selection
 
     # -- internals ---------------------------------------------------------
 
     def _prepare_kernel(self, use_cache: bool) -> None:
-        """Warm the pair kernel before any fan-out.
+        """Preload persisted kernel tables from the cache.
 
-        Preloads persisted forbidden-displacement tables from the
-        cache (they live under the same tech+config fingerprint as the
-        AP entries) and eagerly compiles the rest, so worker processes
-        receive the complete table set and never build their own.  In
-        ``engine`` mode the kernel is inert and stays empty.
+        The pair kernel's forbidden-displacement tables and the array
+        kernel's per-cell tables live under the same tech+config
+        fingerprint as the AP entries.  Tables missing from the cache
+        compile on first use.  In ``engine`` mode a kernel is inert
+        and stays empty.
         """
+        if self.cache is None or not use_cache:
+            return
         if self.kernel.mode != "engine":
-            if self.cache is not None and use_cache:
-                tables = self.cache.load_pair_tables()
-                if tables:
-                    self.kernel.preload(tables)
-            self.kernel.build_all()
+            tables = self.cache.load_pair_tables()
+            if tables:
+                self.kernel.preload(tables)
         if self.akernel.mode != "engine":
-            if self.cache is not None and use_cache:
-                tables = self.cache.load_array_tables()
-                if tables:
-                    self.akernel.preload(tables)
-            self.akernel.build_all()
+            tables = self.cache.load_array_tables()
+            if tables:
+                self.akernel.preload(tables)
 
-    def _run_step3(
-        self, result: PinAccessResult, jobs: int, reports, parent_span
-    ) -> None:
+    def _run_step3(self, result: PinAccessResult) -> None:
         """Step 3 over every cluster component of the design."""
         clusters = self.design.row_clusters()
         components = cluster_components(clusters)
@@ -523,69 +443,10 @@ class PinAccessFramework:
                     member
                 )
         result.selection = self.select_components(
-            clusters, components, ua_of_inst, translations, jobs, reports,
-            parent_span,
+            clusters, components, ua_of_inst, translations
         )
         result.stats["paaf.clusters"] = len(clusters)
         result.stats["paaf.cluster_components"] = len(components)
-
-    def _fan_out(
-        self, task, payloads, jobs, label, reports, parent_span,
-        uniques=(), clusters=(),
-    ) -> list:
-        """Run worker ``task`` over ``payloads``; return its values.
-
-        Every task returns ``(value, counts, snapshot)``.  In task
-        order, the kernel counter deltas add into ``reports.work`` and
-        the observability snapshots merge into ``reports.collector``
-        (worker spans re-parent under ``parent_span``).  The workers
-        share this framework's kernels: in-process for ``jobs=1``,
-        as copies of them in worker processes otherwise.
-        """
-        from repro.perf import workers
-        from repro.perf.parallel import parallel_map
-
-        try:
-            outcome = parallel_map(
-                task,
-                payloads,
-                jobs=jobs,
-                initializer=workers.init_worker,
-                initargs=(
-                    self.design,
-                    self.config,
-                    self.kernel,
-                    self.akernel,
-                    uniques,
-                    clusters,
-                ),
-            )
-        finally:
-            workers.release_worker()
-        reports.stats[f"parallel.{label}_jobs"] = outcome.jobs_used
-        if outcome.fellback:
-            reports.stats["parallel.fallback"] = True
-        values = []
-        for value, counts, snapshot in outcome.results:
-            reports.work.update(counts)
-            if reports.collector is not None:
-                reports.collector.merge_task(snapshot, parent_span=parent_span)
-            values.append(value)
-        return values
-
-    def _step1(self, result: PinAccessResult) -> None:
-        generator = AccessPointGenerator(
-            self.design, self.engine, self.config, akernel=self.akernel
-        )
-        for ui in unique_instances(self.design):
-            rep = ui.representative
-            context = ShapeContext.from_instance(rep)
-            ua = UniqueInstanceAccess(unique_instance=ui)
-            for pin in rep.master.signal_pins():
-                ua.aps_by_pin[pin.name] = generator.generate_for_pin(
-                    rep, pin, context
-                )
-            result.unique_accesses.append(ua)
 
 
 def cluster_components(clusters: list) -> list:
@@ -594,8 +455,8 @@ def cluster_components(clusters: list) -> list:
     Two clusters belong to the same component when they share an
     instance (a multi-height cell is a member of every row it covers).
     Components are returned as sorted index lists, ordered by their
-    first cluster, so processing components in order and clusters
-    within a component in order reproduces the serial cluster order.
+    first cluster.  A component may skip indices (clusters 0 and 2),
+    so component order is not cluster order.
     """
     parent = list(range(len(clusters)))
 

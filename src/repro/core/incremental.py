@@ -14,7 +14,7 @@ analysis, moving an instance only
 1. re-derives the instance's signature -- the per-unique-instance
    Step 1/2 results are kept by signature and reused whenever the new
    placement lands on an already-analyzed offset class; a new class
-   goes through the framework's cache-then-task Step 1/2 path; and
+   goes through the framework's cache-then-compute Step 1/2 path; and
 2. re-runs Step 3 for the affected cluster components -- every
    component with a cluster in a row the moved instance spans before
    or after the move -- via the framework's Step 3 unit, on the

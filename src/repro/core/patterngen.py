@@ -180,8 +180,8 @@ class AccessPatternGenerator:
     def _compat_probe(self):
         """Return the via-compatibility test the DP masks compile from.
 
-        In ``kernel`` mode the prebuilt pair tables are probed
-        directly: mask compilation is the Step 2 hot loop, and these
+        In ``kernel`` mode the pair tables are probed directly (built
+        on first use): mask compilation is the Step 2 hot loop, and these
         inlined probes skip :meth:`PairKernel.pair_clean` and its
         ``pairkernel.query`` tick.  Other modes go through
         :meth:`aps_compatible` so ``engine`` and ``verify`` keep their
@@ -191,16 +191,13 @@ class AccessPatternGenerator:
         if kernel.mode != "kernel":
             return self.aps_compatible
         tables = kernel.tables
-        pair_clean = kernel.pair_clean
 
         def compat(a, b):
             if not a.has_via_access or not b.has_via_access:
                 return True
             table = tables.get((a.primary_via, b.primary_via, False))
             if table is None:
-                return pair_clean(
-                    a.primary_via, a.x, a.y, b.primary_via, b.x, b.y,
-                )
+                table = kernel.table(a.primary_via, b.primary_via, False)
             return table.clean(b.x - a.x, b.y - a.y)
 
         return compat
@@ -213,7 +210,7 @@ class AccessPatternGenerator:
         cannot conflict through vias.  The verdict itself comes from
         the translation-invariant pair kernel, which replaces the old
         per-generator ``id()``-keyed memo with tables shared across
-        unique instances, DP iterations and worker processes.
+        unique instances and DP iterations.
         """
         if not ap_a.has_via_access or not ap_b.has_via_access:
             return True

@@ -49,9 +49,8 @@ The kernel runs in one of three modes:
   kernel equivalent on live workloads.
 
 Tables are plain picklable values keyed by via *names*, so one kernel
-is shared across unique instances, shipped to worker processes
-(:mod:`repro.perf.workers`) and persisted next to the AP cache under
-the tech+config fingerprint (:mod:`repro.perf.apcache`).
+is shared across unique instances and persisted next to the AP cache
+under the tech+config fingerprint (:mod:`repro.perf.apcache`).
 """
 
 from __future__ import annotations
@@ -273,8 +272,8 @@ class PairKernel:
     """Value-keyed via-pair verdict service shared across Steps 2/3.
 
     Tables build lazily per ``(via_a, via_b, same_net)`` name key; a
-    prebuilt table dict can be injected (worker shipping, persisted
-    cache) via ``tables`` or :meth:`preload`.  ``built`` counts tables
+    prebuilt table dict can be injected (the persisted cache) via
+    ``tables`` or :meth:`preload`.  ``built`` counts tables
     compiled by *this* kernel, which is what decides whether the
     persisted copy needs rewriting.
     """
@@ -330,20 +329,6 @@ class PairKernel:
         else:
             tick("pairkernel.table.hit")
         return table
-
-    def build_all(self) -> "PairKernel":
-        """Eagerly compile every combination of the technology's vias.
-
-        Called before process fan-out so workers receive the complete
-        table set and the persisted copy is whole; the table space is
-        tiny (|vias|^2 x 2) and each build is microseconds.
-        """
-        names = [via.name for via in self.tech.vias]
-        for name_a in names:
-            for name_b in names:
-                self.table(name_a, name_b, False)
-                self.table(name_a, name_b, True)
-        return self
 
     # -- verdicts -----------------------------------------------------------
 

@@ -4,17 +4,10 @@ A :class:`Collector` owns whichever sinks a
 :class:`~repro.core.config.PaafConfig` asks for -- metrics registry
 (``profile`` / ``metrics_out``), tracer (``trace`` / ``trace_out``),
 event log (``explain``) -- and activates them together as a context
-manager.  The framework enters one collector around the whole run;
-each worker *task* enters its own and ships ``snapshot()`` back
-through the result channel, where :meth:`merge_task` folds it into
-the parent's sinks (metrics merge commutatively, spans re-parent
-under the step span, events append in deterministic task order).
-
-Because activation is context-local, the ``jobs=1`` in-process path
-shadows the parent's sinks for the duration of each task and restores
-them after -- the parent sees exactly the same merged stream a
-``jobs=N`` run produces, which is what the cross-process identity
-tests pin down.
+manager.  The framework enters one collector around the whole run,
+so every Step 1-3 unit records straight into the run's sinks, in the
+order the units run.  Activation is context-local: concurrent runs in
+other threads keep their own sinks.
 """
 
 from __future__ import annotations
@@ -25,7 +18,7 @@ from repro.obs import trace as _trace
 
 
 class Collector:
-    """Owns and activates the sinks one run (or one task) collects into."""
+    """Owns and activates the sinks one run collects into."""
 
     __slots__ = ("registry", "tracer", "log", "_tokens")
 
@@ -46,15 +39,6 @@ class Collector:
             events=bool(config.explain),
         )
 
-    @property
-    def enabled(self) -> bool:
-        """True when at least one sink collects."""
-        return (
-            self.registry is not None
-            or self.tracer is not None
-            or self.log is not None
-        )
-
     def __enter__(self) -> "Collector":
         tokens = []
         if self.registry is not None:
@@ -71,38 +55,6 @@ class Collector:
             module.restore(token)
         self._tokens = None
         return False
-
-    # -- cross-process transport ---------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Picklable dump of every sink, or None when nothing collects."""
-        if not self.enabled:
-            return None
-        snap = {}
-        if self.registry is not None:
-            snap["metrics"] = self.registry.snapshot()
-        if self.tracer is not None:
-            snap["trace"] = self.tracer.snapshot()
-        if self.log is not None:
-            snap["events"] = self.log.snapshot()
-        return snap
-
-    def merge_task(self, snapshot: dict, parent_span=None) -> None:
-        """Fold a task's :meth:`snapshot` into this collector's sinks.
-
-        ``parent_span`` is the id of the step span (in this
-        collector's tracer) the task's root spans re-parent under.
-        Callers must merge in deterministic task order so the combined
-        event stream is identical for any ``jobs=N``.
-        """
-        if not snapshot:
-            return
-        if self.registry is not None and "metrics" in snapshot:
-            self.registry.merge(snapshot["metrics"])
-        if self.tracer is not None and "trace" in snapshot:
-            self.tracer.adopt(snapshot["trace"], parent=parent_span)
-        if self.log is not None and "events" in snapshot:
-            self.log.extend(snapshot["events"])
 
     # -- run finalization ------------------------------------------------------
 

@@ -14,10 +14,8 @@ a flat, ordered stream of structured decision events --
 
 Events are plain JSON-scalar dicts appended to a context-local
 :class:`EventLog` (same activation pattern as the registry/tracer:
-one context-variable load when disabled).  Worker processes ship
-their log back through the task result channel; the parent extends
-its own log in deterministic task order, so the merged stream is
-identical for any ``jobs=N``.
+one context-variable load when disabled).  Steps 1-3 run in one
+process in a fixed order, so the stream is deterministic.
 
 The stream persists as JSONL under schema ``repro.obs.events/v1``:
 a header object ``{"schema": ..., "events": N}`` followed by one
@@ -48,14 +46,6 @@ class EventLog:
         event = {"kind": kind}
         event.update(fields)
         self.events.append(event)
-
-    def extend(self, events: list) -> None:
-        """Append a batch (e.g. a worker's :meth:`snapshot`)."""
-        self.events.extend(events)
-
-    def snapshot(self) -> list:
-        """Plain-list copy of the buffer, safe to pickle."""
-        return [dict(event) for event in self.events]
 
     def __len__(self):
         return len(self.events)

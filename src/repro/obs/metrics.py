@@ -4,14 +4,15 @@ The registry is the single sink for every hot-path measurement in the
 flow.  It subsumes the original ``Profiler`` counter bag: counters
 and timers keep their historical names and semantics, and two new
 families are added -- **gauges** (last-write-wins values such as
-fan-out widths) and **histograms** (fixed log-scale buckets, e.g.
-DRC-check latency, APs per pin, DP edge costs).
+unique-instance and cluster counts) and **histograms** (fixed
+log-scale buckets, e.g. DRC-check latency, APs per pin, DP edge
+costs).
 
 Activation is *context-local* (:mod:`contextvars`), not module-global:
-nested or concurrent activations -- worker tasks running in-process,
-threads, the span stack of :mod:`repro.obs.trace` -- cannot
-cross-contaminate.  When no registry is active, :func:`tick` and
-:func:`observe` are a single context-variable load and a falsy test.
+nested or concurrent activations -- threads, the span stack of
+:mod:`repro.obs.trace` -- cannot cross-contaminate.  When no registry
+is active, :func:`tick` and :func:`observe` are a single
+context-variable load and a falsy test.
 
 Metric and stat names follow a mandatory ``domain.sub.name``
 convention (:data:`NAME_RE`): lowercase dot-separated segments of
@@ -47,7 +48,7 @@ SEGMENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 #: Default histogram bucket upper bounds: powers of two from 2^-20
 #: (~1 microsecond) to 2^20 (~1e6), a fixed log scale every registry
-#: shares so cross-process histogram merges are always well-formed.
+#: shares.
 LOG2_BUCKETS = tuple(2.0**e for e in range(-20, 21))
 
 
@@ -89,7 +90,7 @@ def stats_name_violations(stats: dict, prefix: str = "") -> list:
 
 
 class Histogram:
-    """Fixed-bucket log-scale histogram (cross-process mergeable)."""
+    """Fixed-bucket log-scale histogram."""
 
     __slots__ = ("bounds", "counts", "total", "sum", "min", "max")
 
@@ -111,23 +112,8 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def merge(self, other: dict) -> None:
-        """Fold a :meth:`snapshot` of a same-bounds histogram in."""
-        if tuple(other["bounds"]) != self.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        for i, count in enumerate(other["counts"]):
-            self.counts[i] += count
-        self.total += other["total"]
-        self.sum += other["sum"]
-        for extreme, pick in (("min", min), ("max", max)):
-            theirs = other.get(extreme)
-            if theirs is None:
-                continue
-            ours = getattr(self, extreme)
-            setattr(self, extreme, theirs if ours is None else pick(ours, theirs))
-
     def snapshot(self) -> dict:
-        """Plain-dict copy, safe to pickle across processes."""
+        """Plain-dict copy of the buckets and extremes."""
         return {
             "bounds": self.bounds,
             "counts": list(self.counts),
@@ -227,9 +213,7 @@ class MetricsRegistry:
     """A typed bag of counters, timers, gauges and histograms.
 
     This is also the historical ``Profiler``: ``incr`` / ``add_time``
-    / ``time`` / ``merge`` / ``snapshot`` keep their original
-    semantics, and worker-process snapshots that carry only
-    ``counters``/``timers`` still merge cleanly.
+    / ``time`` / ``snapshot`` keep their original semantics.
     """
 
     __slots__ = ("counters", "timers", "gauges", "histograms", "_checked")
@@ -281,26 +265,8 @@ class MetricsRegistry:
             hist = self.histograms[self._name(name)] = Histogram()
         hist.observe(value)
 
-    # -- cross-process merge -------------------------------------------------
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a worker process) in."""
-        for name, count in snapshot.get("counters", {}).items():
-            self.counters[self._name(name)] += count
-        for name, seconds in snapshot.get("timers", {}).items():
-            self.add_time(name, seconds)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.set_gauge(name, value)
-        for name, data in snapshot.get("histograms", {}).items():
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = self.histograms[self._name(name)] = Histogram(
-                    tuple(data["bounds"])
-                )
-            hist.merge(data)
-
     def snapshot(self) -> dict:
-        """Return a plain-dict copy safe to pickle across processes."""
+        """Return a plain-dict copy of every family."""
         return {
             "counters": dict(self.counters),
             "timers": dict(self.timers),

@@ -1,11 +1,11 @@
 """Lightweight structured tracing: nested spans, Chrome-trace export.
 
 A :class:`Tracer` owns a flat per-process buffer of span records
-(plain dicts so worker processes can pickle their buffer back through
-the existing ``repro.perf.workers`` result channel).  :class:`span`
-is the only instrumentation primitive: a context manager that, when a
-tracer is active in the current context, records a monotonic-clock
-interval with parent/child nesting::
+(plain dicts, so a buffer can travel over the wire: the serve server
+echoes its request spans to the client).  :class:`span` is the only
+instrumentation primitive: a context manager that, when a tracer is
+active in the current context, records a monotonic-clock interval
+with parent/child nesting::
 
     with span("step1.pin", pin=pin.name):
         ...
@@ -13,17 +13,13 @@ interval with parent/child nesting::
 When no tracer is active the ``with`` costs a single context-variable
 load and a ``None`` test -- the same no-op-guard pattern
 ``repro.obs.metrics.tick`` uses -- so instrumented hot paths do not
-regress ``-j1`` timings.
+regress.
 
-Worker buffers are re-stitched into the parent's tree with
-:meth:`Tracer.adopt`, which re-bases span ids and re-parents each
-worker's root spans under the step span that spawned the task.  The
-combined tree exports as Chrome ``chrome://tracing`` / Perfetto JSON
-(:func:`write_chrome_trace`) and as a top-N summary for
-``result.stats`` (:func:`summarize`).  Worker clocks are monotonic
-but not offset-aligned with the parent's, so each adopted buffer is
-laid out on its own Chrome track (``tid``) instead of being
-clock-shifted.
+A foreign buffer is stitched into a tree with :meth:`Tracer.adopt`,
+which re-bases span ids and re-parents the foreign root spans under a
+local span.  The tree exports as Chrome ``chrome://tracing`` /
+Perfetto JSON (:func:`write_chrome_trace`) and as a top-N summary for
+``result.stats`` (:func:`summarize`).
 
 This module imports nothing from the rest of the package.
 """
@@ -81,12 +77,12 @@ class Tracer:
     def adopt(
         self, records: list, parent=None, shift: float = 0.0, track=None
     ) -> int:
-        """Stitch a worker's :meth:`snapshot` into this tracer's tree.
+        """Stitch a foreign :meth:`snapshot` into this tracer's tree.
 
-        Span ids are re-based to stay unique, the worker's root spans
+        Span ids are re-based to stay unique, the foreign root spans
         (``parent is None``) are re-parented under ``parent`` (a span
-        id in *this* tracer, typically the step span that spawned the
-        task), and the whole buffer is tagged with a fresh Chrome
+        id in *this* tracer, e.g. the client's request span), and the
+        whole buffer is tagged with a fresh Chrome
         track id.  Returns the number of spans adopted.
 
         ``shift`` is added to every adopted ``t0``: callers that *can*
@@ -153,10 +149,9 @@ def swap(tracer: Tracer):
     """Install ``tracer``, returning a token for :func:`restore`.
 
     Also clears the current-span variable: the swapped-in tracer is a
-    fresh buffer (a task collector's), so spans opened under it must
-    be roots -- any inherited span id would reference the *previous*
-    tracer (the parent's, e.g. across a ``fork`` or on the ``jobs=1``
-    in-process path) and corrupt re-parenting on adopt.
+    fresh buffer (a run's or a served request's), so spans opened
+    under it must be roots -- any inherited span id would reference
+    the *previous* tracer and corrupt re-parenting on adopt.
     """
     return (_TRACER.set(tracer), _CURRENT.set(None))
 
@@ -215,8 +210,8 @@ def current_span_id():
 def chrome_trace(tracer: Tracer) -> dict:
     """Render the tracer as a Chrome ``chrome://tracing`` document.
 
-    Complete events (``ph: "X"``) with microsecond timestamps; each
-    adopted worker buffer sits on its own track (``tid``).  Load the
+    Complete events (``ph: "X"``) with microsecond timestamps; an
+    adopted buffer sits on the track (``tid``) it was adopted to.  Load the
     file in ``chrome://tracing`` or https://ui.perfetto.dev.
     """
     events = []

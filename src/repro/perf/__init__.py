@@ -1,27 +1,25 @@
-"""Performance subsystem: parallel fan-out and persistent caching.
+"""Performance subsystem: persistent caching and the jobs knob.
 
-The paper's framework is embarrassingly parallel at two levels --
-Steps 1/2 across unique instances and Step 3 across row clusters --
-and its per-unique-instance results are reusable across runs whenever
-the unique-instance signature and the tech/config fingerprint match.
-This package supplies the two pieces the orchestrator threads
-through the flow:
+The paper's per-unique-instance results are reusable across runs
+whenever the unique-instance signature and the tech/config
+fingerprint match.  This package supplies:
 
-* :mod:`repro.perf.parallel` -- a process-pool ``parallel_map`` with a
-  zero-dependency serial fallback and deterministic result ordering.
 * :mod:`repro.perf.apcache` -- a disk-backed access point / pattern
   cache keyed by unique-instance signature plus a fingerprint hash.
+* :mod:`repro.perf.workers` -- the Step 1/2 and Step 3 units of work
+  the framework runs.
+* :mod:`repro.perf.parallel` -- ``effective_jobs``, the worker count
+  of ``repro compare run -j``.
 
 Hot-path counters and timers live in :mod:`repro.obs.metrics`.
 """
 
 from repro.perf.apcache import AccessCache, paaf_fingerprint, perf_mode_key
-from repro.perf.parallel import effective_jobs, parallel_map
+from repro.perf.parallel import effective_jobs
 
 __all__ = [
     "AccessCache",
     "paaf_fingerprint",
     "perf_mode_key",
-    "parallel_map",
     "effective_jobs",
 ]

@@ -7,8 +7,8 @@ framework ran with.  This cache stores that output on disk, keyed by
 
 * a **fingerprint** over the technology, the track grid and every
   result-affecting :class:`~repro.core.config.PaafConfig` field
-  (perf-only knobs -- ``jobs``, ``cache_dir``, ``profile`` -- are
-  excluded so they never invalidate entries), and
+  (perf-only knobs -- ``cache_dir``, ``profile``, the check modes --
+  are excluded so they never invalidate entries), and
 * the **unique-instance signature**.
 
 Entries are stored *relative to the representative's origin*, which is
@@ -50,7 +50,6 @@ CACHE_FORMAT_VERSION = 2
 # switching backends must keep hitting the same cache entries.
 PERF_ONLY_FIELDS = frozenset(
     {
-        "jobs",
         "cache_dir",
         "profile",
         "paircheck_mode",
@@ -106,14 +105,14 @@ def perf_mode_key(config) -> str:
     """Hash the perf knobs the result fingerprint deliberately ignores.
 
     Two runs sharing a :func:`paaf_fingerprint` compute identical
-    results but may execute very differently (``jobs``,
-    ``paircheck_mode``, ``apcheck_mode``).  Sweep run directories key
+    results but may execute very differently (``paircheck_mode``,
+    ``apcheck_mode``).  Sweep run directories key
     on fingerprint *plus* this, so perf variants of one configuration
     keep separate timing envelopes while still sharing the AP cache.
     Output paths and telemetry toggles are excluded: they never
     change what a measurement means.
     """
-    modes = (config.jobs, config.paircheck_mode, config.apcheck_mode)
+    modes = (config.paircheck_mode, config.apcheck_mode)
     return hashlib.sha256(repr(modes).encode("utf-8")).hexdigest()
 
 

@@ -1,27 +1,12 @@
-"""A small deterministic parallel executor.
+"""The worker-count knob of ``repro compare run -j``.
 
-``parallel_map`` applies a picklable function to a list of tasks and
-returns results **in task order**, regardless of completion order.
-With ``jobs <= 1`` it runs serially in-process through the exact same
-call path (same worker function, same initializer), so a serial run is
-the zero-dependency reference the parallel runs must bit-match.
-
-Workers receive shared read-only state (the design, the config)
-through the pool initializer once per process instead of once per
-task, which is what makes per-unique-instance fan-out cheap: only the
-task key and the task's own result cross the process boundary.
-
-If the platform cannot spawn worker processes at all (sandboxed
-environments, missing ``/dev/shm``), the executor degrades to the
-serial path and records the fallback so callers can surface it in
-their stats instead of crashing.
+:mod:`repro.runs` runs independent compare flows (and sweep points) in
+separate processes; one analysis always runs in one process.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 
 
 def effective_jobs(jobs) -> int:
@@ -29,78 +14,3 @@ def effective_jobs(jobs) -> int:
     if jobs is None or jobs <= 0:
         return os.cpu_count() or 1
     return jobs
-
-
-class ParallelOutcome:
-    """Results of a :func:`parallel_map` plus how they were obtained."""
-
-    __slots__ = ("results", "jobs_used", "fellback")
-
-    def __init__(self, results, jobs_used, fellback):
-        self.results = results
-        self.jobs_used = jobs_used
-        self.fellback = fellback
-
-
-def parallel_map(
-    fn,
-    tasks,
-    jobs: int = 1,
-    initializer=None,
-    initargs: tuple = (),
-) -> ParallelOutcome:
-    """Apply ``fn`` to every task, results returned in task order.
-
-    ``jobs <= 1`` runs in-process: the ``initializer`` is invoked
-    locally and ``fn`` is called task by task -- the identical code
-    path the worker processes execute, which is what guarantees
-    serial/parallel result equality.
-
-    With ``jobs > 1``, a :class:`ProcessPoolExecutor` runs the tasks;
-    completion is unordered but results are re-ordered by task index
-    before returning.  Pool creation failures (platforms without
-    process support) degrade to the serial path with
-    ``outcome.fellback`` set; task-level exceptions propagate.
-    """
-    tasks = list(tasks)
-    jobs = effective_jobs(jobs)
-    if jobs <= 1 or len(tasks) <= 1:
-        return ParallelOutcome(
-            _serial_map(fn, tasks, initializer, initargs), 1, False
-        )
-    try:
-        executor = ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks)),
-            initializer=initializer,
-            initargs=initargs,
-        )
-    except (OSError, ValueError, PermissionError):
-        return ParallelOutcome(
-            _serial_map(fn, tasks, initializer, initargs), 1, True
-        )
-    try:
-        results = [None] * len(tasks)
-        index_of = {}
-        try:
-            for idx, task in enumerate(tasks):
-                index_of[executor.submit(fn, task)] = idx
-            pending = set(index_of)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    results[index_of[future]] = future.result()
-        except BrokenProcessPool:
-            # A worker died (fork refused, OOM-killed, ...): redo the
-            # whole map serially rather than returning partial data.
-            return ParallelOutcome(
-                _serial_map(fn, tasks, initializer, initargs), 1, True
-            )
-        return ParallelOutcome(results, jobs, False)
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-
-
-def _serial_map(fn, tasks, initializer, initargs) -> list:
-    if initializer is not None:
-        initializer(*initargs)
-    return [fn(task) for task in tasks]

@@ -2,7 +2,7 @@
 
 The fingerprint is the identity contract every perf feature promises
 to preserve: for a fixed design + algorithmic config, the digest is
-the same for any ``jobs`` count, any ``paircheck_mode``, a cold or a
+the same for any ``paircheck_mode`` and ``apcheck_mode``, a cold or a
 warm AP cache, and any Python version (every container is sorted
 before serialization, so set/dict iteration order and hash
 randomization cannot leak in).

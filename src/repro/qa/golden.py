@@ -16,9 +16,9 @@ checked against them:
   bare hash mismatch.
 
 Because the fingerprint ignores perf knobs, running ``qa check`` with
-``--jobs 4`` or ``--paircheck-mode engine`` against goldens recorded
-serially with the kernel asserts the ``-j1 == -jN`` and ``kernel ==
-engine`` identities by construction; CI does exactly that.
+``--paircheck-mode engine`` or ``--apcheck-mode verify`` against
+goldens recorded with the kernels asserts the ``kernel == engine``
+identities by construction; CI does exactly that.
 """
 
 from __future__ import annotations
@@ -59,15 +59,14 @@ def golden_path(goldens_dir: str, testcase: str, scale: float) -> str:
 def run_case(
     testcase: str,
     scale: float,
-    jobs: int = 1,
     paircheck_mode: str = "kernel",
     apcheck_mode: str = "array",
 ):
     """Generate and analyze one case; return ``(result, failed_pins)``.
 
-    ``jobs``, ``paircheck_mode`` and ``apcheck_mode`` are perf knobs:
-    any combination must reproduce the same fingerprint, which is
-    exactly what the cross-matrix CI jobs assert.
+    ``paircheck_mode`` and ``apcheck_mode`` are perf knobs: any
+    combination must reproduce the same fingerprint, which is exactly
+    what the cross-matrix CI jobs assert.
     """
     from repro.bench import build_case
     from repro.core import PaafConfig, PinAccessFramework
@@ -75,7 +74,6 @@ def run_case(
 
     design = build_case(testcase, scale=scale)
     config = PaafConfig(
-        jobs=jobs,
         paircheck_mode=paircheck_mode,
         apcheck_mode=apcheck_mode,
     )
@@ -87,7 +85,6 @@ def run_case(
 def snapshot_case(
     testcase: str,
     scale: float,
-    jobs: int = 1,
     paircheck_mode: str = "kernel",
     apcheck_mode: str = "array",
 ) -> dict:
@@ -95,7 +92,6 @@ def snapshot_case(
     result, failed = run_case(
         testcase,
         scale,
-        jobs=jobs,
         paircheck_mode=paircheck_mode,
         apcheck_mode=apcheck_mode,
     )
@@ -233,7 +229,6 @@ def verify_result(record: dict, result, failed: list = None) -> None:
 def check_goldens(
     goldens_dir: str,
     cases: list = None,
-    jobs: int = 1,
     paircheck_mode: str = "kernel",
     apcheck_mode: str = "array",
     tolerances: dict = None,
@@ -251,7 +246,6 @@ def check_goldens(
     paths = list_goldens(goldens_dir, cases)
     report = {
         "goldens_dir": goldens_dir,
-        "jobs": jobs,
         "paircheck_mode": paircheck_mode,
         "apcheck_mode": apcheck_mode,
         "accept": accept,
@@ -267,7 +261,6 @@ def check_goldens(
         result, failed = run_case(
             case["testcase"],
             case["scale"],
-            jobs=jobs,
             paircheck_mode=paircheck_mode,
             apcheck_mode=apcheck_mode,
         )
@@ -285,7 +278,7 @@ def check_goldens(
         _print_entry(entry, out)
     out(
         f"qa check: {len(paths) - failures}/{len(paths)} case(s) ok "
-        f"(jobs={jobs}, paircheck_mode={paircheck_mode}, "
+        f"(paircheck_mode={paircheck_mode}, "
         f"apcheck_mode={apcheck_mode})"
     )
     return (1 if failures else 0), report

@@ -195,8 +195,7 @@ def render_qa_check(report: dict) -> str:
             ]
         )
     title = (
-        f"qa check (jobs={report.get('jobs')}, "
-        f"paircheck_mode={report.get('paircheck_mode')}, "
+        f"qa check (paircheck_mode={report.get('paircheck_mode')}, "
         f"apcheck_mode={report.get('apcheck_mode')})"
     )
     return format_table(

@@ -113,8 +113,7 @@ def run_units(
                 process.start()
             except OSError:
                 # Platforms without process support degrade to
-                # in-process execution (no timeout enforcement), the
-                # same posture as repro.perf.parallel.
+                # in-process execution (no timeout enforcement).
                 states[unit.key] = _finalize(unit, _main(unit), out)
                 continue
             live[unit.key] = (unit, process, time.monotonic() + timeout_s)

@@ -299,7 +299,6 @@ class OracleClient:
         lef: str,
         def_path: str,
         cache_dir: Optional[str] = None,
-        jobs: int = 1,
     ) -> dict:
         """Load a LEF/DEF pair (server-side paths) into a session."""
         return self.call(
@@ -308,7 +307,6 @@ class OracleClient:
                 lef=lef,
                 def_path=def_path,
                 cache_dir=cache_dir,
-                jobs=jobs,
             )
         )
 

@@ -236,14 +236,17 @@ class Request:
 
 @dataclass
 class LoadDesignRequest(Request):
-    """Load a LEF/DEF pair into a named session (server-side paths)."""
+    """Load a LEF/DEF pair into a named session (server-side paths).
+
+    Frames from older clients may carry ``jobs``; like any key the
+    parser does not read, it is ignored.
+    """
 
     op = "load_design"
     design: str = ""
     lef: str = ""
     def_path: str = ""
     cache_dir: Optional[str] = None
-    jobs: int = 1
 
     def _fields(self) -> dict:
         return {
@@ -251,7 +254,6 @@ class LoadDesignRequest(Request):
             "lef": self.lef,
             "def": self.def_path,
             "cache_dir": self.cache_dir,
-            "jobs": self.jobs,
         }
 
 
@@ -388,7 +390,6 @@ def parse_request(obj: dict) -> Request:
             lef=_require_str(obj, "lef"),
             def_path=_require_str(obj, "def"),
             cache_dir=_require_str(obj, "cache_dir", allow_none=True),
-            jobs=_require_int(obj, "jobs", default=1),
         )
     if cls is QueryRequest:
         return QueryRequest(

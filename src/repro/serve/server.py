@@ -507,7 +507,7 @@ class OracleServer:
             ) from exc
         tech, masters = parse_lef(lef_text)
         design = parse_def(def_text, tech, masters)
-        config = PaafConfig(jobs=request.jobs, cache_dir=request.cache_dir)
+        config = PaafConfig(cache_dir=request.cache_dir)
         session = DesignSession(request.design, design, config)
         self.add_session(session)
         return {

@@ -9,9 +9,8 @@ three ways:
   is translated into checks against matching sweep points (wall
   time, QPS, any shared perf key) with configurable tolerances; the
   translator understands the repo's historic baseline vocabularies
-  (``array_test1_s`` per-case cold analyze times, ``serial_s`` /
-  ``parallel2_s`` job-count variants) as well as any key a sweep
-  itself emits;
+  (``array_test1_s`` per-case cold analyze times, ``serial_s`` cold
+  analyze times) as well as any key a sweep itself emits;
 * **goldens** (``--goldens DIR``) -- points run at the default
   quality configuration are checked for bit-identical qa
   fingerprints and non-regressing quality metrics against the
@@ -43,11 +42,10 @@ REPORT_SCHEMA = "repro.sweep.report/v1"
 #: Point fields that change results (anything beyond these being
 #: non-default disqualifies a point from golden comparison).
 _PERF_ONLY_POINT_FIELDS = frozenset(
-    {"design", "scale", "jobs", "paircheck_mode", "apcheck_mode"}
+    {"design", "scale", "paircheck_mode", "apcheck_mode"}
 )
 
 _CASE_PERF_RE = re.compile(r"(array|engine)_(test\d+)_s\Z")
-_PARALLEL_PERF_RE = re.compile(r"parallel(\d+)_s\Z")
 
 
 def load_rows(run_dir: str) -> list:
@@ -123,8 +121,8 @@ def baseline_checks(entry: dict) -> list:
     * ``array_test5_s`` / ``engine_test5_s`` (BENCH_analyze.json's
       per-case corpus times) gate ``analyze_s`` of ``ispd18_test5``
       points running that ``apcheck_mode``;
-    * ``serial_s`` / ``parallelN_s`` (BENCH_parallel.json) gate
-      ``analyze_s`` of ``jobs=1`` / ``jobs=N`` points;
+    * ``serial_s`` (BENCH_parallel.json) gates ``analyze_s`` of
+      default-mode points;
     * any other key with an inferable direction gates the same key on
       design+scale alone.
     """
@@ -136,7 +134,6 @@ def baseline_checks(entry: dict) -> list:
         if not isinstance(want, (int, float)) or isinstance(want, bool):
             continue
         case = _CASE_PERF_RE.fullmatch(key)
-        parallel = _PARALLEL_PERF_RE.fullmatch(key)
         if case:
             selector = {
                 "design": f"ispd18_{case.group(2)}",
@@ -145,13 +142,11 @@ def baseline_checks(entry: dict) -> list:
             }
             checks.append((selector, "analyze_s", want, "lower", key))
         elif key == "serial_s":
-            selector = {"design": design, "scale": scale, "jobs": 1}
-            checks.append((selector, "analyze_s", want, "lower", key))
-        elif parallel:
             selector = {
                 "design": design,
                 "scale": scale,
-                "jobs": int(parallel.group(1)),
+                "paircheck_mode": "kernel",
+                "apcheck_mode": "array",
             }
             checks.append((selector, "analyze_s", want, "lower", key))
         else:
@@ -163,7 +158,6 @@ def baseline_checks(entry: dict) -> list:
 
 
 _POINT_MODE_DEFAULTS = {
-    "jobs": 1,
     "paircheck_mode": "kernel",
     "apcheck_mode": "array",
 }
@@ -412,19 +406,11 @@ def render_markdown(report: dict, title: str = "Sweep trend report") -> str:
         f"{len(report['regressions'])} regression(s)"
     )
     lines.append("")
-    header = (
-        ["point", "state", "jobs"]
-        + list(_TREND_COLUMNS)
-        + list(_TREND_METRICS)
-    )
+    header = ["point", "state"] + list(_TREND_COLUMNS) + list(_TREND_METRICS)
     lines.append("| " + " | ".join(header) + " |")
     lines.append("|" + "---|" * len(header))
     for point in report["points"]:
-        cells = [
-            point["key"],
-            point["state"],
-            str(point.get("point", {}).get("jobs", 1)),
-        ]
+        cells = [point["key"], point["state"]]
         for column in _TREND_COLUMNS:
             cells.append(_fmt(point["perf"].get(column)))
         for metric in _TREND_METRICS:

@@ -10,8 +10,8 @@ binds together
   (:func:`repro.perf.apcache.paaf_fingerprint`) over everything that
   affects results, and
 * the **perf-mode key** (:func:`repro.perf.apcache.perf_mode_key`)
-  over the knobs that only affect how fast results arrive (``jobs``,
-  ``paircheck_mode``, ``apcheck_mode``).
+  over the knobs that only affect how fast results arrive
+  (``paircheck_mode``, ``apcheck_mode``).
 
 The points run on :mod:`repro.runs`: a completed point (status
 ``done``, a ``point.json`` with a matching fingerprint and an
@@ -94,7 +94,7 @@ def plan_points(spec: SweepSpec) -> list:
 
     The key embeds the AP-cache config fingerprint (so a quality-knob
     change lands in a fresh directory and the old one reads as stale)
-    and the perf-mode key (so ``jobs=1`` and ``jobs=2`` variants of
+    and the perf-mode key (so ``kernel`` and ``engine`` variants of
     the same configuration keep separate timings).  Designs are built
     once per unique geometry to price the fingerprints.
     """

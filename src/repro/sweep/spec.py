@@ -3,7 +3,7 @@
 A sweep spec is a small YAML or JSON document that declares a design
 space exploration over the paper's own sensitivity axes (Tables
 I-III): designs x scale x tech node x quality knobs (``k``, ``alpha``,
-pattern budget, BCA) x perf knobs (``jobs``, ``paircheck_mode``,
+pattern budget, BCA) x perf knobs (``paircheck_mode``,
 ``apcheck_mode``).  :func:`load_spec` reads the file,
 :func:`expand_spec` validates it and expands the ``axes`` cartesian
 product (plus any explicit ``points``) into a normalized, duplicate-
@@ -23,7 +23,7 @@ Example::
       scale: 0.004
     axes:
       design: [ispd18_test1, ispd18_test5]
-      jobs: [1, 2]
+      paircheck_mode: [kernel, engine]
     options:
       workers: 2
       point_timeout_s: 600
@@ -53,13 +53,12 @@ POINT_FIELDS = {
     "require_cut_on_pin": (bool, "config"),
     "paircheck_mode": (str, "config"),
     "apcheck_mode": (str, "config"),
-    "jobs": (int, "config"),
 }
 
 #: Point fields that never change results, only how fast they arrive.
-PERF_POINT_FIELDS = frozenset({"jobs", "paircheck_mode", "apcheck_mode"})
+PERF_POINT_FIELDS = frozenset({"paircheck_mode", "apcheck_mode"})
 
-POINT_DEFAULTS = {"scale": 0.004, "jobs": 1}
+POINT_DEFAULTS = {"scale": 0.004}
 
 OPTION_FIELDS = {
     "workers": int,
@@ -262,8 +261,6 @@ def _check_point_values(point: dict, source: str) -> None:
                 f"{source}: {mode} must be one of {', '.join(choices)}, "
                 f"got {value!r}"
             )
-    if point.get("jobs", 0) < 0:
-        raise SpecError(f"{source}: jobs must be >= 0 (0 = all cores)")
 
 
 # -- YAML subset parser -------------------------------------------------------

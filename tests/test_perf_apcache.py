@@ -50,10 +50,18 @@ class TestWarmRuns:
         assert warm.stats["paaf.step12_tasks"] == 0  # Step 1/2 fully skipped
         assert _fingerprint(warm) == _fingerprint(cold)
 
-    def test_warm_run_identical_under_parallel(self, design, tmp_path):
-        cold = _run(design, tmp_path, jobs=2)
-        warm = _run(design, tmp_path, jobs=2)
-        assert warm.stats["paaf.step12_tasks"] == 0
+    def test_cold_warm_tables_build_lazily(self, design, tmp_path):
+        cold = _run(design, tmp_path)
+        # Kernel tables compile on first use: far fewer than every
+        # (via, via, same_net) combination.
+        pair_tables = 2 * len(design.tech.vias) ** 2
+        assert 0 < cold.stats["pairkernel.built"] < pair_tables
+        assert cold.stats["arraykernel.built"] > 0
+        warm = _run(design, tmp_path)
+        assert warm.stats["pairkernel.preloaded"]
+        assert warm.stats["arraykernel.preloaded"]
+        assert warm.stats["pairkernel.built"] == 0
+        assert warm.stats["arraykernel.built"] == 0
         assert _fingerprint(warm) == _fingerprint(cold)
 
     def test_use_cache_false_bypasses(self, design, tmp_path):
@@ -77,7 +85,11 @@ class TestInvalidation:
         for field in PERF_ONLY_FIELDS:
             assert hasattr(base, field)
         tweaked = dataclasses.replace(
-            base, jobs=4, cache_dir="/somewhere/else", profile=True
+            base,
+            cache_dir="/somewhere/else",
+            profile=True,
+            paircheck_mode="engine",
+            apcheck_mode="engine",
         )
         assert paaf_fingerprint(design, base) == paaf_fingerprint(
             design, tweaked

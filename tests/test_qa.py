@@ -1,7 +1,7 @@
 """Tests for the golden-result regression layer (``repro.qa``).
 
 Contracts under test: the canonical fingerprint is deterministic and
-invariant under every perf knob (jobs, paircheck_mode); a JSON round
+invariant under every perf knob (paircheck_mode); a JSON round
 trip of the canonical form preserves the digests (golden records store
 exactly that form); mutating any AP/pattern/selection produces a
 failing check whose diff names the affected step and pin; the metric
@@ -53,11 +53,11 @@ class TestFingerprint:
         result, failed = qa_golden.run_case(TESTCASE, SCALE)
         assert result.fingerprint().to_json() == record["fingerprint"]
 
-    def test_invariant_under_jobs_and_mode(self, record):
-        parallel, _ = qa_golden.run_case(
-            TESTCASE, SCALE, jobs=2, paircheck_mode="engine"
+    def test_invariant_under_paircheck_mode(self, record):
+        engine, _ = qa_golden.run_case(
+            TESTCASE, SCALE, paircheck_mode="engine"
         )
-        assert parallel.fingerprint().digest == (
+        assert engine.fingerprint().digest == (
             record["fingerprint"]["digest"]
         )
 

@@ -601,6 +601,47 @@ def lefdef_pair(tmp_path_factory):
     return design, str(lef), str(def_path)
 
 
+class TestLoadDesignWire:
+    def test_old_client_jobs_key_is_ignored(self, tmp_path, lefdef_pair):
+        """A ``load_design`` frame from an older client carries ``jobs``.
+
+        The server accepts and ignores the key: the session loads and
+        answers exactly like one loaded by a frame without it.
+        """
+        import socket as socketlib
+
+        design, lef, def_path = lefdef_pair
+        server, addr = start_server(tmp_path)
+        try:
+            sock = socketlib.socket(
+                socketlib.AF_UNIX, socketlib.SOCK_STREAM
+            )
+            sock.connect(addr[1])
+            frame = {
+                "v": protocol.PROTOCOL,
+                "id": 1,
+                "op": "load_design",
+                "design": "old",
+                "lef": lef,
+                "def": def_path,
+                "cache_dir": None,
+                "jobs": 2,
+            }
+            sock.sendall(encode_frame(frame))
+            response = read_frame(sock.makefile("rb"))
+            sock.close()
+            assert response["ok"] is True
+            assert response["result"]["loaded"] is True
+            pins = all_pins(design)
+            with OracleClient(addr) as client:
+                client.load_design("new", lef, def_path)
+                old = client.query_batch(pins, design="old")
+                new = client.query_batch(pins, design="new")
+            assert old == new
+        finally:
+            server.stop()
+
+
 class TestCli:
     def test_serve_and_query_subprocess(self, tmp_path, lefdef_pair):
         design, lef, def_path = lefdef_pair

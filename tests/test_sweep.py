@@ -72,7 +72,7 @@ defaults:
   flag: true
 axes:
   design: [ispd18_test1, ispd18_test5]
-  jobs: [1, 2]
+  k: [2, 3]
 points:
   - design: ispd18_test8
     scale: 0.002
@@ -85,7 +85,7 @@ empty:
             "defaults": {"scale": 0.004, "flag": True},
             "axes": {
                 "design": ["ispd18_test1", "ispd18_test5"],
-                "jobs": [1, 2],
+                "k": [2, 3],
             },
             "points": [
                 {"design": "ispd18_test8", "scale": 0.002},
@@ -135,7 +135,7 @@ class TestSpecExpansion:
                 "defaults": {"scale": 0.002},
                 "axes": {
                     "design": ["ispd18_test1", "ispd18_test5"],
-                    "jobs": [1, 2],
+                    "paircheck_mode": ["kernel", "engine"],
                 },
                 "points": [{"design": "ispd18_test8", "scale": 0.003}],
             }
@@ -247,7 +247,11 @@ class TestSpecExpansion:
             {
                 "name": "m",
                 "defaults": {"scale": 0.002, "design": "ispd18_test1"},
-                "points": [{"k": 2}, {"k": 3}, {"k": 3, "jobs": 2}],
+                "points": [
+                    {"k": 2},
+                    {"k": 3},
+                    {"k": 3, "paircheck_mode": "engine"},
+                ],
             }
         )
         planned = plan_points(spec)
@@ -255,7 +259,8 @@ class TestSpecExpansion:
         assert len(set(keys)) == 3
         # k=2 vs k=3 differ in config fingerprint ...
         assert planned[0].fingerprint != planned[1].fingerprint
-        # ... while jobs=2 shares it and differs only in perf key.
+        # ... while the engine backend shares it and differs only in
+        # perf key.
         assert planned[1].fingerprint == planned[2].fingerprint
         assert planned[1].perf_key != planned[2].perf_key
 
@@ -458,14 +463,16 @@ class TestReport:
 
     def test_baseline_source_key_tolerance_wins(self, run_rows):
         envelope = run_rows[0]["envelope"]
-        jobs = envelope["context"]["point"]["jobs"]
+        point = envelope["context"]["point"]
         baseline = bench_entry(
             design=envelope["design"],
             scale=envelope["scale"],
             cells=envelope["cells"],
             perf={"serial_s": envelope["perf"]["analyze_s"] / 100.0},
         )
-        assert jobs == 1
+        # serial_s gates default-mode points.
+        assert point.get("paircheck_mode", "kernel") == "kernel"
+        assert point.get("apcheck_mode", "array") == "array"
         tight = build_report(run_rows, baselines=[("B", [baseline])])
         assert tight["regressions"]
         loose = build_report(
