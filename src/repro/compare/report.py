@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 
-from repro.compare.cases import CaseSpec, parse_case
+from repro.compare.cases import CaseSpec
 from repro.runs import read_json, write_json
 
 COMPARE_SCHEMA = "repro.compare/v1"
@@ -376,8 +376,3 @@ def render_markdown(report: dict) -> str:
             )
         lines.append("")
     return "\n".join(lines)
-
-
-def default_cases(names: list) -> list:
-    """Parse CLI case arguments into :class:`CaseSpec` values."""
-    return [parse_case(name) for name in names]

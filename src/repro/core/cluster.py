@@ -140,19 +140,12 @@ class ClusterPatternSelector:
         self.kernel = kernel
         self.akernel = akernel
         self._via_vs_inst_cache = {}
-        # (id(left), id(right)) -> conflict list, valid only while
-        # neither side has repair overrides (the candidate objects are
-        # kept alive by the caller for the whole select() run, so ids
-        # are stable).  The cluster DP re-prices the same neighbor
-        # pair once per predecessor state; the memo collapses those
-        # repeats to one boundary scan.
-        self._conflict_cache = {}
-        # Translation-invariant twin of the identity memo: the verdict
-        # for a (pattern, pattern) pair depends only on the relative
-        # displacement of the two members, so rows of identically
-        # pitched instances share one boundary scan per pattern pair.
+        # The verdict for a (pattern, pattern) pair depends only on the
+        # relative displacement of the two members, so rows of
+        # identically pitched instances share one boundary scan per
+        # pattern pair.  Patterns belong to unique accesses, which
+        # outlive the selector, so their ids are stable keys.
         self._conflict_rel_cache = {}
-        self._via_aps_cache = {}
         self._boundary_window = self._interaction_window()
 
     def _interaction_window(self) -> int:
@@ -178,9 +171,16 @@ class ClusterPatternSelector:
         return window
 
     def select(
-        self, candidates_by_inst: dict, alternatives_fn=None
+        self, clusters: list, candidates_by_inst: dict, alternatives_fn=None
     ) -> ClusterSelectionResult:
-        """Select one pattern per instance over every cluster.
+        """Select one pattern per instance over ``clusters``, in order.
+
+        ``clusters`` are row clusters (instances left to right, as
+        :meth:`~repro.db.design.Design.row_clusters` returns them) in
+        row order: a multi-height instance selected in a lower row's
+        cluster keeps its choice in every cluster above.  The memos
+        hold verdicts for the current placement, so a selector serves
+        one placement and is rebuilt after a move.
 
         ``candidates_by_inst`` maps instance name to a list of
         ``SelectedAccess`` candidates (one per pattern of the unique
@@ -195,44 +195,23 @@ class ClusterPatternSelector:
         the DP are retried with their alternative access points.
         """
         result = ClusterSelectionResult()
-        for cluster in self.design.row_clusters():
-            self._select_in_cluster(
-                cluster, candidates_by_inst, result, alternatives_fn
-            )
+        for cluster in clusters:
+            with span(
+                "step3.cluster",
+                first=cluster[0].name if cluster else None,
+                insts=len(cluster),
+            ):
+                self._solve_cluster(
+                    cluster, candidates_by_inst, result, alternatives_fn
+                )
         return result
-
-    def select_cluster(
-        self, cluster, candidates_by_inst, result, alternatives_fn=None
-    ) -> None:
-        """Run the DP for one cluster, accumulating into ``result``.
-
-        The per-cluster entry point of the Step 3 component unit
-        (:func:`repro.perf.workers.step3_component`): it lets a caller
-        interleave clusters with its own bookkeeping (per-cluster
-        conflict slices) while sharing ``result`` so multi-height
-        pinning works across the caller's cluster sequence.
-        """
-        self._select_in_cluster(
-            cluster, candidates_by_inst, result, alternatives_fn
-        )
 
     # -- internals ---------------------------------------------------------
 
-    def _select_in_cluster(
+    def _solve_cluster(
         self, cluster, candidates_by_inst, result, alternatives_fn
     ) -> None:
-        with span(
-            "step3.cluster",
-            first=cluster[0].name if cluster else None,
-            insts=len(cluster),
-        ):
-            self._select_in_cluster_impl(
-                cluster, candidates_by_inst, result, alternatives_fn
-            )
-
-    def _select_in_cluster_impl(
-        self, cluster, candidates_by_inst, result, alternatives_fn
-    ) -> None:
+        """Run the DP for one cluster, accumulating into ``result``."""
         groups = []
         members = []
         pinned = set()
@@ -407,38 +386,35 @@ class ClusterPatternSelector:
         each other, and each boundary up-via against the *static*
         shapes (pins, obstructions) of the neighboring instance.
         """
-        cacheable = not left.overrides and not right.overrides
         rel_key = None
-        if cacheable:
-            cached = self._conflict_cache.get((id(left), id(right)))
-            if cached is not None:
-                return cached
-            if left.pattern is not None and right.pattern is not None:
-                # Patterns are owned by one unique instance each, so
-                # the pattern ids pin down both representatives'
-                # absolute geometry; the dx/dy delta pins the members'
-                # relative placement.  Every conflict check (pair
-                # kernel, via-vs-instance table) is translation
-                # invariant, so the pin-pair verdicts transfer.
-                rel_key = (
-                    id(left.pattern),
-                    id(right.pattern),
-                    right.dx - left.dx,
-                    right.dy - left.dy,
-                )
-                hit = self._conflict_rel_cache.get(rel_key)
-                if hit is not None:
-                    lname = left.inst.name
-                    rname = right.inst.name
-                    conflicts = [
-                        (lname, pin_a, rname, pin_b)
-                        for pin_a, pin_b in hit
-                    ]
-                    self._conflict_cache[(id(left), id(right))] = conflicts
-                    return conflicts
+        if (
+            not left.overrides
+            and not right.overrides
+            and left.pattern is not None
+            and right.pattern is not None
+        ):
+            # Each pattern pins down its representative's absolute
+            # geometry; the dx/dy delta pins the members' relative
+            # placement.  Every conflict check (pair kernel,
+            # via-vs-instance table) is translation invariant, so the
+            # pin-pair verdicts transfer.  Repair overrides mutate a
+            # selection in place, so a side carrying any is rescanned.
+            rel_key = (
+                id(left.pattern),
+                id(right.pattern),
+                right.dx - left.dx,
+                right.dy - left.dy,
+            )
+            hit = self._conflict_rel_cache.get(rel_key)
+            if hit is not None:
+                lname = left.inst.name
+                rname = right.inst.name
+                return [
+                    (lname, pin_a, rname, pin_b) for pin_a, pin_b in hit
+                ]
         conflicts = []
-        left_aps = self._boundary_via_aps(left, cacheable)
-        right_aps = self._boundary_via_aps(right, cacheable)
+        left_aps = self._boundary_via_aps(left)
+        right_aps = self._boundary_via_aps(right)
         lname = left.inst.name
         rname = right.inst.name
         kernel = self.kernel
@@ -464,33 +440,22 @@ class ClusterPatternSelector:
         for pin_b, ap_b, _via, _bx, _by in right_aps:
             if not self._via_vs_instance_clean(ap_b, left.inst):
                 conflicts.append((lname, "<shapes>", rname, pin_b))
-        if cacheable:
-            self._conflict_cache[(id(left), id(right))] = conflicts
-            if rel_key is not None:
-                self._conflict_rel_cache[rel_key] = [
-                    (pin_a, pin_b) for _, pin_a, _, pin_b in conflicts
-                ]
+        if rel_key is not None:
+            self._conflict_rel_cache[rel_key] = [
+                (pin_a, pin_b) for _, pin_a, _, pin_b in conflicts
+            ]
         return conflicts
 
-    def _boundary_via_aps(self, sel: SelectedAccess, cacheable: bool) -> list:
+    def _boundary_via_aps(self, sel: SelectedAccess) -> list:
         """Boundary APs with via access, unpacked for the conflict scan.
 
-        Entries are ``(pin, ap, primary_via, x, y)``; memoized per
-        selection object while it carries no repair overrides (same
-        staleness rule as the conflict memos).
+        Entries are ``(pin, ap, primary_via, x, y)``.
         """
-        if cacheable:
-            hit = self._via_aps_cache.get(id(sel))
-            if hit is not None:
-                return hit
-        out = [
+        return [
             (pin, ap, ap.valid_vias[0], ap.x, ap.y)
             for pin, ap in sel.boundary_aps(self._boundary_window)
             if ap.has_via_access
         ]
-        if cacheable:
-            self._via_aps_cache[id(sel)] = out
-        return out
 
     def _via_vs_instance_clean(self, ap, neighbor_inst) -> bool:
         """Check an up-via against a neighboring instance's shapes.

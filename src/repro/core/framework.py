@@ -14,7 +14,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.core.cluster import ClusterSelectionResult
+from repro.core.cluster import (
+    ClusterPatternSelector,
+    ClusterSelectionResult,
+    SelectedAccess,
+)
 from repro.core.config import PaafConfig
 from repro.core.signature import UniqueInstance, unique_instances
 from repro.db.design import Design
@@ -70,10 +74,10 @@ class PinAccessResult:
     # -- identity hooks (repro.qa) ------------------------------------------
     #
     # Result ordering is stable by construction: ``unique_accesses``
-    # follows ``unique_instances(design)`` order, Step 3 merges
-    # per-cluster outputs back in design cluster order, and
-    # ``failed_pins`` walks ``design.connected_pins()``.  The qa layer
-    # leans on that to canonicalize and digest results.
+    # follows ``unique_instances(design)`` order, Step 3 takes the
+    # clusters in design cluster order, and ``failed_pins`` walks
+    # ``design.connected_pins()``.  The qa layer leans on that to
+    # canonicalize and digest results.
 
     def canonical(self) -> dict:
         """Return the sorted plain-JSON form of this result.
@@ -199,11 +203,10 @@ class PinAccessFramework:
     """The paper's complete pin access analysis framework (PAAF).
 
     ``run()`` calls Steps 1 + 2 as one fused unit per unique instance
-    and Step 3 as one unit per row-cluster *component* (clusters
-    linked by shared multi-height instances), in this process, on the
-    framework's own kernels.  With ``config.cache_dir`` set,
-    per-unique-instance results persist across runs keyed by
-    signature + tech/config fingerprint.
+    and Step 3 as one pass over the design's row clusters, in this
+    process, on the framework's own kernels.  With
+    ``config.cache_dir`` set, per-unique-instance results persist
+    across runs keyed by signature + tech/config fingerprint.
     """
 
     def __init__(
@@ -275,10 +278,10 @@ class PinAccessFramework:
                 with obs_trace.span("paaf.step3"):
                     self._run_step3(result)
                 t3 = time.perf_counter()
-        if self.cache is not None and use_cache and self.kernel.built:
-            self.cache.store_pair_tables(self.kernel.tables)
-        if self.cache is not None and use_cache and self.akernel.built:
-            self.cache.store_array_tables(self.akernel.tables)
+        if self.cache is not None and use_cache:
+            for name, kernel in self._table_kernels():
+                if kernel.built:
+                    self.cache.store_tables(name, kernel.tables)
         work = {
             name: count - before[name]
             for name, count in self.akernel.work_counts().items()
@@ -299,7 +302,6 @@ class PinAccessFramework:
                 "paaf.unique_instances",
                 "paaf.step12_tasks",
                 "paaf.clusters",
-                "paaf.cluster_components",
             ):
                 if name in result.stats:
                     registry.set_gauge(name, result.stats[name])
@@ -371,42 +373,38 @@ class PinAccessFramework:
             result.stats["paaf.step12_tasks"] = tasks
         return accesses
 
-    def select_components(
-        self,
-        clusters: list,
-        components: list,
-        ua_of_inst: dict,
-        translations: dict,
+    def select_patterns(
+        self, clusters: list, ua_of_inst: dict, translations: dict
     ) -> ClusterSelectionResult:
-        """Step 3 over ``components`` of ``clusters``, one unit each.
+        """Step 3: one cluster-DP pass over ``clusters``, in order.
 
-        The one Step 3 path: ``run()`` passes every component of
-        :func:`cluster_components`, :class:`~repro.core.incremental.
-        IncrementalPinAccess` the components a move touched.  Each
-        component runs :func:`repro.perf.workers.step3_component`;
-        ``ua_of_inst`` and ``translations`` map every member's name to
-        its unique access and its ``(dx, dy)`` from that access's
-        coordinates.  The per-cluster outputs merge in cluster-index
-        order (a component may hold clusters 0 and 2), reproducing the
-        selection and conflict order of one pass over all clusters.
+        The one Step 3 path: ``run()`` passes every row cluster of the
+        design, :class:`~repro.core.incremental.IncrementalPinAccess`
+        the clusters of the components a move touched, in
+        cluster-index order.  ``ua_of_inst`` and ``translations`` map
+        every member's name to its unique access and to its
+        ``(dx, dy)`` from that access's coordinates.  Each pass builds
+        its own selector, so no memo outlives the placement it was
+        computed for.
         """
-        from repro.perf.workers import step3_component
+        candidates_by_inst = {}
+        for cluster in clusters:
+            for inst in cluster:
+                dx, dy = translations[inst.name]
+                candidates_by_inst[inst.name] = [
+                    SelectedAccess(inst=inst, pattern=p, dx=dx, dy=dy)
+                    for p in ua_of_inst[inst.name].patterns
+                ]
+        alternatives_fn = None
+        if self.config.boundary_conflict_aware:
 
-        per_cluster = {}
-        for component in components:
-            selected, conflicts = step3_component(
-                self.design, self.config, self.kernel, self.akernel,
-                clusters, component, ua_of_inst, translations,
-            )
-            for ci, cluster_conflicts in conflicts:
-                per_cluster[ci] = (selected, cluster_conflicts)
-        selection = ClusterSelectionResult()
-        for ci in sorted(per_cluster):
-            selected, conflicts = per_cluster[ci]
-            for inst in clusters[ci]:
-                selection.selection[inst.name] = selected[inst.name]
-            selection.conflicts.extend(conflicts)
-        return selection
+            def alternatives_fn(inst_name, pin_name):
+                return ua_of_inst[inst_name].aps_by_pin.get(pin_name, [])
+
+        selector = ClusterPatternSelector(
+            self.design, self.config, kernel=self.kernel, akernel=self.akernel
+        )
+        return selector.select(clusters, candidates_by_inst, alternatives_fn)
 
     # -- internals ---------------------------------------------------------
 
@@ -421,19 +419,24 @@ class PinAccessFramework:
         """
         if self.cache is None or not use_cache:
             return
-        if self.kernel.mode != "engine":
-            tables = self.cache.load_pair_tables()
-            if tables:
-                self.kernel.preload(tables)
-        if self.akernel.mode != "engine":
-            tables = self.cache.load_array_tables()
-            if tables:
-                self.akernel.preload(tables)
+        for name, kernel in self._table_kernels():
+            if kernel.mode != "engine":
+                tables = self.cache.load_tables(name)
+                if tables:
+                    kernel.preload(tables)
+
+    def _table_kernels(self) -> tuple:
+        """Return ``(cache file name, kernel)`` for both kernels."""
+        from repro.perf.apcache import ARRAY_TABLE_FILE, PAIR_TABLE_FILE
+
+        return (
+            (PAIR_TABLE_FILE, self.kernel),
+            (ARRAY_TABLE_FILE, self.akernel),
+        )
 
     def _run_step3(self, result: PinAccessResult) -> None:
-        """Step 3 over every cluster component of the design."""
+        """Step 3 over every row cluster of the design."""
         clusters = self.design.row_clusters()
-        components = cluster_components(clusters)
         ua_of_inst = {}
         translations = {}
         for ua in result.unique_accesses:
@@ -442,45 +445,10 @@ class PinAccessFramework:
                 translations[member.name] = ua.unique_instance.translation_to(
                     member
                 )
-        result.selection = self.select_components(
-            clusters, components, ua_of_inst, translations
+        result.selection = self.select_patterns(
+            clusters, ua_of_inst, translations
         )
         result.stats["paaf.clusters"] = len(clusters)
-        result.stats["paaf.cluster_components"] = len(components)
-
-
-def cluster_components(clusters: list) -> list:
-    """Group cluster indices into instance-sharing components.
-
-    Two clusters belong to the same component when they share an
-    instance (a multi-height cell is a member of every row it covers).
-    Components are returned as sorted index lists, ordered by their
-    first cluster.  A component may skip indices (clusters 0 and 2),
-    so component order is not cluster order.
-    """
-    parent = list(range(len(clusters)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    owner = {}
-    for ci, cluster in enumerate(clusters):
-        for inst in cluster:
-            prev = owner.get(inst.name)
-            if prev is None:
-                owner[inst.name] = ci
-            else:
-                parent[find(ci)] = find(prev)
-    components = {}
-    for ci in range(len(clusters)):
-        components.setdefault(find(ci), []).append(ci)
-    return sorted(
-        (sorted(members) for members in components.values()),
-        key=lambda members: members[0],
-    )
 
 
 def evaluate_failed_pins(design: Design, access_map: dict) -> list:

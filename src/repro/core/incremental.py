@@ -15,12 +15,13 @@ analysis, moving an instance only
    Step 1/2 results are kept by signature and reused whenever the new
    placement lands on an already-analyzed offset class; a new class
    goes through the framework's cache-then-compute Step 1/2 path; and
-2. re-runs Step 3 for the affected cluster components -- every
-   component with a cluster in a row the moved instance spans before
-   or after the move -- via the framework's Step 3 unit, on the
-   configured backend, leaving the rest of the selection untouched.
+2. re-runs Step 3 over the clusters of the affected cluster
+   components -- every component with a cluster in a row the moved
+   instance spans before or after the move -- in one pass of the
+   framework's Step 3, on the configured backend, leaving the rest of
+   the selection untouched.
 
-Components are independent, so the result equals a from-scratch
+Components share no instance, so the result equals a from-scratch
 re-analysis (asserted by tests and measured by
 ``benchmarks/test_incremental.py``) at a small fraction of the cost.
 """
@@ -31,11 +32,7 @@ import time
 
 from repro.core.cluster import ClusterSelectionResult
 from repro.core.config import PaafConfig
-from repro.core.framework import (
-    PinAccessFramework,
-    UniqueInstanceAccess,
-    cluster_components,
-)
+from repro.core.framework import PinAccessFramework, UniqueInstanceAccess
 from repro.core.oracle import UnknownInstanceError
 from repro.core.signature import UniqueInstance, instance_signature
 from repro.db.design import Design
@@ -137,24 +134,22 @@ class IncrementalPinAccess:
         rows.update(design.rows_of(inst))
 
         clusters = design.row_clusters()
-        components = [
-            component
+        affected = sorted(
+            ci
             for component in cluster_components(clusters)
             if any(
                 member is inst or rows.intersection(design.rows_of(member))
                 for ci in component
                 for member in clusters[ci]
             )
-        ]
-        members = {
-            member.name: member
-            for component in components
             for ci in component
-            for member in clusters[ci]
+        )
+        clusters = [clusters[ci] for ci in affected]
+        members = {
+            member.name: member for cluster in clusters for member in cluster
         }
-        partial = self.framework.select_components(
+        partial = self.framework.select_patterns(
             clusters,
-            components,
             {n: self.unique_access_of(m) for n, m in members.items()},
             {n: self.translation_of(m) for n, m in members.items()},
         )
@@ -175,3 +170,37 @@ class IncrementalPinAccess:
         self._ua_by_signature[ui.signature] = ua
         rep = ui.representative
         self._ua_origin[ui.signature] = (rep.location.x, rep.location.y)
+
+
+def cluster_components(clusters: list) -> list:
+    """Group cluster indices into instance-sharing components.
+
+    Two clusters belong to the same component when they share an
+    instance (a multi-height cell is a member of every row it covers).
+    Components are returned as sorted index lists, ordered by their
+    first cluster.  A component may skip indices (clusters 0 and 2),
+    so component order is not cluster order.
+    """
+    parent = list(range(len(clusters)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    owner = {}
+    for ci, cluster in enumerate(clusters):
+        for inst in cluster:
+            prev = owner.get(inst.name)
+            if prev is None:
+                owner[inst.name] = ci
+            else:
+                parent[find(ci)] = find(prev)
+    components = {}
+    for ci in range(len(clusters)):
+        components.setdefault(find(ci), []).append(ci)
+    return sorted(
+        (sorted(members) for members in components.values()),
+        key=lambda members: members[0],
+    )

@@ -391,11 +391,6 @@ def _prom_name(name: str) -> str:
     return name.replace(".", "_").replace("-", "_")
 
 
-def prom_name(name: str) -> str:
-    """Public alias of the dotted-name translation (serve exporters)."""
-    return _prom_name(name)
-
-
 def prom_label_value(value) -> str:
     """Escape a value for use inside a Prometheus label string."""
     text = str(value)

@@ -1,4 +1,4 @@
-"""Performance subsystem: persistent caching and the jobs knob.
+"""Performance subsystem: the persistent AP cache and the Step 1/2 unit.
 
 The paper's per-unique-instance results are reusable across runs
 whenever the unique-instance signature and the tech/config
@@ -6,8 +6,8 @@ fingerprint match.  This package supplies:
 
 * :mod:`repro.perf.apcache` -- a disk-backed access point / pattern
   cache keyed by unique-instance signature plus a fingerprint hash.
-* :mod:`repro.perf.workers` -- the Step 1/2 and Step 3 units of work
-  the framework runs.
+* :mod:`repro.perf.workers` -- the fused Step 1/2 unit the framework
+  runs per unique instance.
 * :mod:`repro.perf.parallel` -- ``effective_jobs``, the worker count
   of ``repro compare run -j``.
 

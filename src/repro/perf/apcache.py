@@ -207,20 +207,8 @@ class AccessCache:
             "aps_by_pin": rel_aps,
             "patterns": rel_patterns,
         }
-        path = self._path(ui.signature)
-        os.makedirs(self.root, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(entry, handle, protocol=4)
-            os.replace(tmp_path, path)
-        except OSError:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            return
-        self.stores += 1
+        if self._write(self._path(ui.signature), entry):
+            self.stores += 1
 
     def stats(self) -> dict:
         """Return hit/miss/store counters for ``PinAccessResult.stats``."""
@@ -248,93 +236,54 @@ class AccessCache:
         except OSError:
             return 0
 
-    # -- pair kernel tables --------------------------------------------------
+    # -- kernel tables -----------------------------------------------------
 
-    def load_pair_tables(self):
-        """Return the persisted pair-kernel tables, or None on miss.
+    def load_tables(self, name: str):
+        """Return the kernel tables persisted as ``name``, or None.
 
-        The tables depend only on the technology and the rule set,
-        both covered by the fingerprint this cache is rooted under, so
-        a warm run adopts them wholesale and skips kernel construction.
+        ``name`` is :data:`PAIR_TABLE_FILE` or :data:`ARRAY_TABLE_FILE`.
+        The tables depend only on the technology, the rule set and the
+        cell library's geometry, all covered by the fingerprint this
+        cache is rooted under, so a warm run adopts them wholesale and
+        skips compilation.
         """
-        path = os.path.join(self.root, PAIR_TABLE_FILE)
         try:
-            with open(path, "rb") as handle:
+            with open(os.path.join(self.root, name), "rb") as handle:
                 entry = pickle.load(handle)
-        except FileNotFoundError:
-            return None
         except Exception:
             # Same degradation contract as per-signature entries: a
-            # torn or stale file is a miss, never a crash.
+            # missing, torn or unreadable file is a miss, never a crash.
             return None
-        if not isinstance(entry, dict) or (
-            entry.get("version") != CACHE_FORMAT_VERSION
-        ):
-            return None
-        if entry.get("fingerprint") != self.fingerprint:
+        if (
+            not isinstance(entry, dict)
+            or entry.get("version") != CACHE_FORMAT_VERSION
             # A table file carried over from another tech/config
             # generation: rebuild rather than trust it.
-            return None
-        tables = entry.get("tables")
-        return tables if isinstance(tables, dict) else None
-
-    def store_pair_tables(self, tables: dict) -> None:
-        """Persist the pair-kernel tables atomically."""
-        entry = {
-            "version": CACHE_FORMAT_VERSION,
-            "fingerprint": self.fingerprint,
-            "tables": tables,
-        }
-        path = os.path.join(self.root, PAIR_TABLE_FILE)
-        os.makedirs(self.root, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(entry, handle, protocol=4)
-            os.replace(tmp_path, path)
-        except OSError:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-
-    # -- array kernel tables -------------------------------------------------
-
-    def load_array_tables(self):
-        """Return the persisted array-kernel tables, or None on miss.
-
-        Same contract as :meth:`load_pair_tables`: the compiled
-        per-cell tables depend on the technology and the cell
-        library's geometry, both under this cache's fingerprint, so a
-        warm run adopts them wholesale and skips compilation.
-        """
-        path = os.path.join(self.root, ARRAY_TABLE_FILE)
-        try:
-            with open(path, "rb") as handle:
-                entry = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Same degradation contract as per-signature entries: a
-            # torn or stale file is a miss, never a crash.
-            return None
-        if not isinstance(entry, dict) or (
-            entry.get("version") != CACHE_FORMAT_VERSION
+            or entry.get("fingerprint") != self.fingerprint
         ):
             return None
-        if entry.get("fingerprint") != self.fingerprint:
-            return None
         tables = entry.get("tables")
         return tables if isinstance(tables, dict) else None
 
-    def store_array_tables(self, tables: dict) -> None:
-        """Persist the array-kernel tables atomically."""
-        entry = {
-            "version": CACHE_FORMAT_VERSION,
-            "fingerprint": self.fingerprint,
-            "tables": tables,
-        }
-        path = os.path.join(self.root, ARRAY_TABLE_FILE)
+    def store_tables(self, name: str, tables: dict) -> None:
+        """Persist kernel tables as ``name`` (see :meth:`load_tables`)."""
+        self._write(
+            os.path.join(self.root, name),
+            {
+                "version": CACHE_FORMAT_VERSION,
+                "fingerprint": self.fingerprint,
+                "tables": tables,
+            },
+        )
+
+    # -- internals ---------------------------------------------------------
+
+    def _write(self, path: str, entry: dict) -> bool:
+        """Pickle ``entry`` to ``path`` atomically (temp file + rename).
+
+        Returns False, leaving no temp file behind, when the write
+        fails: a cache that cannot store degrades to misses.
+        """
         os.makedirs(self.root, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
@@ -346,8 +295,8 @@ class AccessCache:
                 os.unlink(tmp_path)
             except OSError:
                 pass
-
-    # -- internals ---------------------------------------------------------
+            return False
+        return True
 
     def _entry_intact(self, entry) -> bool:
         """Check an entry's recorded identity against its payload."""

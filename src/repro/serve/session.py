@@ -13,9 +13,9 @@ daemon's reader-writer discipline:
 * **Writes are serialized.**  ``move_instance`` takes the session
   write lock, routes the edit through
   :class:`~repro.core.incremental.IncrementalPinAccess` (signature
-  cache hit + Step 3 for the affected cluster components via the
-  framework's Step 3 unit, on the configured backend -- the paper's
-  Experiment 2 loop), builds the next snapshot off to the side and
+  cache hit + one Step 3 pass over the affected cluster components'
+  clusters, on the configured backend -- the paper's Experiment 2
+  loop), builds the next snapshot off to the side and
   publishes it with one reference assignment.  Readers see the old
   generation or the new one, never a mixture; the ``generation``
   stamp on every answer makes that observable (and testable).

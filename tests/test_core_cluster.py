@@ -10,6 +10,7 @@ from repro.core.coords import CoordType
 from repro.core.pattern import AccessPattern
 from repro.drc.engine import DrcEngine
 from repro.drc.pairkernel import PairKernel
+from repro.geom.point import Point
 
 from tests.conftest import make_simple_design
 
@@ -119,11 +120,11 @@ class TestSelection:
             ]
             for name in ("u0", "u1")
         }
-        result = selector.select(candidates)
+        result = selector.select(design.row_clusters(), candidates)
         assert set(result.selection) == {"u0", "u1"}
 
     def test_missing_candidates_get_none_pattern(self, design, selector):
-        result = selector.select({})
+        result = selector.select(design.row_clusters(), {})
         assert result.selection["u0"].pattern is None
 
     def test_conflicting_boundary_patterns_avoided(self, design, selector):
@@ -144,7 +145,7 @@ class TestSelection:
                 SelectedAccess(inst=u1, pattern=u1_safe, dx=0, dy=0),
             ],
         }
-        result = selector.select(candidates)
+        result = selector.select(design.row_clusters(), candidates)
         assert result.conflicts == []
         chosen_z = result.selection["u0"].ap_of("Z").x
         chosen_a = result.selection["u1"].ap_of("A").x
@@ -164,7 +165,7 @@ class TestSelection:
                 )
             ],
         }
-        result = selector.select(candidates)
+        result = selector.select(design.row_clusters(), candidates)
         assert result.conflicts
         assert ("u0", "Z") in result.conflicting_pins()
         assert ("u1", "A") in result.conflicting_pins()
@@ -193,7 +194,9 @@ class TestSelection:
         def alternatives_fn(inst_name, pin_name):
             return alternatives.get((inst_name, pin_name), [])
 
-        result = selector.select(candidates, alternatives_fn)
+        result = selector.select(
+            design.row_clusters(), candidates, alternatives_fn
+        )
         assert result.conflicts == []
         assert result.selection["u1"].ap_of("A").x == 2450
 
@@ -225,5 +228,71 @@ class TestSelection:
                 )
             ],
         }
-        result = selector.select(candidates)
+        result = selector.select(design.row_clusters(), candidates)
         assert ("u0", "Z") in result.conflicting_pins()
+
+
+
+class TestOnePass:
+    def test_one_selector_spans_disjoint_cluster_sets(self, n45):
+        """A selector's memos key on values and long-lived patterns.
+
+        One selector runs over two disjoint clusters in turn; the
+        first cluster's candidate lists are freed before the second
+        pass, so their object ids may be handed out again.  Each pass
+        must still equal a fresh selector's.
+        """
+        design = make_simple_design(n45, num_instances=4)
+        for name in ("u2", "u3"):
+            inst = design.instance(name)
+            inst.location = Point(inst.location.x + 1400, inst.location.y)
+        clusters = design.row_clusters()
+        assert [[inst.name for inst in c] for c in clusters] == [
+            ["u0", "u1"],
+            ["u2", "u3"],
+        ]
+        # Per cluster: a cheap pair of patterns hugging the shared edge
+        # (in conflict) and a dearer clean one per side.  Patterns, like
+        # a unique instance's, outlive both passes.
+        patterns = {}
+        for left, right in (("u0", "u1"), ("u2", "u3")):
+            edge = design.instance(left).bbox.xhi
+            patterns[left] = [
+                pattern({"Z": ap(edge - 70, 2100)}, cost=0),
+                pattern({"Z": ap(edge - 350, 2100)}, cost=1),
+            ]
+            patterns[right] = [
+                pattern({"A": ap(edge + 70, 2100)}, cost=0),
+                pattern({"A": ap(edge + 350, 2100)}, cost=1),
+            ]
+
+        def candidates(cluster):
+            return {
+                inst.name: [
+                    SelectedAccess(inst=inst, pattern=p, dx=0, dy=0)
+                    for p in patterns[inst.name]
+                ]
+                for inst in cluster
+            }
+
+        engine = DrcEngine(design.tech)
+
+        def selector():
+            return ClusterPatternSelector(
+                design,
+                kernel=PairKernel(design.tech, engine=engine),
+                akernel=ArrayKernel(design, mode="engine", engine=engine),
+            )
+
+        shared = selector()
+        passes = []
+        for cluster in clusters:
+            fresh_lists = candidates(cluster)
+            passes.append(shared.select([cluster], fresh_lists))
+            del fresh_lists
+        for cluster, got in zip(clusters, passes):
+            want = selector().select([cluster], candidates(cluster))
+            assert want.conflicts == []
+            assert list(got.selection) == list(want.selection)
+            assert got.selection == want.selection
+            assert got.conflicts == want.conflicts

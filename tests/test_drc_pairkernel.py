@@ -202,9 +202,9 @@ class TestPersistence:
         kernel = PairKernel(n45)
         kernel.table("V12_P", "V12_P")
         kernel.table("V12_P", "V12_S", True)
-        cache.store_pair_tables(kernel.tables)
+        cache.store_tables(PAIR_TABLE_FILE, kernel.tables)
 
-        loaded = cache.load_pair_tables()
+        loaded = cache.load_tables(PAIR_TABLE_FILE)
         assert loaded == kernel.tables
 
         warm = PairKernel(n45, tables=loaded)
@@ -217,15 +217,15 @@ class TestPersistence:
     def test_missing_and_corrupt_files_miss(self, n45, tmp_path):
         design = make_simple_design(n45)
         cache = AccessCache(str(tmp_path), paaf_fingerprint(design, PaafConfig()))
-        assert cache.load_pair_tables() is None
+        assert cache.load_tables(PAIR_TABLE_FILE) is None
         path = os.path.join(cache.root, PAIR_TABLE_FILE)
         with open(path, "wb") as handle:
             handle.write(b"not a pickle")
-        assert cache.load_pair_tables() is None
+        assert cache.load_tables(PAIR_TABLE_FILE) is None
         # Wrong payload shape degrades to a miss, too.
         with open(path, "wb") as handle:
             pickle.dump(["unexpected"], handle)
-        assert cache.load_pair_tables() is None
+        assert cache.load_tables(PAIR_TABLE_FILE) is None
 
 
 def _ap(x, y, vias=("V12_P",)):

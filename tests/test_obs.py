@@ -370,7 +370,7 @@ class TestFrameworkObservability:
         step3 = [r for r in spans if r["name"] == "paaf.step3"]
         assert len(step12) == 1 and len(step3) == 1
         tasks12 = [r for r in spans if r["name"] == "step12.unique"]
-        tasks3 = [r for r in spans if r["name"] == "step3.component"]
+        tasks3 = [r for r in spans if r["name"] == "step3.cluster"]
         assert tasks12 and tasks3
         assert all(r["parent"] == step12[0]["id"] for r in tasks12)
         assert all(r["parent"] == step3[0]["id"] for r in tasks3)
@@ -489,8 +489,8 @@ _TELEMETRY_DIGESTS = {
                   "b0ec23c21931771343dd762e3544bd3c",
         "histograms": "99b8aca1c10ec95b3ad0dd1c40e40bd7"
                       "274c204aaf48a8b122eabdeb97c58e22",
-        "counters": "cfba8f65b695fce28a51840e5aa65aa0"
-                    "379f1c0b3941fce9cadc26579e3b7484",
+        "counters": "b6f7a1b4126d82585d1ce29a5507bdd4"
+                    "977b3e34cc4c14eca6220e0671104dbe",
     },
     ("pinzoo_hostile", 1): {
         "events": "41f3c05c194b98ffa1dae8998dfe3e7e"

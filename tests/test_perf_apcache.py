@@ -18,6 +18,8 @@ import pytest
 from repro.bench import build_testcase
 from repro.core import PaafConfig, PinAccessFramework
 from repro.perf.apcache import (
+    ARRAY_TABLE_FILE,
+    PAIR_TABLE_FILE,
     PERF_ONLY_FIELDS,
     AccessCache,
     paaf_fingerprint,
@@ -175,50 +177,61 @@ class TestStaleDetection:
         assert warm.stats["apcache.stale"] == 0
 
 
-class TestPairTableCorruption:
-    def _tables_path(self, cache_dir):
-        paths = glob.glob(str(cache_dir / "*" / "pairkernel.pkl"))
+# Both kernels' table files share one loader and one writer, so each
+# corruption case runs against either file.
+TABLE_FILES = pytest.mark.parametrize(
+    "name", [PAIR_TABLE_FILE, ARRAY_TABLE_FILE]
+)
+
+
+class TestTableCorruption:
+    def _tables_path(self, cache_dir, name):
+        paths = glob.glob(str(cache_dir / "*" / name))
         assert len(paths) == 1
         return paths[0]
 
-    def test_truncated_tables_rebuild_cold(self, design, tmp_path):
+    @TABLE_FILES
+    def test_truncated_tables_rebuild_cold(self, design, tmp_path, name):
+        kernel = name.removesuffix(".pkl")
         cold = _run(design, tmp_path)
-        path = self._tables_path(tmp_path)
+        path = self._tables_path(tmp_path, name)
         with open(path, "rb") as handle:
             data = handle.read()
         with open(path, "wb") as handle:
             handle.write(data[: len(data) // 2])
 
         warm = _run(design, tmp_path)
-        assert not warm.stats["pairkernel.preloaded"]
-        assert warm.stats["pairkernel.built"] > 0
+        assert not warm.stats[f"{kernel}.preloaded"]
+        assert warm.stats[f"{kernel}.built"] > 0
         assert _fingerprint(warm) == _fingerprint(cold)
 
         # The rebuild re-persisted the tables: next run preloads.
         again = _run(design, tmp_path)
-        assert again.stats["pairkernel.preloaded"]
+        assert again.stats[f"{kernel}.preloaded"]
 
-    def test_garbage_tables_rebuild_cold(self, design, tmp_path):
+    @TABLE_FILES
+    def test_garbage_tables_rebuild_cold(self, design, tmp_path, name):
+        kernel = name.removesuffix(".pkl")
         cold = _run(design, tmp_path)
-        with open(self._tables_path(tmp_path), "wb") as handle:
+        with open(self._tables_path(tmp_path, name), "wb") as handle:
             handle.write(b"not a pickle")
         warm = _run(design, tmp_path)
-        assert not warm.stats["pairkernel.preloaded"]
+        assert not warm.stats[f"{kernel}.preloaded"]
         assert _fingerprint(warm) == _fingerprint(cold)
 
-    def test_wrong_fingerprint_tables_rejected(self, tmp_path):
+    @TABLE_FILES
+    def test_wrong_fingerprint_tables_rejected(self, tmp_path, name):
         ours = AccessCache(str(tmp_path), "a" * 64)
-        ours.store_pair_tables({"k": 1})
-        assert ours.load_pair_tables() == {"k": 1}
+        ours.store_tables(name, {"k": 1})
+        assert ours.load_tables(name) == {"k": 1}
         # Copy the table file into another generation's directory:
         # the recorded fingerprint no longer matches and the entry
         # must be rejected wholesale.
         theirs = AccessCache(str(tmp_path), "b" * 64)
         shutil.copy(
-            os.path.join(ours.root, "pairkernel.pkl"),
-            os.path.join(theirs.root, "pairkernel.pkl"),
+            os.path.join(ours.root, name), os.path.join(theirs.root, name)
         )
-        assert theirs.load_pair_tables() is None
+        assert theirs.load_tables(name) is None
 
 
 class TestCacheUnit:

@@ -1,16 +1,16 @@
-"""Tests for the jobs knob, the hot-path profiler and Step 3's merge.
+"""Tests for the jobs knob, the hot-path profiler and Step 3's passes.
 
 ``effective_jobs`` sizes the ``repro compare run -j`` process pool.
-One analysis runs in one process: Step 3 runs once per cluster
-component and merges back in cluster order, so its selection equals
-one pass of the cluster DP over every cluster of the design.
+One analysis runs in one process: Step 3 is one pass of the cluster DP
+over every cluster of the design, and a placement move re-runs it over
+the clusters of the components the move touched.
 """
 
 import pytest
 
 from repro.bench import build_testcase
 from repro.core import PinAccessFramework
-from repro.core.cluster import ClusterPatternSelector, SelectedAccess
+from repro.core.incremental import cluster_components
 from repro.perf.parallel import effective_jobs
 from repro.obs.metrics import collecting, tick
 
@@ -80,36 +80,44 @@ def mh_design():
 
 class TestFrameworkDeterminism:
     def test_multiheight_components_equivalent(self, mh_design):
-        """Clusters linked by multi-height cells keep pinning intact.
+        """A pass over one component's clusters is the full pass, cut.
 
-        Step 3 runs per component and merges in cluster order; the
-        result equals one pass of the cluster DP over every cluster.
+        Moves rely on this: re-running Step 3 over the clusters of one
+        component (clusters linked by multi-height cells) gives the
+        full pass's selection, selection order and conflicts for that
+        component's instances.
         """
         framework = PinAccessFramework(mh_design)
         result = framework.run()
-        assert (
-            result.stats["paaf.cluster_components"]
-            < result.stats["paaf.clusters"]
-        )
-        candidates = {}
-        aps = {}
+        clusters = mh_design.row_clusters()
+        components = cluster_components(clusters)
+        assert any(len(component) > 1 for component in components)
+        ua_of_inst = {}
+        translations = {}
         for ua in result.unique_accesses:
             for member in ua.unique_instance.members:
-                dx, dy = ua.unique_instance.translation_to(member)
-                candidates[member.name] = [
-                    SelectedAccess(inst=member, pattern=p, dx=dx, dy=dy)
-                    for p in ua.patterns
-                ]
-                aps[member.name] = ua.aps_by_pin
-        whole = ClusterPatternSelector(
-            mh_design,
-            framework.config,
-            kernel=framework.kernel,
-            akernel=framework.akernel,
-        ).select(candidates, lambda inst, pin: aps[inst].get(pin, []))
-        assert list(whole.selection) == list(result.selection.selection)
-        assert whole.selection == result.selection.selection
-        assert whole.conflicts == result.selection.conflicts
+                ua_of_inst[member.name] = ua
+                translations[member.name] = (
+                    ua.unique_instance.translation_to(member)
+                )
+        full = result.selection
+        for component in components:
+            part = framework.select_patterns(
+                [clusters[ci] for ci in component], ua_of_inst, translations
+            )
+            names = {inst.name for ci in component for inst in clusters[ci]}
+            assert list(part.selection) == [
+                name for name in full.selection if name in names
+            ]
+            assert part.selection == {
+                name: sel
+                for name, sel in full.selection.items()
+                if name in names
+            }
+            assert part.conflicts == [
+                conflict for conflict in full.conflicts
+                if conflict[0] in names
+            ]
 
     def test_timings_and_stats_populated(self, test1):
         result = PinAccessFramework(test1).run()
