@@ -23,7 +23,7 @@ NUM_MOVES = 8
 
 
 def shift_target(design, inst):
-    """A same-row target two sites to the left or right."""
+    """A same-row target eight sites to the right, or left near the edge."""
     site_w = design.tech.site_width
     step = 8 * site_w
     x = inst.location.x + step

@@ -8,22 +8,29 @@ frequent changes in placement require a tremendous amount of
 inter-cell pin access analysis."
 
 :class:`IncrementalPinAccess` serves exactly that loop.  It is
-bookkeeping around the framework's own Step 1-3 path: after a full
-analysis, moving an instance only
+bookkeeping around the framework's own Step 1-3 path, sized so that a
+move costs time in proportion to what moved:
 
-1. re-derives the instance's signature -- the per-unique-instance
-   Step 1/2 results are kept by signature and reused whenever the new
-   placement lands on an already-analyzed offset class; a new class
-   goes through the framework's cache-then-compute Step 1/2 path; and
-2. re-runs Step 3 over the clusters of the affected cluster
-   components -- every component with a cluster in a row the moved
-   instance spans before or after the move -- in one pass of the
-   framework's Step 3, on the configured backend, leaving the rest of
-   the selection untouched.
+* each instance's ``(unique access, translation)`` is memoised; a
+  move drops only the moved instance's entry.  Its new signature
+  reuses the per-unique-instance Step 1/2 results whenever it lands on
+  an already-analyzed offset class; a new class goes through the
+  framework's cache-then-compute Step 1/2 path;
+* a per-row index keeps each row's members and clusters (the lists
+  :meth:`~repro.db.design.Design.row_clusters` returns, chunked by
+  the same :func:`~repro.db.design.row_chunks`); a move re-chunks only
+  the rows the instance left and entered;
+* Step 3 re-runs over the clusters of the affected cluster components
+  -- every component with a cluster in a row the moved instance spans
+  before or after the move, found by walking the index through
+  multi-height members -- in one pass of the framework's Step 3, on
+  the configured backend, leaving the rest of the selection untouched.
+  :meth:`IncrementalPinAccess.move_instance` returns that partial
+  selection, so a caller can republish just what changed.
 
 Components share no instance, so the result equals a from-scratch
-re-analysis (asserted by tests and measured by
-``benchmarks/test_incremental.py``) at a small fraction of the cost.
+re-analysis (asserted by tests, including a seeded move-sequence
+property, and measured by ``benchmarks/test_incremental.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from repro.core.config import PaafConfig
 from repro.core.framework import PinAccessFramework, UniqueInstanceAccess
 from repro.core.oracle import UnknownInstanceError
 from repro.core.signature import UniqueInstance, instance_signature
-from repro.db.design import Design
+from repro.db.design import Design, row_chunks
 from repro.geom.point import Point
 
 
@@ -56,6 +63,14 @@ class IncrementalPinAccess:
         # in, and rep-relative translation would silently pin the
         # moved instance's answers to its old placement.
         self._ua_origin = {}
+        # Instance name -> (unique access, (dx, dy)) at its current
+        # placement; a move drops the moved instance's entry only.
+        self._placed = {}
+        # Row y -> members left to right, and -> their row_chunks.
+        self._row_members = {}
+        self._row_clusters = {}
+        self._macros = []
+        self._order = {}
         self._selection = ClusterSelectionResult()
         self._last_update_seconds = 0.0
 
@@ -64,11 +79,29 @@ class IncrementalPinAccess:
     def analyze(self) -> None:
         """Run the full three-step flow and prime the caches."""
         result = self.framework.run()
+        self._placed = {}
         for ua in result.unique_accesses:
             self._remember(ua)
+            for member in ua.unique_instance.members:
+                self._placed[member.name] = (
+                    ua,
+                    ua.unique_instance.translation_to(member),
+                )
         self._selection = result.selection
+        design = self.design
+        self._order = {name: k for k, name in enumerate(design.instances)}
+        self._row_members, self._macros = design.row_members()
+        self._row_clusters = {
+            y: row_chunks(members)
+            for y, members in self._row_members.items()
+        }
 
     # -- queries --------------------------------------------------------------
+
+    @property
+    def selection(self) -> ClusterSelectionResult:
+        """Return the current Step 3 result (read-only by contract)."""
+        return self._selection
 
     def access_map(self) -> dict:
         """Return (inst, pin) -> access point over the current placement."""
@@ -82,33 +115,43 @@ class IncrementalPinAccess:
         """Return all residual inter-cell conflicts."""
         return list(self._selection.conflicts)
 
-    def unique_access_of(self, inst) -> UniqueInstanceAccess:
-        """Return the Step 1/2 results covering ``inst``.
+    def clusters(self) -> list:
+        """Return the row clusters of the current placement.
 
-        Analyzes (or loads from the persistent AP cache) on first
-        sight of a signature; subsequent lookups are a dict hit.  The
-        serving layer uses this to enumerate every instance's
-        alternative access points when publishing a snapshot.
+        The same lists, in the same order, as
+        :meth:`~repro.db.design.Design.row_clusters`, read from the
+        per-row index.
         """
-        signature = instance_signature(self.design, inst)
-        ua = self._ua_by_signature.get(signature)
-        if ua is None:
-            ui = UniqueInstance(signature=signature, representative=inst)
-            ui.members.append(inst)
-            (ua,) = self.framework.analyze_uniques([ui])
-            self._remember(ua)
-        return ua
+        out = []
+        for y in sorted(self._row_clusters):
+            out.extend(self._row_clusters[y])
+        out.extend([inst] for inst in self._macros)
+        return out
 
-    def translation_of(self, inst) -> tuple:
-        """Return ``(dx, dy)`` mapping cached AP coords onto ``inst``.
+    def placement_of(self, inst) -> tuple:
+        """Return ``(unique access, (dx, dy))`` for ``inst`` where it is.
 
-        Relative to the unique access's *analysis-time* origin (see
-        ``_ua_origin``), which stays correct even after the
-        representative itself has been moved.
+        The unique access holds the Step 1/2 results covering
+        ``inst`` -- analyzed (or loaded from the persistent AP cache)
+        on first sight of a signature -- and ``(dx, dy)`` maps its
+        coordinates onto ``inst``.  The offset is taken from the
+        access's *analysis-time* origin (see ``_ua_origin``), which
+        stays correct even after the representative itself has been
+        moved.  Memoised per instance until the instance moves.
         """
-        ua = self.unique_access_of(inst)
-        ox, oy = self._ua_origin[ua.unique_instance.signature]
-        return (inst.location.x - ox, inst.location.y - oy)
+        entry = self._placed.get(inst.name)
+        if entry is None:
+            signature = instance_signature(self.design, inst)
+            ua = self._ua_by_signature.get(signature)
+            if ua is None:
+                ui = UniqueInstance(signature=signature, representative=inst)
+                ui.members.append(inst)
+                (ua,) = self.framework.analyze_uniques([ui])
+                self._remember(ua)
+            ox, oy = self._ua_origin[signature]
+            entry = (ua, (inst.location.x - ox, inst.location.y - oy))
+            self._placed[inst.name] = entry
+        return entry
 
     @property
     def last_update_seconds(self) -> float:
@@ -117,8 +160,14 @@ class IncrementalPinAccess:
 
     # -- edits ----------------------------------------------------------------
 
-    def move_instance(self, inst_name: str, new_location: Point) -> None:
+    def move_instance(
+        self, inst_name: str, new_location: Point
+    ) -> ClusterSelectionResult:
         """Move an instance and repair the analysis incrementally.
+
+        Returns the partial Step 3 result: the selection of every
+        instance this move re-selected (and their conflicts), already
+        merged into the current selection.
 
         Raises :class:`~repro.core.oracle.UnknownInstanceError` (a
         ``KeyError`` subclass) when ``inst_name`` is not in the design.
@@ -129,29 +178,22 @@ class IncrementalPinAccess:
             inst = design.instance(inst_name)
         except KeyError:
             raise UnknownInstanceError(inst_name) from None
-        rows = set(design.rows_of(inst))
+        left = design.rows_of(inst)
         inst.location = new_location
-        rows.update(design.rows_of(inst))
+        self._placed.pop(inst_name, None)
+        entered = design.rows_of(inst)
+        self._reindex(inst, left, entered)
 
-        clusters = design.row_clusters()
-        affected = sorted(
-            ci
-            for component in cluster_components(clusters)
-            if any(
-                member is inst or rows.intersection(design.rows_of(member))
-                for ci in component
-                for member in clusters[ci]
-            )
-            for ci in component
-        )
-        clusters = [clusters[ci] for ci in affected]
-        members = {
-            member.name: member for cluster in clusters for member in cluster
-        }
+        clusters = self._affected_clusters(inst, set(left).union(entered))
+        ua_of_inst = {}
+        translations = {}
+        for cluster in clusters:
+            for member in cluster:
+                ua_of_inst[member.name], translations[member.name] = (
+                    self.placement_of(member)
+                )
         partial = self.framework.select_patterns(
-            clusters,
-            {n: self.unique_access_of(m) for n, m in members.items()},
-            {n: self.translation_of(m) for n, m in members.items()},
+            clusters, ua_of_inst, translations
         )
         self._selection.selection.update(partial.selection)
         # A conflict pairs two neighbors of one cluster, so either both
@@ -159,9 +201,10 @@ class IncrementalPinAccess:
         self._selection.conflicts = [
             conflict
             for conflict in self._selection.conflicts
-            if conflict[0] not in members
+            if conflict[0] not in ua_of_inst
         ] + partial.conflicts
         self._last_update_seconds = time.perf_counter() - t0
+        return partial
 
     # -- internals ------------------------------------------------------------
 
@@ -171,36 +214,66 @@ class IncrementalPinAccess:
         rep = ui.representative
         self._ua_origin[ui.signature] = (rep.location.x, rep.location.y)
 
+    def _reindex(self, inst, left: list, entered: list) -> None:
+        """Splice ``inst`` out of the rows ``left`` and into ``entered``.
 
-def cluster_components(clusters: list) -> list:
-    """Group cluster indices into instance-sharing components.
-
-    Two clusters belong to the same component when they share an
-    instance (a multi-height cell is a member of every row it covers).
-    Components are returned as sorted index lists, ordered by their
-    first cluster.  A component may skip indices (clusters 0 and 2),
-    so component order is not cluster order.
-    """
-    parent = list(range(len(clusters)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    owner = {}
-    for ci, cluster in enumerate(clusters):
-        for inst in cluster:
-            prev = owner.get(inst.name)
-            if prev is None:
-                owner[inst.name] = ci
+        Members stay sorted as ``Design.row_members`` sorts them
+        (x, then insertion order), and only those rows are re-chunked.
+        """
+        order = self._order
+        for y in left:
+            self._row_members[y] = [
+                member for member in self._row_members[y] if member is not inst
+            ]
+        for y in entered:
+            members = self._row_members.setdefault(y, [])
+            members.append(inst)
+            members.sort(key=lambda i: (i.location.x, order[i.name]))
+        for y in set(left).union(entered):
+            members = self._row_members[y]
+            if members:
+                self._row_clusters[y] = row_chunks(members)
             else:
-                parent[find(ci)] = find(prev)
-    components = {}
-    for ci in range(len(clusters)):
-        components.setdefault(find(ci), []).append(ci)
-    return sorted(
-        (sorted(members) for members in components.values()),
-        key=lambda members: members[0],
-    )
+                del self._row_members[y]
+                del self._row_clusters[y]
+
+    def _affected_clusters(self, inst, rows: set) -> list:
+        """Return the clusters of every component touching ``rows``.
+
+        A macro joins no row: its component is its own singleton.
+        Otherwise the walk starts from every cluster of ``rows`` and
+        follows multi-height members into the clusters of the other
+        rows they span.  Clusters come back in design cluster order
+        (row y, then left to right).
+        """
+        if not rows:
+            return [[inst]]
+        design = self.design
+        row_clusters = self._row_clusters
+        seen = {
+            (y, index)
+            for y in rows
+            for index in range(len(row_clusters.get(y, ())))
+        }
+        frontier = list(seen)
+        while frontier:
+            y, index = frontier.pop()
+            for member in row_clusters[y][index]:
+                spans = design.rows_of(member)
+                if len(spans) < 2:
+                    continue
+                for other in spans:
+                    key = (other, _index_of(row_clusters[other], member))
+                    if key not in seen:
+                        seen.add(key)
+                        frontier.append(key)
+        return [row_clusters[y][index] for y, index in sorted(seen)]
+
+
+def _index_of(clusters: list, inst) -> int:
+    """Return the index of the cluster in ``clusters`` holding ``inst``."""
+    for index, cluster in enumerate(clusters):
+        if any(member is inst for member in cluster):
+            return index
+    raise ValueError(f"{inst.name} is in no cluster of its row")
+

@@ -46,6 +46,26 @@ class Row:
         return self.origin.x + site_index * self.site_width
 
 
+def row_chunks(insts: list) -> list:
+    """Split one row's instances, sorted left to right, into clusters.
+
+    Each cluster is a list of consecutive members with no empty site
+    in between (paper Sec. III-C: "each continuous chunk of instances
+    (no empty site in between) forms a cluster").
+    """
+    clusters = []
+    current = None
+    for inst in insts:
+        if current and inst.location.x <= (
+            current[-1].location.x + current[-1].bbox.width
+        ):
+            current.append(inst)
+        else:
+            current = [inst]
+            clusters.append(current)
+    return clusters
+
+
 class Design:
     """A placed design: technology, masters, instances, rows, tracks, nets.
 
@@ -165,43 +185,42 @@ class Design:
         covered = max(1, inst.bbox.height // site_h)
         return [inst.location.y + k * site_h for k in range(covered)]
 
+    def row_members(self) -> tuple:
+        """Return ``(rows, macros)``: who joins which row.
+
+        ``rows`` maps each row y (see :meth:`rows_of`) to its
+        instances sorted left to right, ties in insertion order;
+        ``macros`` lists the instances that join no row, in insertion
+        order.
+        """
+        by_row_y = {}
+        macros = []
+        for inst in self.instances.values():
+            rows = self.rows_of(inst)
+            if not rows:
+                macros.append(inst)
+            for y in rows:
+                by_row_y.setdefault(y, []).append(inst)
+        for insts in by_row_y.values():
+            insts.sort(key=lambda i: i.location.x)
+        return by_row_y, macros
+
     def row_clusters(self) -> list:
         """Group instances into per-row contiguous clusters.
 
-        Returns a list of clusters; each cluster is a list of
-        :class:`Instance` sorted left-to-right with no empty site
-        between consecutive members (paper Sec. III-C: "each continuous
-        chunk of instances (no empty site in between) forms a
-        cluster").  Macros and unplaced-row instances form singleton
-        clusters.
+        Returns a list of clusters: the :func:`row_chunks` of every
+        row, rows in y order, then one singleton cluster per macro.
 
         A multi-height instance is a member of *every* row its bounding
         box covers, so its boundary conflicts against neighbors in the
         upper rows are seen too; the pattern selector keeps its choice
         consistent across those clusters.
         """
-        by_row_y = {}
-        singletons = []
-        for inst in self.instances.values():
-            rows = self.rows_of(inst)
-            if not rows:
-                singletons.append([inst])
-                continue
-            for y in rows:
-                by_row_y.setdefault(y, []).append(inst)
+        by_row_y, macros = self.row_members()
         clusters = []
         for y in sorted(by_row_y):
-            insts = sorted(by_row_y[y], key=lambda i: i.location.x)
-            current = [insts[0]]
-            for inst in insts[1:]:
-                prev = current[-1]
-                if inst.location.x <= prev.location.x + prev.bbox.width:
-                    current.append(inst)
-                else:
-                    clusters.append(current)
-                    current = [inst]
-            clusters.append(current)
-        clusters.extend(singletons)
+            clusters.extend(row_chunks(by_row_y[y]))
+        clusters.extend([inst] for inst in macros)
         return clusters
 
     # -- statistics ----------------------------------------------------------

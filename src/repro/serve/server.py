@@ -540,14 +540,14 @@ class OracleServer:
 
     def _op_move_instance(self, request) -> dict:
         session = self._session_for(request.design)
-        generation = session.move_instance(
+        generation, update_seconds = session.move_instance(
             request.instance, request.x, request.y
         )
         self._tick("serve.moves.applied")
         return {
             "design": session.name,
             "generation": generation,
-            "update_seconds": round(session.inc.last_update_seconds, 6),
+            "update_seconds": round(update_seconds, 6),
         }
 
     def _op_stats(self, request) -> dict:

@@ -15,10 +15,17 @@ daemon's reader-writer discipline:
   :class:`~repro.core.incremental.IncrementalPinAccess` (signature
   cache hit + one Step 3 pass over the affected cluster components'
   clusters, on the configured backend -- the paper's Experiment 2
-  loop), builds the next snapshot off to the side and
-  publishes it with one reference assignment.  Readers see the old
-  generation or the new one, never a mixture; the ``generation``
-  stamp on every answer makes that observable (and testable).
+  loop), builds the next snapshot off to the side and publishes it
+  with one reference assignment.  Readers see the old generation or
+  the new one, never a mixture; the ``generation`` stamp on every
+  answer makes that observable (and testable).
+
+* **Publication is copy-on-write.**  The next snapshot starts as
+  shallow copies of the previous one's maps: only the instances the
+  move's Step 3 pass re-selected get new ``access`` entries and only
+  the moved instance new ``alternatives``; every other entry, and
+  ``pins_by_inst``, is shared between generations and never mutated,
+  so a move publishes in time proportional to what moved.
 
 The per-query path replicates :meth:`PinAccessOracle.query
 <repro.core.oracle.PinAccessOracle.query>` exactly -- same selected
@@ -54,7 +61,8 @@ class Snapshot:
     fixes the known-pin universe so readers can distinguish an unknown
     pin from a pin with no access without consulting the mutable
     design.  Construction happens entirely under the session write
-    lock; after publication the snapshot is never mutated.
+    lock; after publication the snapshot is never mutated, and neither
+    is any dict, list or access point it shares with a later one.
     """
 
     generation: int
@@ -80,7 +88,19 @@ class DesignSession:
         self.inc.analyze()
         self.analyze_seconds = time.perf_counter() - t0
         self.moves = 0
-        self._snapshot = self._build_snapshot(generation=0)
+        instances = design.instances.values()
+        empty = Snapshot(
+            generation=-1,
+            pins_by_inst={
+                inst.name: frozenset(
+                    pin.name for pin in inst.master.signal_pins()
+                )
+                for inst in instances
+            },
+        )
+        self._snapshot = self._build_snapshot(
+            empty, self.inc.selection.selection, instances
+        )
 
     # -- reads (lock-free) ---------------------------------------------------
 
@@ -135,36 +155,63 @@ class DesignSession:
 
     # -- writes (serialized) -------------------------------------------------
 
-    def move_instance(self, instance_name: str, x: int, y: int) -> int:
+    def move_instance(self, instance_name: str, x: int, y: int) -> tuple:
         """Apply one placement edit and publish the next snapshot.
 
-        Returns the new generation.  The analysis repair and the
-        snapshot build both happen under the write lock; publication
-        is the final single assignment.
+        Returns ``(generation, update_seconds)``: the new generation
+        and the wall time of this edit's incremental update, both read
+        under the write lock, so a concurrent writer cannot swap in its
+        own figures.  The analysis repair and the snapshot build both
+        happen under the lock; publication is the final single
+        assignment.
         """
         with self._write_lock:
-            self.inc.move_instance(instance_name, Point(x, y))
+            partial = self.inc.move_instance(instance_name, Point(x, y))
             self.moves += 1
             snap = self._build_snapshot(
-                generation=self._snapshot.generation + 1
+                self._snapshot,
+                partial.selection,
+                (self.design.instance(instance_name),),
             )
             self._snapshot = snap
-            return snap.generation
+            return snap.generation, self.inc.last_update_seconds
 
     # -- internals -----------------------------------------------------------
 
-    def _build_snapshot(self, generation: int) -> Snapshot:
-        """Materialize the current analysis into an immutable snapshot."""
-        snap = Snapshot(generation=generation, access=self.inc.access_map())
-        for inst in self.design.instances.values():
-            pins = frozenset(pin.name for pin in inst.master.signal_pins())
-            snap.pins_by_inst[inst.name] = pins
-            ua = self.inc.unique_access_of(inst)
-            dx, dy = self.inc.translation_of(inst)
+    def _build_snapshot(
+        self, prev: Snapshot, selection: dict, moved
+    ) -> Snapshot:
+        """Derive the next snapshot from ``prev``, copy-on-write.
+
+        ``selection`` maps every instance Step 3 re-selected to its
+        new :class:`~repro.core.cluster.SelectedAccess`; ``moved`` are
+        the instances whose placement changed.  Only their entries are
+        replaced, in fresh shallow copies of ``prev``'s maps; every
+        other entry, and ``pins_by_inst``, is shared with ``prev``.
+        Generation 0 passes an empty ``prev`` (generation -1, carrying
+        only ``pins_by_inst``) with every instance in both.
+        """
+        pins_by_inst = prev.pins_by_inst
+        access = dict(prev.access)
+        for name, selected in selection.items():
+            for pin_name in pins_by_inst[name]:
+                access.pop((name, pin_name), None)
+            for pin_name, ap in selected.access_points().items():
+                access[(name, pin_name)] = ap
+        alternatives = dict(prev.alternatives)
+        for inst in moved:
+            pins = pins_by_inst[inst.name]
+            ua, (dx, dy) = self.inc.placement_of(inst)
+            for pin_name in pins:
+                alternatives.pop((inst.name, pin_name), None)
             for pin_name, aps in ua.aps_by_pin.items():
-                if pin_name not in pins:
-                    continue
-                snap.alternatives[(inst.name, pin_name)] = [
-                    ap.translated(dx, dy) for ap in aps
-                ]
-        return snap
+                if pin_name in pins:
+                    alternatives[(inst.name, pin_name)] = [
+                        ap.translated(dx, dy) for ap in aps
+                    ]
+        return Snapshot(
+            generation=prev.generation + 1,
+            access=access,
+            alternatives=alternatives,
+            pins_by_inst=pins_by_inst,
+        )

@@ -10,9 +10,45 @@ import pytest
 
 from repro.bench import build_testcase
 from repro.core import PinAccessFramework
-from repro.core.incremental import cluster_components
+from repro.core.incremental import IncrementalPinAccess
 from repro.perf.parallel import effective_jobs
 from repro.obs.metrics import collecting, tick
+
+from tests.conftest import one_site_moves
+
+
+def cluster_components(clusters: list) -> list:
+    """Group cluster indices into instance-sharing components.
+
+    Two clusters belong to the same component when they share an
+    instance (a multi-height cell is a member of every row it covers).
+    Components are returned as sorted index lists, ordered by their
+    first cluster.  A component may skip indices (clusters 0 and 2),
+    so component order is not cluster order.
+    """
+    parent = list(range(len(clusters)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    owner = {}
+    for ci, cluster in enumerate(clusters):
+        for inst in cluster:
+            prev = owner.get(inst.name)
+            if prev is None:
+                owner[inst.name] = ci
+            else:
+                parent[find(ci)] = find(prev)
+    components = {}
+    for ci in range(len(clusters)):
+        components.setdefault(find(ci), []).append(ci)
+    return sorted(
+        (sorted(members) for members in components.values()),
+        key=lambda members: members[0],
+    )
 
 
 class TestParallelMap:
@@ -118,6 +154,43 @@ class TestFrameworkDeterminism:
                 conflict for conflict in full.conflicts
                 if conflict[0] in names
             ]
+
+    def test_move_reselects_the_components_it_touched(self, mh_design):
+        """A move's Step 3 pass covers exactly the touched components.
+
+        Its partial selection lists, in cluster order, the instances
+        of every component (union-find above) with a cluster in a row
+        the moved instance spans before or after the move.
+        """
+        inc = IncrementalPinAccess(mh_design)
+        inc.analyze()
+        walked = 0
+        for inst, target in one_site_moves(mh_design)[:12]:
+            rows = set(mh_design.rows_of(inst))
+            partial = inc.move_instance(inst.name, target)
+            rows.update(mh_design.rows_of(inst))
+            clusters = mh_design.row_clusters()
+            touched = sorted(
+                ci
+                for component in cluster_components(clusters)
+                if any(
+                    rows.intersection(mh_design.rows_of(member))
+                    for ci in component
+                    for member in clusters[ci]
+                )
+                for ci in component
+            )
+            expected = list(
+                dict.fromkeys(
+                    member.name for ci in touched for member in clusters[ci]
+                )
+            )
+            assert list(partial.selection) == expected, inst.name
+            walked += any(
+                len(mh_design.rows_of(mh_design.instance(name))) > 1
+                for name in expected
+            )
+        assert walked
 
     def test_timings_and_stats_populated(self, test1):
         result = PinAccessFramework(test1).run()

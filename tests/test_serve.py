@@ -7,6 +7,7 @@ the parity oracles analyze.  One CLI test drives ``repro serve`` /
 ``repro query`` as actual subprocesses.
 """
 
+import copy
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -423,6 +425,91 @@ class TestMoveInstance:
             server.stop()
 
 
+class TestMoveReply:
+    def test_update_seconds_are_the_moves_own(self, tmp_path, monkeypatch):
+        """A move's reply reports its own update time.
+
+        A second writer moves another instance the moment the first
+        move releases the session write lock, before the server builds
+        the first reply; the reply must still carry the first move's
+        ``update_seconds``, not the second's.
+        """
+        design = build_testcase("ispd18_test1", scale=0.004)
+        session = DesignSession("t1", design)
+        first, second = list(design.instances.values())[3:5]
+        site = design.tech.site_width
+        target = (first.name, first.location.x + 4 * site, first.location.y)
+
+        own = []
+        inc_move = session.inc.move_instance
+
+        def recorded_move(name, location):
+            partial = inc_move(name, location)
+            own.append(session.inc.last_update_seconds)
+            return partial
+
+        monkeypatch.setattr(session.inc, "move_instance", recorded_move)
+        select = session.inc.framework.select_patterns
+
+        def slow_select(*args):
+            time.sleep(0.02)
+            return select(*args)
+
+        session_move = session.move_instance
+
+        def move_then_interleave(name, x, y):
+            out = session_move(name, x, y)
+            # The lock is free again: a second, slower writer gets in.
+            monkeypatch.setattr(
+                session.inc.framework, "select_patterns", slow_select
+            )
+            session_move(
+                second.name, second.location.x + site, second.location.y
+            )
+            return out
+
+        monkeypatch.setattr(session, "move_instance", move_then_interleave)
+        server, addr = start_server(tmp_path, session)
+        try:
+            with OracleClient(addr) as client:
+                reply = client.move_instance(*target)
+        finally:
+            server.stop()
+        assert reply["generation"] == 1
+        assert len(own) == 2
+        assert round(own[0], 6) != round(own[1], 6)
+        assert reply["update_seconds"] == round(own[0], 6)
+
+
+class TestSnapshotImmutability:
+    def test_held_snapshot_survives_later_moves(self):
+        """Copy-on-write never edits an entry an older snapshot shares.
+
+        A reader holding generation 1 must keep its answers -- the
+        access map, every alternatives list and the pin universe --
+        while later moves publish generations that share entries
+        with it.
+        """
+        design = build_testcase(
+            "ispd18_test1", scale=0.008, multi_height_fraction=0.1
+        )
+        session = DesignSession("mh", design)
+        moves = one_site_moves(design)[:5]
+        inst, target = moves[0]
+        session.move_instance(inst.name, target.x, target.y)
+        held = session.snapshot
+        assert held.generation == 1
+        before = copy.deepcopy(
+            (held.access, held.alternatives, held.pins_by_inst)
+        )
+        for inst, target in moves[1:]:
+            session.move_instance(inst.name, target.x, target.y)
+        assert (held.access, held.alternatives, held.pins_by_inst) == before
+        assert session.snapshot.generation == 5
+        assert session.snapshot.access != held.access
+        assert session.snapshot.alternatives != held.alternatives
+
+
 class TestConcurrency:
     def test_no_torn_reads_across_moves(self, tmp_path):
         """Concurrent batches never mix pre- and post-move answers.
@@ -497,6 +584,10 @@ class TestConcurrency:
             finally:
                 stop.set()
 
+        # Snapshots share entries across generations, so switch threads
+        # often enough for a reader to land mid-publication.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
             threads = [
                 threading.Thread(target=reader) for _ in range(4)
@@ -509,9 +600,12 @@ class TestConcurrency:
             stop.set()
             for thread in threads:
                 thread.join(timeout=60)
+            assert not writer_thread.is_alive()
+            assert not any(thread.is_alive() for thread in threads)
             assert not failures, failures[0]
             assert session.snapshot.generation == 12  # 2 setup + 10
         finally:
+            sys.setswitchinterval(interval)
             stop.set()
             server.stop()
 
