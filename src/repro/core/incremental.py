@@ -20,17 +20,26 @@ move costs time in proportion to what moved:
   :meth:`~repro.db.design.Design.row_clusters` returns, chunked by
   the same :func:`~repro.db.design.row_chunks`); a move re-chunks only
   the rows the instance left and entered;
-* Step 3 re-runs over the clusters of the affected cluster components
-  -- every component with a cluster in a row the moved instance spans
-  before or after the move, found by walking the index through
-  multi-height members -- in one pass of the framework's Step 3, on
-  the configured backend, leaving the rest of the selection untouched.
+* Step 3 re-runs over the clusters of the components the move
+  changed -- every component holding a re-chunked cluster that holds
+  the moved instance or whose members the move changed (for a legal
+  placement: a cluster of the moved instance or of a former
+  cluster-mate), found by walking the index through multi-height
+  members -- in one pass of the framework's Step 3, on the configured
+  backend, leaving the rest of the selection untouched.
   :meth:`IncrementalPinAccess.move_instance` returns that partial
-  selection, so a caller can republish just what changed.
+  selection, so a caller can republish just what changed;
+* that pass reads and extends the framework's boundary verdicts
+  (:attr:`~repro.core.framework.PinAccessFramework.verdicts`), kept
+  across passes: a verdict is keyed by two patterns and the
+  displacement between their instances, so no move invalidates it.
 
-Components share no instance, so the result equals a from-scratch
-re-analysis (asserted by tests, including a seeded move-sequence
-property, and measured by ``benchmarks/test_incremental.py``).
+The clusters of a row are independent DPs, linked only through
+multi-height members, and components share no instance.  A cluster
+that keeps its members, their placements and its component therefore
+keeps its selection, so the result equals a from-scratch re-analysis
+(asserted by tests, including a seeded move-sequence property, and
+measured by ``benchmarks/test_incremental.py``).
 """
 
 from __future__ import annotations
@@ -182,9 +191,13 @@ class IncrementalPinAccess:
         inst.location = new_location
         self._placed.pop(inst_name, None)
         entered = design.rows_of(inst)
-        self._reindex(inst, left, entered)
-
-        clusters = self._affected_clusters(inst, set(left).union(entered))
+        if entered:
+            clusters = self._affected_clusters(
+                self._reindex(inst, left, entered)
+            )
+        else:
+            # A macro joins no row: its component is its own singleton.
+            clusters = [[inst]]
         ua_of_inst = {}
         translations = {}
         for cluster in clusters:
@@ -214,13 +227,26 @@ class IncrementalPinAccess:
         rep = ui.representative
         self._ua_origin[ui.signature] = (rep.location.x, rep.location.y)
 
-    def _reindex(self, inst, left: list, entered: list) -> None:
+    def _reindex(self, inst, left: list, entered: list) -> list:
         """Splice ``inst`` out of the rows ``left`` and into ``entered``.
 
         Members stay sorted as ``Design.row_members`` sorts them
         (x, then insertion order), and only those rows are re-chunked.
+        Returns the ``(row y, index)`` of every re-chunked cluster
+        that holds ``inst`` or whose members differ from every cluster
+        its row had before the move.  For a legal placement these are
+        the clusters of ``inst`` and of its former cluster-mates; an
+        overlapping one can also split off a cluster ``inst`` never
+        joins (:func:`~repro.db.design.row_chunks` links each member
+        to its left neighbor only).
         """
         order = self._order
+        rows = set(left).union(entered)
+        before = {
+            (y, tuple(member.name for member in cluster))
+            for y in rows
+            for cluster in self._row_clusters.get(y, ())
+        }
         for y in left:
             self._row_members[y] = [
                 member for member in self._row_members[y] if member is not inst
@@ -229,32 +255,31 @@ class IncrementalPinAccess:
             members = self._row_members.setdefault(y, [])
             members.append(inst)
             members.sort(key=lambda i: (i.location.x, order[i.name]))
-        for y in set(left).union(entered):
+        changed = []
+        for y in rows:
             members = self._row_members[y]
-            if members:
-                self._row_clusters[y] = row_chunks(members)
-            else:
+            if not members:
                 del self._row_members[y]
                 del self._row_clusters[y]
+                continue
+            self._row_clusters[y] = row_chunks(members)
+            for index, cluster in enumerate(self._row_clusters[y]):
+                names = tuple(member.name for member in cluster)
+                if inst.name in names or (y, names) not in before:
+                    changed.append((y, index))
+        return changed
 
-    def _affected_clusters(self, inst, rows: set) -> list:
-        """Return the clusters of every component touching ``rows``.
+    def _affected_clusters(self, seeds: list) -> list:
+        """Return the clusters of every component holding a seed.
 
-        A macro joins no row: its component is its own singleton.
-        Otherwise the walk starts from every cluster of ``rows`` and
-        follows multi-height members into the clusters of the other
-        rows they span.  Clusters come back in design cluster order
-        (row y, then left to right).
+        ``seeds`` are ``(row y, index)`` keys of the per-row index.
+        The walk starts from them and follows multi-height members
+        into the clusters of the other rows they span.  Clusters come
+        back in design cluster order (row y, then left to right).
         """
-        if not rows:
-            return [[inst]]
         design = self.design
         row_clusters = self._row_clusters
-        seen = {
-            (y, index)
-            for y in rows
-            for index in range(len(row_clusters.get(y, ())))
-        }
+        seen = set(seeds)
         frontier = list(seen)
         while frontier:
             y, index = frontier.pop()

@@ -3,14 +3,17 @@
 ``effective_jobs`` sizes the ``repro compare run -j`` process pool.
 One analysis runs in one process: Step 3 is one pass of the cluster DP
 over every cluster of the design, and a placement move re-runs it over
-the clusters of the components the move touched.
+the clusters of the components the move changed.
 """
+
+import gc
 
 import pytest
 
 from repro.bench import build_testcase
 from repro.core import PinAccessFramework
 from repro.core.incremental import IncrementalPinAccess
+from repro.db.design import row_chunks
 from repro.perf.parallel import effective_jobs
 from repro.obs.metrics import collecting, tick
 
@@ -156,17 +159,24 @@ class TestFrameworkDeterminism:
             ]
 
     def test_move_reselects_the_components_it_touched(self, mh_design):
-        """A move's Step 3 pass covers exactly the touched components.
+        """A move's Step 3 pass covers exactly the components it changed.
 
         Its partial selection lists, in cluster order, the instances
-        of every component (union-find above) with a cluster in a row
-        the moved instance spans before or after the move.
+        of every component (union-find above) holding the moved
+        instance or one of its cluster-mates from before the move --
+        not every component with a cluster in a row the move touched.
         """
         inc = IncrementalPinAccess(mh_design)
         inc.analyze()
-        walked = 0
+        walked = narrowed = 0
         for inst, target in one_site_moves(mh_design)[:12]:
             rows = set(mh_design.rows_of(inst))
+            mates = {
+                member.name
+                for cluster in mh_design.row_clusters()
+                if any(member is inst for member in cluster)
+                for member in cluster
+            }
             partial = inc.move_instance(inst.name, target)
             rows.update(mh_design.rows_of(inst))
             clusters = mh_design.row_clusters()
@@ -174,7 +184,7 @@ class TestFrameworkDeterminism:
                 ci
                 for component in cluster_components(clusters)
                 if any(
-                    rows.intersection(mh_design.rows_of(member))
+                    member.name in mates
                     for ci in component
                     for member in clusters[ci]
                 )
@@ -190,7 +200,29 @@ class TestFrameworkDeterminism:
                 len(mh_design.rows_of(mh_design.instance(name))) > 1
                 for name in expected
             )
+            by_row, _ = mh_design.row_members()
+            in_rows = sum(len(row_chunks(by_row[y])) for y in rows)
+            narrowed += len(touched) < in_rows
         assert walked
+        assert narrowed
+
+    def test_rerun_after_gc_equals_a_fresh_framework(self, mh_design):
+        """A framework's second run answers from the verdicts it kept.
+
+        The first result is dropped and collected before the second
+        run, so the patterns behind the kept verdicts are gone: the
+        table must name them by value.
+        """
+        framework = PinAccessFramework(mh_design)
+        framework.run()
+        gc.collect()
+        held = len(framework.verdicts)
+        second = framework.run()
+        assert len(framework.verdicts) == held
+        assert (
+            second.fingerprint()
+            == PinAccessFramework(mh_design).run().fingerprint()
+        )
 
     def test_timings_and_stats_populated(self, test1):
         result = PinAccessFramework(test1).run()
