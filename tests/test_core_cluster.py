@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.apgen import AccessPoint
 from repro.core.arraykernel import ArrayKernel
-from repro.core.cluster import ClusterPatternSelector, SelectedAccess
+from repro.core.cluster import (
+    ClusterPatternSelector,
+    SelectedAccess,
+    interaction_window,
+)
 from repro.core.config import PaafConfig
 from repro.core.coords import CoordType
 from repro.core.pattern import AccessPattern
@@ -45,6 +49,8 @@ def selector(design):
         design,
         kernel=PairKernel(design.tech, engine=engine),
         akernel=ArrayKernel(design, mode="engine", engine=engine),
+        window=interaction_window(design.tech),
+        verdicts={},
     )
 
 
@@ -235,12 +241,16 @@ class TestSelection:
 
 class TestOnePass:
     def test_one_selector_spans_disjoint_cluster_sets(self, n45):
-        """A selector's memos key on values and long-lived patterns.
+        """Boundary verdicts kept across passes equal a fresh scan.
 
-        One selector runs over two disjoint clusters in turn; the
-        first cluster's candidate lists are freed before the second
-        pass, so their object ids may be handed out again.  Each pass
-        must still equal a fresh selector's.
+        Two disjoint clusters abut alike, so their candidates carry the
+        same by-value keys.  One selector runs over both in turn, the
+        first cluster's candidate lists freed before the second pass
+        (their object ids may be handed out again): the second cluster
+        must be served from the verdicts the first left in the table.
+        A new selector over the same table, as a framework's next pass,
+        adds nothing either.  Every pass must equal a fresh selector's
+        with an empty table.
         """
         design = make_simple_design(n45, num_instances=4)
         for name in ("u2", "u3"):
@@ -253,8 +263,11 @@ class TestOnePass:
         ]
         # Per cluster: a cheap pair of patterns hugging the shared edge
         # (in conflict) and a dearer clean one per side.  Patterns, like
-        # a unique instance's, outlive both passes.
+        # a unique instance's, outlive every pass, and sit at the same
+        # offsets from their member's origin in both clusters, so a
+        # side's role and the pattern's ordinal name one by value.
         patterns = {}
+        role = {}
         for left, right in (("u0", "u1"), ("u2", "u3")):
             edge = design.instance(left).bbox.xhi
             patterns[left] = [
@@ -265,34 +278,48 @@ class TestOnePass:
                 pattern({"A": ap(edge + 70, 2100)}, cost=0),
                 pattern({"A": ap(edge + 350, 2100)}, cost=1),
             ]
+            role[left], role[right] = "left", "right"
 
         def candidates(cluster):
             return {
                 inst.name: [
-                    SelectedAccess(inst=inst, pattern=p, dx=0, dy=0)
-                    for p in patterns[inst.name]
+                    SelectedAccess(
+                        inst=inst, pattern=p, dx=0, dy=0,
+                        key=(role[inst.name], ordinal),
+                    )
+                    for ordinal, p in enumerate(patterns[inst.name])
                 ]
                 for inst in cluster
             }
 
         engine = DrcEngine(design.tech)
 
-        def selector():
+        def selector(verdicts):
             return ClusterPatternSelector(
                 design,
                 kernel=PairKernel(design.tech, engine=engine),
                 akernel=ArrayKernel(design, mode="engine", engine=engine),
+                window=interaction_window(design.tech),
+                verdicts=verdicts,
             )
 
-        shared = selector()
+        kept = {}
+        shared = selector(kept)
         passes = []
+        sizes = []
         for cluster in clusters:
             fresh_lists = candidates(cluster)
             passes.append(shared.select([cluster], fresh_lists))
             del fresh_lists
-        for cluster, got in zip(clusters, passes):
-            want = selector().select([cluster], candidates(cluster))
+            sizes.append(len(kept))
+        assert sizes[0] > 0
+        assert sizes[1] == sizes[0]
+        later = [selector(kept).select([c], candidates(c)) for c in clusters]
+        assert len(kept) == sizes[0]
+        for cluster, got, again in zip(clusters, passes, later):
+            want = selector({}).select([cluster], candidates(cluster))
             assert want.conflicts == []
-            assert list(got.selection) == list(want.selection)
-            assert got.selection == want.selection
-            assert got.conflicts == want.conflicts
+            for res in (got, again):
+                assert list(res.selection) == list(want.selection)
+                assert res.selection == want.selection
+                assert res.conflicts == want.conflicts

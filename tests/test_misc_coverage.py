@@ -4,10 +4,8 @@ import pytest
 
 from repro.bench import build_testcase
 from repro.core import PinAccessFramework
-from repro.core.arraykernel import ArrayKernel
-from repro.core.cluster import ClusterPatternSelector
+from repro.core.cluster import interaction_window
 from repro.core.incremental import IncrementalPinAccess
-from repro.drc.pairkernel import PairKernel
 from repro.drc.violations import Violation
 from repro.geom.rect import Rect
 from repro.lefdef import parse_def, parse_lef, write_def, write_lef
@@ -19,15 +17,7 @@ from tests.conftest import one_site_moves
 
 class TestInteractionWindow:
     def test_window_covers_via_reach_plus_rules(self, n45):
-        from tests.conftest import make_simple_design
-
-        design = make_simple_design(n45)
-        selector = ClusterPatternSelector(
-            design,
-            kernel=PairKernel(n45),
-            akernel=ArrayKernel(design),
-        )
-        window = selector._boundary_window
+        window = interaction_window(n45)
         via = n45.primary_via_from("M1")
         assert window >= via.bottom_enc.xhi + n45.layer("M1").min_spacing
         # Sane upper bound: a few pitches.
