@@ -32,7 +32,6 @@ import threading
 import time
 
 from repro.bench import build_testcase
-from repro.core import PinAccessFramework
 from repro.core.oracle import PinAccessOracle
 from repro.obs.accesslog import AccessLog
 from repro.report import format_table
@@ -113,9 +112,7 @@ def test_serve_throughput(once, tmp_path):
 
     try:
         # Parity first: every wire answer equals the in-process oracle.
-        oracle = PinAccessOracle(
-            design, result=PinAccessFramework(design).run()
-        )
+        oracle = PinAccessOracle(design)
         with OracleClient(address) as client:
             served = client.query_batch(pins)
         want = [

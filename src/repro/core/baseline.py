@@ -96,16 +96,12 @@ class LegacyPinAccess:
         First access point per pin, translated to each member instance
         -- no compatibility consideration whatsoever.
         """
-        out = {}
-        for ua in result.unique_accesses:
-            ui = ua.unique_instance
-            for member in ui.members:
-                dx, dy = ui.translation_to(member)
-                for pin_name, aps in ua.aps_by_pin.items():
-                    if not aps:
-                        continue
-                    out[(member.name, pin_name)] = aps[0].translated(dx, dy)
-        return out
+        return {
+            (name, pin_name): aps[0].translated(dx, dy)
+            for name, (ua, (dx, dy)) in result.placements().items()
+            for pin_name, aps in ua.aps_by_pin.items()
+            if aps
+        }
 
     # -- internals ---------------------------------------------------------
 

@@ -112,6 +112,14 @@ class ClusterSelectionResult:
     selection: dict = field(default_factory=dict)
     conflicts: list = field(default_factory=list)
 
+    def access_map(self) -> dict:
+        """Return (inst name, pin name) -> selected AP in design coords."""
+        return {
+            (inst_name, pin_name): ap
+            for inst_name, selected in self.selection.items()
+            for pin_name, ap in selected.access_points().items()
+        }
+
     def conflicting_pins(self) -> set:
         """Return the set of (instance name, pin name) in any conflict."""
         pins = set()

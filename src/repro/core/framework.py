@@ -145,13 +145,24 @@ class PinAccessResult:
 
     def access_map(self) -> dict:
         """Return (inst name, pin name) -> selected AP in design coords."""
-        out = {}
         if self.selection is None:
-            return out
-        for inst_name, selected in self.selection.selection.items():
-            for pin_name, ap in selected.access_points().items():
-                out[(inst_name, pin_name)] = ap
-        return out
+            return {}
+        return self.selection.access_map()
+
+    def placements(self) -> dict:
+        """Return instance name -> ``(unique access, (dx, dy))``.
+
+        ``(dx, dy)`` maps the unique access's coordinates onto the
+        instance where it stood when this map was built: the one map
+        from an instance to its Step 1/2 results that Step 3, the
+        oracle's snapshot, the incremental analyzer and the baseline
+        read.
+        """
+        return {
+            member.name: (ua, ua.unique_instance.translation_to(member))
+            for ua in self.unique_accesses
+            for member in ua.unique_instance.members
+        }
 
     def failed_pins(self) -> list:
         """Return connected pins without a DRC-clean access point.
@@ -164,10 +175,10 @@ class PinAccessResult:
         conflict_pins = (
             self.selection.conflicting_pins() if self.selection else set()
         )
-        ua_of_inst = self._unique_access_by_instance()
+        placements = self.placements()
         for inst, pin in self.design.connected_pins():
             key = (inst.name, pin.name)
-            ua = ua_of_inst.get(inst.name)
+            ua, _ = placements.get(inst.name, (None, None))
             if ua is None or not ua.aps_by_pin.get(pin.name):
                 failed.append(key)
                 continue
@@ -191,13 +202,6 @@ class PinAccessResult:
             if key in conflict_pins:
                 failed.append(key)
         return failed
-
-    def _unique_access_by_instance(self) -> dict:
-        out = {}
-        for ua in self.unique_accesses:
-            for member in ua.unique_instance.members:
-                out[member.name] = ua
-        return out
 
 
 class PinAccessFramework:
@@ -384,16 +388,16 @@ class PinAccessFramework:
         return accesses
 
     def select_patterns(
-        self, clusters: list, ua_of_inst: dict, translations: dict
+        self, clusters: list, placements: dict
     ) -> ClusterSelectionResult:
         """Step 3: one cluster-DP pass over ``clusters``, in order.
 
         The one Step 3 path: ``run()`` passes every row cluster of the
         design, :class:`~repro.core.incremental.IncrementalPinAccess`
         the clusters of the components a move touched, in
-        cluster-index order.  ``ua_of_inst`` and ``translations`` map
-        every member's name to its unique access and to its
-        ``(dx, dy)`` from that access's coordinates.  Each pass builds
+        cluster-index order.  ``placements`` maps every member's name
+        to its ``(unique access, (dx, dy))``, as
+        :meth:`PinAccessResult.placements` does.  Each pass builds
         its own selector, whose via-vs-instance memo dies with the
         placement it was computed for; the boundary verdicts, keyed by
         value, live in :attr:`verdicts` for the framework's lifetime.
@@ -401,8 +405,7 @@ class PinAccessFramework:
         candidates_by_inst = {}
         for cluster in clusters:
             for inst in cluster:
-                dx, dy = translations[inst.name]
-                ua = ua_of_inst[inst.name]
+                ua, (dx, dy) = placements[inst.name]
                 signature = ua.unique_instance.signature
                 candidates_by_inst[inst.name] = [
                     SelectedAccess(
@@ -415,7 +418,7 @@ class PinAccessFramework:
         if self.config.boundary_conflict_aware:
 
             def alternatives_fn(inst_name, pin_name):
-                return ua_of_inst[inst_name].aps_by_pin.get(pin_name, [])
+                return placements[inst_name][0].aps_by_pin.get(pin_name, [])
 
         selector = ClusterPatternSelector(
             self.design,
@@ -458,17 +461,7 @@ class PinAccessFramework:
     def _run_step3(self, result: PinAccessResult) -> None:
         """Step 3 over every row cluster of the design."""
         clusters = self.design.row_clusters()
-        ua_of_inst = {}
-        translations = {}
-        for ua in result.unique_accesses:
-            for member in ua.unique_instance.members:
-                ua_of_inst[member.name] = ua
-                translations[member.name] = ua.unique_instance.translation_to(
-                    member
-                )
-        result.selection = self.select_patterns(
-            clusters, ua_of_inst, translations
-        )
+        result.selection = self.select_patterns(clusters, result.placements())
         result.stats["paaf.clusters"] = len(clusters)
 
 

@@ -48,7 +48,11 @@ import time
 
 from repro.core.cluster import ClusterSelectionResult
 from repro.core.config import PaafConfig
-from repro.core.framework import PinAccessFramework, UniqueInstanceAccess
+from repro.core.framework import (
+    PinAccessFramework,
+    PinAccessResult,
+    UniqueInstanceAccess,
+)
 from repro.core.oracle import UnknownInstanceError
 from repro.core.signature import UniqueInstance, instance_signature
 from repro.db.design import Design, row_chunks
@@ -85,17 +89,15 @@ class IncrementalPinAccess:
 
     # -- full analysis -------------------------------------------------------
 
-    def analyze(self) -> None:
-        """Run the full three-step flow and prime the caches."""
+    def analyze(self) -> PinAccessResult:
+        """Run the full three-step flow and prime the caches.
+
+        Returns the run's :class:`~repro.core.framework.PinAccessResult`.
+        """
         result = self.framework.run()
-        self._placed = {}
         for ua in result.unique_accesses:
             self._remember(ua)
-            for member in ua.unique_instance.members:
-                self._placed[member.name] = (
-                    ua,
-                    ua.unique_instance.translation_to(member),
-                )
+        self._placed = result.placements()
         self._selection = result.selection
         design = self.design
         self._order = {name: k for k, name in enumerate(design.instances)}
@@ -104,6 +106,7 @@ class IncrementalPinAccess:
             y: row_chunks(members)
             for y, members in self._row_members.items()
         }
+        return result
 
     # -- queries --------------------------------------------------------------
 
@@ -114,11 +117,7 @@ class IncrementalPinAccess:
 
     def access_map(self) -> dict:
         """Return (inst, pin) -> access point over the current placement."""
-        out = {}
-        for inst_name, selected in self._selection.selection.items():
-            for pin_name, ap in selected.access_points().items():
-                out[(inst_name, pin_name)] = ap
-        return out
+        return self._selection.access_map()
 
     def conflicts(self) -> list:
         """Return all residual inter-cell conflicts."""
@@ -198,23 +197,19 @@ class IncrementalPinAccess:
         else:
             # A macro joins no row: its component is its own singleton.
             clusters = [[inst]]
-        ua_of_inst = {}
-        translations = {}
-        for cluster in clusters:
-            for member in cluster:
-                ua_of_inst[member.name], translations[member.name] = (
-                    self.placement_of(member)
-                )
-        partial = self.framework.select_patterns(
-            clusters, ua_of_inst, translations
-        )
+        placements = {
+            member.name: self.placement_of(member)
+            for cluster in clusters
+            for member in cluster
+        }
+        partial = self.framework.select_patterns(clusters, placements)
         self._selection.selection.update(partial.selection)
         # A conflict pairs two neighbors of one cluster, so either both
         # or neither of its instances were re-selected.
         self._selection.conflicts = [
             conflict
             for conflict in self._selection.conflicts
-            if conflict[0] not in ua_of_inst
+            if conflict[0] not in placements
         ] + partial.conflicts
         self._last_update_seconds = time.perf_counter() - t0
         return partial

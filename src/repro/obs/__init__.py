@@ -35,7 +35,6 @@ from repro.obs.metrics import (
     render_prometheus,
     stats_name_violations,
     tick,
-    timed,
     validate_name,
 )
 from repro.obs.slo import (
@@ -64,7 +63,6 @@ __all__ = [
     "render_prometheus",
     "stats_name_violations",
     "tick",
-    "timed",
     "validate_name",
     "DEFAULT_OBJECTIVES",
     "SLO_SCHEMA",

@@ -359,20 +359,6 @@ def observe(name: str, value: float) -> None:
 
 
 @contextmanager
-def timed(name: str):
-    """Time a block into the active registry; near-free when inactive."""
-    registry = _ACTIVE.get()
-    if registry is None:
-        yield
-        return
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        registry.add_time(name, time.perf_counter() - t0)
-
-
-@contextmanager
 def collecting(registry: MetricsRegistry = None):
     """Activate a registry for the block, restoring the previous one."""
     registry = registry if registry is not None else MetricsRegistry()

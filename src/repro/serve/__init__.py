@@ -25,6 +25,7 @@ instead of each paying full import + analysis cost:
   into one Chrome-tracing track.
 """
 
+from repro.core.oracle import Snapshot
 from repro.serve.client import ConnectionFailed, OracleClient, ServerError
 from repro.serve.httpexport import HttpExport
 from repro.serve.protocol import (
@@ -39,7 +40,7 @@ from repro.serve.server import (
     ServeTelemetry,
     render_server_metrics,
 )
-from repro.serve.session import DesignSession, Snapshot
+from repro.serve.session import DesignSession
 
 __all__ = [
     "PROTOCOL",

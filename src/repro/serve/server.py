@@ -262,6 +262,16 @@ class OracleServer:
         with self._sessions_lock:
             self.sessions[session.name] = session
 
+    def _session_items(self) -> list:
+        """Return ``(name, session)`` pairs, sorted by name.
+
+        Callers read each session's stats after the sessions lock is
+        released: ``stats()`` waits for a move in flight, and
+        ``_session_for`` must not wait behind it.
+        """
+        with self._sessions_lock:
+            return sorted(self.sessions.items())
+
     def _session_for(self, name: Optional[str]) -> DesignSession:
         with self._sessions_lock:
             if name is None:
@@ -520,7 +530,7 @@ class OracleServer:
     def _op_query(self, request) -> dict:
         session = self._session_for(request.design)
         snap = session.snapshot
-        answer = session.query(request.instance, request.pin, snap=snap)
+        answer = snap.query(request.instance, request.pin)
         return {
             "design": session.name,
             "answer": answer_to_wire(answer, snap.generation),
@@ -529,7 +539,7 @@ class OracleServer:
     def _op_query_batch(self, request) -> dict:
         session = self._session_for(request.design)
         snap = session.snapshot
-        answers = session.query_batch(request.pins, snap=snap)
+        answers = [snap.query(inst, pin) for inst, pin in request.pins]
         return {
             "design": session.name,
             "generation": snap.generation,
@@ -551,11 +561,9 @@ class OracleServer:
         }
 
     def _op_stats(self, request) -> dict:
-        with self._sessions_lock:
-            sessions = {
-                name: session.stats()
-                for name, session in sorted(self.sessions.items())
-            }
+        sessions = {
+            name: session.stats() for name, session in self._session_items()
+        }
         with self._metrics_lock:
             counters = dict(self.registry.counters)
         out = {
@@ -624,11 +632,9 @@ def render_server_metrics(server: OracleServer) -> str:
     with server._metrics_lock:
         text = render_prometheus(server.registry)
     lines = [text.rstrip("\n")] if text.strip() else []
-    with server._sessions_lock:
-        stats = {
-            name: session.stats()
-            for name, session in sorted(server.sessions.items())
-        }
+    stats = {
+        name: session.stats() for name, session in server._session_items()
+    }
     for metric, key in (
         ("serve_session_generation", "generation"),
         ("serve_session_answers", "served_pins"),

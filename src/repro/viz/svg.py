@@ -116,14 +116,6 @@ class LayoutPainter:
             f'x2="{px:.2f}" y2="{py + size:.2f}"/></g>'
         )
 
-    def add_text(self, x: int, y: int, text: str, size: int = 11) -> None:
-        """Draw a text label at a design-space point."""
-        self._elements.append(
-            f'<text x="{self._x(x):.2f}" y="{self._y(y):.2f}" '
-            f'font-size="{size}" font-family="sans-serif">'
-            f"{_escape(text)}</text>"
-        )
-
     # -- composite draws ------------------------------------------------------
 
     def draw_design(self, design: Design, layers: tuple = None) -> None:

@@ -61,9 +61,26 @@ class TestQuery:
         orc, _ = oracle
         assert orc.accessible_fraction() == 1.0
 
-    def test_signature_exposed(self, oracle):
-        orc, design = oracle
-        sig0 = orc.signature_of("u0")
-        sig2 = orc.signature_of("u2")
-        assert sig0 == sig2  # same unique instance (see signature tests)
-        assert sig0[0] == "CELL_X1"
+
+def test_answer_is_never_torn_by_a_later_edit():
+    """An edit the oracle never analyzed changes none of its answers.
+
+    u2 shares u0's unique instance without being its representative.
+    Moving it in the design, with no re-analysis, must leave its
+    answer whole: the selected point and the alternatives both belong
+    to the analyzed placement, so the one is among the other.
+    """
+    import repro.tech as tech
+    from repro.geom.point import Point
+
+    design = make_simple_design(tech.make_n45(), num_instances=3)
+    orc = PinAccessOracle(design)
+    before = orc.query("u2", "A")
+    u2 = design.instance("u2")
+    u2.location = Point(
+        u2.location.x + 10 * design.tech.site_width, u2.location.y
+    )
+    answer = orc.query("u2", "A")
+    positions = {(ap.x, ap.y) for ap in answer.alternatives}
+    assert (answer.selected.x, answer.selected.y) in positions
+    assert answer == before

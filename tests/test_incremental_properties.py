@@ -6,8 +6,9 @@ row change of the same parity (two rows, so the row orientation still
 fits), or a macro shift on ispd18_test3.  After every move:
 
 * the published snapshot's ``access``, ``alternatives`` and
-  ``pins_by_inst`` equal those of a from-scratch
-  ``PinAccessFramework(design).run()`` on the same placement, and
+  ``pins_by_inst``, and those of a fresh in-process
+  ``PinAccessOracle(design)``, equal maps built here from that
+  oracle's from-scratch run on the same placement, and
 * the incremental row index yields ``Design.row_clusters()``, member
   for member and in order.
 
@@ -25,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench import build_testcase
-from repro.core import PaafConfig, PinAccessFramework
+from repro.core import PaafConfig, PinAccessOracle
 from repro.core.cluster import ClusterPatternSelector, SelectedAccess
 from repro.geom.point import Point
 from repro.serve import DesignSession
@@ -95,8 +96,13 @@ def legal_moves(design, home: dict) -> dict:
 
 
 def scratch_snapshot(design) -> tuple:
-    """Return a fresh run's ``(access, alternatives, pins_by_inst)``."""
-    full = PinAccessFramework(design).run()
+    """Return a fresh oracle and its run's reference maps.
+
+    The maps, ``(access, alternatives, pins_by_inst)``, are built here
+    from the run's unique accesses, not through ``Snapshot``.
+    """
+    oracle = PinAccessOracle(design)
+    full = oracle.result
     alternatives = {}
     pins_by_inst = {}
     for ua in full.unique_accesses:
@@ -110,7 +116,7 @@ def scratch_snapshot(design) -> tuple:
                     alternatives[(member.name, pin_name)] = [
                         ap.translated(dx, dy) for ap in aps
                     ]
-    return full.access_map(), alternatives, pins_by_inst
+    return oracle, (full.access_map(), alternatives, pins_by_inst)
 
 
 def first_difference(got: dict, want: dict):
@@ -122,13 +128,16 @@ def first_difference(got: dict, want: dict):
 
 
 def check_session(session, design) -> None:
-    snap = session.snapshot
-    access, alternatives, pins_by_inst = scratch_snapshot(design)
-    key = first_difference(snap.access, access)
-    assert key is None, f"access differs at {key}"
-    key = first_difference(snap.alternatives, alternatives)
-    assert key is None, f"alternatives differ at {key}"
-    assert snap.pins_by_inst == pins_by_inst
+    oracle, (access, alternatives, pins_by_inst) = scratch_snapshot(design)
+    for name, snap in (
+        ("session", session.snapshot),
+        ("oracle", oracle.snapshot),
+    ):
+        key = first_difference(snap.access, access)
+        assert key is None, f"{name}: access differs at {key}"
+        key = first_difference(snap.alternatives, alternatives)
+        assert key is None, f"{name}: alternatives differ at {key}"
+        assert snap.pins_by_inst == pins_by_inst, name
     names = [[m.name for m in c] for c in session.inc.clusters()]
     assert names == [[m.name for m in c] for c in design.row_clusters()]
 

@@ -131,18 +131,11 @@ class TestFrameworkDeterminism:
         clusters = mh_design.row_clusters()
         components = cluster_components(clusters)
         assert any(len(component) > 1 for component in components)
-        ua_of_inst = {}
-        translations = {}
-        for ua in result.unique_accesses:
-            for member in ua.unique_instance.members:
-                ua_of_inst[member.name] = ua
-                translations[member.name] = (
-                    ua.unique_instance.translation_to(member)
-                )
+        placements = result.placements()
         full = result.selection
         for component in components:
             part = framework.select_patterns(
-                [clusters[ci] for ci in component], ua_of_inst, translations
+                [clusters[ci] for ci in component], placements
             )
             names = {inst.name for ci in component for inst in clusters[ci]}
             assert list(part.selection) == [

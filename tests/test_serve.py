@@ -20,17 +20,14 @@ import time
 import pytest
 
 from repro.bench import build_testcase
-from repro.core import (
-    PinAccessFramework,
-    UnknownInstanceError,
-    UnknownPinError,
-)
+from repro.core import UnknownInstanceError, UnknownPinError
 from repro.core.oracle import PinAccessOracle
 from repro.serve import (
     DesignSession,
     OracleClient,
     OracleServer,
     ServerError,
+    Snapshot,
     parse_address,
 )
 from repro.serve import protocol
@@ -211,8 +208,6 @@ class TestErrorHierarchy:
         assert not oracle.query("u0", "NOPE").accessible
         with pytest.raises(UnknownPinError):
             oracle.query("u0", "NOPE", strict=True)
-        with pytest.raises(UnknownInstanceError):
-            oracle.signature_of("ghost")
 
     def test_incremental_raises_typed(self, simple_design):
         from repro.core import IncrementalPinAccess
@@ -258,7 +253,7 @@ class TestEndToEnd:
         server, addr = start_server(tmp_path, session)
         try:
             # The in-process oracle over the very same analysis.
-            oracle = PinAccessOracle(design, result=None)
+            oracle = PinAccessOracle(design)
             pins = all_pins(design)
             batch = [pins[i % len(pins)] for i in range(1000)]
             with OracleClient(addr) as client:
@@ -378,9 +373,7 @@ class TestMoveInstance:
                         # A from-scratch analysis of the edited design
                         # must agree pin for pin, bit for bit, over the
                         # wire.
-                        oracle = PinAccessOracle(
-                            design, result=PinAccessFramework(design).run()
-                        )
+                        oracle = PinAccessOracle(design)
                         for (inst_name, pin), got in zip(pins, answers):
                             expect = answer_to_wire(
                                 oracle.query(inst_name, pin), generation
@@ -481,6 +474,101 @@ class TestMoveReply:
         assert reply["update_seconds"] == round(own[0], 6)
 
 
+class TestSessionStats:
+    """Reads while a move is held inside its snapshot build: the
+    analysis is repaired, the next snapshot not yet published."""
+
+    def hold_move(self, monkeypatch, session, inst):
+        """Move ``inst`` one site right; return once the move is held.
+
+        Returns ``(release, mover, replies)``: setting ``release`` lets
+        the move publish, and ``replies`` then holds its reply.
+        """
+        inside, release = threading.Event(), threading.Event()
+        build = Snapshot.next
+
+        def held_next(snap, selection, placements):
+            inside.set()
+            release.wait(timeout=10)
+            return build(snap, selection, placements)
+
+        monkeypatch.setattr(Snapshot, "next", held_next)
+        site = session.design.tech.site_width
+        target = (inst.name, inst.location.x + site, inst.location.y)
+        replies = []
+        mover = threading.Thread(
+            target=lambda: replies.append(session.move_instance(*target))
+        )
+        mover.start()
+        assert inside.wait(timeout=10)
+        return release, mover, replies
+
+    def test_stats_come_from_one_published_state(self, monkeypatch):
+        """Stats never mix a move in flight with the published state:
+        ``moves``, ``generation`` and ``last_update_seconds`` all
+        belong to one published generation."""
+        design = build_testcase("ispd18_test1", scale=0.004)
+        session = DesignSession("t1", design)
+        inst = list(design.instances.values())[3]
+        release, mover, replies = self.hold_move(monkeypatch, session, inst)
+        seen = []
+        reader = threading.Thread(target=lambda: seen.append(session.stats()))
+        try:
+            reader.start()
+            reader.join(timeout=0.2)  # let it read while the move is held
+        finally:
+            release.set()
+            mover.join(timeout=10)
+            reader.join(timeout=10)
+        assert not mover.is_alive()
+        assert not reader.is_alive()
+        [(generation, update_seconds)] = replies
+        [stats] = seen
+        assert stats["moves"] == stats["generation"]
+        assert (stats["generation"], stats["last_update_seconds"]) in {
+            (0, 0.0),
+            (generation, round(update_seconds, 6)),
+        }
+
+    def test_queries_do_not_wait_behind_stats(self, tmp_path, monkeypatch):
+        """A stats request waiting for a held move holds up no query:
+        queries still answer from the published generation 0."""
+        design = build_testcase("ispd18_test1", scale=0.004)
+        session = DesignSession("t1", design)
+        inst = list(design.instances.values())[3]
+        pin = inst.master.signal_pins()[0].name
+        server, addr = start_server(tmp_path, session)
+        release, mover, _ = self.hold_move(monkeypatch, session, inst)
+        stats, answers = [], []
+
+        def ask(out, call):
+            with OracleClient(addr) as client:
+                out.append(call(client))
+
+        statter = threading.Thread(
+            target=ask, args=(stats, lambda client: client.stats())
+        )
+        querier = threading.Thread(
+            target=ask,
+            args=(answers, lambda client: client.query(inst.name, pin)),
+        )
+        try:
+            statter.start()
+            statter.join(timeout=0.2)  # let it wait for the held move
+            querier.start()
+            querier.join(timeout=5)
+            assert not stats
+            assert [answer["generation"] for answer in answers] == [0]
+        finally:
+            release.set()
+            for thread in (mover, statter, querier):
+                if thread.ident is not None:
+                    thread.join(timeout=10)
+            server.stop()
+        assert not any(t.is_alive() for t in (mover, statter, querier))
+        assert stats[0]["sessions"]["t1"]["moves"] == 1
+
+
 class TestSnapshotImmutability:
     def test_held_snapshot_survives_later_moves(self):
         """Copy-on-write never edits an entry an older snapshot shares.
@@ -530,15 +618,13 @@ class TestConcurrency:
         # generations) and placement B (odd generations).
         pins = all_pins(design)
         reference = {}
-        oracle0 = PinAccessOracle(design, result=None)
+        oracle0 = PinAccessOracle(design)
         reference[0] = {
             (i, p): answer_to_wire(oracle0.query(i, p), 0)
             for i, p in pins
         }
         session.move_instance(inst.name, x1, y0)
-        oracle1 = PinAccessOracle(
-            design, result=PinAccessFramework(design).run()
-        )
+        oracle1 = PinAccessOracle(design)
         reference[1] = {
             (i, p): answer_to_wire(oracle1.query(i, p), 0)
             for i, p in pins
