@@ -3,10 +3,17 @@
 For each pin, candidate points are enumerated coordinate-type ladder
 first: all combinations of (non-preferred type ``t1``, preferred type
 ``t0``) in ascending cost order.  Every candidate is validated by
-dropping each via definition of the layer through the DRC engine; the
-procedure early-terminates once ``k`` valid access points exist, but
-only after finishing the current type combination -- so large pins can
-yield slightly more than ``k`` points (Sec. III-A).
+dropping each via definition of the layer; the procedure
+early-terminates once ``k`` valid access points exist, but only after
+finishing the current type combination -- so large pins can yield
+slightly more than ``k`` points (Sec. III-A).
+
+The ladder is one loop (:meth:`AccessPointGenerator._generate_on_layer`)
+that every caller runs: cell pins in each check backend and top-level
+IO pins (:mod:`repro.core.ioaccess`).  The backends differ only in
+who gives the verdict -- the cell's compiled tables or the DRC engine
+-- and both verdicts end in one accept step
+(:meth:`AccessPointGenerator._accept`).
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.core.arraykernel import ApCheckMismatch, ArrayKernel
 from repro.core.config import PaafConfig
-from repro.core.coords import CoordType, candidate_coords
+from repro.core.coords import CoordType
 from repro.db.design import Design
 from repro.db.inst import Instance
 from repro.db.master import MasterPin
@@ -94,12 +101,16 @@ class AccessPoint:
 class AccessPointGenerator:
     """Implements Algorithm 1 for one design.
 
-    Unless the shared :class:`~repro.core.arraykernel.ArrayKernel`
-    ``akernel`` is in ``engine`` mode, candidate validation runs on its
-    compiled per-cell tables: each candidate row is answered by one
-    occupancy bitmask instead of per-candidate engine probes, with the
-    engine consulted only to name the violated rule when telemetry
-    sinks are active, or on every candidate in ``verify`` mode.
+    One per-layer ladder loop (:meth:`_generate_on_layer`) enumerates
+    the candidates of every caller -- cell pins in each ``apcheck_mode``
+    and top-level IO pins -- from the shared
+    :class:`~repro.core.arraykernel.ArrayKernel` ``akernel``'s
+    coordinate cache.  When the cell has compiled tables (``array`` and
+    ``verify`` mode) they decide each candidate: a whole candidate row
+    is answered by one occupancy bitmask per via, with the engine
+    consulted only to name the violated rule when telemetry sinks are
+    active, or on every candidate in ``verify`` mode.  Otherwise each
+    candidate is probed through the DRC engine.
     """
 
     def __init__(
@@ -125,28 +136,14 @@ class AccessPointGenerator:
         are validated against (intra-cell context in Step 1).  Returns
         access points in generation (cost) order.
         """
-        aps = []
-        seen_points = set()
-        shapes = inst.pin_rects(pin.name)
-        net_key = (inst.name, pin.name)
-        akernel = self.akernel
         tables = None
-        if akernel.mode != "engine":
-            tables = akernel.cell_tables(inst)
+        if self.akernel.mode != "engine":
+            tables = self.akernel.cell_tables(inst)
         with span("step1.pin", inst=inst.name, pin=pin.name) as record:
-            for layer_name in sorted(shapes):
-                layer = self.tech.layer(layer_name)
-                if not layer.is_routing:
-                    continue
-                polygon = RectilinearPolygon(shapes[layer_name])
-                rects = maximal_rectangles(polygon)
-                done = self._generate_on_layer(
-                    layer, rects, net_key, context, aps, seen_points,
-                    is_macro=inst.master.is_macro, polygon=polygon,
-                    inst=inst, tables=tables,
-                )
-                if done:
-                    break
+            aps = self.generate(
+                inst.pin_rects(pin.name), (inst.name, pin.name), context,
+                is_macro=inst.master.is_macro, inst=inst, tables=tables,
+            )
             if record is not None:
                 record["attrs"]["aps"] = len(aps)
         registry = active_registry()
@@ -154,103 +151,71 @@ class AccessPointGenerator:
             registry.observe("apgen.aps_per_pin", float(len(aps)))
         return aps
 
+    def generate(
+        self, shapes: dict, net_key, context, *, is_macro: bool = False,
+        inst: Instance = None, tables=None,
+    ) -> list:
+        """Run Algorithm 1 over one pin's ``shapes`` (layer -> rects).
+
+        Layers are visited in name order; ``(x, y)`` is deduplicated
+        across them and the quota, once reached on a layer, ends the
+        pin.  ``tables`` are ``inst``'s compiled cell tables, or None
+        to validate every candidate through the engine (IO pins pass
+        neither).
+        """
+        aps = []
+        seen = set()
+        for layer_name in sorted(shapes):
+            layer = self.tech.layer(layer_name)
+            if not layer.is_routing:
+                continue
+            polygon = RectilinearPolygon(shapes[layer_name])
+            if self._generate_on_layer(
+                layer, polygon, net_key, context, aps, seen, is_macro,
+                inst, tables,
+            ):
+                break
+        return aps
+
     # -- internals ---------------------------------------------------------
 
     def _generate_on_layer(
-        self, layer, rects, net_key, context, aps, seen_points, is_macro,
-        polygon=None, inst=None, tables=None,
+        self, layer, polygon, net_key, context, aps, seen, is_macro, inst,
+        tables,
     ) -> bool:
         """Run the Algorithm 1 double loop on one layer.
 
-        Returns True if the early-termination quota was reached.
-        """
-        cfg = self.config
-        pref_axis = "y" if layer.is_horizontal else "x"
-        try:
-            primary_viadef = self.tech.primary_via_from(layer.name)
-        except KeyError:
-            primary_viadef = None
-        if tables is not None:
-            return self._generate_on_layer_array(
-                layer, rects, net_key, context, aps, seen_points,
-                is_macro, polygon, inst, tables, pref_axis, primary_viadef,
-            )
-        for t1 in cfg.non_preferred_types:
-            for t0 in cfg.preferred_types:
-                for rect in rects:
-                    for point in self._points_of_type(
-                        layer, rect, pref_axis, t0, t1, primary_viadef
-                    ):
-                        if point in seen_points:
-                            continue
-                        seen_points.add(point)
-                        ap = self._validate(
-                            layer, point, t0, t1, net_key, context,
-                            is_macro, polygon,
-                        )
-                        if ap is not None:
-                            aps.append(ap)
-                if len(aps) >= cfg.k:
-                    return True
-        return False
-
-    def _generate_on_layer_array(
-        self, layer, rects, net_key, context, aps, seen_points, is_macro,
-        polygon, inst, tables, pref_axis, primary_viadef,
-    ) -> bool:
-        """Algorithm 1 double loop served by compiled occupancy masks.
-
-        Candidate enumeration comes from the kernel's memoized
-        coordinate tables; validation computes, lazily per candidate
-        row, one dirty bitmask per via (and per planar direction) over
-        the whole row of moving-axis displacements.  Loop structure,
-        dedupe and the per-type early-termination check are identical
-        to the engine path, so the AP list is bit-identical.
+        Crosses non-preferred type ``t1`` with preferred type ``t0`` in
+        ascending cost order over every maximal rectangle; returns True
+        once the quota is reached, checked after each type pair.  The
+        coordinate cache returns the *same* list object for equal
+        (type, span, via) queries, so a repeated (pref, nonpref) list
+        pair can only re-enumerate already-seen points and is skipped.
         """
         cfg = self.config
         akernel = self.akernel
         coords = akernel.coords
-        vias = self.tech.vias_from(layer.name)
-        pin_name = net_key[1]
-        ox, oy = inst.location.x, inst.location.y
-        fixed_is_y = pref_axis == "y"
-        nonpref_axis = "x" if fixed_is_y else "y"
+        fixed_is_y = layer.is_horizontal
+        pref_axis, nonpref_axis = ("y", "x") if fixed_is_y else ("x", "y")
+        try:
+            primary_viadef = self.tech.primary_via_from(layer.name)
+        except KeyError:
+            primary_viadef = None
+        cut_pin = polygon if cfg.require_cut_on_pin else None
         registry = active_registry()
         log = active_log()
-        # Per-layer constants of the point loop, resolved once: the
-        # (via, site table, min-step table) triples and the planar
-        # stub tables of this pin/layer.
-        via_info = [
-            (
-                viadef,
-                tables.site[(pin_name, viadef.name)],
-                tables.minstep[(pin_name, viadef.name)],
+        if tables is not None:
+            via_info, stubs, fast_reject = self._layer_tables(
+                layer, net_key[1], tables, is_macro
             )
-            for viadef in vias
-        ]
-        stubs = (
-            tables.planar[(pin_name, layer.name)]
-            if cfg.check_planar
-            else None
-        )
-        # With no verify oracle and via access required, a point that
-        # is dirty for *every* via can never be accepted -- the ANDed
-        # via masks reject it without entering the per-via validation
-        # at all.  Counters advance by arithmetic so stats match the
-        # per-point path exactly; sinks then get each via's rule named
-        # by the engine, as the per-point path reports a dirty via.
-        nvias = len(vias)
-        fast_reject = (
-            nvias > 0
-            and akernel.mode != "verify"
-            and cfg.require_via_access
-            and not is_macro
-            and not cfg.require_cut_on_pin
-        )
-        # The coordinate cache returns the *same* list object for
-        # equal (type, span, via) queries, so a repeated (pref,
-        # nonpref) list pair can only re-enumerate already-seen points
-        # -- skip the whole batch.
+            nvias = len(via_info)
+            # The vias a fast-rejected point names to the sinks.
+            named = (
+                via_info if registry is not None or log is not None else ()
+            )
+            ox, oy = inst.location.x, inst.location.y
+            fixed_origin, moving_origin = (oy, ox) if fixed_is_y else (ox, oy)
+        rects = maximal_rectangles(polygon)
         done_pairs = set()
         for t1 in cfg.non_preferred_types:
             for t0 in cfg.preferred_types:
@@ -269,61 +234,138 @@ class AccessPointGenerator:
                     if pair in done_pairs:
                         continue
                     done_pairs.add(pair)
-                    moving = [
-                        c - (ox if fixed_is_y else oy)
-                        for c in nonpref_coords
-                    ]
+                    if tables is not None:
+                        moving = [c - moving_origin for c in nonpref_coords]
                     for pc in pref_coords:
-                        fixed = pc - (oy if fixed_is_y else ox)
                         row = None
-                        all_dirty = 0
                         for ni, nc in enumerate(nonpref_coords):
                             x, y = (nc, pc) if fixed_is_y else (pc, nc)
-                            if (x, y) in seen_points:
+                            if (x, y) in seen:
                                 continue
-                            seen_points.add((x, y))
-                            if row is None:
-                                # One dirty bitmask per via over the
-                                # whole row.  Planar stub verdicts are
-                                # deliberately pointwise: a row rarely
-                                # contributes more than a point or two
-                                # after the cross-type dedupe, so four
-                                # whole-row stub masks would cost more
-                                # than probing the tiny stub tables.
-                                row = [
-                                    site.row_mask(
-                                        fixed_is_y, fixed, moving
-                                    )
-                                    for _, site, _ms in via_info
-                                ]
-                                if fast_reject:
-                                    all_dirty = -1
-                                    for mask in row:
-                                        all_dirty &= mask
-                            if fast_reject and all_dirty >> ni & 1:
-                                akernel.candidates += nvias
-                                akernel.filtered += nvias
-                                if registry is not None or log is not None:
-                                    for viadef, _site, _ms in via_info:
+                            seen.add((x, y))
+                            if tables is None:
+                                ap = self._validate(
+                                    layer, x, y, t0, t1, net_key, context,
+                                    is_macro, cut_pin, registry, log,
+                                )
+                            else:
+                                if row is None:
+                                    # One dirty bitmask per via over the
+                                    # whole row.  Planar stubs stay
+                                    # pointwise: after the cross-type
+                                    # dedupe a row rarely yields more
+                                    # than a point or two, so whole-row
+                                    # stub masks would cost more than
+                                    # probing the tiny stub tables.
+                                    row = [
+                                        site.row_mask(
+                                            fixed_is_y, pc - fixed_origin,
+                                            moving,
+                                        )
+                                        for _, site, _ms in via_info
+                                    ]
+                                    all_dirty = 0
+                                    if fast_reject:
+                                        all_dirty = -1
+                                        for mask in row:
+                                            all_dirty &= mask
+                                if all_dirty >> ni & 1:
+                                    # Counters advance by arithmetic so
+                                    # stats match the per-point path;
+                                    # sinks get each via's rule named by
+                                    # the engine, as that path reports.
+                                    akernel.candidates += nvias
+                                    akernel.filtered += nvias
+                                    for viadef, _s, _m in named:
                                         self._name_rejection(
                                             layer, x, y, t0, t1, net_key,
                                             context, viadef, registry, log,
                                         )
-                                continue
-                            ap = self._validate_array(
-                                layer, x, y, t0, t1, net_key, context,
-                                is_macro, polygon, via_info, stubs,
-                                row, ni, x - ox, y - oy,
-                                registry, log,
-                            )
+                                    continue
+                                ap = self._validate_array(
+                                    layer, x, y, t0, t1, net_key, context,
+                                    is_macro, cut_pin, via_info, stubs,
+                                    row, ni, x - ox, y - oy, registry, log,
+                                )
                             if ap is not None:
                                 aps.append(ap)
                 if len(aps) >= cfg.k:
                     return True
         return False
 
+    def _layer_tables(self, layer, pin_name, tables, is_macro) -> tuple:
+        """Resolve one pin/layer's table constants for the point loop.
+
+        Returns the ``(via, site table, min-step table)`` triples, the
+        planar stub tables (None without planar checks) and whether the
+        fast reject applies: with no verify oracle and via access
+        required, a point dirty for *every* via can never be accepted,
+        so the ANDed via masks reject it without per-via validation.
+        """
+        cfg = self.config
+        vias = self.tech.vias_from(layer.name)
+        via_info = [
+            (
+                viadef,
+                tables.site[(pin_name, viadef.name)],
+                tables.minstep[(pin_name, viadef.name)],
+            )
+            for viadef in vias
+        ]
+        stubs = (
+            tables.planar[(pin_name, layer.name)]
+            if cfg.check_planar
+            else None
+        )
+        fast_reject = (
+            bool(vias)
+            and self.akernel.mode != "verify"
+            and cfg.require_via_access
+            and not is_macro
+            and not cfg.require_cut_on_pin
+        )
+        return via_info, stubs, fast_reject
+
+    def _validate(
+        self, layer, x, y, t0, t1, net_key, context, is_macro, cut_pin,
+        registry, log,
+    ):
+        """Engine-probed candidate validation: an AccessPoint or None.
+
+        Each via of the layer is dropped through the DRC engine; with
+        ``cut_pin`` (the pin polygon under ``require_cut_on_pin``) a
+        via additionally needs its cut fully landed on pin metal (the
+        strict via-in-pin reading for advanced nodes).
+        """
+        valid_vias = []
+        for viadef in self.tech.vias_from(layer.name):
+            if cut_pin is not None and self._cut_off_pin(
+                cut_pin, viadef, layer, x, y, t0, t1, net_key, registry, log
+            ):
+                continue
+            violations = self.engine.check_via_placement(
+                viadef, x, y, net_key, context
+            )
+            if not violations:
+                valid_vias.append(viadef.name)
+            else:
+                self._note_rejection(
+                    registry, log, net_key, layer, x, y, t0, t1,
+                    viadef.name, violations[0].rule,
+                    violations[0].layer_name,
+                )
+        planar_dirs = []
+        if self.config.check_planar:
+            planar_dirs = self._planar_directions(
+                layer, x, y, net_key, context
+            )
+        return self._accept(
+            layer, x, y, t0, t1, net_key, is_macro, valid_vias,
+            planar_dirs, registry, log,
+        )
+
     def _validate_array(
-        self, layer, x, y, t0, t1, net_key, context, is_macro, polygon,
+        self, layer, x, y, t0, t1, net_key, context, is_macro, cut_pin,
         via_info, stubs, row, ni, dx, dy, registry, log,
     ):
         """Table-served twin of :meth:`_validate`.
@@ -339,17 +381,9 @@ class AccessPointGenerator:
         verify = akernel.mode == "verify"
         valid_vias = []
         for vi, (viadef, _site, minstep) in enumerate(via_info):
-            if (
-                self.config.require_cut_on_pin
-                and polygon is not None
-                and not polygon.contains_rect(
-                    viadef.cut_at(x, y)
-                )
+            if cut_pin is not None and self._cut_off_pin(
+                cut_pin, viadef, layer, x, y, t0, t1, net_key, registry, log
             ):
-                self._note_rejection(
-                    registry, log, net_key, layer, Point(x, y), t0, t1,
-                    viadef.name, "cut-not-on-pin", viadef.cut_layer,
-                )
                 continue
             akernel.candidates += 1
             dirty = bool(row[vi] >> ni & 1)
@@ -390,7 +424,7 @@ class AccessPointGenerator:
             ]
             if verify:
                 oracle = self._planar_directions(
-                    layer, Point(x, y), net_key, context
+                    layer, x, y, net_key, context
                 )
                 if oracle != planar_dirs:
                     akernel.verify_mismatches += 1
@@ -400,20 +434,26 @@ class AccessPointGenerator:
                         f"(net {net_key}): kernel={planar_dirs}, "
                         f"engine={oracle}"
                     )
-        ap = AccessPoint(
-            x=x,
-            y=y,
-            layer_name=layer.name,
-            pref_type=t0,
-            nonpref_type=t1,
-            valid_vias=valid_vias,
-            planar_dirs=planar_dirs,
+        return self._accept(
+            layer, x, y, t0, t1, net_key, is_macro, valid_vias,
+            planar_dirs, registry, log,
         )
-        accepted = ap.has_via_access or (
-            (not self.config.require_via_access or is_macro)
-            and bool(planar_dirs)
-        )
-        if not accepted:
+
+    def _accept(
+        self, layer, x, y, t0, t1, net_key, is_macro, valid_vias,
+        planar_dirs, registry, log,
+    ):
+        """Return the candidate's AccessPoint if it is valid, else None.
+
+        An access point is valid if a via can be dropped DRC-free
+        (Sec. III-A); planar-only access also counts for macro pins,
+        since the footnote's via-only restriction applies to standard
+        cells, and whenever via access is not required.
+        """
+        if not valid_vias and not (
+            planar_dirs
+            and (is_macro or not self.config.require_via_access)
+        ):
             return None
         if registry is not None:
             registry.incr("apgen.accept")
@@ -430,7 +470,27 @@ class AccessPointGenerator:
                 t0=t0.name.lower(),
                 t1=t1.name.lower(),
             )
-        return ap
+        return AccessPoint(
+            x=x,
+            y=y,
+            layer_name=layer.name,
+            pref_type=t0,
+            nonpref_type=t1,
+            valid_vias=valid_vias,
+            planar_dirs=planar_dirs,
+        )
+
+    def _cut_off_pin(
+        self, cut_pin, viadef, layer, x, y, t0, t1, net_key, registry, log,
+    ) -> bool:
+        """Return True, noting the rejection, if the cut leaves pin metal."""
+        if cut_pin.contains_rect(viadef.cut_at(x, y)):
+            return False
+        self._note_rejection(
+            registry, log, net_key, layer, x, y, t0, t1, viadef.name,
+            "cut-not-on-pin", viadef.cut_layer,
+        )
+        return True
 
     def _name_rejection(
         self, layer, x, y, t0, t1, net_key, context, viadef, registry,
@@ -456,106 +516,12 @@ class AccessPointGenerator:
                 f"violation"
             )
         self._note_rejection(
-            registry, log, net_key, layer, Point(x, y), t0, t1,
+            registry, log, net_key, layer, x, y, t0, t1,
             viadef.name, violations[0].rule, violations[0].layer_name,
         )
 
-    def _points_of_type(
-        self, layer, rect, pref_axis, t0, t1, viadef
-    ) -> list:
-        """Cross the coordinate candidates of (t0, t1) over one rect."""
-        pref_coords = candidate_coords(
-            pref_axis, t0, rect, layer, self.design, self.tech, viadef
-        )
-        nonpref_axis = "x" if pref_axis == "y" else "y"
-        nonpref_coords = candidate_coords(
-            nonpref_axis, t1, rect, layer, self.design, self.tech, viadef
-        )
-        points = []
-        for pc in pref_coords:
-            for nc in nonpref_coords:
-                x, y = (nc, pc) if pref_axis == "y" else (pc, nc)
-                points.append(Point(x, y))
-        return points
-
-    def _validate(
-        self, layer, point, t0, t1, net_key, context, is_macro, polygon=None
-    ):
-        """Return a validated AccessPoint, or None if nothing is legal.
-
-        An access point is valid if a via can be dropped DRC-free
-        (Sec. III-A); for macro pins planar-only access also counts,
-        since the footnote's via-only restriction applies to standard
-        cells.  With ``require_cut_on_pin`` set, a via additionally
-        needs its cut fully landed on pin metal (the strict via-in-pin
-        reading for advanced nodes).
-        """
-        registry = active_registry()
-        log = active_log()
-        valid_vias = []
-        for viadef in self.tech.vias_from(layer.name):
-            if (
-                self.config.require_cut_on_pin
-                and polygon is not None
-                and not polygon.contains_rect(
-                    viadef.cut_at(point.x, point.y)
-                )
-            ):
-                self._note_rejection(
-                    registry, log, net_key, layer, point, t0, t1,
-                    viadef.name, "cut-not-on-pin", viadef.cut_layer,
-                )
-                continue
-            violations = self.engine.check_via_placement(
-                viadef, point.x, point.y, net_key, context
-            )
-            if not violations:
-                valid_vias.append(viadef.name)
-            else:
-                self._note_rejection(
-                    registry, log, net_key, layer, point, t0, t1,
-                    viadef.name, violations[0].rule,
-                    violations[0].layer_name,
-                )
-        planar_dirs = []
-        if self.config.check_planar:
-            planar_dirs = self._planar_directions(
-                layer, point, net_key, context
-            )
-        ap = AccessPoint(
-            x=point.x,
-            y=point.y,
-            layer_name=layer.name,
-            pref_type=t0,
-            nonpref_type=t1,
-            valid_vias=valid_vias,
-            planar_dirs=planar_dirs,
-        )
-        accepted = ap.has_via_access or (
-            (not self.config.require_via_access or is_macro)
-            and bool(planar_dirs)
-        )
-        if not accepted:
-            return None
-        if registry is not None:
-            registry.incr("apgen.accept")
-        if log is not None:
-            log.emit(
-                "ap.accept",
-                inst=net_key[0],
-                pin=net_key[1],
-                x=point.x,
-                y=point.y,
-                layer=layer.name,
-                vias=list(valid_vias),
-                planar=list(planar_dirs),
-                t0=t0.name.lower(),
-                t1=t1.name.lower(),
-            )
-        return ap
-
     def _note_rejection(
-        self, registry, log, net_key, layer, point, t0, t1, via_name,
+        self, registry, log, net_key, layer, x, y, t0, t1, via_name,
         rule, rule_layer,
     ) -> None:
         """Record one rejected (candidate point, via) combination.
@@ -575,8 +541,8 @@ class AccessPointGenerator:
                 "ap.reject",
                 inst=net_key[0],
                 pin=net_key[1],
-                x=point.x,
-                y=point.y,
+                x=x,
+                y=y,
                 layer=layer.name,
                 via=via_name,
                 rule=rule,
@@ -585,7 +551,7 @@ class AccessPointGenerator:
                 t1=t1.name.lower(),
             )
 
-    def _planar_directions(self, layer, point, net_key, context) -> list:
+    def _planar_directions(self, layer, x, y, net_key, context) -> list:
         """Return planar escape directions that check DRC-clean.
 
         The stub is one pitch of wire at the layer's default width
@@ -594,7 +560,6 @@ class AccessPointGenerator:
         """
         half = layer.width // 2
         length = layer.pitch
-        x, y = point.x, point.y
         stubs = {
             "E": Rect(x, y - half, x + length, y + half),
             "W": Rect(x - length, y - half, x, y + half),

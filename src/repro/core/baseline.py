@@ -4,8 +4,11 @@ The pre-PAO strategy the paper compares against in Experiments 1 and 2:
 
 * Access points are the on-track crossing points inside the pin shape
   (preferred-direction tracks x upper-layer tracks), truncated at the
-  per-pin quota.  No coordinate-type fallback ladder, so narrow or
-  off-grid pins get few or no points.
+  per-pin quota.  Cell pins and IO pins enumerate them through one
+  helper over Algorithm 1's own on-track coordinates
+  (:func:`~repro.core.coords.candidate_coords`), but there is no
+  coordinate-type fallback ladder, so narrow or off-grid pins get few
+  or no points.
 * No DRC validation at generation time: the via is assumed legal, so a
   fraction of the emitted access points is *dirty* (Table II's "#Dirty
   APs" column).
@@ -25,9 +28,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 
-from repro.core.coords import CoordType, track_patterns_for_axis
 from repro.core.apgen import AccessPoint
+from repro.core.coords import CoordType, candidate_coords
 from repro.core.framework import PinAccessResult, UniqueInstanceAccess
 from repro.core.signature import unique_instances
 from repro.db.design import Design
@@ -113,56 +117,13 @@ class LegacyPinAccess:
             layer = tech.layer(layer_name)
             if not layer.is_routing:
                 continue
-            try:
-                viadef = tech.primary_via_from(layer.name)
-            except KeyError:
-                viadef = None
             polygon = RectilinearPolygon(shapes[layer_name])
-            pref_axis = "y" if layer.is_horizontal else "x"
-            pref_patterns = track_patterns_for_axis(
-                self.design, tech, layer, pref_axis
-            )
-            nonpref_axis = "x" if pref_axis == "y" else "y"
-            nonpref_patterns = track_patterns_for_axis(
-                self.design, tech, layer, nonpref_axis
-            )
             for rect in maximal_rectangles(polygon):
-                pref_span = rect.yspan if pref_axis == "y" else rect.xspan
-                nonpref_span = rect.xspan if pref_axis == "y" else rect.yspan
-                pref_coords = sorted(
-                    {
-                        c
-                        for p in pref_patterns
-                        for c in p.coords_in(pref_span.lo, pref_span.hi)
-                    }
-                )
-                nonpref_coords = sorted(
-                    {
-                        c
-                        for p in nonpref_patterns
-                        for c in p.coords_in(nonpref_span.lo, nonpref_span.hi)
-                    }
-                )
-                for pc in pref_coords:
-                    for nc in nonpref_coords:
-                        if len(aps) >= self.k:
-                            return aps
-                        x, y = (nc, pc) if pref_axis == "y" else (pc, nc)
-                        if not self._naive_screen(x, y, rect, cell_shapes):
-                            continue
-                        aps.append(
-                            AccessPoint(
-                                x=x,
-                                y=y,
-                                layer_name=layer.name,
-                                pref_type=CoordType.ON_TRACK,
-                                nonpref_type=CoordType.ON_TRACK,
-                                valid_vias=(
-                                    [viadef.name] if viadef is not None else []
-                                ),
-                                planar_dirs=[],
-                            )
-                        )
+                for ap in _on_track_aps(self.design, layer, rect):
+                    if len(aps) >= self.k:
+                        return aps
+                    if self._naive_screen(ap.x, ap.y, rect, cell_shapes):
+                        aps.append(ap)
         return aps
 
     def _naive_screen(self, x, y, pin_rect, cell_shapes) -> bool:
@@ -188,6 +149,37 @@ class LegacyPinAccess:
         return overlapping <= 2
 
 
+def _on_track_aps(design: Design, layer, rect):
+    """Yield the unvalidated on-track access points inside ``rect``.
+
+    The legacy candidate set: the crossings of Algorithm 1's on-track
+    coordinates on both axes (:func:`~repro.core.coords.
+    candidate_coords`), preferred-axis coordinate outer, both
+    ascending, each carrying the layer's primary via -- no fallback
+    coordinate types and no DRC check.
+    """
+    vias = design.tech.vias_from(layer.name)
+    horizontal = layer.is_horizontal
+    pref, nonpref = (
+        candidate_coords(
+            axis, CoordType.ON_TRACK, rect, layer, design, design.tech
+        )
+        for axis in (("y", "x") if horizontal else ("x", "y"))
+    )
+    for pc in pref:
+        for nc in nonpref:
+            x, y = (nc, pc) if horizontal else (pc, nc)
+            yield AccessPoint(
+                x=x,
+                y=y,
+                layer_name=layer.name,
+                pref_type=CoordType.ON_TRACK,
+                nonpref_type=CoordType.ON_TRACK,
+                valid_vias=[vias[0].name] if vias else [],
+                planar_dirs=[],
+            )
+
+
 def legacy_io_access(design: Design, k: int = 3) -> dict:
     """Naive on-track access for top-level IO pins (legacy style).
 
@@ -198,57 +190,12 @@ def legacy_io_access(design: Design, k: int = 3) -> dict:
     with an empty list, i.e. the legacy flow simply cannot reach them.
     Returns ``{io_pin_name: [AccessPoint, ...]}``.
     """
-    tech = design.tech
     out = {}
     for io_pin in design.io_pins.values():
-        layer = tech.layer(io_pin.layer_name)
-        if not layer.is_routing:
-            out[io_pin.name] = []
-            continue
-        try:
-            viadef = tech.primary_via_from(layer.name)
-        except KeyError:
-            viadef = None
-        pref_axis = "y" if layer.is_horizontal else "x"
-        pref_patterns = track_patterns_for_axis(design, tech, layer, pref_axis)
-        nonpref_patterns = track_patterns_for_axis(
-            design, tech, layer, "x" if pref_axis == "y" else "y"
+        layer = design.tech.layer(io_pin.layer_name)
+        out[io_pin.name] = (
+            list(islice(_on_track_aps(design, layer, io_pin.rect), k))
+            if layer.is_routing
+            else []
         )
-        rect = io_pin.rect
-        pref_span = rect.yspan if pref_axis == "y" else rect.xspan
-        nonpref_span = rect.xspan if pref_axis == "y" else rect.yspan
-        pref_coords = sorted(
-            {
-                c
-                for p in pref_patterns
-                for c in p.coords_in(pref_span.lo, pref_span.hi)
-            }
-        )
-        nonpref_coords = sorted(
-            {
-                c
-                for p in nonpref_patterns
-                for c in p.coords_in(nonpref_span.lo, nonpref_span.hi)
-            }
-        )
-        aps = []
-        for pc in pref_coords:
-            for nc in nonpref_coords:
-                if len(aps) >= k:
-                    break
-                x, y = (nc, pc) if pref_axis == "y" else (pc, nc)
-                aps.append(
-                    AccessPoint(
-                        x=x,
-                        y=y,
-                        layer_name=layer.name,
-                        pref_type=CoordType.ON_TRACK,
-                        nonpref_type=CoordType.ON_TRACK,
-                        valid_vias=(
-                            [viadef.name] if viadef is not None else []
-                        ),
-                        planar_dirs=[],
-                    )
-                )
-        out[io_pin.name] = aps
     return out

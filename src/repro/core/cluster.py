@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.core.arraykernel import ArrayKernel
 from repro.core.config import PaafConfig
-from repro.core.dpgraph import LayeredDpGraph
+from repro.core.dpgraph import DRC_COST, LayeredDpGraph
 from repro.core.pattern import AccessPattern
 from repro.db.design import Design
 from repro.drc.pairkernel import PairKernel
@@ -394,7 +394,7 @@ class ClusterPatternSelector:
     def _edge_cost(self, prev, curr, prev_prev) -> float:
         cost = self._vertex_cost(curr)
         if prev is not None and self._boundary_conflicts(prev, curr):
-            cost += self.config.drc_cost
+            cost += DRC_COST
         return cost
 
     def _vertex_cost(self, selected: SelectedAccess) -> float:
@@ -402,7 +402,7 @@ class ClusterPatternSelector:
             return 0
         cost = selected.pattern.cost
         if not selected.pattern.is_clean:
-            cost += self.config.drc_cost * len(selected.pattern.violations)
+            cost += DRC_COST * len(selected.pattern.violations)
         return cost
 
     def _boundary_conflicts(

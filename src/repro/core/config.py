@@ -35,9 +35,6 @@ class PaafConfig:
     patterns_per_unique_instance: int = 3
     boundary_conflict_aware: bool = True
     history_aware: bool = True
-    ap_cost_scale: int = 1
-    drc_cost: int = 1000
-    penalty_cost: int = 100
 
     # Performance knobs (repro.perf).  These change how the flow
     # executes, never what it computes: results are bit-identical for

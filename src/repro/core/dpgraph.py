@@ -27,6 +27,12 @@ from dataclasses import dataclass
 
 INFINITY = float("inf")
 
+#: Algorithm 3's price of an edge between incompatible vias (and Step
+#: 3's price of each boundary conflict or dirty-pattern violation).
+DRC_COST = 1000
+#: Algorithm 3's penalty for a boundary vertex an earlier pattern used.
+PENALTY_COST = 100
+
 
 @dataclass
 class DpVertex:
@@ -109,10 +115,7 @@ class FlatDp:
     def __init__(self, groups, compatible, config):
         self.groups = groups
         self.config = config
-        scale = config.ap_cost_scale
-        self.src = [
-            [scale * ap.cost for _, ap in group] for group in groups
-        ]
+        self.src = [[ap.cost for _, ap in group] for group in groups]
         self.compat_prev = [None]
         self.compat_skip = [None, None]
         for m in range(1, len(groups)):
@@ -148,8 +151,6 @@ class FlatDp:
         cfg = self.config
         bca = cfg.boundary_conflict_aware
         history = cfg.history_aware
-        penalty = cfg.penalty_cost
-        drc = cfg.drc_cost
         last = len(groups) - 1
         used_first = [is_used(v) for v in groups[0]] if bca else None
         used_last = (
@@ -177,16 +178,16 @@ class FlatDp:
                 best_i = 0
                 for i in range(nprev):
                     if prev_used is not None and prev_used[i]:
-                        edge = penalty
+                        edge = PENALTY_COST
                     elif j_used:
-                        edge = penalty
+                        edge = PENALTY_COST
                     elif not cmask >> i & 1:
-                        edge = drc
+                        edge = DRC_COST
                     elif (
                         smask is not None
                         and not smask >> prev_parents[i] & 1
                     ):
-                        edge = drc
+                        edge = DRC_COST
                     else:
                         edge = src_prev[i] + j_src
                     total = costs[i] + edge
@@ -242,14 +243,14 @@ class FlatDp:
                     if (prev_used is not None and prev_used[i]) or (
                         curr_used is not None and curr_used[j]
                     ):
-                        yield prev, curr, cfg.penalty_cost, "boundary-used"
+                        yield prev, curr, PENALTY_COST, "boundary-used"
                     elif not cmask >> i & 1:
-                        yield prev, curr, cfg.drc_cost, "drc-pair"
+                        yield prev, curr, DRC_COST, "drc-pair"
                     elif (
                         smasks is not None
                         and not smasks[j] >> parents[m - 1][i] & 1
                     ):
-                        yield prev, curr, cfg.drc_cost, "history-drc"
+                        yield prev, curr, DRC_COST, "history-drc"
                     else:
                         yield (
                             prev, curr,

@@ -3,20 +3,23 @@
 The contest designs carry up to 1211 IO pins (Table I); a router ends
 nets on them just like on instance pins.  IO pins sit on routing
 layers at the die boundary, so their analysis is simpler than cell
-pins -- no unique-instance machinery, no clustering -- but uses the
-same coordinate ladder and DRC validation against the full design.
+pins -- no unique-instance machinery, no clustering -- but runs the
+same Algorithm 1 ladder (:meth:`~repro.core.apgen.AccessPointGenerator.
+generate`), every candidate probed through the DRC engine against the
+full design.  An IO access point needs a clean via: no planar
+directions are recorded and no cut-on-pin test applies.
 """
 
 from __future__ import annotations
 
-from repro.core.apgen import AccessPoint
+import dataclasses
+
+from repro.core.apgen import AccessPointGenerator
+from repro.core.arraykernel import ArrayKernel
 from repro.core.config import PaafConfig
-from repro.core.coords import CoordType, candidate_coords
 from repro.db.design import Design
 from repro.drc.context import ShapeContext
 from repro.drc.engine import DrcEngine
-from repro.geom.maxrect import maximal_rectangles
-from repro.geom.polygon import RectilinearPolygon
 
 
 class IoPinAccess:
@@ -24,7 +27,6 @@ class IoPinAccess:
 
     def __init__(self, design: Design, config: PaafConfig = None):
         self.design = design
-        self.tech = design.tech
         self.config = config or PaafConfig()
         self.engine = DrcEngine(design.tech)
 
@@ -36,69 +38,22 @@ class IoPinAccess:
         """
         if context is None:
             context = ShapeContext.from_design(self.design)
-        out = {}
-        for io_pin in self.design.io_pins.values():
-            out[io_pin.name] = self._generate(io_pin, context)
-        return out
-
-    def _generate(self, io_pin, context) -> list:
-        layer = self.tech.layer(io_pin.layer_name)
-        if not layer.is_routing:
-            return []
-        net_key = self._net_key(io_pin)
-        polygon = RectilinearPolygon([io_pin.rect])
-        aps = []
-        seen = set()
-        pref_axis = "y" if layer.is_horizontal else "x"
-        try:
-            viadef = self.tech.primary_via_from(layer.name)
-        except KeyError:
-            viadef = None
-        for t1 in self.config.non_preferred_types:
-            for t0 in self.config.preferred_types:
-                for rect in maximal_rectangles(polygon):
-                    pref = candidate_coords(
-                        pref_axis, t0, rect, layer, self.design,
-                        self.tech, viadef,
-                    )
-                    nonpref_axis = "x" if pref_axis == "y" else "y"
-                    nonpref = candidate_coords(
-                        nonpref_axis, t1, rect, layer, self.design,
-                        self.tech, viadef,
-                    )
-                    for pc in pref:
-                        for nc in nonpref:
-                            x, y = (nc, pc) if pref_axis == "y" else (pc, nc)
-                            if (x, y) in seen:
-                                continue
-                            seen.add((x, y))
-                            ap = self._validate(
-                                layer, x, y, t0, t1, net_key, context
-                            )
-                            if ap is not None:
-                                aps.append(ap)
-                if len(aps) >= self.config.k:
-                    return aps
-        return aps
-
-    def _validate(self, layer, x, y, t0, t1, net_key, context):
-        valid_vias = []
-        for viadef in self.tech.vias_from(layer.name):
-            if not self.engine.check_via_placement(
-                viadef, x, y, net_key, context
-            ):
-                valid_vias.append(viadef.name)
-        if not valid_vias:
-            return None
-        return AccessPoint(
-            x=x,
-            y=y,
-            layer_name=layer.name,
-            pref_type=CoordType(t0),
-            nonpref_type=CoordType(t1),
-            valid_vias=valid_vias,
-            planar_dirs=[],
+        # An IO pin is reached by a clean via alone: no planar stubs
+        # and no cut-on-pin test.
+        config = dataclasses.replace(
+            self.config, check_planar=False, require_cut_on_pin=False
         )
+        akernel = ArrayKernel(self.design, mode="engine", engine=self.engine)
+        generator = AccessPointGenerator(
+            self.design, self.engine, config, akernel=akernel
+        )
+        return {
+            io_pin.name: generator.generate(
+                {io_pin.layer_name: [io_pin.rect]}, self._net_key(io_pin),
+                context,
+            )
+            for io_pin in self.design.io_pins.values()
+        }
 
     def _net_key(self, io_pin):
         for net in self.design.nets.values():

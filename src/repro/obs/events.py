@@ -56,20 +56,6 @@ class EventLog:
 _LOG: ContextVar = ContextVar("repro_obs_events", default=None)
 
 
-def activate(log: EventLog = None) -> EventLog:
-    """Install ``log`` (or a fresh one) as the active event log."""
-    log = log if log is not None else EventLog()
-    _LOG.set(log)
-    return log
-
-
-def deactivate() -> EventLog:
-    """Remove and return the active event log (None if none)."""
-    log = _LOG.get()
-    _LOG.set(None)
-    return log
-
-
 def active_log() -> EventLog:
     """Return the active event log, or None."""
     return _LOG.get()

@@ -315,20 +315,6 @@ class MetricsRegistry:
 _ACTIVE: ContextVar = ContextVar("repro_obs_registry", default=None)
 
 
-def activate(registry: MetricsRegistry = None) -> MetricsRegistry:
-    """Install ``registry`` (or a fresh one) as the active registry."""
-    registry = registry if registry is not None else MetricsRegistry()
-    _ACTIVE.set(registry)
-    return registry
-
-
-def deactivate() -> MetricsRegistry:
-    """Remove and return the active registry (None if none)."""
-    registry = _ACTIVE.get()
-    _ACTIVE.set(None)
-    return registry
-
-
 def active_registry() -> MetricsRegistry:
     """Return the active registry, or None."""
     return _ACTIVE.get()

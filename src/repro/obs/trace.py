@@ -126,20 +126,6 @@ _TRACER: ContextVar = ContextVar("repro_obs_tracer", default=None)
 _CURRENT: ContextVar = ContextVar("repro_obs_span", default=None)
 
 
-def activate(tracer: Tracer = None) -> Tracer:
-    """Install ``tracer`` (or a fresh one) as the active tracer."""
-    tracer = tracer if tracer is not None else Tracer()
-    _TRACER.set(tracer)
-    return tracer
-
-
-def deactivate() -> Tracer:
-    """Remove and return the active tracer (None if none)."""
-    tracer = _TRACER.get()
-    _TRACER.set(None)
-    return tracer
-
-
 def active_tracer() -> Tracer:
     """Return the active tracer, or None."""
     return _TRACER.get()

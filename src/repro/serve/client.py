@@ -166,7 +166,11 @@ class OracleClient:
     def _dial(self) -> socket.socket:
         if self.address[0] == "unix":
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.connect(self.address[1])
+            try:
+                sock.connect(self.address[1])
+            except OSError:
+                sock.close()
+                raise
             return sock
         if self.address[0] == "tcp":
             _, host, port = self.address

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from repro.core.apgen import AccessPoint
 from repro.core.config import PaafConfig
 from repro.core.coords import CoordType
-from repro.core.dpgraph import FlatDp, LayeredDpGraph
+from repro.core.dpgraph import (
+    DRC_COST,
+    PENALTY_COST,
+    FlatDp,
+    LayeredDpGraph,
+)
 from repro.core.patterngen import order_pins
 from repro.tech.rules import SpacingTable
 
@@ -82,20 +87,20 @@ def _algorithm3(cfg, is_used_boundary, compatible):
     def edge_cost(prev, curr, prev_prev):
         if prev is None:
             # Virtual source edge: the vertex's own quality cost.
-            return cfg.ap_cost_scale * curr[1].cost
+            return curr[1].cost
         if cfg.boundary_conflict_aware and is_used_boundary(prev):
-            return cfg.penalty_cost
+            return PENALTY_COST
         if cfg.boundary_conflict_aware and is_used_boundary(curr):
-            return cfg.penalty_cost
+            return PENALTY_COST
         if not compatible(prev[1], curr[1]):
-            return cfg.drc_cost
+            return DRC_COST
         if (
             cfg.history_aware
             and prev_prev is not None
             and not compatible(prev_prev[1], curr[1])
         ):
-            return cfg.drc_cost
-        return cfg.ap_cost_scale * (prev[1].cost + curr[1].cost)
+            return DRC_COST
+        return prev[1].cost + curr[1].cost
 
     return edge_cost
 

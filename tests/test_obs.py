@@ -134,7 +134,8 @@ class TestTracer:
             assert record is None
 
     def test_nesting_parents(self):
-        tracer = obs_trace.activate(Tracer())
+        tracer = Tracer()
+        token = obs_trace.swap(tracer)
         try:
             with span("test.outer") as outer:
                 with span("test.inner", k=1) as inner:
@@ -143,10 +144,11 @@ class TestTracer:
             assert tracer.spans[1]["attrs"] == {"k": 1}
             assert tracer.spans[1]["dur"] >= 0.0
         finally:
-            obs_trace.deactivate()
+            obs_trace.restore(token)
 
     def test_limit_drops(self):
-        tracer = obs_trace.activate(Tracer(limit=2))
+        tracer = Tracer(limit=2)
+        token = obs_trace.swap(tracer)
         try:
             with span("test.a"), span("test.b"):
                 with span("test.c") as dropped:
@@ -154,7 +156,7 @@ class TestTracer:
             assert len(tracer.spans) == 2
             assert tracer.dropped == 1
         finally:
-            obs_trace.deactivate()
+            obs_trace.restore(token)
 
     def test_adopt_rebases_and_reparents(self):
         worker = Tracer()
@@ -182,7 +184,7 @@ class TestTracer:
         caller is inside its own span; an inherited current-span id
         would reference the caller's tracer and corrupt re-parenting.
         """
-        obs_trace.activate(Tracer())
+        outer_token = obs_trace.swap(Tracer())
         try:
             with span("test.outer"):
                 task_tracer = Tracer()
@@ -196,7 +198,7 @@ class TestTracer:
                 with span("test.back") as back:
                     assert back["parent"] is not None
         finally:
-            obs_trace.deactivate()
+            obs_trace.restore(outer_token)
 
     def test_chrome_export_and_summary(self):
         tracer = Tracer()
@@ -313,12 +315,13 @@ class TestCollector:
         assert collector.registry is None
         assert collector.tracer is None
         assert collector.log is None
-        outer = obs_trace.activate(Tracer())
+        outer = Tracer()
+        token = obs_trace.swap(outer)
         try:
             with collector:
                 assert obs_trace.active_tracer() is outer
         finally:
-            obs_trace.deactivate()
+            obs_trace.restore(token)
 
     def test_from_config_flag_mapping(self):
         config = PaafConfig(trace_out="/tmp/t.json", explain=True)

@@ -8,6 +8,7 @@ the parity oracles analyze.  One CLI test drives ``repro serve`` /
 """
 
 import copy
+import gc
 import io
 import json
 import os
@@ -16,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.bench import build_testcase
 from repro.core import UnknownInstanceError, UnknownPinError
 from repro.core.oracle import PinAccessOracle
 from repro.serve import (
+    ConnectionFailed,
     DesignSession,
     OracleClient,
     OracleServer,
@@ -217,6 +220,21 @@ class TestErrorHierarchy:
         inc.analyze()
         with pytest.raises(UnknownInstanceError):
             inc.move_instance("ghost", Point(0, 0))
+
+
+class TestClientDial:
+    def test_failed_dials_close_their_sockets(self, tmp_path):
+        missing = tmp_path / "absent.sock"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            client = OracleClient(
+                f"unix:{missing}", connect_retries=3, backoff=0.001
+            )
+            with pytest.raises(ConnectionFailed):
+                client.connect()
+            gc.collect()
+        leaked = [w for w in caught if w.category is ResourceWarning]
+        assert leaked == []
 
 
 # -- end-to-end daemon --------------------------------------------------------
