@@ -14,11 +14,11 @@ key merge rather than violate.
 from repro.drc.violations import Violation
 from repro.drc.context import ShapeContext
 from repro.drc.engine import DrcEngine
+from repro.drc.disptable import DisplacementTable
 from repro.drc.pairkernel import (
     PAIRCHECK_MODES,
     PairCheckMismatch,
     PairKernel,
-    PairTable,
     build_pair_table,
 )
 
@@ -26,9 +26,9 @@ __all__ = [
     "Violation",
     "ShapeContext",
     "DrcEngine",
+    "DisplacementTable",
     "PAIRCHECK_MODES",
     "PairCheckMismatch",
     "PairKernel",
-    "PairTable",
     "build_pair_table",
 ]

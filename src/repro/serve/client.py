@@ -106,7 +106,6 @@ class OracleClient:
         backoff: float = 0.05,
         max_backoff: float = 1.0,
         trace: bool = False,
-        tracer=None,
     ):
         if isinstance(address, str):
             address = parse_address(address)
@@ -115,10 +114,7 @@ class OracleClient:
         self.connect_retries = connect_retries
         self.backoff = backoff
         self.max_backoff = max_backoff
-        if tracer is not None:
-            self.tracer = tracer
-        else:
-            self.tracer = obs_trace.Tracer() if trace else None
+        self.tracer = obs_trace.Tracer() if trace else None
         self.dial_ms = None
         self.last_timing = None
         self._sock = None

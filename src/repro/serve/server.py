@@ -147,7 +147,6 @@ class OracleServer:
         request_timeout: float = 30.0,
         drain_seconds: float = 5.0,
         allow_load: bool = True,
-        tracer=None,
         telemetry: Optional[ServeTelemetry] = None,
     ):
         self.address = address
@@ -157,7 +156,6 @@ class OracleServer:
         self.drain_seconds = drain_seconds
         self.allow_load = allow_load
         self.registry = MetricsRegistry()
-        self.tracer = tracer
         self.telemetry = telemetry
         self._metrics_lock = threading.Lock()
         self._sessions_lock = threading.Lock()
@@ -331,8 +329,6 @@ class OracleServer:
         _close_quietly(conn)
 
     def _handle_connection(self, conn) -> None:
-        if self.tracer is not None:
-            obs_trace.swap(self.tracer)
         telemetry = self.telemetry
         try:
             conn.settimeout(self.request_timeout)

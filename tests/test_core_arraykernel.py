@@ -18,17 +18,17 @@ import pytest
 
 from repro.core import PinAccessFramework
 from repro.core.arraykernel import (
-    _BOX,
     ApCheckMismatch,
     ArrayKernel,
     MinStepTable,
-    SiteTable,
     build_cell_tables,
 )
 from repro.core.config import PaafConfig
+from repro.drc.disptable import BOX, DisplacementTable
 from repro.drc.minstep import check_min_step
 from repro.geom.rect import Rect
 from repro.lefdef import parse_def, parse_lef
+from tests.conftest import make_simple_design
 
 # Three macros, one per hostile shape:
 #  * AND2    -- the test_obs_explain cell: an OBS strip one track above
@@ -259,6 +259,21 @@ class TestMinStepTable:
                 assert table.dirty(dx, dy, layer) == reference, (dx, dy)
 
 
+class TestSignalPinsOnly:
+    def test_power_pins_get_no_step1_tables(self, n45):
+        design = make_simple_design(n45)
+        inst = next(iter(design.instances.values()))
+        tables = build_cell_tables(n45, inst)
+        assert {pin for pin, _via in tables.site} == {"A", "Z"}
+        assert {pin for pin, _via in tables.minstep} == {"A", "Z"}
+        assert {pin for pin, _layer in tables.planar} == {"A", "Z"}
+        # The rails stay fixed shapes: a via dropped on the VSS rail
+        # (origin-relative 0..700 x 0..140) is dirty for pin A and for
+        # the Step 3 table alike.
+        assert not tables.site[("A", "V12_P")].clean(350, 70)
+        assert not tables.inst_clean["V12_P"].clean(350, 70)
+
+
 class TestPickling:
     def test_cell_tables_round_trip(self, design):
         inst = next(
@@ -273,9 +288,9 @@ class TestPickling:
         assert clone.inst_clean == tables.inst_clean
 
     def test_lazy_caches_are_stripped(self):
-        table = SiteTable(
+        table = DisplacementTable(
             (-10, 10, -10, 10),
-            ((_BOX, -5, 5, -5, 5),),
+            ((BOX, -5, 5, -5, 5),),
             ((-10, 10, -10, 10),),
         )
         assert table.clean(0, 0) is False  # populates _memo and _packed
@@ -299,9 +314,9 @@ class TestVerifyAlarm:
         # Poison the Step-3 table: an everything-is-dirty box that the
         # engine cross-check cannot possibly agree with.
         big = 10 ** 9
-        tables.inst_clean["cutvia"] = SiteTable(
+        tables.inst_clean["cutvia"] = DisplacementTable(
             (-big, big, -big, big),
-            ((_BOX, -big, big, -big, big),),
+            ((BOX, -big, big, -big, big),),
             ((-big, big, -big, big),),
         )
         with pytest.raises(ApCheckMismatch, match="diverged"):

@@ -13,6 +13,7 @@ Set ``REPRO_PAIRKERNEL_SWEEP`` to raise the random probe count per
 combination (CI uses a larger value than the local default).
 """
 
+import hashlib
 import os
 import pickle
 import random
@@ -25,12 +26,12 @@ from repro.core.config import PaafConfig
 from repro.core.coords import CoordType
 from repro.core.framework import PinAccessFramework
 from repro.core.patterngen import AccessPatternGenerator
+from repro.drc.disptable import CUT, DisplacementTable
 from repro.drc.engine import DrcEngine
 from repro.drc.pairkernel import (
     PAIRCHECK_MODES,
     PairCheckMismatch,
     PairKernel,
-    PairTable,
     build_pair_table,
 )
 from repro.obs.metrics import collecting
@@ -45,8 +46,14 @@ from tests.conftest import make_simple_design
 # deterministic boundary-critical probes.
 SWEEP = int(os.environ.get("REPRO_PAIRKERNEL_SWEEP", "4"))
 
+# sha256 over every (window, sorted tests) pair table of N45, N32 and
+# N14 -- see TestEquivalence.test_compiled_tables_are_pinned.
+PAIR_TABLES_SHA256 = (
+    "f8a53f1aac060c273402c824a701d8f79dbb9a5f1f7fed94df1c9d6b27d7ec75"
+)
 
-def _probes(table: PairTable, rng: random.Random, extra: int) -> list:
+
+def _probes(table: DisplacementTable, rng: random.Random, extra: int) -> list:
     """Boundary-critical + random displacements for one table."""
     if table.window is None:
         # The combination never violates; a handful of spot checks
@@ -119,13 +126,31 @@ class TestEquivalence:
             )
             assert table.clean(dx, dy) == expected
 
+    def test_compiled_tables_are_pinned(self, n45, n32, n14):
+        """Every compiled window and test set matches the pinned digest.
+
+        The sweeps above sample verdicts; this pins the compiled form
+        itself -- each table's quick-reject window and its test records
+        (order-free) -- for every ordered via pair of every node preset.
+        """
+        digest = hashlib.sha256()
+        for tech in (n45, n32, n14):
+            for via_a in tech.vias:
+                for via_b in tech.vias:
+                    for same_net in (False, True):
+                        table = build_pair_table(tech, via_a, via_b, same_net)
+                        digest.update(repr((
+                            tech.name, via_a.name, via_b.name, same_net,
+                            table.window, sorted(table.tests, key=repr),
+                        )).encode())
+        assert digest.hexdigest() == PAIR_TABLES_SHA256
+
     def test_same_net_tables_hold_only_cut_tests(self, n45):
         """Same-net pairs skip metal/EOL; only the cut check remains."""
-        _CUT = 2
         for via_a in n45.vias:
             for via_b in n45.vias:
                 table = build_pair_table(n45, via_a, via_b, True)
-                assert all(test[0] == _CUT for test in table.tests)
+                assert all(test[0] == CUT for test in table.tests)
 
 
 class TestModes:
@@ -160,7 +185,9 @@ class TestModes:
         kernel = PairKernel(n45, mode="verify")
         # Poison the table: an empty table claims every displacement
         # is clean, which the engine refutes at d=(0, 140).
-        kernel.tables[("V12_P", "V12_P", False)] = PairTable(None, ())
+        kernel.tables[("V12_P", "V12_P", False)] = DisplacementTable(
+            None, (), ()
+        )
         with pytest.raises(PairCheckMismatch):
             kernel.pair_clean("V12_P", 0, 0, "V12_P", 0, 140)
 

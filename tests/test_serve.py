@@ -848,17 +848,20 @@ class TestCli:
         env["PYTHONPATH"] = (
             "src" + os.pathsep + env.get("PYTHONPATH", "")
         )
-        daemon = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--lef", lef, "--def", def_path, "--socket", sock,
-            ],
-            cwd=os.path.dirname(os.path.dirname(__file__)),
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
+        log_path = tmp_path / "serve.log"
+        # The daemon writes to its own copy of the descriptor; a file
+        # instead of an unread pipe cannot fill up or leak.
+        with open(log_path, "w") as log:
+            daemon = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "serve",
+                    "--lef", lef, "--def", def_path, "--socket", sock,
+                ],
+                cwd=os.path.dirname(os.path.dirname(__file__)),
+                env=env,
+                stdout=log,
+                stderr=subprocess.STDOUT,
+            )
         try:
             # The client library's dial retry covers daemon startup.
             with OracleClient(
@@ -901,6 +904,9 @@ class TestCli:
             if daemon.poll() is None:
                 daemon.kill()
                 daemon.wait()
+        output = log_path.read_text()
+        assert "serving " in output
+        assert "drained, exiting" in output
 
     def test_query_requires_action(self):
         from repro.cli import main

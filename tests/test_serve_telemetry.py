@@ -9,6 +9,7 @@ semantics, the HTTP export sidecar, and the ``repro query --timing``
 / ``repro top`` CLI surfaces.
 """
 
+import dataclasses
 import io
 import json
 import socket as socketlib
@@ -475,8 +476,18 @@ class TestServeTelemetry:
         self, tmp_path, served
     ):
         _, session = served
+        # The default objectives with every latency threshold at a
+        # minute: a slow host cannot push one wall-clocked query past
+        # them, so the state is "ok" by construction.  The degraded,
+        # breached and recovered transitions have their own tests.
+        objectives = tuple(
+            o
+            if o.signal == "error_rate"
+            else dataclasses.replace(o, threshold=60000.0)
+            for o in DEFAULT_OBJECTIVES
+        )
         server, addr = start_server(
-            tmp_path, session, telemetry=ServeTelemetry()
+            tmp_path, session, telemetry=ServeTelemetry(objectives)
         )
         try:
             with OracleClient(addr) as client:
