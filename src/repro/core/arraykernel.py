@@ -13,14 +13,14 @@ the two per-candidate workloads against a cell:
   oy)`` from the instance origin -- and because the origin-relative
   geometry of an instance depends only on ``(master, orientation)``,
   one compiled :class:`CellTables` serves every unique instance of a
-  master/orient combination and persists under the AP-cache
-  fingerprint next to ``pairkernel.pkl``.  Algorithm 1 validates a
-  whole candidate row per via with one occupancy bitmask
+  master/orient combination.  Algorithm 1 validates a whole candidate
+  row per via with one occupancy bitmask
   (:meth:`~repro.drc.disptable.DisplacementTable.row_mask`).
 
 * **Step 3 boundary conflicts** -- :meth:`ArrayKernel.via_vs_instance_clean`
   is the same check with ``net_key=None`` and min-step off; it
-  compiles to a second table per ``(master, orient, via)``.
+  compiles its own table per ``(master, orient, via)`` when first
+  asked, and never builds the cell's Step 1 tables.
 
 Min-step is the one check that is not pairwise (it walks the merged
 boundary of the enclosure plus the pin metal it lands on), so it gets
@@ -211,27 +211,11 @@ class MinStepTable:
         self.own = tuple(
             r for r in own if r.xhi > r.xlo and r.yhi > r.ylo
         )
-        self._reset_caches()
-
-    def _reset_caches(self):
         self._bounds = tuple(
             (r.xlo, r.ylo, r.xhi, r.yhi) for r in self.own
         )
         self._subsets = {}
         self._verdicts = {}
-
-    def __getstate__(self):
-        return (self.length, self.max_edges, self.enc, self.own)
-
-    def __setstate__(self, state):
-        self.length, self.max_edges, self.enc, self.own = state
-        self._reset_caches()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MinStepTable)
-            and self.__getstate__() == other.__getstate__()
-        )
 
     def dirty(self, dx: int, dy: int, layer) -> bool:
         """Min-step verdict for the via dropped at displacement ``d``."""
@@ -288,33 +272,68 @@ class MinStepTable:
         )
 
 
-# -- per-cell table bundle ----------------------------------------------------
+# -- per-cell tables ----------------------------------------------------------
+
+
+class CellShapes:
+    """The fixed shapes of one ``(master, orientation)`` cell, indexed once.
+
+    ``by_layer`` holds every pin shape and obstruction origin-relative
+    (layer -> ``(rect, pin)``), so it serves every instance of the
+    class.  :meth:`via_entries` compiles a moving via against them once
+    and serves Step 1's per-pin tables and Step 3's ``net_key=None``
+    table alike.  ``memo`` carries EOL trigger regions and
+    per-rect-pair test records across cells (rail and power shapes
+    repeat between masters).
+    """
+
+    __slots__ = ("tech", "by_layer", "memo", "_vias")
+
+    def __init__(self, tech, inst, memo: dict = None):
+        ox, oy = inst.location.x, inst.location.y
+        shapes = [
+            (layer_name, rect.translated(-ox, -oy), pin.name)
+            for pin, layer_name, rect in inst.all_pin_shapes()
+        ]
+        shapes.extend(
+            (layer_name, rect.translated(-ox, -oy), None)
+            for layer_name, rect in inst.obstruction_rects()
+        )
+        self.tech = tech
+        self.by_layer = shapes_by_layer(shapes)
+        self.memo = {} if memo is None else memo
+        self._vias = {}
+
+    def via_entries(self, via) -> tuple:
+        """Return ``via``'s compiled entries against the cell's shapes.
+
+        Tests depend on the moving via, not the probing pin, so each
+        via compiles once per cell and :func:`assemble` filters the
+        shared entries per pin.
+        """
+        entries = self._vias.get(via.name)
+        if entries is None:
+            entries = self._vias[via.name] = via_entries(
+                self.tech, self.by_layer, via, self.memo
+            )
+        return entries
 
 
 class CellTables:
-    """Every compiled table of one ``(master, orientation)`` cell.
+    """Step 1's compiled tables of one ``(master, orientation)`` cell.
 
-    * ``site`` -- ``(pin, via) -> DisplacementTable`` (Step 1
-      metal/EOL/cut, signal pins only);
+    * ``site`` -- ``(pin, via) -> DisplacementTable`` (metal/EOL/cut,
+      signal pins only);
     * ``minstep`` -- ``(pin, via) -> MinStepTable or None``;
-    * ``planar`` -- ``(pin, layer) -> (E, W, N, S)`` stub tables;
-    * ``inst_clean`` -- ``via -> DisplacementTable`` with
-      ``net_key=None`` semantics (Step 3 boundary checks, min-step off).
+    * ``planar`` -- ``(pin, layer) -> (E, W, N, S)`` stub tables.
     """
 
-    __slots__ = ("site", "minstep", "planar", "inst_clean")
+    __slots__ = ("site", "minstep", "planar")
 
-    def __init__(self, site, minstep, planar, inst_clean):
+    def __init__(self, site, minstep, planar):
         self.site = site
         self.minstep = minstep
         self.planar = planar
-        self.inst_clean = inst_clean
-
-    def __getstate__(self):
-        return (self.site, self.minstep, self.planar, self.inst_clean)
-
-    def __setstate__(self, state):
-        self.site, self.minstep, self.planar, self.inst_clean = state
 
 
 def _planar_stubs(layer) -> tuple:
@@ -329,40 +348,19 @@ def _planar_stubs(layer) -> tuple:
     )
 
 
-def build_cell_tables(tech, inst, regions: dict = None) -> CellTables:
-    """Compile every table of ``inst``'s (master, orientation) class.
+def build_cell_tables(tech, inst, cell: CellShapes = None) -> CellTables:
+    """Compile Step 1's tables of ``inst``'s (master, orientation) class.
 
     Shapes are taken origin-relative, so the result is shared by every
     instance placed with the same master and orientation regardless of
-    location or track offsets.  Only signal pins get Step 1 tables (the
-    only pins Step 1 probes); every pin's shapes stay fixed shapes.
-    ``regions`` optionally carries the compile memo (EOL trigger
-    regions and per-rect-pair test records) across calls, so shapes
-    repeated between masters compile once.
+    location or track offsets.  Only signal pins get tables (the only
+    pins Step 1 probes); every pin's shapes stay fixed shapes.
+    ``cell`` is the class's shape index and via memo, shared with
+    Step 3's tables; a fresh one is built when it is not given.
     """
+    if cell is None:
+        cell = CellShapes(tech, inst)
     ox, oy = inst.location.x, inst.location.y
-    shapes = []
-    for pin, layer_name, rect in inst.all_pin_shapes():
-        shapes.append((layer_name, rect.translated(-ox, -oy), pin.name))
-    for layer_name, rect in inst.obstruction_rects():
-        shapes.append((layer_name, rect.translated(-ox, -oy), None))
-    by_layer = shapes_by_layer(shapes)
-
-    # Tests depend on the moving via or stub, not the probing pin, so
-    # compile each once per cell and let the per-pin tables below
-    # filter the shared entries.
-    if regions is None:
-        regions = {}
-    via_memo = {}
-
-    def via_groups(via):
-        hit = via_memo.get(via.name)
-        if hit is None:
-            hit = via_memo[via.name] = via_entries(
-                tech, by_layer, via, regions
-            )
-        return hit
-
     stub_memo = {}
     site = {}
     minstep = {}
@@ -376,7 +374,9 @@ def build_cell_tables(tech, inst, regions: dict = None) -> CellTables:
             stubs = stub_memo.get(layer_name)
             if stubs is None:
                 stubs = stub_memo[layer_name] = [
-                    metal_groups(tech, by_layer, layer_name, stub, regions)
+                    metal_groups(
+                        tech, cell.by_layer, layer_name, stub, cell.memo
+                    )
                     for stub in _planar_stubs(layer)
                 ]
             planar[(pin.name, layer_name)] = tuple(
@@ -386,7 +386,7 @@ def build_cell_tables(tech, inst, regions: dict = None) -> CellTables:
                 r.translated(-ox, -oy) for r in rects_by_layer[layer_name]
             ]
             for via in tech.vias_from(layer_name):
-                metal, cut = via_groups(via)
+                metal, cut = cell.via_entries(via)
                 site[(pin.name, via.name)] = assemble(metal, cut, pin.name)
                 rule = layer.min_step
                 minstep[(pin.name, via.name)] = (
@@ -399,21 +399,7 @@ def build_cell_tables(tech, inst, regions: dict = None) -> CellTables:
                     if rule is not None
                     else None
                 )
-    inst_clean = {}
-    empty = DisplacementTable(None, (), ())
-    for via in tech.vias:
-        # A via whose metal and cut layers carry no cell geometry can
-        # never collide with this cell; skip the compile outright.
-        if not (
-            via.bottom_layer in by_layer
-            or via.top_layer in by_layer
-            or via.cut_layer in by_layer
-        ):
-            inst_clean[via.name] = empty
-            continue
-        metal, cut = via_groups(via)
-        inst_clean[via.name] = assemble(metal, cut, None)
-    return CellTables(site, minstep, planar, inst_clean)
+    return CellTables(site, minstep, planar)
 
 
 # -- candidate coordinate tables ---------------------------------------------
@@ -458,14 +444,15 @@ class CoordCache:
 class ArrayKernel:
     """Value-keyed per-cell verdict service for Steps 1 and 3.
 
-    Tables build lazily per ``(master, orientation)``; a prebuilt dict
-    can be injected (the persisted cache) via ``tables`` or
-    :meth:`preload`.  ``built`` counts tables compiled by *this*
-    kernel, which decides whether the persisted copy needs rewriting.
+    Every table compiles on first use and lives as long as the kernel.
+    ``tables`` holds Step 1's :class:`CellTables` per ``(master,
+    orientation)``, and ``built`` counts them; ``instance_tables``
+    holds Step 3's table per ``(master, orientation, via)``.  Both
+    compile from one :class:`CellShapes` per cell class, so a via's
+    entries against a cell compile once for either step.
     """
 
-    def __init__(self, design, mode: str = "array", engine=None,
-                 tables: dict = None):
+    def __init__(self, design, mode: str = "array", engine=None):
         if mode not in APCHECK_MODES:
             raise ValueError(
                 f"apcheck mode must be one of {APCHECK_MODES}, "
@@ -477,7 +464,7 @@ class ArrayKernel:
         self.engine = engine if engine is not None else DrcEngine(design.tech)
         self.coords = CoordCache(design)
         self.tables = {}
-        self.preloaded = False
+        self.instance_tables = {}
         self.built = 0
         self.candidates = 0
         self.filtered = 0
@@ -485,14 +472,8 @@ class ArrayKernel:
         self.dp_solves = 0
         self.verify_mismatches = 0
         self._inst_ctx = {}
+        self._cells = {}
         self._compile_memo = {}
-        if tables:
-            self.preload(tables)
-
-    def preload(self, tables: dict) -> None:
-        """Adopt prebuilt tables (persisted cache or parent process)."""
-        self.tables.update(tables)
-        self.preloaded = True
 
     @staticmethod
     def cell_key(inst) -> tuple:
@@ -503,17 +484,42 @@ class ArrayKernel:
         )
 
     def cell_tables(self, inst) -> CellTables:
-        """Return (building if needed) the tables of ``inst``'s class."""
+        """Return (building if needed) Step 1's tables of ``inst``'s class."""
         key = self.cell_key(inst)
         tables = self.tables.get(key)
         if tables is None:
             tick("arraykernel.table.build")
-            tables = build_cell_tables(self.tech, inst, self._compile_memo)
+            tables = build_cell_tables(self.tech, inst, self._cell(key, inst))
             self.tables[key] = tables
             self.built += 1
         else:
             tick("arraykernel.table.hit")
         return tables
+
+    def instance_table(self, via_name, inst) -> DisplacementTable:
+        """Return (building if needed) Step 3's table of ``via_name``.
+
+        The via against every shape of ``inst``'s class with
+        ``net_key=None`` semantics: no shape is the via's own, so none
+        is exempt from metal and EOL.
+        """
+        cell = self.cell_key(inst)
+        key = (*cell, via_name)
+        table = self.instance_tables.get(key)
+        if table is None:
+            metal, cut = self._cell(cell, inst).via_entries(
+                self.tech.via(via_name)
+            )
+            table = self.instance_tables[key] = assemble(metal, cut, None)
+        return table
+
+    def _cell(self, key, inst) -> CellShapes:
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = CellShapes(
+                self.tech, inst, self._compile_memo
+            )
+        return cell
 
     # -- verdicts -----------------------------------------------------------
 
@@ -528,7 +534,7 @@ class ArrayKernel:
         """
         if self.mode == "engine":
             return self._engine_instance_clean(via_name, x, y, inst)
-        table = self.cell_tables(inst).inst_clean[via_name]
+        table = self.instance_table(via_name, inst)
         verdict = table.clean(x - inst.location.x, y - inst.location.y)
         self.candidates += 1
         if not verdict:
@@ -585,7 +591,6 @@ class ArrayKernel:
             "arraykernel.mode": self.mode,
             "arraykernel.tables": len(self.tables),
             "arraykernel.built": self.built,
-            "arraykernel.preloaded": self.preloaded,
             **self.work_counts(),
             "arraykernel.verify_mismatches": self.verify_mismatches,
         }

@@ -239,8 +239,8 @@ class PinAccessFramework:
             engine=self.engine,
         )
         # And one array kernel for the per-cell workloads: Step 1
-        # candidate validation and Step 3 via-vs-instance checks share
-        # its compiled occupancy tables the same way.
+        # candidate validation and Step 3 via-vs-instance checks
+        # compile their tables from its one shape index per cell class.
         from repro.core.arraykernel import ArrayKernel
 
         self.akernel = ArrayKernel(
@@ -280,8 +280,6 @@ class PinAccessFramework:
         with collector:
             t0 = time.perf_counter()
             with obs_trace.span("paaf.run", design=self.design.name):
-                with obs_trace.span("paaf.kernel.prepare"):
-                    self._prepare_kernel(use_cache)
                 with obs_trace.span("paaf.step12"):
                     uis = unique_instances(self.design)
                     result.stats["paaf.unique_instances"] = len(uis)
@@ -292,10 +290,6 @@ class PinAccessFramework:
                 with obs_trace.span("paaf.step3"):
                     self._run_step3(result)
                 t3 = time.perf_counter()
-        if self.cache is not None and use_cache:
-            for name, kernel in self._table_kernels():
-                if kernel.built:
-                    self.cache.store_tables(name, kernel.tables)
         work = {
             name: count - before[name]
             for name, count in self.akernel.work_counts().items()
@@ -431,32 +425,6 @@ class PinAccessFramework:
         return selector.select(clusters, candidates_by_inst, alternatives_fn)
 
     # -- internals ---------------------------------------------------------
-
-    def _prepare_kernel(self, use_cache: bool) -> None:
-        """Preload persisted kernel tables from the cache.
-
-        The pair kernel's forbidden-displacement tables and the array
-        kernel's per-cell tables live under the same tech+config
-        fingerprint as the AP entries.  Tables missing from the cache
-        compile on first use.  In ``engine`` mode a kernel is inert
-        and stays empty.
-        """
-        if self.cache is None or not use_cache:
-            return
-        for name, kernel in self._table_kernels():
-            if kernel.mode != "engine":
-                tables = self.cache.load_tables(name)
-                if tables:
-                    kernel.preload(tables)
-
-    def _table_kernels(self) -> tuple:
-        """Return ``(cache file name, kernel)`` for both kernels."""
-        from repro.perf.apcache import ARRAY_TABLE_FILE, PAIR_TABLE_FILE
-
-        return (
-            (PAIR_TABLE_FILE, self.kernel),
-            (ARRAY_TABLE_FILE, self.akernel),
-        )
 
     def _run_step3(self, result: PinAccessResult) -> None:
         """Step 3 over every row cluster of the design."""

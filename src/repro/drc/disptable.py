@@ -119,8 +119,8 @@ class DisplacementTable:
     per-test closed interaction windows (parallel to ``tests``) that
     power the row-batched form.  The per-row compilation -- merged
     forbidden intervals plus leftover pointwise tests -- is memoized in
-    ``_rows`` and excluded from pickling (it rebuilds lazily in whatever
-    process queries it), as are the pointwise memo and packed tests.
+    ``_rows``, the pointwise verdicts in ``_memo``; ``_packed`` holds
+    the tests flattened for :meth:`clean`, built on its first call.
     """
 
     __slots__ = ("window", "tests", "spans", "_rows", "_packed", "_memo")
@@ -132,23 +132,6 @@ class DisplacementTable:
         self._rows = {}
         self._packed = None
         self._memo = {}
-
-    def __getstate__(self):
-        return (self.window, self.tests, self.spans)
-
-    def __setstate__(self, state):
-        self.window, self.tests, self.spans = state
-        self._rows = {}
-        self._packed = None
-        self._memo = {}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DisplacementTable)
-            and self.window == other.window
-            and self.tests == other.tests
-            and self.spans == other.spans
-        )
 
     def clean(self, dx: int, dy: int) -> bool:
         """Pointwise verdict for displacement ``(dx, dy)``."""
@@ -173,7 +156,7 @@ class DisplacementTable:
         if packed is None:
             # Span bounds flattened next to their test: one tuple
             # unpack per iteration instead of a zip plus four
-            # subscripts.  Lazy and unpickled-fresh, like ``_rows``.
+            # subscripts.  Lazy, like ``_rows``.
             packed = self._packed = [
                 (s[0], s[1], s[2], s[3], t)
                 for t, s in zip(self.tests, self.spans)

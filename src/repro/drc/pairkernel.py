@@ -24,9 +24,9 @@ The kernel runs in one of three modes:
   any divergence.  The engine remains the oracle; this mode proves the
   kernel equivalent on live workloads.
 
-Tables are plain picklable values keyed by via *names*, so one kernel
-is shared across unique instances and persisted next to the AP cache
-under the tech+config fingerprint (:mod:`repro.perf.apcache`).
+Tables are keyed by via *names*, so one kernel is shared across unique
+instances; each table compiles on first use and lives as long as its
+kernel.
 """
 
 from __future__ import annotations
@@ -71,11 +71,8 @@ def build_pair_table(
 class PairKernel:
     """Value-keyed via-pair verdict service shared across Steps 2/3.
 
-    Tables build lazily per ``(via_a, via_b, same_net)`` name key; a
-    prebuilt table dict can be injected (the persisted cache) via
-    ``tables`` or :meth:`preload`.  ``built`` counts tables
-    compiled by *this* kernel, which is what decides whether the
-    persisted copy needs rewriting.
+    Tables build lazily per ``(via_a, via_b, same_net)`` name key;
+    ``built`` counts the tables compiled so far.
     """
 
     def __init__(
@@ -83,7 +80,6 @@ class PairKernel:
         tech: Technology,
         mode: str = "kernel",
         engine: DrcEngine = None,
-        tables: dict = None,
     ):
         if mode not in PAIRCHECK_MODES:
             raise ValueError(
@@ -94,15 +90,7 @@ class PairKernel:
         self.mode = mode
         self.engine = engine if engine is not None else DrcEngine(tech)
         self.tables = {}
-        self.preloaded = False
         self.built = 0
-        if tables:
-            self.preload(tables)
-
-    def preload(self, tables: dict) -> None:
-        """Adopt prebuilt tables (persisted cache or parent process)."""
-        self.tables.update(tables)
-        self.preloaded = True
 
     def table(
         self, via_a: str, via_b: str, same_net: bool = False
@@ -185,5 +173,4 @@ class PairKernel:
             "pairkernel.mode": self.mode,
             "pairkernel.tables": len(self.tables),
             "pairkernel.built": self.built,
-            "pairkernel.preloaded": self.preloaded,
         }

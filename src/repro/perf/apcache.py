@@ -42,7 +42,7 @@ import tempfile
 
 from repro.qa.fingerprint import entry_digest
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 # Knobs that change how the flow executes but never what it computes.
 # ``paircheck_mode`` qualifies because the pair kernel is provably
@@ -65,15 +65,6 @@ PERF_ONLY_FIELDS = frozenset(
         "explain",
     }
 )
-
-# Sibling file of the per-signature entries holding the pair kernel's
-# forbidden-displacement tables for this fingerprint's technology.
-PAIR_TABLE_FILE = "pairkernel.pkl"
-
-# And the array kernel's compiled per-cell occupancy tables (Step 1
-# candidate validation + Step 3 via-vs-instance checks), keyed by
-# (master, orientation) so they are valid for any placement.
-ARRAY_TABLE_FILE = "arraykernel.pkl"
 
 
 def paaf_fingerprint(design, config) -> str:
@@ -220,7 +211,7 @@ class AccessCache:
         }
 
     def entry_count(self) -> int:
-        """Count the persisted per-signature entries under this root.
+        """Count the per-signature entries under this root.
 
         The ``repro serve`` daemon reports this at startup so an
         operator can tell a warm start (restart ≈ cache load) from a
@@ -228,53 +219,10 @@ class AccessCache:
         """
         try:
             return sum(
-                1
-                for name in os.listdir(self.root)
-                if name.endswith(".pkl")
-                and name not in (PAIR_TABLE_FILE, ARRAY_TABLE_FILE)
+                1 for name in os.listdir(self.root) if name.endswith(".pkl")
             )
         except OSError:
             return 0
-
-    # -- kernel tables -----------------------------------------------------
-
-    def load_tables(self, name: str):
-        """Return the kernel tables persisted as ``name``, or None.
-
-        ``name`` is :data:`PAIR_TABLE_FILE` or :data:`ARRAY_TABLE_FILE`.
-        The tables depend only on the technology, the rule set and the
-        cell library's geometry, all covered by the fingerprint this
-        cache is rooted under, so a warm run adopts them wholesale and
-        skips compilation.
-        """
-        try:
-            with open(os.path.join(self.root, name), "rb") as handle:
-                entry = pickle.load(handle)
-        except Exception:
-            # Same degradation contract as per-signature entries: a
-            # missing, torn or unreadable file is a miss, never a crash.
-            return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("version") != CACHE_FORMAT_VERSION
-            # A table file carried over from another tech/config
-            # generation: rebuild rather than trust it.
-            or entry.get("fingerprint") != self.fingerprint
-        ):
-            return None
-        tables = entry.get("tables")
-        return tables if isinstance(tables, dict) else None
-
-    def store_tables(self, name: str, tables: dict) -> None:
-        """Persist kernel tables as ``name`` (see :meth:`load_tables`)."""
-        self._write(
-            os.path.join(self.root, name),
-            {
-                "version": CACHE_FORMAT_VERSION,
-                "fingerprint": self.fingerprint,
-                "tables": tables,
-            },
-        )
 
     # -- internals ---------------------------------------------------------
 

@@ -7,16 +7,14 @@ candidate, and an instance placed off the routing grid -- and asserts
 the array backend reproduces the engine backend's access map bit for
 bit on every one of them.  The compiled-table building blocks are
 exercised directly as well: min-step verdicts against the engine's
-polygon walk, pickling (worker shipping strips the lazy caches), and
+polygon walk, one compile per (cell, via) shared by Steps 1 and 3, and
 the ``verify`` mode's :class:`ApCheckMismatch` alarm on a corrupted
 table.
 """
 
-import pickle
-
 import pytest
 
-from repro.core import PinAccessFramework
+from repro.core import PinAccessFramework, arraykernel
 from repro.core.arraykernel import (
     ApCheckMismatch,
     ArrayKernel,
@@ -271,36 +269,39 @@ class TestSignalPinsOnly:
         # (origin-relative 0..700 x 0..140) is dirty for pin A and for
         # the Step 3 table alike.
         assert not tables.site[("A", "V12_P")].clean(350, 70)
-        assert not tables.inst_clean["V12_P"].clean(350, 70)
+        step3 = ArrayKernel(design).instance_table("V12_P", inst)
+        assert not step3.clean(350, 70)
 
 
-class TestPickling:
-    def test_cell_tables_round_trip(self, design):
-        inst = next(
-            i for i in design.instances.values()
-            if i.master.name == "AND2"
-        )
-        tables = build_cell_tables(design.tech, inst)
-        clone = pickle.loads(pickle.dumps(tables))
-        assert clone.site == tables.site
-        assert clone.minstep == tables.minstep
-        assert clone.planar == tables.planar
-        assert clone.inst_clean == tables.inst_clean
+class TestCompileOnce:
+    def test_cold_run_compiles_each_cell_via_once(
+        self, design, monkeypatch
+    ):
+        # Step 1's site tables and Step 3's table of one (cell, via)
+        # assemble from a single compile of the via against the cell.
+        compiled = []
+        real = arraykernel.via_entries
 
-    def test_lazy_caches_are_stripped(self):
-        table = DisplacementTable(
-            (-10, 10, -10, 10),
-            ((BOX, -5, 5, -5, 5),),
-            ((-10, 10, -10, 10),),
-        )
-        assert table.clean(0, 0) is False  # populates _memo and _packed
-        assert table.clean(20, 20) is True
-        assert table._packed is not None and table._memo
-        clone = pickle.loads(pickle.dumps(table))
-        assert clone._packed is None
-        assert clone._memo == {} and clone._rows == {}
-        assert clone == table
-        assert clone.clean(0, 0) is False and clone.clean(20, 20) is True
+        def counted(tech, by_layer, via, memo):
+            compiled.append((id(by_layer), via.name))
+            return real(tech, by_layer, via, memo)
+
+        monkeypatch.setattr(arraykernel, "via_entries", counted)
+        framework = PinAccessFramework(design, PaafConfig())
+        framework.run(use_cache=False)
+        kernel = framework.akernel
+        step1 = {
+            (cell, via)
+            for cell, tables in kernel.tables.items()
+            for _pin, via in tables.site
+        }
+        step3 = {(key[:2], key[2]) for key in kernel.instance_tables}
+        assert step1 & step3  # the shared compile is exercised
+        assert len(compiled) == len(set(compiled))
+        assert set(compiled) == {
+            (id(kernel._cells[cell].by_layer), via)
+            for cell, via in step1 | step3
+        }
 
 
 class TestVerifyAlarm:
@@ -310,15 +311,15 @@ class TestVerifyAlarm:
             i for i in design.instances.values()
             if i.master.name == "AND2"
         )
-        tables = kernel.cell_tables(inst)
         # Poison the Step-3 table: an everything-is-dirty box that the
         # engine cross-check cannot possibly agree with.
         big = 10 ** 9
-        tables.inst_clean["cutvia"] = DisplacementTable(
+        poison = DisplacementTable(
             (-big, big, -big, big),
             ((BOX, -big, big, -big, big),),
             ((-big, big, -big, big),),
         )
+        kernel.instance_tables[(*kernel.cell_key(inst), "cutvia")] = poison
         with pytest.raises(ApCheckMismatch, match="diverged"):
             kernel.via_vs_instance_clean(
                 "cutvia",

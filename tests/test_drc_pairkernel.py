@@ -15,7 +15,6 @@ combination (CI uses a larger value than the local default).
 
 import hashlib
 import os
-import pickle
 import random
 
 import pytest
@@ -35,11 +34,6 @@ from repro.drc.pairkernel import (
     build_pair_table,
 )
 from repro.obs.metrics import collecting
-from repro.perf.apcache import (
-    AccessCache,
-    PAIR_TABLE_FILE,
-    paaf_fingerprint,
-)
 from tests.conftest import make_simple_design
 
 # Random displacements per via combination, on top of the ~26
@@ -212,47 +206,7 @@ class TestModes:
             "pairkernel.mode": "kernel",
             "pairkernel.tables": 1,
             "pairkernel.built": 1,
-            "pairkernel.preloaded": False,
         }
-
-
-class TestPersistence:
-    def test_tables_pickle_roundtrip(self, n45):
-        table = build_pair_table(n45, n45.via("V12_P"), n45.via("V12_S"), False)
-        clone = pickle.loads(pickle.dumps(table))
-        assert clone == table
-        assert clone.clean(0, 140) == table.clean(0, 140)
-
-    def test_store_then_load_preloads_kernel(self, n45, tmp_path):
-        design = make_simple_design(n45)
-        cache = AccessCache(str(tmp_path), paaf_fingerprint(design, PaafConfig()))
-        kernel = PairKernel(n45)
-        kernel.table("V12_P", "V12_P")
-        kernel.table("V12_P", "V12_S", True)
-        cache.store_tables(PAIR_TABLE_FILE, kernel.tables)
-
-        loaded = cache.load_tables(PAIR_TABLE_FILE)
-        assert loaded == kernel.tables
-
-        warm = PairKernel(n45, tables=loaded)
-        assert warm.preloaded
-        assert warm.built == 0
-        # Warm queries never rebuild.
-        assert warm.pair_clean("V12_P", 0, 0, "V12_P", 0, 290)
-        assert warm.built == 0
-
-    def test_missing_and_corrupt_files_miss(self, n45, tmp_path):
-        design = make_simple_design(n45)
-        cache = AccessCache(str(tmp_path), paaf_fingerprint(design, PaafConfig()))
-        assert cache.load_tables(PAIR_TABLE_FILE) is None
-        path = os.path.join(cache.root, PAIR_TABLE_FILE)
-        with open(path, "wb") as handle:
-            handle.write(b"not a pickle")
-        assert cache.load_tables(PAIR_TABLE_FILE) is None
-        # Wrong payload shape degrades to a miss, too.
-        with open(path, "wb") as handle:
-            pickle.dump(["unexpected"], handle)
-        assert cache.load_tables(PAIR_TABLE_FILE) is None
 
 
 def _ap(x, y, vias=("V12_P",)):
@@ -309,4 +263,3 @@ class TestEndToEndModes:
         built = result.stats["pairkernel.built"]
         assert 0 < built < 2 * len(n45.vias) ** 2
         assert result.stats["pairkernel.tables"] == built
-        assert not result.stats["pairkernel.preloaded"]

@@ -11,15 +11,12 @@ import dataclasses
 import glob
 import os
 import pickle
-import shutil
 
 import pytest
 
 from repro.bench import build_testcase
 from repro.core import PaafConfig, PinAccessFramework
 from repro.perf.apcache import (
-    ARRAY_TABLE_FILE,
-    PAIR_TABLE_FILE,
     PERF_ONLY_FIELDS,
     AccessCache,
     paaf_fingerprint,
@@ -51,6 +48,9 @@ class TestWarmRuns:
         assert warm.stats["apcache.miss"] == 0
         assert warm.stats["paaf.step12_tasks"] == 0  # Step 1/2 fully skipped
         assert _fingerprint(warm) == _fingerprint(cold)
+        # The cache directory holds the per-signature entries only.
+        (root,) = glob.glob(str(tmp_path / "*"))
+        assert len(os.listdir(root)) == n_uniques
 
     def test_cold_warm_tables_build_lazily(self, design, tmp_path):
         cold = _run(design, tmp_path)
@@ -59,11 +59,17 @@ class TestWarmRuns:
         pair_tables = 2 * len(design.tech.vias) ** 2
         assert 0 < cold.stats["pairkernel.built"] < pair_tables
         assert cold.stats["arraykernel.built"] > 0
-        warm = _run(design, tmp_path)
-        assert warm.stats["pairkernel.preloaded"]
-        assert warm.stats["arraykernel.preloaded"]
-        assert warm.stats["pairkernel.built"] == 0
+        framework = PinAccessFramework(
+            design, PaafConfig(cache_dir=str(tmp_path))
+        )
+        warm = framework.run()
+        assert warm.stats["paaf.step12_tasks"] == 0
+        assert warm.stats["apcache.miss"] == 0
+        # Step 1 ran nowhere, so no cell compiled its Step 1 tables;
+        # Step 3 compiled only the per-via tables it probed.
+        assert framework.akernel.tables == {}
         assert warm.stats["arraykernel.built"] == 0
+        assert framework.akernel.instance_tables
         assert _fingerprint(warm) == _fingerprint(cold)
 
     def test_use_cache_false_bypasses(self, design, tmp_path):
@@ -122,11 +128,7 @@ class TestInvalidation:
 
 
 def _entry_paths(cache_dir):
-    return sorted(
-        path
-        for path in glob.glob(str(cache_dir / "*" / "*.pkl"))
-        if not path.endswith("pairkernel.pkl")
-    )
+    return sorted(glob.glob(str(cache_dir / "*" / "*.pkl")))
 
 
 class TestStaleDetection:
@@ -175,63 +177,6 @@ class TestStaleDetection:
         _run(design, tmp_path)
         warm = _run(design, tmp_path)
         assert warm.stats["apcache.stale"] == 0
-
-
-# Both kernels' table files share one loader and one writer, so each
-# corruption case runs against either file.
-TABLE_FILES = pytest.mark.parametrize(
-    "name", [PAIR_TABLE_FILE, ARRAY_TABLE_FILE]
-)
-
-
-class TestTableCorruption:
-    def _tables_path(self, cache_dir, name):
-        paths = glob.glob(str(cache_dir / "*" / name))
-        assert len(paths) == 1
-        return paths[0]
-
-    @TABLE_FILES
-    def test_truncated_tables_rebuild_cold(self, design, tmp_path, name):
-        kernel = name.removesuffix(".pkl")
-        cold = _run(design, tmp_path)
-        path = self._tables_path(tmp_path, name)
-        with open(path, "rb") as handle:
-            data = handle.read()
-        with open(path, "wb") as handle:
-            handle.write(data[: len(data) // 2])
-
-        warm = _run(design, tmp_path)
-        assert not warm.stats[f"{kernel}.preloaded"]
-        assert warm.stats[f"{kernel}.built"] > 0
-        assert _fingerprint(warm) == _fingerprint(cold)
-
-        # The rebuild re-persisted the tables: next run preloads.
-        again = _run(design, tmp_path)
-        assert again.stats[f"{kernel}.preloaded"]
-
-    @TABLE_FILES
-    def test_garbage_tables_rebuild_cold(self, design, tmp_path, name):
-        kernel = name.removesuffix(".pkl")
-        cold = _run(design, tmp_path)
-        with open(self._tables_path(tmp_path, name), "wb") as handle:
-            handle.write(b"not a pickle")
-        warm = _run(design, tmp_path)
-        assert not warm.stats[f"{kernel}.preloaded"]
-        assert _fingerprint(warm) == _fingerprint(cold)
-
-    @TABLE_FILES
-    def test_wrong_fingerprint_tables_rejected(self, tmp_path, name):
-        ours = AccessCache(str(tmp_path), "a" * 64)
-        ours.store_tables(name, {"k": 1})
-        assert ours.load_tables(name) == {"k": 1}
-        # Copy the table file into another generation's directory:
-        # the recorded fingerprint no longer matches and the entry
-        # must be rejected wholesale.
-        theirs = AccessCache(str(tmp_path), "b" * 64)
-        shutil.copy(
-            os.path.join(ours.root, name), os.path.join(theirs.root, name)
-        )
-        assert theirs.load_tables(name) is None
 
 
 class TestCacheUnit:

@@ -338,9 +338,8 @@ class TestAccessLog:
             r for r in read_access_log(str(path)) if r["why"] == "slow"
         ]
         assert "abc123" in record["spool"]
-        assert json.loads(
-            open(record["spool"]).read()
-        ) == doc
+        with open(record["spool"]) as handle:
+            assert json.load(handle) == doc
 
     def test_fast_requests_never_build_the_trace_doc(self, tmp_path):
         def boom():
@@ -580,7 +579,8 @@ class TestServeTelemetry:
             assert record["design"] == "simple"
             assert record["trace"]
         # The slow ok request spooled its stitched server trace.
-        doc = json.load(open(records[0]["spool"]))
+        with open(records[0]["spool"]) as handle:
+            doc = json.load(handle)
         names = {e["name"] for e in doc["traceEvents"]}
         assert "serve.request" in names
 
@@ -659,6 +659,7 @@ class TestMetricsAndHttp:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(f"{base}/nope")
             assert err.value.code == 404
+            err.value.close()
         finally:
             http.stop()
             server.stop()
@@ -691,6 +692,7 @@ class TestMetricsAndHttp:
                     f"http://{http.host}:{http.port}/slo.json"
                 )
             assert err.value.code == 404
+            err.value.close()
             # /metrics still serves the registry + session gauges.
             with urllib.request.urlopen(
                 f"http://{http.host}:{http.port}/metrics"
