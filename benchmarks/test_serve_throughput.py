@@ -8,11 +8,10 @@ Measures the ``repro.serve`` daemon end to end over a Unix socket:
   client connections, the bulk-evaluation path;
 * one ``move_instance`` edit latency, the write-path cost of an
   incremental repair plus snapshot publication;
-* the telemetry A/B: the same workload against a second server with
-  full request telemetry (RED windows + SLO + access log + wire
-  tracing) quantifies the instrumented overhead, recorded in the
-  envelope context -- the untelemetered numbers above are the
-  headline and must not regress.
+* the telemetry A/B: the same workload from a tracing client against
+  a second server with wire tracing on (``repro serve --telemetry``)
+  quantifies the traced overhead, recorded in the envelope context --
+  the untraced numbers above are the headline and must not regress.
 
 Results go into ``BENCH_serve.json`` at the repo root (shared
 ``repro.qa.bench/v1`` envelope) and, like the other benches, a
@@ -33,14 +32,8 @@ import time
 
 from repro.bench import build_testcase
 from repro.core.oracle import PinAccessOracle
-from repro.obs.accesslog import AccessLog
 from repro.report import format_table
-from repro.serve import (
-    DesignSession,
-    OracleClient,
-    OracleServer,
-    ServeTelemetry,
-)
+from repro.serve import DesignSession, OracleClient, OracleServer
 from repro.serve.protocol import answer_to_wire
 
 from repro.qa.metrics import bench_entry
@@ -153,20 +146,15 @@ def test_serve_throughput(once, tmp_path):
     finally:
         server.stop()
 
-    # Telemetry A/B: the same session behind a second server running
-    # the full bundle (RED + SLO + access log + wire tracing), driven
-    # by a tracing client -- the worst-case instrumented path.  Runs
-    # after the plain server stops so the two never compete for
-    # cores; the overhead lands in the envelope context, not perf.
-    telemetry = ServeTelemetry(
-        access_log=AccessLog(
-            str(tmp_path / "access.jsonl"), slow_ms=1e9
-        ),
-    )
+    # Telemetry A/B: the same session behind a second server with
+    # wire tracing on, driven by a tracing client -- every request
+    # echoes its server spans.  Runs after the plain server stops so
+    # the two never compete for cores; the overhead lands in the
+    # envelope context, not perf.
     server_on = OracleServer(
         ("unix", str(tmp_path / "serve-telemetry.sock")),
         sessions={"bench": session},
-        telemetry=telemetry,
+        trace=True,
     )
     server_on.start()
     try:

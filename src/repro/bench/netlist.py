@@ -98,6 +98,7 @@ class _SpatialPool:
             key=lambda t: (t[0].location.y, t[0].location.x, t[1]),
         )
         self._claimed = [False] * len(self._items)
+        self._free = len(self._items)
         self._cursor = 0
 
     def claim_near(self, point, count: int) -> list:
@@ -105,8 +106,12 @@ class _SpatialPool:
 
         A full nearest-neighbor search is unnecessary: the pool is
         row-major sorted and consumed with a moving cursor, which
-        yields the short, local nets real netlists have.
+        yields the short, local nets real netlists have.  An empty
+        pool returns at once: a full scan would claim nothing and
+        leave the cursor where it was.
         """
+        if not self._free:
+            return []
         claimed = []
         idx = self._cursor
         n = len(self._items)
@@ -114,6 +119,7 @@ class _SpatialPool:
         while len(claimed) < count and scanned < n:
             if not self._claimed[idx % n]:
                 self._claimed[idx % n] = True
+                self._free -= 1
                 claimed.append(self._items[idx % n])
             idx += 1
             scanned += 1

@@ -20,15 +20,11 @@ The deployment surface a downstream user drives:
   ``report`` the DRC/opens/wirelength deltas gated against the
   committed ``goldens/compare`` corpus.
 * ``serve``    -- host the analyzed design as a long-lived daemon
-  (the ``repro.serve/v1`` protocol over TCP or a Unix socket), with
-  optional request telemetry: per-op RED windows, SLO evaluation,
-  access logging, slow-request trace spooling and an HTTP metrics
-  sidecar.
+  (the ``repro.serve/v1`` protocol over TCP or a Unix socket);
+  ``--telemetry`` echoes server spans to tracing clients.
 * ``query``    -- client for a running daemon: pin queries, placement
   edits, stats/health/metrics scrapes and graceful shutdown;
   ``--timing`` prints the traced per-phase breakdown of each query.
-* ``top``      -- live terminal dashboard over a running daemon:
-  per-op QPS and latency quantiles, SLO state, session table.
 
 User-facing failures (unreadable inputs, bad option values) exit
 non-zero with a one-line message; tracebacks are reserved for bugs.
@@ -48,6 +44,8 @@ from repro.core import (
     unique_instances,
 )
 from repro.lefdef import parse_def, parse_lef, write_def, write_lef
+from repro.lefdef.def_parser import DefParseError
+from repro.lefdef.lef_parser import LefParseError
 from repro.report import format_table
 from repro.route import DetailedRouter, count_route_drcs
 from repro.route.drcu import drcu_access_map
@@ -212,31 +210,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="Step 1/3 candidate backend for the hosted "
                           "analyses")
     srv.add_argument("--telemetry", action="store_true",
-                     help="enable request telemetry: per-op RED "
-                          "windows, SLO evaluation in 'health', wire "
-                          "trace propagation")
-    srv.add_argument("--slo", dest="slo_path", metavar="JSON",
-                     help="objective table (JSON list of {name, op, "
-                          "signal, threshold}); implies --telemetry")
-    srv.add_argument("--access-log", dest="access_log", metavar="JSONL",
-                     help="write the repro.serve.access/v1 request "
-                          "log here; implies --telemetry")
-    srv.add_argument("--access-log-sample", type=int, default=1,
-                     metavar="N",
-                     help="head-sample: log every Nth ok-and-fast "
-                          "request (errors and slow requests always "
-                          "log; default 1 = everything)")
-    srv.add_argument("--slow-ms", type=float, default=100.0,
-                     help="always-log latency threshold in ms; slow "
-                          "requests also spool their trace")
-    srv.add_argument("--spool-dir",
-                     help="dump slow-request Chrome traces here "
-                          "(requires --access-log)")
-    srv.add_argument("--http-port", type=int, metavar="PORT",
-                     help="HTTP export sidecar port (/metrics, "
-                          "/healthz, /slo.json); implies --telemetry")
-    srv.add_argument("--http-host", default="127.0.0.1",
-                     help="HTTP sidecar bind host (default loopback)")
+                     help="wire trace propagation: answer requests "
+                          "that carry a trace context with the "
+                          "server's spans")
     srv.set_defaults(handler=_cmd_serve)
 
     qry = sub.add_parser(
@@ -266,25 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     qry.add_argument("--timeout", type=float, default=30.0,
                      help="request timeout in seconds")
     qry.set_defaults(handler=_cmd_query)
-
-    top = sub.add_parser(
-        "top",
-        help="live terminal dashboard over a running daemon",
-    )
-    top.add_argument("address", metavar="ADDRESS",
-                     help="daemon endpoint: unix:PATH, a socket path, "
-                          "or HOST:PORT")
-    top.add_argument("--interval", type=float, default=2.0,
-                     help="seconds between refreshes (default 2)")
-    top.add_argument("--iterations", type=int, default=0, metavar="N",
-                     help="stop after N refreshes (default 0 = until "
-                          "interrupted)")
-    top.add_argument("--no-clear", action="store_true",
-                     help="append refreshes instead of clearing the "
-                          "screen")
-    top.add_argument("--timeout", type=float, default=30.0,
-                     help="request timeout in seconds")
-    top.set_defaults(handler=_cmd_top)
 
     qa = sub.add_parser(
         "qa",
@@ -529,8 +486,14 @@ def _endpoint(args) -> tuple:
 def _load(args):
     lef_text = _read_input(args.lef, "--lef")
     def_text = _read_input(args.def_path, "--def")
-    tech, masters = parse_lef(lef_text)
-    return parse_def(def_text, tech, masters)
+    try:
+        tech, masters = parse_lef(lef_text)
+    except LefParseError as exc:
+        raise CliError(f"{args.lef}: {exc}") from exc
+    try:
+        return parse_def(def_text, tech, masters)
+    except DefParseError as exc:
+        raise CliError(f"{args.def_path}: {exc}") from exc
 
 
 def _read_input(path: str, flag: str) -> str:
@@ -710,7 +673,7 @@ def _cmd_route(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Analyze a design and host it as a pin access daemon."""
-    from repro.serve import DesignSession, HttpExport, OracleServer
+    from repro.serve import DesignSession, OracleServer
 
     design = _load(args)
     config = PaafConfig(
@@ -731,41 +694,21 @@ def _cmd_serve(args) -> int:
         if cache is not None
         else ""
     )
-    telemetry = _build_telemetry(args)
     server = OracleServer(
         _endpoint(args),
         max_clients=args.max_clients,
         request_timeout=args.request_timeout,
         drain_seconds=args.drain_seconds,
         allow_load=not args.no_load,
-        telemetry=telemetry,
+        trace=args.telemetry,
     )
     server.add_session(session)
     try:
         server.start()
     except OSError as exc:
         raise CliError(f"cannot bind {_endpoint(args)!r}: {exc}") from exc
-    http = None
-    if args.http_port is not None:
-        try:
-            http = HttpExport(
-                server, host=args.http_host, port=args.http_port
-            ).start()
-        except OSError as exc:
-            server.stop(drain=False)
-            raise CliError(
-                f"cannot bind HTTP sidecar "
-                f"{args.http_host}:{args.http_port}: {exc}"
-            ) from exc
     server.install_signal_handlers()
-    extras = []
-    if telemetry is not None:
-        extras.append("telemetry on")
-    if args.access_log:
-        extras.append(f"access log {args.access_log}")
-    if http is not None:
-        extras.append(f"http {http.host}:{http.port}")
-    suffix = f" [{'; '.join(extras)}]" if extras else ""
+    suffix = " [telemetry on]" if args.telemetry else ""
     print(
         f"serving {session.name!r} on {_format_endpoint(server)} "
         f"(analyze {session.analyze_seconds:.2f}s{warmth}){suffix}; "
@@ -773,62 +716,8 @@ def _cmd_serve(args) -> int:
         flush=True,
     )
     server.serve_forever()
-    if http is not None:
-        http.stop()
     print("drained, exiting")
     return 0
-
-
-def _build_telemetry(args):
-    """Resolve the serve telemetry flags into a ServeTelemetry or None.
-
-    ``--slo``, ``--access-log`` and ``--http-port`` each imply
-    ``--telemetry``; with none of them the daemon runs untelemetered
-    (the zero-overhead default).
-    """
-    import json
-
-    from repro.obs.accesslog import AccessLog
-    from repro.obs.slo import DEFAULT_OBJECTIVES, objectives_from_json
-    from repro.serve import ServeTelemetry
-
-    enabled = (
-        args.telemetry
-        or args.slo_path
-        or args.access_log
-        or args.http_port is not None
-    )
-    if not enabled:
-        if args.spool_dir:
-            raise CliError("--spool-dir requires --access-log")
-        return None
-    objectives = DEFAULT_OBJECTIVES
-    if args.slo_path:
-        try:
-            with open(args.slo_path) as handle:
-                objectives = objectives_from_json(json.load(handle))
-        except (OSError, ValueError) as exc:
-            raise CliError(
-                f"cannot read --slo {args.slo_path!r}: {exc}"
-            ) from exc
-    access_log = None
-    if args.access_log:
-        if args.access_log_sample < 1:
-            raise CliError("--access-log-sample must be >= 1")
-        try:
-            access_log = AccessLog(
-                args.access_log,
-                sample_every=args.access_log_sample,
-                slow_ms=args.slow_ms,
-                spool_dir=args.spool_dir,
-            )
-        except OSError as exc:
-            raise CliError(
-                f"cannot open --access-log {args.access_log!r}: {exc}"
-            ) from exc
-    elif args.spool_dir:
-        raise CliError("--spool-dir requires --access-log")
-    return ServeTelemetry(objectives=objectives, access_log=access_log)
 
 
 def _format_endpoint(server) -> str:
@@ -973,103 +862,6 @@ def _format_answer(answer: dict) -> str:
         f"{selected['layer']} via={via} "
         f"[{alts} alternatives, gen {answer['generation']}]"
     )
-
-
-def _cmd_top(args) -> int:
-    """Live terminal dashboard: poll stats/health, render, repeat."""
-    import time as _time
-
-    from repro.serve import (
-        ConnectionFailed,
-        OracleClient,
-        ServerError,
-        parse_address,
-    )
-
-    try:
-        address = parse_address(args.address)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if args.interval <= 0:
-        raise CliError("--interval must be > 0")
-    refreshes = 0
-    try:
-        with OracleClient(address, timeout=args.timeout) as client:
-            while True:
-                stats = client.stats()
-                health = client.health()
-                if not args.no_clear and sys.stdout.isatty():
-                    # Clear screen + home, the classic top(1) refresh.
-                    print("\x1b[2J\x1b[H", end="")
-                print(_render_top(args.address, stats, health),
-                      flush=True)
-                refreshes += 1
-                if args.iterations and refreshes >= args.iterations:
-                    return 0
-                _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-    except ConnectionFailed as exc:
-        raise CliError(str(exc)) from exc
-    except (ServerError, KeyError) as exc:
-        raise CliError(str(exc)) from exc
-    except ConnectionError as exc:
-        raise CliError(f"connection lost: {exc}") from exc
-
-
-def _render_top(address: str, stats: dict, health: dict) -> str:
-    """Render one dashboard frame from stats + health payloads."""
-    lines = []
-    slo = health.get("slo")
-    state = slo["state"] if slo else "n/a"
-    lines.append(
-        f"pao top {address} -- status={health['status']} "
-        f"slo={state} uptime={health['uptime_seconds']}s"
-    )
-    if slo and slo.get("breached"):
-        lines.append("  breached: " + ", ".join(slo["breached"]))
-    red = stats.get("red") or {}
-    if red:
-        rows = [
-            [
-                op,
-                snap["count"],
-                snap["errors"],
-                f"{snap['qps']:.1f}",
-                _top_ms(snap.get("p50_ms")),
-                _top_ms(snap.get("p95_ms")),
-                _top_ms(snap.get("p99_ms")),
-            ]
-            for op, snap in sorted(red.items())
-        ]
-        lines.append(format_table(
-            ["op", "count", "errors", "qps", "p50 ms", "p95 ms",
-             "p99 ms"],
-            rows, title="Per-op RED (sliding window)"))
-    else:
-        lines.append(
-            "  (no RED telemetry; start the daemon with --telemetry)"
-        )
-    sessions = stats.get("sessions") or {}
-    if sessions:
-        rows = [
-            [
-                name,
-                row["generation"],
-                row["served_pins"],
-                row["moves"],
-                row.get("cache_entries", "-"),
-            ]
-            for name, row in sorted(sessions.items())
-        ]
-        lines.append(format_table(
-            ["session", "gen", "answers", "moves", "cache"],
-            rows, title="Sessions"))
-    return "\n".join(lines)
-
-
-def _top_ms(value) -> str:
-    return f"{value:.3f}" if value is not None else "-"
 
 
 def _cmd_suite(args) -> int:

@@ -446,10 +446,11 @@ class ArrayKernel:
 
     Every table compiles on first use and lives as long as the kernel.
     ``tables`` holds Step 1's :class:`CellTables` per ``(master,
-    orientation)``, and ``built`` counts them; ``instance_tables``
-    holds Step 3's table per ``(master, orientation, via)``.  Both
-    compile from one :class:`CellShapes` per cell class, so a via's
-    entries against a cell compile once for either step.
+    orientation)``, and the ``arraykernel.built`` stat counts them;
+    ``instance_tables`` holds Step 3's table per ``(master,
+    orientation, via)``.  Both compile from one :class:`CellShapes`
+    per cell class, so a via's entries against a cell compile once
+    for either step.
     """
 
     def __init__(self, design, mode: str = "array", engine=None):
@@ -465,7 +466,6 @@ class ArrayKernel:
         self.coords = CoordCache(design)
         self.tables = {}
         self.instance_tables = {}
-        self.built = 0
         self.candidates = 0
         self.filtered = 0
         self.minstep_engine = 0
@@ -491,7 +491,6 @@ class ArrayKernel:
             tick("arraykernel.table.build")
             tables = build_cell_tables(self.tech, inst, self._cell(key, inst))
             self.tables[key] = tables
-            self.built += 1
         else:
             tick("arraykernel.table.hit")
         return tables
@@ -589,8 +588,7 @@ class ArrayKernel:
         """Return kernel counters for ``PinAccessResult.stats``."""
         return {
             "arraykernel.mode": self.mode,
-            "arraykernel.tables": len(self.tables),
-            "arraykernel.built": self.built,
+            "arraykernel.built": len(self.tables),
             **self.work_counts(),
             "arraykernel.verify_mismatches": self.verify_mismatches,
         }

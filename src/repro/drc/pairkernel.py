@@ -71,8 +71,8 @@ def build_pair_table(
 class PairKernel:
     """Value-keyed via-pair verdict service shared across Steps 2/3.
 
-    Tables build lazily per ``(via_a, via_b, same_net)`` name key;
-    ``built`` counts the tables compiled so far.
+    Tables build lazily per ``(via_a, via_b, same_net)`` name key and
+    are never dropped, so ``pairkernel.built`` is ``len(tables)``.
     """
 
     def __init__(
@@ -90,7 +90,6 @@ class PairKernel:
         self.mode = mode
         self.engine = engine if engine is not None else DrcEngine(tech)
         self.tables = {}
-        self.built = 0
 
     def table(
         self, via_a: str, via_b: str, same_net: bool = False
@@ -113,7 +112,6 @@ class PairKernel:
                     same_net,
                 )
             self.tables[key] = table
-            self.built += 1
         else:
             tick("pairkernel.table.hit")
         return table
@@ -171,6 +169,5 @@ class PairKernel:
         """
         return {
             "pairkernel.mode": self.mode,
-            "pairkernel.tables": len(self.tables),
-            "pairkernel.built": self.built,
+            "pairkernel.built": len(self.tables),
         }

@@ -79,44 +79,12 @@ def emit(kind: str, **fields) -> None:
 
 
 # -- JSONL persistence --------------------------------------------------------
-#
-# Every JSONL stream the project writes shares one convention: the
-# first line is a header object carrying a ``schema`` stamp, every
-# following line is one record.  The helpers below own that
-# convention so other streams -- the serve access log of
-# :mod:`repro.obs.accesslog` -- validate identically.
-
-
-def jsonl_header(schema: str, **fields) -> dict:
-    """Build the first-line header object of a JSONL stream."""
-    header = {"schema": schema}
-    header.update(fields)
-    return header
-
-
-def check_jsonl_header(line: str, expected_schema: str, origin: str) -> dict:
-    """Parse a stream's first line, asserting its schema stamp.
-
-    ``origin`` names the stream in error messages (usually the file
-    path).  Returns the decoded header dict.
-    """
-    try:
-        header = json.loads(line)
-    except ValueError as exc:
-        raise ValueError(f"{origin}: header is not JSON: {exc}") from exc
-    schema = header.get("schema") if isinstance(header, dict) else None
-    if schema != expected_schema:
-        raise ValueError(
-            f"{origin}: unsupported schema {schema!r} "
-            f"(expected {expected_schema})"
-        )
-    return header
 
 
 def write_jsonl(path: str, events: list) -> None:
     """Write an event stream as ``repro.obs.events/v1`` JSONL."""
     with open(path, "w") as handle:
-        header = jsonl_header(EVENTS_SCHEMA, events=len(events))
+        header = {"schema": EVENTS_SCHEMA, "events": len(events)}
         handle.write(json.dumps(header) + "\n")
         for event in events:
             handle.write(json.dumps(event, sort_keys=True) + "\n")
@@ -128,7 +96,16 @@ def read_jsonl(path: str) -> list:
         lines = [line for line in handle.read().splitlines() if line]
     if not lines:
         raise ValueError(f"{path}: empty event stream")
-    header = check_jsonl_header(lines[0], EVENTS_SCHEMA, path)
+    try:
+        header = json.loads(lines[0])
+    except ValueError as exc:
+        raise ValueError(f"{path}: header is not JSON: {exc}") from exc
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if schema != EVENTS_SCHEMA:
+        raise ValueError(
+            f"{path}: unsupported schema {schema!r} "
+            f"(expected {EVENTS_SCHEMA})"
+        )
     events = [json.loads(line) for line in lines[1:]]
     declared = header.get("events")
     if declared is not None and declared != len(events):

@@ -133,82 +133,6 @@ class Histogram:
         }
 
 
-class SlidingQuantiles:
-    """Quantile estimation over a sliding window of recent samples.
-
-    Where :class:`Histogram` accumulates forever (its buckets answer
-    "what happened since start"), this class answers "what is
-    happening *now*": a fixed-size ring buffer keeps the last
-    ``window`` samples and quantiles are computed on demand by
-    sorting a copy.  Window sizes are small (hundreds to a few
-    thousand), so the on-demand sort costs microseconds and only
-    runs on scrape/health paths, never per-sample.
-
-    This is the estimator behind the serve layer's per-op RED
-    telemetry (p50/p95/p99 request latency) and the SLO evaluation
-    in :mod:`repro.obs.slo`; because old samples fall out of the
-    window, a breached objective can *recover* once traffic is
-    healthy again.
-    """
-
-    __slots__ = ("window", "count", "_ring", "_next")
-
-    def __init__(self, window: int = 1024):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
-        self.count = 0
-        self._ring = []
-        self._next = 0
-
-    def observe(self, value: float) -> None:
-        """Record one sample, evicting the oldest past ``window``."""
-        if len(self._ring) < self.window:
-            self._ring.append(value)
-        else:
-            self._ring[self._next] = value
-        self._next = (self._next + 1) % self.window
-        self.count += 1
-
-    def __len__(self):
-        return len(self._ring)
-
-    def quantile(self, fraction: float):
-        """Return the ``fraction`` quantile of the window, or None.
-
-        Same nearest-rank convention as the benchmark harness: the
-        sample at ``int(fraction * n)`` of the sorted window.
-        """
-        if not self._ring:
-            return None
-        ordered = sorted(self._ring)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
-
-    def quantiles(self, fractions=(0.5, 0.95, 0.99)) -> dict:
-        """Return ``{"p50": ..., "p95": ..., ...}`` in one sort."""
-        if not self._ring:
-            return {_quantile_key(f): None for f in fractions}
-        ordered = sorted(self._ring)
-        top = len(ordered) - 1
-        return {
-            _quantile_key(f): ordered[min(top, int(f * len(ordered)))]
-            for f in fractions
-        }
-
-    def summary(self) -> dict:
-        """Compact JSON form: lifetime count, window fill, quantiles."""
-        out = {"count": self.count, "window": len(self._ring)}
-        out.update(self.quantiles())
-        return out
-
-
-def _quantile_key(fraction: float) -> str:
-    """``0.5 -> "p50"``, ``0.99 -> "p99"``, ``0.999 -> "p99_9"``."""
-    text = f"{fraction * 100:g}".replace(".", "_")
-    return f"p{text}"
-
-
 class MetricsRegistry:
     """A typed bag of counters, timers, gauges and histograms.
 

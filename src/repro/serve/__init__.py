@@ -14,20 +14,17 @@ instead of each paying full import + analysis cost:
   analysis behind immutable published snapshots (lock-free reads,
   serialized edits, atomic generation swaps).
 * :mod:`repro.serve.server` -- the threaded TCP/Unix-socket daemon:
-  backpressure, timeouts, graceful drain, Prometheus metrics, and
-  the optional :class:`~repro.serve.server.ServeTelemetry` bundle
-  (per-op RED windows, SLO evaluation, access log, wire tracing).
-* :mod:`repro.serve.httpexport` -- the stdlib HTTP sidecar exposing
-  ``/metrics``, ``/healthz`` and ``/slo.json`` to plain scrapers.
+  backpressure, timeouts, graceful drain, per-op request counters and
+  latency histograms in Prometheus form, and (with ``trace=True``)
+  server spans echoed to tracing clients.
 * :mod:`repro.serve.client` -- the blocking client library behind the
-  ``repro serve`` / ``repro query`` / ``repro top`` CLI subcommands;
-  with ``trace=True`` each request stitches client and server spans
-  into one Chrome-tracing track.
+  ``repro serve`` / ``repro query`` CLI subcommands; with
+  ``trace=True`` each request stitches client and server spans into
+  one Chrome-tracing track.
 """
 
 from repro.core.oracle import Snapshot
 from repro.serve.client import ConnectionFailed, OracleClient, ServerError
-from repro.serve.httpexport import HttpExport
 from repro.serve.protocol import (
     PROTOCOL,
     BadRequest,
@@ -35,11 +32,7 @@ from repro.serve.protocol import (
     ProtocolError,
     parse_address,
 )
-from repro.serve.server import (
-    OracleServer,
-    ServeTelemetry,
-    render_server_metrics,
-)
+from repro.serve.server import OracleServer
 from repro.serve.session import DesignSession
 
 __all__ = [
@@ -48,13 +41,10 @@ __all__ = [
     "ConnectionFailed",
     "DesignSession",
     "FrameError",
-    "HttpExport",
     "OracleClient",
     "OracleServer",
     "ProtocolError",
-    "ServeTelemetry",
     "ServerError",
     "Snapshot",
     "parse_address",
-    "render_server_metrics",
 ]

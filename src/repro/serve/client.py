@@ -22,9 +22,10 @@ Usage::
 
 With ``trace=True`` the client opens a span tree per request
 (``client.request`` > serialize / wait / parse), stamps the trace
-context into the frame, and -- when the daemon runs telemetry --
-adopts the echoed server spans into its own tracer so the whole
-request renders as one stitched Chrome-tracing track.  The two
+context into the frame, and -- when the daemon runs with
+``--telemetry`` -- adopts the echoed server spans into its own
+tracer so the whole request renders as one stitched Chrome-tracing
+track.  The two
 machines' monotonic clocks share no epoch, so the server spans are
 shifted to sit centered inside the client's ``wait`` span: the wait
 interval provably brackets the server's handling, and the residue

@@ -138,18 +138,16 @@ def write_frame(wfile, obj: dict) -> None:
     wfile.flush()
 
 
-def read_frame_ex(rfile) -> tuple:
-    """Read one frame, returning ``(obj, wire_bytes)``.
+def read_frame(rfile) -> Optional[dict]:
+    """Read one frame from a binary file-like object.
 
-    ``obj`` is None on a clean EOF at a frame boundary (the peer
-    closed between requests); ``wire_bytes`` counts header plus
-    payload as read off the stream (the access log's ``bytes_in``).
-    Raises :class:`FrameError` on a truncated, oversized or
-    non-JSON-object payload.
+    Returns None on a clean EOF at a frame boundary (the peer closed
+    between requests).  Raises :class:`FrameError` on a truncated,
+    oversized or non-JSON-object payload.
     """
     header = rfile.read(_HEADER.size)
     if not header:
-        return None, 0
+        return None
     if len(header) < _HEADER.size:
         raise FrameError("truncated frame header")
     (length,) = _HEADER.unpack(header)
@@ -175,24 +173,19 @@ def read_frame_ex(rfile) -> tuple:
         raise FrameError(f"payload is not JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FrameError("payload is not a JSON object")
-    return obj, _HEADER.size + length
-
-
-def read_frame(rfile) -> Optional[dict]:
-    """Read one frame (see :func:`read_frame_ex`); byte count dropped."""
-    obj, _ = read_frame_ex(rfile)
     return obj
 
 
 # -- trace context ------------------------------------------------------------
 #
 # Trace propagation is additive within v1: a tracing client stamps a
-# compact ``trace`` object into the request frame and a telemetry
-# server echoes its server-side span buffer back under the same key
-# in the response.  :func:`parse_request` reads only the fields it
-# knows, so a v1 server without telemetry ignores the request stamp,
-# and a v1 client without tracing ignores the response spans -- old
-# and new peers interoperate in both directions.
+# compact ``trace`` object into the request frame and a tracing
+# server (``repro serve --telemetry``) echoes its server-side span
+# buffer back under the same key in the response.
+# :func:`parse_request` reads only the fields it knows, so a v1
+# server without tracing ignores the request stamp, and a v1 client
+# without tracing ignores the response spans -- old and new peers
+# interoperate in both directions.
 
 #: Frame key carrying the trace context (requests) / spans (responses).
 TRACE_FIELD = "trace"

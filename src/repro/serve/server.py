@@ -22,23 +22,20 @@ Operational discipline:
   :class:`~repro.core.config.PaafConfig` whose ``cache_dir`` points at
   the persistent AP cache, so a daemon restart costs a cache load, not
   a re-analysis (the ``apcache.*`` counters land in ``stats``).
-* **Observability** -- every request ticks ``serve.request.<op>``,
-  failures tick ``serve.error.<code>``, latencies land in
-  ``serve.latency.<op>`` histograms, and the ``metrics`` op exposes
+* **Observability** -- every request is counted and timed once:
+  it ticks ``serve.request.<op>``, failures tick
+  ``serve.error.<code>``, its latency lands in the
+  ``serve.latency.<op>`` histogram, and the ``metrics`` op exposes
   the whole registry in Prometheus text format (the same renderer as
-  ``repro analyze --metrics-out``).  With a :class:`ServeTelemetry`
-  attached the daemon additionally tracks per-op RED windows
-  (rate / errors / duration quantiles), evaluates a declarative SLO
-  table into ``health``, writes the ``repro.serve.access/v1`` log,
-  and answers tracing clients with its server-side span buffer so
-  each request stitches into one cross-process trace (see
-  ``docs/SERVING.md``).  With no telemetry attached the per-request
-  overhead is a single ``is None`` test.
+  ``repro analyze --metrics-out``).  With ``trace=True`` (``repro
+  serve --telemetry``) a request that carries a trace context is
+  answered with the server's span buffer, so it stitches into one
+  cross-process trace (see ``docs/SERVING.md``); an untraced request
+  takes the same path as on a plain server.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import signal
 import socket
@@ -54,7 +51,6 @@ from repro.obs.metrics import (
     prom_label_value,
     render_prometheus,
 )
-from repro.obs.slo import DEFAULT_OBJECTIVES, RedWindow, SloTable
 from repro.serve import protocol
 from repro.serve.protocol import (
     E_OVERLOADED,
@@ -72,70 +68,6 @@ from repro.serve.protocol import (
 from repro.serve.session import DesignSession
 
 
-class ServeTelemetry:
-    """The daemon's optional request-telemetry bundle.
-
-    Owns the per-op :class:`~repro.obs.slo.RedWindow` map, the
-    :class:`~repro.obs.slo.SloTable`, the optional
-    :class:`~repro.obs.accesslog.AccessLog`, and the ``trace`` switch
-    that makes the server echo span buffers to tracing clients.  The
-    server holds at most one of these; passing ``telemetry=None``
-    (the default) keeps the request path at its untelemetered cost.
-    """
-
-    __slots__ = ("slo", "access_log", "trace", "_red", "_window", "_lock")
-
-    def __init__(
-        self,
-        objectives=DEFAULT_OBJECTIVES,
-        access_log=None,
-        trace: bool = True,
-        window_samples: int = 1024,
-        window_seconds: int = 60,
-    ):
-        self.slo = SloTable(objectives)
-        self.access_log = access_log
-        self.trace = trace
-        self._red = {}
-        self._window = (window_samples, window_seconds)
-        self._lock = threading.Lock()
-
-    def observe(self, op: str, seconds: float, error: bool) -> None:
-        """Feed one request outcome into the op's RED window."""
-        with self._lock:
-            window = self._red.get(op)
-            if window is None:
-                samples, span_s = self._window
-                window = RedWindow(
-                    window_samples=samples, window_seconds=span_s
-                )
-                self._red[op] = window
-            window.observe(seconds, error=error)
-
-    def red_snapshot(self) -> dict:
-        """Return ``{op: RED snapshot}`` for every op seen so far."""
-        with self._lock:
-            return {
-                op: window.snapshot()
-                for op, window in sorted(self._red.items())
-            }
-
-    def slo_report(self, red: dict = None) -> dict:
-        """Evaluate the SLO table against current (or given) RED data."""
-        return self.slo.evaluate(
-            red if red is not None else self.red_snapshot()
-        )
-
-    def record(self, entry: dict, trace_doc=None) -> None:
-        """Forward one request record to the access log, if any."""
-        if self.access_log is not None:
-            self.access_log.record(entry, trace_doc=trace_doc)
-
-    def close(self) -> None:
-        if self.access_log is not None:
-            self.access_log.close()
-
-
 class OracleServer:
     """A threaded ``repro.serve/v1`` daemon over TCP or Unix sockets."""
 
@@ -147,7 +79,7 @@ class OracleServer:
         request_timeout: float = 30.0,
         drain_seconds: float = 5.0,
         allow_load: bool = True,
-        telemetry: Optional[ServeTelemetry] = None,
+        trace: bool = False,
     ):
         self.address = address
         self.sessions = dict(sessions or {})
@@ -156,7 +88,7 @@ class OracleServer:
         self.drain_seconds = drain_seconds
         self.allow_load = allow_load
         self.registry = MetricsRegistry()
-        self.telemetry = telemetry
+        self.trace = trace
         self._metrics_lock = threading.Lock()
         self._sessions_lock = threading.Lock()
         self._stop = threading.Event()
@@ -231,8 +163,6 @@ class OracleServer:
                 os.unlink(self.bound_address[1])
             except OSError:
                 pass
-        if self.telemetry is not None:
-            self.telemetry.close()
         self._drained.set()
 
     def install_signal_handlers(self) -> None:
@@ -329,14 +259,13 @@ class OracleServer:
         _close_quietly(conn)
 
     def _handle_connection(self, conn) -> None:
-        telemetry = self.telemetry
         try:
             conn.settimeout(self.request_timeout)
             rfile = conn.makefile("rb")
             wfile = conn.makefile("wb")
             while not self._stop.is_set():
                 try:
-                    frame, bytes_in = protocol.read_frame_ex(rfile)
+                    frame = protocol.read_frame(rfile)
                 except FrameError as exc:
                     self._tick(f"serve.error.{exc.code}")
                     _send_quietly(wfile, error_envelope(0, exc.code, str(exc)))
@@ -345,21 +274,12 @@ class OracleServer:
                     break
                 if frame is None:
                     break
-                t_recv = time.perf_counter()
-                blob, hangup, report = self._dispatch(frame, t_recv=t_recv)
+                blob, hangup = self._dispatch(frame)
                 try:
                     wfile.write(blob)
                     wfile.flush()
                 except OSError:
                     break
-                if report is not None:
-                    entry, trace_doc = report
-                    entry["bytes_in"] = bytes_in
-                    entry["bytes_out"] = len(blob)
-                    entry["total_ms"] = round(
-                        (time.perf_counter() - t_recv) * 1e3, 3
-                    )
-                    telemetry.record(entry, trace_doc=trace_doc)
                 if hangup:
                     break
         finally:
@@ -371,28 +291,20 @@ class OracleServer:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch(self, frame: dict, t_recv: float = None) -> tuple:
+    def _dispatch(self, frame: dict) -> tuple:
         """Answer one decoded frame.
 
-        Returns ``(blob, hangup, report)``: the encoded response
-        frame, whether to close the connection after writing it, and
-        -- when the access log is on -- the partially filled log
-        entry plus the slow-trace document thunk (the caller
-        finishes ``bytes_in`` / ``bytes_out`` / ``total_ms`` after
-        the write).  ``t_recv`` is the frame-arrival clock reading;
-        the gap to dispatch start is the entry's ``queue_ms``.
+        Returns ``(blob, hangup)``: the encoded response frame and
+        whether to close the connection after writing it.
         """
-        telemetry = self.telemetry
         t0 = time.perf_counter()
         op = frame.get("op")
         op_label = op if isinstance(op, str) and op.isidentifier() else "bad"
         hangup = False
-        outcome = "ok"
-        request = None
         trace_id = None
         req_tracer = None
         token = None
-        if telemetry is not None and telemetry.trace:
+        if self.trace:
             trace_id = protocol.frame_trace_id(frame)
             if trace_id is not None:
                 req_tracer = obs_trace.Tracer()
@@ -411,25 +323,21 @@ class OracleServer:
                 if isinstance(request, protocol.ShutdownRequest):
                     hangup = True
             except ProtocolError as exc:
-                outcome = exc.code
                 self._tick(f"serve.error.{exc.code}")
                 response = error_envelope(
                     _frame_id(frame), exc.code, str(exc)
                 )
             except UnknownInstanceError as exc:
-                outcome = E_UNKNOWN_INSTANCE
                 self._tick(f"serve.error.{E_UNKNOWN_INSTANCE}")
                 response = error_envelope(
                     _frame_id(frame), E_UNKNOWN_INSTANCE, str(exc)
                 )
             except UnknownPinError as exc:
-                outcome = E_UNKNOWN_PIN
                 self._tick(f"serve.error.{E_UNKNOWN_PIN}")
                 response = error_envelope(
                     _frame_id(frame), E_UNKNOWN_PIN, str(exc)
                 )
             except Exception as exc:  # noqa: BLE001 -- the envelope boundary
-                outcome = E_SERVER_ERROR
                 self._tick(f"serve.error.{E_SERVER_ERROR}")
                 response = error_envelope(
                     _frame_id(frame),
@@ -439,41 +347,12 @@ class OracleServer:
         finally:
             if token is not None:
                 obs_trace.restore(token)
-        dt = time.perf_counter() - t0
-        self._observe(op_label, dt)
-        report = None
-        if telemetry is not None:
-            telemetry.observe(op_label, dt, error=outcome != "ok")
-            if req_tracer is not None:
-                response[protocol.TRACE_FIELD] = {
-                    "id": trace_id,
-                    "spans": req_tracer.snapshot(),
-                }
-            if telemetry.access_log is not None:
-                design = getattr(request, "design", None)
-                if design is None:
-                    # The usual single-session daemon: requests omit
-                    # the design name, the log still carries it.
-                    with self._sessions_lock:
-                        if len(self.sessions) == 1:
-                            design = next(iter(self.sessions))
-                entry = {
-                    "op": op_label,
-                    "id": _frame_id(frame),
-                    "design": design,
-                    "trace": trace_id,
-                    "outcome": outcome,
-                    "queue_ms": round((t0 - t_recv) * 1e3, 3)
-                    if t_recv is not None
-                    else 0.0,
-                    "handle_ms": round(dt * 1e3, 3),
-                }
-                trace_doc = None
-                if req_tracer is not None:
-                    trace_doc = functools.partial(
-                        obs_trace.chrome_trace, req_tracer
-                    )
-                report = (entry, trace_doc)
+        self._observe(op_label, time.perf_counter() - t0)
+        if req_tracer is not None:
+            response[protocol.TRACE_FIELD] = {
+                "id": trace_id,
+                "spans": req_tracer.snapshot(),
+            }
         try:
             blob = protocol.encode_frame(response)
         except FrameError as exc:
@@ -481,7 +360,7 @@ class OracleServer:
             blob = protocol.encode_frame(
                 error_envelope(_frame_id(frame), exc.code, str(exc))
             )
-        return blob, hangup, report
+        return blob, hangup
 
     # -- operations ----------------------------------------------------------
 
@@ -562,32 +441,42 @@ class OracleServer:
         }
         with self._metrics_lock:
             counters = dict(self.registry.counters)
-        out = {
+        return {
             "uptime_seconds": round(time.monotonic() - self._started, 3),
             "sessions": sessions,
             "counters": counters,
         }
-        if self.telemetry is not None:
-            out["red"] = self.telemetry.red_snapshot()
-        return out
 
     def _op_health(self, request) -> dict:
         with self._sessions_lock:
             names = sorted(self.sessions)
-        out = {
+        return {
             "status": "draining" if self._stop.is_set() else "ok",
             "protocol": protocol.PROTOCOL,
             "uptime_seconds": round(time.monotonic() - self._started, 3),
             "sessions": names,
         }
-        if self.telemetry is not None:
-            out["slo"] = self.telemetry.slo_report()
-        return out
 
     def _op_metrics(self, request) -> dict:
+        """Render the registry families, then per-session gauges."""
+        with self._metrics_lock:
+            text = render_prometheus(self.registry)
+        lines = [text.rstrip("\n")] if text.strip() else []
+        stats = {
+            name: session.stats() for name, session in self._session_items()
+        }
+        for metric, key in (
+            ("serve_session_generation", "generation"),
+            ("serve_session_answers", "served_pins"),
+            ("serve_session_cache_entries", "cache_entries"),
+        ):
+            lines.append(f"# TYPE {metric} gauge")
+            for name, row in stats.items():
+                label = prom_label_value(name)
+                lines.append(f'{metric}{{design="{label}"}} {row[key]}')
         return {
             "content_type": "text/plain; version=0.0.4",
-            "text": render_server_metrics(self),
+            "text": "\n".join(lines) + "\n",
         }
 
     def _op_shutdown(self, request) -> dict:
@@ -608,81 +497,6 @@ class OracleServer:
         with self._metrics_lock:
             self.registry.incr(f"serve.request.{op_label}")
             self.registry.observe(f"serve.latency.{op_label}", seconds)
-
-
-#: Numeric encoding of SLO states for the Prometheus gauges.
-_SLO_STATE_VALUE = {"ok": 0, "degraded": 1, "breached": 2}
-
-
-def render_server_metrics(server: OracleServer) -> str:
-    """Render the daemon's full Prometheus exposition.
-
-    The registry families come from
-    :func:`~repro.obs.metrics.render_prometheus`; per-session gauges
-    are always appended (labelled by design); when telemetry is
-    attached, per-op RED series (``serve_red_*`` labelled by op,
-    quantiles as a summary) and SLO state gauges follow.  Both the
-    ``metrics`` wire op and the HTTP sidecar's ``GET /metrics``
-    serve this text; ``parse_prometheus`` validates it.
-    """
-    with server._metrics_lock:
-        text = render_prometheus(server.registry)
-    lines = [text.rstrip("\n")] if text.strip() else []
-    stats = {
-        name: session.stats() for name, session in server._session_items()
-    }
-    for metric, key in (
-        ("serve_session_generation", "generation"),
-        ("serve_session_answers", "served_pins"),
-        ("serve_session_cache_entries", "cache_entries"),
-    ):
-        lines.append(f"# TYPE {metric} gauge")
-        for name, row in stats.items():
-            label = prom_label_value(name)
-            lines.append(f'{metric}{{design="{label}"}} {row[key]}')
-    telemetry = server.telemetry
-    if telemetry is not None:
-        red = telemetry.red_snapshot()
-        for metric, key in (
-            ("serve_red_requests_total", "count"),
-            ("serve_red_errors_total", "errors"),
-        ):
-            lines.append(f"# TYPE {metric} counter")
-            for op, snap in red.items():
-                label = prom_label_value(op)
-                lines.append(f'{metric}{{op="{label}"}} {snap[key]}')
-        lines.append("# TYPE serve_red_qps gauge")
-        for op, snap in red.items():
-            label = prom_label_value(op)
-            lines.append(f'serve_red_qps{{op="{label}"}} {snap["qps"]}')
-        lines.append("# TYPE serve_red_latency_ms summary")
-        for op, snap in red.items():
-            label = prom_label_value(op)
-            for quantile, key in (
-                ("0.5", "p50_ms"),
-                ("0.95", "p95_ms"),
-                ("0.99", "p99_ms"),
-            ):
-                value = snap.get(key)
-                if value is None:
-                    continue
-                lines.append(
-                    f'serve_red_latency_ms{{op="{label}",'
-                    f'quantile="{quantile}"}} {value}'
-                )
-        report = telemetry.slo_report(red)
-        lines.append("# TYPE serve_slo_state gauge")
-        lines.append(
-            f"serve_slo_state {_SLO_STATE_VALUE[report['state']]}"
-        )
-        lines.append("# TYPE serve_slo_objective_state gauge")
-        for row in report["objectives"]:
-            label = prom_label_value(row["name"])
-            lines.append(
-                f'serve_slo_objective_state{{objective="{label}"}} '
-                f"{_SLO_STATE_VALUE[row['state']]}"
-            )
-    return "\n".join(lines) + "\n"
 
 
 def _frame_id(frame: dict) -> int:

@@ -171,6 +171,25 @@ class TestAnalyzeErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_truncated_lef(self, lefdef_pair, tmp_path, capsys):
+        lef, deff = lefdef_pair
+        cut = tmp_path / "cut.lef"
+        cut.write_bytes(lef.read_bytes()[:3000])
+        code = main(["analyze", "--lef", str(cut), "--def", str(deff)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cut}: ")
+        assert err.count("\n") == 1
+
+    def test_truncated_def(self, lefdef_pair, tmp_path, capsys):
+        lef, deff = lefdef_pair
+        cut = tmp_path / "cut.def"
+        cut.write_bytes(deff.read_bytes()[:2000])
+        code = main(["analyze", "--lef", str(lef), "--def", str(cut)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cut}: unexpected end of DEF\n"
+
     def test_unknown_paircheck_mode(self, lefdef_pair, capsys):
         lef, deff = lefdef_pair
         code = main(

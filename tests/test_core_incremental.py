@@ -183,7 +183,7 @@ class TestMovePath:
 
         monkeypatch.setattr(DrcEngine, "check_via_placement", counted)
         kernel, akernel = inc.framework.kernel, inc.framework.akernel
-        built = (kernel.built, akernel.built)
+        built = (len(kernel.tables), len(akernel.tables))
         candidates = akernel.candidates
         site = design.tech.site_width
         for inst in list(design.instances.values())[:4]:
@@ -192,7 +192,7 @@ class TestMovePath:
             inc.move_instance(inst.name, home)
         assert len(inc._ua_by_signature) > signatures
         # Moves reuse the analysis' kernels: no table is compiled.
-        assert (kernel.built, akernel.built) == built
+        assert (len(kernel.tables), len(akernel.tables)) == built
         return len(calls), akernel.candidates - candidates
 
     def test_default_moves_run_the_array_kernel(self, design, monkeypatch):

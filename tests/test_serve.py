@@ -739,6 +739,40 @@ class TestShutdown:
         assert not server.running
         assert not os.path.exists(addr[1])
 
+    def test_health_says_draining_while_draining(self, tmp_path):
+        design = make_simple_design(__import__(
+            "repro.tech", fromlist=["make_n45"]
+        ).make_n45())
+        session = DesignSession("simple", design)
+        server, addr = start_server(tmp_path, session)
+        # Hold one health request inside its handler until the drain
+        # has begun; the drain lets it finish and it must say so.
+        entered, release = threading.Event(), threading.Event()
+        health_op = server._op_health
+
+        def held_health(request):
+            entered.set()
+            release.wait(timeout=10)
+            return health_op(request)
+
+        server._op_health = held_health
+        replies = []
+        with OracleClient(addr) as client:
+            asker = threading.Thread(
+                target=lambda: replies.append(client.health())
+            )
+            asker.start()
+            assert entered.wait(timeout=10)
+            drain = threading.Thread(target=server.stop)
+            drain.start()
+            assert server._stop.wait(timeout=10)
+            release.set()
+            asker.join(timeout=10)
+        drain.join(timeout=10)
+        assert [r["status"] for r in replies] == ["draining"]
+        assert replies[0]["sessions"] == ["simple"]
+        assert not server.running
+
     def test_stop_is_idempotent(self, tmp_path):
         design = make_simple_design(__import__(
             "repro.tech", fromlist=["make_n45"]
