@@ -33,7 +33,7 @@ import time
 from repro.bench import build_testcase
 from repro.core.oracle import PinAccessOracle
 from repro.report import format_table
-from repro.serve import DesignSession, OracleClient, OracleServer
+from repro.serve import OracleClient, OracleServer
 from repro.serve.protocol import answer_to_wire
 
 from repro.qa.metrics import bench_entry
@@ -94,10 +94,10 @@ def _batch_rate(address, pins, threads, rounds, trace=False):
 
 def test_serve_throughput(once, tmp_path):
     design = build_testcase("ispd18_test1", scale=SCALE)
-    session = once(DesignSession, "bench", design)
+    hosted = once(PinAccessOracle, design)
     server = OracleServer(
         ("unix", str(tmp_path / "serve.sock")),
-        sessions={"bench": session},
+        sessions={"bench": hosted},
     )
     server.start()
     address = server.address
@@ -146,14 +146,14 @@ def test_serve_throughput(once, tmp_path):
     finally:
         server.stop()
 
-    # Telemetry A/B: the same session behind a second server with
+    # Telemetry A/B: the same oracle behind a second server with
     # wire tracing on, driven by a tracing client -- every request
     # echoes its server spans.  Runs after the plain server stops so
     # the two never compete for cores; the overhead lands in the
     # envelope context, not perf.
     server_on = OracleServer(
         ("unix", str(tmp_path / "serve-telemetry.sock")),
-        sessions={"bench": session},
+        sessions={"bench": hosted},
         trace=True,
     )
     server_on.start()
@@ -187,7 +187,7 @@ def test_serve_throughput(once, tmp_path):
             "batch_qps_1thread": round(rate1),
             "batch_qps_4threads": round(rate4),
             "move_ms": round(move_s * 1e3, 3),
-            "analyze_s": round(session.analyze_seconds, 3),
+            "analyze_s": round(hosted.analyze_seconds, 3),
         },
         derived={
             "thread_scaling": round(rate4 / max(1e-9, rate1), 2),

@@ -40,6 +40,7 @@ from repro.core import (
     LegacyPinAccess,
     PaafConfig,
     PinAccessFramework,
+    PinAccessOracle,
     evaluate_failed_pins,
     unique_instances,
 )
@@ -673,25 +674,23 @@ def _cmd_route(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Analyze a design and host it as a pin access daemon."""
-    from repro.serve import DesignSession, OracleServer
+    from repro.serve import OracleServer
 
     design = _load(args)
     config = PaafConfig(
         cache_dir=args.cache_dir,
         apcheck_mode=args.apcheck_mode,
     )
+    name = args.design or design.name
     try:
-        session = DesignSession(
-            args.design or design.name, design, config
-        )
+        oracle = PinAccessOracle(design, config)
     except OSError as exc:
         raise CliError(
             f"cannot use cache dir {args.cache_dir!r}: {exc}"
         ) from exc
-    cache = session.inc.framework.cache
     warmth = (
-        f", apcache entries={cache.entry_count()}"
-        if cache is not None
+        f", apcache entries={oracle.stats()['cache_entries']}"
+        if args.cache_dir
         else ""
     )
     server = OracleServer(
@@ -702,7 +701,7 @@ def _cmd_serve(args) -> int:
         allow_load=not args.no_load,
         trace=args.telemetry,
     )
-    server.add_session(session)
+    server.add_session(name, oracle)
     try:
         server.start()
     except OSError as exc:
@@ -710,8 +709,8 @@ def _cmd_serve(args) -> int:
     server.install_signal_handlers()
     suffix = " [telemetry on]" if args.telemetry else ""
     print(
-        f"serving {session.name!r} on {_format_endpoint(server)} "
-        f"(analyze {session.analyze_seconds:.2f}s{warmth}){suffix}; "
+        f"serving {name!r} on {_format_endpoint(server)} "
+        f"(analyze {oracle.analyze_seconds:.2f}s{warmth}){suffix}; "
         "SIGTERM or 'repro query --shutdown' drains",
         flush=True,
     )

@@ -90,25 +90,24 @@ def _pao_maps(design, cache_dir):
 
 
 def _serve_maps(design, cache_dir, case_id, work_dir):
-    from repro.core import PinAccessFramework
+    from repro.core import PinAccessFramework, PinAccessOracle
     from repro.core.ioaccess import IoPinAccess
     from repro.serve.client import OracleClient
     from repro.serve.protocol import ap_from_wire, ap_to_wire
     from repro.serve.server import OracleServer
-    from repro.serve.session import DesignSession
 
     config = _paaf_config(cache_dir)
     # In-process reference first: with a shared cache dir this also
-    # warms the AP cache the daemon's session loads from.
+    # warms the AP cache the daemon's oracle loads from.
     t0 = time.perf_counter()
     reference = PinAccessFramework(design, config).run().access_map()
     io_map = _select_io(IoPinAccess(design, config).run())
     analyze_s = time.perf_counter() - t0
 
-    session = DesignSession(name=case_id, design=design, config=config)
+    oracle = PinAccessOracle(design, config)
     sock_dir = work_dir or "."
     sock = os.path.join(sock_dir, "oracle.sock")
-    server = OracleServer(("unix", sock), sessions={case_id: session})
+    server = OracleServer(("unix", sock), sessions={case_id: oracle})
     server.start()
     try:
         pins = sorted(
@@ -144,7 +143,7 @@ def _serve_maps(design, cache_dir, case_id, work_dir):
         "served_pins": len(pins),
         "generations": sorted(g for g in generations if g is not None),
         "query_batch_s": batch_s,
-        "session_analyze_s": session.analyze_seconds,
+        "session_analyze_s": oracle.analyze_seconds,
         "wire_identical": not mismatches,
         "mismatches": mismatches[:20],
     }

@@ -53,7 +53,6 @@ from repro.core.framework import (
     PinAccessResult,
     UniqueInstanceAccess,
 )
-from repro.core.oracle import UnknownInstanceError
 from repro.core.signature import UniqueInstance, instance_signature
 from repro.db.design import Design, row_chunks
 from repro.geom.point import Point
@@ -92,13 +91,16 @@ class IncrementalPinAccess:
     def analyze(self) -> PinAccessResult:
         """Run the full three-step flow and prime the caches.
 
-        Returns the run's :class:`~repro.core.framework.PinAccessResult`.
+        Returns the run's :class:`~repro.core.framework.PinAccessResult`;
+        later moves repair a copy of its selection, not the run's own.
         """
         result = self.framework.run()
         for ua in result.unique_accesses:
             self._remember(ua)
         self._placed = result.placements()
-        self._selection = result.selection
+        self._selection = ClusterSelectionResult(
+            dict(result.selection.selection), list(result.selection.conflicts)
+        )
         design = self.design
         self._order = {name: k for k, name in enumerate(design.instances)}
         self._row_members, self._macros = design.row_members()
@@ -185,6 +187,9 @@ class IncrementalPinAccess:
         try:
             inst = design.instance(inst_name)
         except KeyError:
+            # Imported here: repro.core.oracle builds on this module.
+            from repro.core.oracle import UnknownInstanceError
+
             raise UnknownInstanceError(inst_name) from None
         left = design.rows_of(inst)
         inst.location = new_location

@@ -45,6 +45,15 @@ class _DefParser:
         self.pos += 1
         return token
 
+    def _next_int(self) -> int:
+        token = self._next()
+        try:
+            return int(token)
+        except ValueError:
+            raise DefParseError(
+                f"expected an integer, got {token!r}"
+            ) from None
+
     def _expect(self, token: str) -> None:
         got = self._next()
         if got != token:
@@ -67,7 +76,7 @@ class _DefParser:
                 self._next()
                 self._expect("DISTANCE")
                 self._expect("MICRONS")
-                dbu = int(self._next())
+                dbu = self._next_int()
                 self._expect(";")
             elif token == "DIEAREA":
                 pending.append(("diearea", self._parse_diearea()))
@@ -141,12 +150,12 @@ class _DefParser:
     def _parse_diearea(self) -> Rect:
         self._expect("DIEAREA")
         self._expect("(")
-        xlo = int(self._next())
-        ylo = int(self._next())
+        xlo = self._next_int()
+        ylo = self._next_int()
         self._expect(")")
         self._expect("(")
-        xhi = int(self._next())
-        yhi = int(self._next())
+        xhi = self._next_int()
+        yhi = self._next_int()
         self._expect(")")
         self._expect(";")
         return Rect(xlo, ylo, xhi, yhi)
@@ -155,15 +164,15 @@ class _DefParser:
         self._expect("ROW")
         name = self._next()
         self._next()  # site name
-        x = int(self._next())
-        y = int(self._next())
+        x = self._next_int()
+        y = self._next_int()
         orient = Orientation.from_def_name(self._next())
         self._expect("DO")
-        count = int(self._next())
+        count = self._next_int()
         self._expect("BY")
         self._next()  # rows-in-y, always 1 here
         self._expect("STEP")
-        step_x = int(self._next())
+        step_x = self._next_int()
         self._next()  # step y
         self._expect(";")
         return Row(
@@ -178,11 +187,11 @@ class _DefParser:
     def _parse_tracks(self) -> TrackPattern:
         self._expect("TRACKS")
         axis = self._next()
-        start = int(self._next())
+        start = self._next_int()
         self._expect("DO")
-        count = int(self._next())
+        count = self._next_int()
         self._expect("STEP")
-        step = int(self._next())
+        step = self._next_int()
         self._expect("LAYER")
         layer_name = self._next()
         self._expect(";")
@@ -216,8 +225,8 @@ class _DefParser:
                     continue
                 if token == "PLACED" or token == "FIXED":
                     self._expect("(")
-                    x = int(self._next())
-                    y = int(self._next())
+                    x = self._next_int()
+                    y = self._next_int()
                     self._expect(")")
                     orient = Orientation.from_def_name(self._next())
             self._expect(";")
@@ -246,12 +255,12 @@ class _DefParser:
                 elif token == "LAYER":
                     layer_name = self._next()
                     self._expect("(")
-                    xlo = int(self._next())
-                    ylo = int(self._next())
+                    xlo = self._next_int()
+                    ylo = self._next_int()
                     self._expect(")")
                     self._expect("(")
-                    xhi = int(self._next())
-                    yhi = int(self._next())
+                    xhi = self._next_int()
+                    yhi = self._next_int()
                     self._expect(")")
                     rect = Rect(xlo, ylo, xhi, yhi)
                 elif token == "PLACED":

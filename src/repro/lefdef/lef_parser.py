@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.db.master import CellMaster, MasterPin, Obstruction, PinUse
 from repro.geom.rect import Rect
 from repro.tech.layer import Layer, LayerKind, RoutingDirection
@@ -62,8 +64,18 @@ class _LefParser:
         while self._next() != ";":
             pass
 
-    def _dbu_of(self, text: str) -> int:
-        return round(float(text) * self.dbu)
+    def _next_number(self, kind=float):
+        token = self._next()
+        try:
+            value = kind(token)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise LefParseError(f"expected a number, got {token!r}")
+        return value
+
+    def _next_dbu(self) -> int:
+        return round(self._next_number() * self.dbu)
 
     # -- driver ---------------------------------------------------------------
 
@@ -73,7 +85,7 @@ class _LefParser:
                 self._parse_units()
             elif token == "MANUFACTURINGGRID":
                 self._next()
-                self._grid = self._dbu_of(self._next())
+                self._grid = self._next_dbu()
                 self._expect(";")
             elif token == "SITE":
                 self._parse_site()
@@ -122,7 +134,7 @@ class _LefParser:
         while self._peek() != "END":
             if self._next() == "DATABASE":
                 self._expect("MICRONS")
-                self.dbu = int(self._next())
+                self.dbu = self._next_number(int)
                 self._expect(";")
         self._expect("END")
         self._expect("UNITS")
@@ -134,9 +146,9 @@ class _LefParser:
         while self._peek() != "END":
             token = self._next()
             if token == "SIZE":
-                width = self._dbu_of(self._next())
+                width = self._next_dbu()
                 self._expect("BY")
-                height = self._dbu_of(self._next())
+                height = self._next_dbu()
                 self._expect(";")
             elif token == "CLASS":
                 self._skip_statement()
@@ -157,23 +169,23 @@ class _LefParser:
                 layer.direction = RoutingDirection(self._next())
                 self._expect(";")
             elif token == "PITCH":
-                layer.pitch = self._dbu_of(self._next())
+                layer.pitch = self._next_dbu()
                 self._expect(";")
             elif token == "OFFSET":
-                layer.offset = self._dbu_of(self._next())
+                layer.offset = self._next_dbu()
                 self._expect(";")
             elif token == "WIDTH":
-                layer.width = self._dbu_of(self._next())
+                layer.width = self._next_dbu()
                 self._expect(";")
             elif token == "SPACINGTABLE":
                 layer.spacing_table = self._parse_spacing_table()
             elif token == "SPACING":
-                value = self._dbu_of(self._next())
+                value = self._next_dbu()
                 if self._peek() == "ENDOFLINE":
                     self._next()
-                    eol_width = self._dbu_of(self._next())
+                    eol_width = self._next_dbu()
                     self._expect("WITHIN")
-                    eol_within = self._dbu_of(self._next())
+                    eol_within = self._next_dbu()
                     self._expect(";")
                     layer.eol = EolRule(
                         eol_space=value,
@@ -184,17 +196,17 @@ class _LefParser:
                     self._expect(";")
                     layer.cut_spacing = CutSpacingRule(spacing=value)
             elif token == "MINSTEP":
-                length = self._dbu_of(self._next())
+                length = self._next_dbu()
                 max_edges = 0
                 if self._peek() == "MAXEDGES":
                     self._next()
-                    max_edges = int(self._next())
+                    max_edges = self._next_number(int)
                 self._expect(";")
                 layer.min_step = MinStepRule(
                     min_step_length=length, max_edges=max_edges
                 )
             elif token == "AREA":
-                area = round(float(self._next()) * self.dbu * self.dbu)
+                area = round(self._next_number() * self.dbu * self.dbu)
                 self._expect(";")
                 layer.min_area = MinAreaRule(min_area=area)
             else:
@@ -207,15 +219,15 @@ class _LefParser:
         self._expect("PARALLELRUNLENGTH")
         prl_values = []
         while _is_number(self._peek()):
-            prl_values.append(self._dbu_of(self._next()))
+            prl_values.append(self._next_dbu())
         width_rows = []
         done = False
         while self._peek() == "WIDTH" and not done:
             self._next()
-            width = self._dbu_of(self._next())
+            width = self._next_dbu()
             spacings = []
             while _is_number(self._peek()):
-                spacings.append(self._dbu_of(self._next()))
+                spacings.append(self._next_dbu())
             if self._peek() == ";":
                 self._next()
                 done = True
@@ -256,10 +268,10 @@ class _LefParser:
         )
 
     def _parse_rect_um(self) -> Rect:
-        xlo = self._dbu_of(self._next())
-        ylo = self._dbu_of(self._next())
-        xhi = self._dbu_of(self._next())
-        yhi = self._dbu_of(self._next())
+        xlo = self._next_dbu()
+        ylo = self._next_dbu()
+        xhi = self._next_dbu()
+        yhi = self._next_dbu()
         self._expect(";")
         return Rect(xlo, ylo, xhi, yhi)
 
@@ -273,9 +285,9 @@ class _LefParser:
                 master.is_macro = self._next() == "BLOCK"
                 self._expect(";")
             elif token == "SIZE":
-                master.width = self._dbu_of(self._next())
+                master.width = self._next_dbu()
                 self._expect("BY")
-                master.height = self._dbu_of(self._next())
+                master.height = self._next_dbu()
                 self._expect(";")
             elif token == "SITE":
                 master.site_name = self._next()

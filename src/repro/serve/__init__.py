@@ -2,18 +2,16 @@
 
 The paper's framing is an *oracle* -- analyze once, answer "where can
 I land on this pin, legally?" forever after.  In-process that is
-:class:`~repro.core.oracle.PinAccessOracle`; this package is the same
-contract across a socket, so placement-optimization loops (the
-paper's Experiment 2 motivation) query one warm, analyzed design
-instead of each paying full import + analysis cost:
+:class:`~repro.core.oracle.PinAccessOracle`; this package serves the
+same objects across a socket, so placement-optimization loops (the
+paper's Experiment 2 motivation) query and move one warm, analyzed
+design instead of each paying full import + analysis cost:
 
 * :mod:`repro.serve.protocol` -- the versioned, length-prefixed JSON
   wire protocol (``repro.serve/v1``) with typed requests and stable
   error codes.
-* :mod:`repro.serve.session` -- one served design: warm incremental
-  analysis behind immutable published snapshots (lock-free reads,
-  serialized edits, atomic generation swaps).
-* :mod:`repro.serve.server` -- the threaded TCP/Unix-socket daemon:
+* :mod:`repro.serve.server` -- the threaded TCP/Unix-socket daemon,
+  hosting one :class:`~repro.core.oracle.PinAccessOracle` per design:
   backpressure, timeouts, graceful drain, per-op request counters and
   latency histograms in Prometheus form, and (with ``trace=True``)
   server spans echoed to tracing clients.
@@ -33,13 +31,11 @@ from repro.serve.protocol import (
     parse_address,
 )
 from repro.serve.server import OracleServer
-from repro.serve.session import DesignSession
 
 __all__ = [
     "PROTOCOL",
     "BadRequest",
     "ConnectionFailed",
-    "DesignSession",
     "FrameError",
     "OracleClient",
     "OracleServer",

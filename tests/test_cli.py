@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -189,6 +190,34 @@ class TestAnalyzeErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: {cut}: unexpected end of DEF\n"
+
+    def test_malformed_number_in_def(self, lefdef_pair, tmp_path, capsys):
+        lef, deff = lefdef_pair
+        text, count = re.subn(
+            r"UNITS DISTANCE MICRONS \d+", "UNITS DISTANCE MICRONS x",
+            deff.read_text(),
+        )
+        assert count == 1
+        bad = tmp_path / "bad.def"
+        bad.write_text(text)
+        code = main(["analyze", "--lef", str(lef), "--def", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: expected an integer, got 'x'\n"
+
+    def test_malformed_number_in_lef(self, lefdef_pair, tmp_path, capsys):
+        lef, deff = lefdef_pair
+        text, count = re.subn(
+            r"^(\s+)WIDTH [\d.]+ ;", r"\1WIDTH abc ;", lef.read_text(),
+            count=1, flags=re.M,
+        )
+        assert count == 1
+        bad = tmp_path / "bad.lef"
+        bad.write_text(text)
+        code = main(["analyze", "--lef", str(bad), "--def", str(deff)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: expected a number, got 'abc'\n"
 
     def test_unknown_paircheck_mode(self, lefdef_pair, capsys):
         lef, deff = lefdef_pair

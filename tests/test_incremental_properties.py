@@ -1,13 +1,13 @@
 """Seeded property: every move of a random sequence equals a fresh run.
 
-A daemon session applies random placement moves that never return an
+An oracle applies random placement moves that never return an
 instance home -- one to three sites left or right into free space, a
 row change of the same parity (two rows, so the row orientation still
 fits), or a macro shift on ispd18_test3.  After every move:
 
-* the published snapshot's ``access``, ``alternatives`` and
-  ``pins_by_inst``, and those of a fresh in-process
-  ``PinAccessOracle(design)``, equal maps built here from that
+* the published snapshot's pin universe, and every pin's
+  ``Snapshot.query`` answer in it, equal -- as do those of a fresh
+  ``PinAccessOracle(design)`` -- answers built here from that fresh
   oracle's from-scratch run on the same placement, and
 * the incremental row index yields ``Design.row_clusters()``, member
   for member and in order.
@@ -15,7 +15,7 @@ fits), or a macro shift on ispd18_test3.  After every move:
 The profile is small and derandomized, so the suite sees the same
 sequences on every run.
 
-Every Step 3 pass of a session reads and extends one table of boundary
+Every Step 3 pass of an oracle reads and extends one table of boundary
 verdicts, kept across moves; ``TestKeptVerdicts`` checks that no move
 leaves an entry stale.
 """
@@ -26,10 +26,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench import build_testcase
-from repro.core import PaafConfig, PinAccessOracle
+from repro.core import PaafConfig, PinAccessAnswer, PinAccessOracle
 from repro.core.cluster import ClusterPatternSelector, SelectedAccess
 from repro.geom.point import Point
-from repro.serve import DesignSession
 
 PROFILE = settings(
     deadline=None,
@@ -96,14 +95,16 @@ def legal_moves(design, home: dict) -> dict:
 
 
 def scratch_snapshot(design) -> tuple:
-    """Return a fresh oracle and its run's reference maps.
+    """Return a fresh oracle and its run's reference answers.
 
-    The maps, ``(access, alternatives, pins_by_inst)``, are built here
-    from the run's unique accesses, not through ``Snapshot``.
+    The reference, ``(answers, pins_by_inst)``, maps every signal pin
+    of every instance to its answer, built here from the run's access
+    map and unique accesses, not through ``Snapshot``.
     """
     oracle = PinAccessOracle(design)
     full = oracle.result
-    alternatives = {}
+    access = full.access_map()
+    answers = {}
     pins_by_inst = {}
     for ua in full.unique_accesses:
         ui = ua.unique_instance
@@ -111,12 +112,17 @@ def scratch_snapshot(design) -> tuple:
             pins = frozenset(p.name for p in member.master.signal_pins())
             pins_by_inst[member.name] = pins
             dx, dy = ui.translation_to(member)
-            for pin_name, aps in ua.aps_by_pin.items():
-                if pin_name in pins:
-                    alternatives[(member.name, pin_name)] = [
-                        ap.translated(dx, dy) for ap in aps
-                    ]
-    return oracle, (full.access_map(), alternatives, pins_by_inst)
+            for pin_name in pins:
+                answers[(member.name, pin_name)] = PinAccessAnswer(
+                    instance_name=member.name,
+                    pin_name=pin_name,
+                    selected=access.get((member.name, pin_name)),
+                    alternatives=[
+                        ap.translated(dx, dy)
+                        for ap in ua.aps_by_pin.get(pin_name, [])
+                    ],
+                )
+    return oracle, (answers, pins_by_inst)
 
 
 def first_difference(got: dict, want: dict):
@@ -127,23 +133,26 @@ def first_difference(got: dict, want: dict):
     return None
 
 
-def check_session(session, design) -> None:
-    oracle, (access, alternatives, pins_by_inst) = scratch_snapshot(design)
+def check_session(oracle, design) -> None:
+    fresh, (answers, pins_by_inst) = scratch_snapshot(design)
     for name, snap in (
-        ("session", session.snapshot),
-        ("oracle", oracle.snapshot),
+        ("moved", oracle.snapshot),
+        ("fresh", fresh.snapshot),
     ):
-        key = first_difference(snap.access, access)
-        assert key is None, f"{name}: access differs at {key}"
-        key = first_difference(snap.alternatives, alternatives)
-        assert key is None, f"{name}: alternatives differ at {key}"
         assert snap.pins_by_inst == pins_by_inst, name
-    names = [[m.name for m in c] for c in session.inc.clusters()]
+        got = {
+            (inst, pin): snap.query(inst, pin)
+            for inst, pins in snap.pins_by_inst.items()
+            for pin in pins
+        }
+        key = first_difference(got, answers)
+        assert key is None, f"{name}: answer differs at {key}"
+    names = [[m.name for m in c] for c in oracle.inc.clusters()]
     assert names == [[m.name for m in c] for c in design.row_clusters()]
 
 
 def run_moves(data, design, kinds, first_kind=None, max_moves=3) -> None:
-    session = DesignSession("prop", design)
+    oracle = PinAccessOracle(design)
     home = {name: inst.location for name, inst in design.instances.items()}
     for step in range(data.draw(st.integers(1, max_moves), label="moves")):
         moves = legal_moves(design, home)
@@ -154,12 +163,12 @@ def run_moves(data, design, kinds, first_kind=None, max_moves=3) -> None:
                 st.sampled_from([k for k in kinds if moves[k]]), label="kind"
             )
         name, target = data.draw(st.sampled_from(moves[kind]), label="move")
-        session.move_instance(name, target.x, target.y)
-        assert session.snapshot.generation == step + 1
-        check_session(session, design)
+        oracle.move_instance(name, target.x, target.y)
+        assert oracle.snapshot.generation == step + 1
+        check_session(oracle, design)
 
 
-def seeded_moves(session, design, seed: int, count: int) -> None:
+def seeded_moves(oracle, design, seed: int, count: int) -> None:
     """Apply ``count`` legal shift or row moves drawn from ``seed``."""
     rng = random.Random(seed)
     home = {name: inst.location for name, inst in design.instances.items()}
@@ -167,8 +176,8 @@ def seeded_moves(session, design, seed: int, count: int) -> None:
         moves = legal_moves(design, home)
         kind = rng.choice([k for k in ("shift", "row") if moves[k]])
         name, target = rng.choice(moves[kind])
-        session.move_instance(name, target.x, target.y)
-        check_session(session, design)
+        oracle.move_instance(name, target.x, target.y)
+        check_session(oracle, design)
 
 
 class TestMoveSequences:
@@ -206,9 +215,9 @@ class TestMoveSequences:
         design = build_testcase(
             "ispd18_test1", scale=0.008, multi_height_fraction=0.1
         )
-        session = DesignSession("prop", design)
-        session.move_instance("inst_12", 4900, 4760)
-        check_session(session, design)
+        oracle = PinAccessOracle(design)
+        oracle.move_instance("inst_12", 4900, 4760)
+        check_session(oracle, design)
 
     def test_row_move_away_from_cluster_mates(self):
         """Shrunk case: a row change that leaves two cluster-mates behind.
@@ -222,9 +231,9 @@ class TestMoveSequences:
         design = build_testcase(
             "ispd18_test1", scale=0.004, multi_height_fraction=0.1
         )
-        session = DesignSession("prop", design)
-        session.move_instance("inst_27", 5600, 7560)
-        check_session(session, design)
+        oracle = PinAccessOracle(design)
+        oracle.move_instance("inst_27", 5600, 7560)
+        check_session(oracle, design)
 
     def test_overlapping_move_splits_a_cluster_it_never_joins(self):
         """A move onto another cell can split a cluster it never joins.
@@ -237,9 +246,9 @@ class TestMoveSequences:
         Step 3 must re-run it too.
         """
         design = build_testcase("ispd18_test1", scale=0.004)
-        session = DesignSession("prop", design)
-        session.move_instance("inst_9", 5600, 560)
-        check_session(session, design)
+        oracle = PinAccessOracle(design)
+        oracle.move_instance("inst_9", 5600, 560)
+        check_session(oracle, design)
 
 
 class TestKeptVerdicts:
@@ -252,14 +261,14 @@ class TestKeptVerdicts:
 
     def test_kept_verdicts_equal_a_fresh_scan(self):
         """Every adjacent pair of every current cluster, every pattern
-        pair: the verdict the session kept equals a scan against an
+        pair: the verdict the oracle kept equals a scan against an
         empty table."""
         design = build_testcase(
             "ispd18_test1", scale=0.004, multi_height_fraction=0.1
         )
-        session = DesignSession("prop", design)
-        seeded_moves(session, design, seed=11, count=6)
-        inc = session.inc
+        oracle = PinAccessOracle(design)
+        seeded_moves(oracle, design, seed=11, count=6)
+        inc = oracle.inc
         framework = inc.framework
         fresh = ClusterPatternSelector(
             design,
@@ -296,17 +305,17 @@ class TestKeptVerdicts:
         assert kept == {key: scanned[key] for key in kept}
 
     def test_verify_mode_moves_match_a_fresh_run(self):
-        """Both kernels cross-check their verdicts while a session moves
+        """Both kernels cross-check their verdicts while an oracle moves
         cells: no mismatch is raised, and every move's answers equal a
         from-scratch run."""
         design = build_testcase(
             "ispd18_test1", scale=0.004, multi_height_fraction=0.1
         )
         config = PaafConfig(apcheck_mode="verify", paircheck_mode="verify")
-        session = DesignSession("prop", design, config)
-        verdicts = session.inc.framework.verdicts
+        oracle = PinAccessOracle(design, config)
+        verdicts = oracle.inc.framework.verdicts
         held = len(verdicts)
-        seeded_moves(session, design, seed=5, count=3)
+        seeded_moves(oracle, design, seed=5, count=3)
         # The moves met adjacencies the analysis never saw, so verify
         # mode cross-checked verdicts first computed on a move.
         assert len(verdicts) > held

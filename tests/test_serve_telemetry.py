@@ -14,9 +14,9 @@ import socket as socketlib
 import pytest
 
 from repro.cli import main
-from repro.core.oracle import UnknownPinError
+from repro.core.oracle import PinAccessOracle, UnknownPinError
 from repro.obs.metrics import parse_prometheus
-from repro.serve import DesignSession, OracleClient, OracleServer
+from repro.serve import OracleClient, OracleServer
 from repro.serve import protocol
 from repro.serve.protocol import (
     QueryRequest,
@@ -34,13 +34,13 @@ from tests.conftest import make_simple_design
 def served(n45):
     """One analyzed simple design reused across the daemon tests."""
     design = make_simple_design(n45)
-    return design, DesignSession("simple", design)
+    return design, PinAccessOracle(design)
 
 
-def start_server(tmp_path, session, **kw):
+def start_server(tmp_path, oracle, **kw):
     path = str(tmp_path / "pao.sock")
     server = OracleServer(("unix", path), **kw)
-    server.add_session(session)
+    server.add_session("simple", oracle)
     server.start()
     return server, ("unix", path)
 
@@ -84,8 +84,8 @@ class TestTraceContext:
 
 class TestStitchedTrace:
     def test_one_request_one_track(self, tmp_path, served):
-        _, session = served
-        server, addr = start_server(tmp_path, session, trace=True)
+        _, oracle = served
+        server, addr = start_server(tmp_path, oracle, trace=True)
         try:
             with OracleClient(addr, trace=True) as client:
                 client.query("u0", "A")
@@ -129,8 +129,8 @@ class TestStitchedTrace:
     def test_untraced_client_gets_no_span_echo(self, tmp_path, served):
         # An old (or simply untraced) client must not pay for span
         # serialization: the response carries no trace field.
-        _, session = served
-        server, addr = start_server(tmp_path, session, trace=True)
+        _, oracle = served
+        server, addr = start_server(tmp_path, oracle, trace=True)
         try:
             request = QueryRequest(design=None, instance="u0", pin="A")
             request.req_id = 1
@@ -153,7 +153,7 @@ class TestStitchedTrace:
         # context: no trace field in any reply, the same reply keys,
         # and each request is counted and timed once, as on a plain
         # server.
-        _, session = served
+        _, oracle = served
         frames = [
             {"op": "metrics"},
             {"op": "query", "instance": "u0", "pin": "A"},
@@ -166,7 +166,7 @@ class TestStitchedTrace:
         ]
         runs = {}
         for trace in (False, True):
-            server, addr = start_server(tmp_path, session, trace=trace)
+            server, addr = start_server(tmp_path, oracle, trace=trace)
             try:
                 sock = socketlib.socket(
                     socketlib.AF_UNIX, socketlib.SOCK_STREAM
@@ -214,8 +214,8 @@ class TestStitchedTrace:
         # The other compatibility direction: a tracing client against
         # a daemon without telemetry still works, just without the
         # server-side half of the timeline.
-        _, session = served
-        server, addr = start_server(tmp_path, session)
+        _, oracle = served
+        server, addr = start_server(tmp_path, oracle)
         try:
             with OracleClient(addr, trace=True) as client:
                 answer = client.query("u0", "A")
@@ -257,8 +257,8 @@ class TestMetricsAndHttp:
     def test_exposition_parses_with_red_families(self, tmp_path, served):
         # Rate, errors and duration per op come from the registry's
         # request counters, error counters and latency histograms.
-        _, session = served
-        server, addr = start_server(tmp_path, session, trace=True)
+        _, oracle = served
+        server, addr = start_server(tmp_path, oracle, trace=True)
         try:
             with OracleClient(addr) as client:
                 client.query("u0", "A")
@@ -286,9 +286,9 @@ class TestMetricsAndHttp:
 
     def test_render_server_metrics_without_traffic(self, tmp_path, served):
         # The first request renders before it is counted: only the
-        # per-session gauges are there.
-        _, session = served
-        server, addr = start_server(tmp_path, session, trace=True)
+        # per-design gauges are there.
+        _, oracle = served
+        server, addr = start_server(tmp_path, oracle, trace=True)
         try:
             reply = first_request(addr, {"op": "metrics"})
         finally:
@@ -297,7 +297,7 @@ class TestMetricsAndHttp:
         assert reply["result"]["content_type"].startswith("text/plain")
         samples = parse_prometheus(reply["result"]["text"])
         assert set(samples) == set(SESSION_GAUGES)
-        stats = session.stats()
+        stats = oracle.stats()
         for metric, key in zip(
             SESSION_GAUGES, ("generation", "served_pins", "cache_entries")
         ):
@@ -306,8 +306,8 @@ class TestMetricsAndHttp:
     def test_slo_json_404_without_telemetry(self, tmp_path, served):
         # A daemon without telemetry still serves the full exposition,
         # and its health reply carries no objectives block.
-        _, session = served
-        server, addr = start_server(tmp_path, session)
+        _, oracle = served
+        server, addr = start_server(tmp_path, oracle)
         try:
             with OracleClient(addr) as client:
                 client.query("u0", "A")
@@ -335,8 +335,8 @@ class TestMetricsAndHttp:
 
 class TestCliSurfaces:
     def test_query_timing_human(self, tmp_path, served, capsys):
-        _, session = served
-        server, addr = start_server(tmp_path, session, trace=True)
+        _, oracle = served
+        server, addr = start_server(tmp_path, oracle, trace=True)
         try:
             code = main(
                 ["query", "u0/A", "--socket", addr[1], "--timing"]
@@ -350,8 +350,8 @@ class TestCliSurfaces:
         assert "server=" in out
 
     def test_query_timing_json(self, tmp_path, served, capsys):
-        _, session = served
-        server, addr = start_server(tmp_path, session, trace=True)
+        _, oracle = served
+        server, addr = start_server(tmp_path, oracle, trace=True)
         try:
             code = main(
                 ["query", "u0/A", "u0/Z", "--socket", addr[1],
@@ -371,8 +371,8 @@ class TestCliSurfaces:
         self, tmp_path, served, capsys
     ):
         # No telemetry on the daemon: the server phase renders as "-".
-        _, session = served
-        server, addr = start_server(tmp_path, session)
+        _, oracle = served
+        server, addr = start_server(tmp_path, oracle)
         try:
             code = main(
                 ["query", "u0/A", "--socket", addr[1], "--timing"]
