@@ -90,6 +90,14 @@ class AccessPoint:
             planar_dirs=list(self.planar_dirs),
         )
 
+    def shifted(self, dx: int, dy: int) -> "AccessPoint":
+        """Return :meth:`translated` sharing this point's lists: the
+        cheap copy for a read-only query answer."""
+        return AccessPoint(
+            self.x + dx, self.y + dy, self.layer_name, self.pref_type,
+            self.nonpref_type, self.valid_vias, self.planar_dirs,
+        )
+
     def __str__(self) -> str:
         return (
             f"AP({self.x}, {self.y}, {self.layer_name}, "
