@@ -77,6 +77,24 @@ class _LefParser:
     def _next_dbu(self) -> int:
         return round(self._next_number() * self.dbu)
 
+    def _next_keyword(self, kind):
+        """Read one value of the enum ``kind`` (``TYPE``, ``USE``, ...)."""
+        token = self._next()
+        try:
+            return kind(token)
+        except ValueError:
+            choices = " or ".join(member.value for member in kind)
+            raise LefParseError(f"expected {choices}, got {token!r}") from None
+
+    def _at_end_of(self, name: str) -> bool:
+        """Return True when the next two tokens are ``END name``."""
+        tokens, pos = self.tokens, self.pos
+        if pos >= len(tokens) or tokens[pos] != "END":
+            return False
+        if pos + 1 == len(tokens):
+            raise LefParseError("unexpected end of LEF")
+        return tokens[pos + 1] == name
+
     # -- driver ---------------------------------------------------------------
 
     def run(self) -> None:
@@ -163,10 +181,10 @@ class _LefParser:
         while self._peek() != "END":
             token = self._next()
             if token == "TYPE":
-                layer.kind = LayerKind(self._next())
+                layer.kind = self._next_keyword(LayerKind)
                 self._expect(";")
             elif token == "DIRECTION":
-                layer.direction = RoutingDirection(self._next())
+                layer.direction = self._next_keyword(RoutingDirection)
                 self._expect(";")
             elif token == "PITCH":
                 layer.pitch = self._next_dbu()
@@ -279,7 +297,7 @@ class _LefParser:
         self._expect("MACRO")
         name = self._next()
         master = CellMaster(name=name, width=0, height=0)
-        while self._peek() != "END" or self.tokens[self.pos + 1] != name:
+        while not self._at_end_of(name):
             token = self._next()
             if token == "CLASS":
                 master.is_macro = self._next() == "BLOCK"
@@ -307,10 +325,10 @@ class _LefParser:
     def _parse_pin(self) -> MasterPin:
         name = self._next()
         pin = MasterPin(name=name)
-        while self._peek() != "END" or self.tokens[self.pos + 1] != name:
+        while not self._at_end_of(name):
             token = self._next()
             if token == "USE":
-                pin.use = PinUse(self._next())
+                pin.use = self._next_keyword(PinUse)
                 self._expect(";")
             elif token == "DIRECTION":
                 self._skip_statement()

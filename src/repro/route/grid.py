@@ -6,6 +6,11 @@ layers.  A node is addressed ``(l, i, j)`` where ``l`` is the layer
 index within the grid's layer list and ``i``/``j`` index the x/y
 coordinate arrays.  Edges run along each layer's preferred direction;
 vias connect vertically adjacent layers at the same (i, j).
+
+Internally each node is one integer, ``(l * NI + i) * NJ + j`` for an
+``NI`` x ``NJ`` grid, so a wire step is ``+-1`` (along y) or ``+-NJ``
+(along x) and a via step is ``+-NI * NJ``.  The occupancy maps are
+keyed by these ids and written only through the grid's methods.
 """
 
 from __future__ import annotations
@@ -35,9 +40,11 @@ class RoutingGrid:
         self.ys = self._axis_coords(RoutingDirection.HORIZONTAL)
         if not self.xs or not self.ys:
             raise ValueError("design has no track patterns for the grid")
-        # node -> net name
+        self.ni = len(self.xs)
+        self.nj = len(self.ys)
+        # node id -> net name
         self.occupancy = {}
-        # cut-layer exclusion: (cut level, i, j) -> net name, bloated to
+        # cut-layer exclusion: lower node id -> net name, bloated to
         # neighbors so foreign vias never land at adjacent track nodes
         # (cut spacing is larger than one track gap minus a cut width).
         self.via_occupancy = {}
@@ -66,6 +73,17 @@ class RoutingGrid:
     def level_of(self, layer_name: str) -> int:
         """Return the grid level of ``layer_name``."""
         return self._layer_index[layer_name]
+
+    def node_id(self, node: tuple) -> int:
+        """Return the integer id of on-grid node ``(l, i, j)``."""
+        l, i, j = node
+        return (l * self.ni + i) * self.nj + j
+
+    def node_of(self, node_id: int) -> tuple:
+        """Return the ``(l, i, j)`` of integer id ``node_id``."""
+        rest, j = divmod(node_id, self.nj)
+        l, i = divmod(rest, self.ni)
+        return (l, i, j)
 
     def point_of(self, node: tuple) -> tuple:
         """Return the (x, y) of node ``(l, i, j)``."""
@@ -109,7 +127,7 @@ class RoutingGrid:
 
     def is_free(self, node: tuple, net_name: str) -> bool:
         """Return True if ``node`` is unoccupied or owned by ``net_name``."""
-        owner = self.occupancy.get(node)
+        owner = self.occupancy.get(self.node_id(node))
         return owner is None or owner == net_name
 
     def via_allowed(self, lower_node: tuple, net_name: str) -> bool:
@@ -118,29 +136,36 @@ class RoutingGrid:
         Checks the bloated cut exclusion zone, which keeps foreign
         cuts at least two track nodes apart (cut spacing safe).
         """
-        l, i, j = lower_node
-        owner = self.via_occupancy.get((l, i, j))
+        owner = self.via_occupancy.get(self.node_id(lower_node))
         return owner is None or owner == net_name
+
+    def claim(self, node: tuple, net_name: str) -> None:
+        """Reserve ``node`` for ``net_name`` unless a net already holds it."""
+        self.occupancy.setdefault(self.node_id(node), net_name)
+
+    def claim_via(self, lower_node: tuple, net_name: str) -> None:
+        """Reserve the single cut-exclusion key ``lower_node`` (no bloat)."""
+        self.via_occupancy.setdefault(self.node_id(lower_node), net_name)
 
     def occupy_path(self, path: list, net_name: str) -> None:
         """Claim all nodes of ``path`` (and via exclusions) for a net."""
         for node in path:
-            self.occupancy[node] = net_name
+            self.occupancy[self.node_id(node)] = net_name
         for a, b in zip(path, path[1:]):
             if a[0] != b[0]:
-                lower = a if a[0] < b[0] else b
-                self._occupy_via(lower, net_name)
+                self.occupy_via_at(a if a[0] < b[0] else b, net_name)
 
     def occupy_via_at(self, lower_node: tuple, net_name: str) -> None:
-        """Claim a via exclusion zone at ``lower_node``."""
-        self._occupy_via(lower_node, net_name)
+        """Claim a via exclusion zone at ``lower_node``.
 
-    def _occupy_via(self, lower, net_name):
-        l, i, j = lower
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                key = (l, i + di, j + dj)
-                self.via_occupancy.setdefault(key, net_name)
+        The zone is the node and its eight neighbours on the same cut
+        level.  Neighbours off the grid are dropped: no search reaches
+        them, and their ids would alias nodes on the far border.
+        """
+        l, i, j = lower_node
+        for ii in range(max(0, i - 1), min(self.ni, i + 2)):
+            for jj in range(max(0, j - 1), min(self.nj, j + 2)):
+                self.claim_via((l, ii, jj), net_name)
 
 
 def _nearest(coords: list, value: int) -> int:

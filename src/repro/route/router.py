@@ -86,7 +86,7 @@ class DetailedRouter:
             )
             terminals_by_net[net.name] = terminals
             for access, node in terminals:
-                self.grid.occupancy.setdefault(node, net.name)
+                self.grid.claim(node, net.name)
                 self.grid.occupy_via_at(node, net.name)
                 self._reserve_offtrack_corridor(access, node, net.name)
         for net in nets:
@@ -289,9 +289,7 @@ class DetailedRouter:
                     for dj in (-1, 0, 1):
                         jj = j + dj
                         if 0 <= jj < len(self.grid.ys):
-                            self.grid.occupancy.setdefault(
-                                (l, ii, jj), net_name
-                            )
+                            self.grid.claim((l, ii, jj), net_name)
         else:
             reach = (
                 max(-via.top_enc.ylo, via.top_enc.yhi)
@@ -306,9 +304,7 @@ class DetailedRouter:
                     for di in (-1, 0, 1):
                         ii = i + di
                         if 0 <= ii < len(self.grid.xs):
-                            self.grid.occupancy.setdefault(
-                                (l, ii, jj), net_name
-                            )
+                            self.grid.claim((l, ii, jj), net_name)
 
     def _search_bounds(self, nodes, margin: int) -> tuple:
         ilo = min(n[1] for n in nodes) - margin
@@ -433,7 +429,7 @@ class DetailedRouter:
                         ),
                     )
                 )
-        self.grid.occupancy.setdefault(node, net_name)
+        self.grid.claim(node, net_name)
 
 
 class _IoAccess:

@@ -266,6 +266,7 @@ class OracleServer:
         _close_quietly(conn)
 
     def _handle_connection(self, conn) -> None:
+        rfile = wfile = None
         try:
             conn.settimeout(self.request_timeout)
             rfile = conn.makefile("rb")
@@ -296,7 +297,11 @@ class OracleServer:
                 if hangup:
                     break
         finally:
-            _close_quietly(conn)
+            # The file objects hold the socket's descriptor open until
+            # they are closed too; close them first, then the socket.
+            for stream in (wfile, rfile, conn):
+                if stream is not None:
+                    _close_quietly(stream)
             with self._conns_lock:
                 self._conns.discard(conn)
             with self._handlers_lock:
@@ -520,9 +525,9 @@ def _frame_id(frame: dict) -> int:
     return req_id
 
 
-def _close_quietly(sock) -> None:
+def _close_quietly(closable) -> None:
     try:
-        sock.close()
+        closable.close()
     except OSError:
         pass
 

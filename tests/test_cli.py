@@ -219,6 +219,54 @@ class TestAnalyzeErrors:
         err = capsys.readouterr().err
         assert err == f"error: {bad}: expected a number, got 'abc'\n"
 
+    @pytest.mark.parametrize(
+        "line, typo, message",
+        [
+            (
+                "TYPE ROUTING ;",
+                "TYPE ROUTNG ;",
+                "expected ROUTING or CUT, got 'ROUTNG'",
+            ),
+            (
+                "DIRECTION HORIZONTAL ;",
+                "DIRECTION HORIZ ;",
+                "expected HORIZONTAL or VERTICAL, got 'HORIZ'",
+            ),
+            (
+                "USE SIGNAL ;",
+                "USE SIGNL ;",
+                "expected SIGNAL or POWER or GROUND or CLOCK, got 'SIGNL'",
+            ),
+        ],
+        ids=["TYPE", "DIRECTION", "USE"],
+    )
+    def test_misspelt_keyword_in_lef(
+        self, lefdef_pair, tmp_path, capsys, line, typo, message
+    ):
+        lef, deff = lefdef_pair
+        text = lef.read_text()
+        assert line in text
+        bad = tmp_path / "bad.lef"
+        bad.write_text(text.replace(line, typo, 1))
+        code = main(["analyze", "--lef", str(bad), "--def", str(deff)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: {message}\n"
+
+    def test_lef_cut_between_pin_end_and_name(
+        self, lefdef_pair, tmp_path, capsys
+    ):
+        lef, deff = lefdef_pair
+        text = lef.read_text()
+        match = re.search(r"^  PIN (\S+)$.*?^  END \1$", text, re.M | re.S)
+        assert match
+        cut = tmp_path / "cut.lef"
+        cut.write_text(text[: match.end() - len(match.group(1))])
+        code = main(["analyze", "--lef", str(cut), "--def", str(deff)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cut}: unexpected end of LEF\n"
+
     def test_unknown_paircheck_mode(self, lefdef_pair, capsys):
         lef, deff = lefdef_pair
         code = main(

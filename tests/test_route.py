@@ -73,6 +73,31 @@ class TestRoutingGrid:
         assert not grid.via_allowed((0, 6, 6), "netB")
         assert grid.via_allowed((0, 8, 8), "netB")
 
+    @pytest.mark.parametrize("side", ["i=0", "j=0", "i=NI-1", "j=NJ-1"])
+    def test_via_exclusion_at_the_border_stays_on_grid(self, grid, side):
+        # The zone's off-grid keys are dropped: a node id scheme that
+        # wrapped them would block nodes across the grid or a level.
+        ni, nj = len(grid.xs), len(grid.ys)
+        i, j = {
+            "i=0": (0, 5), "j=0": (5, 0),
+            "i=NI-1": (ni - 1, 5), "j=NJ-1": (5, nj - 1),
+        }[side]
+        grid.occupy_via_at((2, i, j), "netA")
+        zone = {
+            (2, i + di, j + dj)
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            if 0 <= i + di < ni and 0 <= j + dj < nj
+        }
+        for node in (
+            (l, ii, jj)
+            for l in range(grid.num_layers)
+            for ii in range(ni)
+            for jj in range(nj)
+        ):
+            assert grid.is_free(node, "netB")
+            assert grid.via_allowed(node, "netB") == (node not in zone)
+
 
 class TestAstar:
     def test_straight_route(self, grid):
@@ -90,8 +115,8 @@ class TestAstar:
     def test_blocked_path_detours(self, grid):
         # Wall across M2 column 5 except far above.
         for j in range(0, 15):
-            grid.occupancy[(1, 5, j)] = "wall"
-            grid.occupancy[(0, 5, j)] = "wall"
+            grid.claim((1, 5, j), "wall")
+            grid.claim((0, 5, j), "wall")
         path = astar_route(grid, {(0, 2, 2)}, {(0, 8, 2)}, "n")
         assert path is not None
         assert all(grid.is_free(n, "n") for n in path)
@@ -103,8 +128,8 @@ class TestAstar:
             for di in (-1, 0, 1):
                 for dj in (-1, 0, 1):
                     if (di, dj) != (0, 0):
-                        grid.occupancy[(l, 5 + di, 5 + dj)] = "wall"
-            grid.occupancy[(l, 5, 5)] = "n" if l == 0 else "wall"
+                        grid.claim((l, 5 + di, 5 + dj), "wall")
+            grid.claim((l, 5, 5), "n" if l == 0 else "wall")
         path = astar_route(grid, {(0, 2, 2)}, {target}, "n")
         assert path is None
 
@@ -177,7 +202,7 @@ class TestRouterFailurePaths:
         for l in range(len(grid.layers)):
             for i in range(len(grid.xs)):
                 for j in range(len(grid.ys)):
-                    grid.occupancy[(l, i, j)] = "__blocker__"
+                    grid.claim((l, i, j), "__blocker__")
         result = DetailedRouter(design, grid).route(access)
         total_terms = sum(len(net.terms) for net in design.nets.values())
         assert result.routed_nets == 0
@@ -194,7 +219,7 @@ class TestRouterFailurePaths:
         for l in range(1, len(grid.layers)):
             for i in range(len(grid.xs)):
                 for j in range(len(grid.ys)):
-                    grid.occupancy[(l, i, j)] = "__blocker__"
+                    grid.claim((l, i, j), "__blocker__")
         result = DetailedRouter(design, grid).route(access)
         assert result.failed_nets
         assert result.routed_nets + len(result.failed_nets) <= len(

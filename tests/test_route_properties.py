@@ -57,12 +57,12 @@ class TestPathInvariants:
 
     def test_obstacles_never_on_path(self, grid):
         for j in range(3, 8):
-            grid.occupancy[(0, 5, j)] = "wall"
-            grid.occupancy[(1, 5, j)] = "wall"
+            grid.claim((0, 5, j), "wall")
+            grid.claim((1, 5, j), "wall")
         path = self.path(grid, (0, 5, 0), (0, 5, 9))
         assert path is not None
         for node in path:
-            assert grid.occupancy.get(node) in (None, "n")
+            assert grid.is_free(node, "n")
 
     def test_cost_constants_ordering(self):
         # Vias must cost more than wires or the router zig-zags layers.
@@ -252,7 +252,29 @@ class TestAstarMatchesReference:
             search
         )
         grid = RoutingGrid(_oracle_design(kind))
-        grid.occupancy.update(occupancy)
-        grid.via_occupancy.update(via_occupancy)
+        for node, owner in occupancy.items():
+            grid.claim(node, owner)
+        for node, owner in via_occupancy.items():
+            grid.claim_via(node, owner)
         args = (grid, sources, targets, "n", bounds, budget)
         assert astar_route(*args) == reference_astar_route(*args)
+
+
+class TestBucketQueueOrder:
+    def test_push_below_the_current_bucket(self):
+        # On the stretched N32 grid one x step (120) can lower the
+        # heuristic by 2 steps of 100, so an expansion pushes its
+        # neighbour one f below the bucket being popped.  A bucket
+        # queue that did not step back to it would return the other
+        # source's costlier path here.
+        grid = RoutingGrid(_oracle_design("n32"))
+        sources, target = {(2, 3, 1), (1, 7, 12)}, (3, 8, 6)
+        expected = reference_astar_route(grid, sources, {target}, "n")
+        tx, ty = grid.point_of(target)
+
+        def h(node):
+            x, y = grid.point_of(node)
+            return (abs(x - tx) + abs(y - ty)) // 100
+
+        assert any(h(a) - h(b) == 2 for a, b in zip(expected, expected[1:]))
+        assert astar_route(grid, sources, {target}, "n") == expected

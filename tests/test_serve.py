@@ -408,6 +408,39 @@ class TestEndToEnd:
         finally:
             server.stop()
 
+    def test_handler_releases_its_descriptor(
+        self, tmp_path, served, monkeypatch
+    ):
+        """A handler that ends closes its socket's descriptor at once,
+        even while something still holds its file objects."""
+        import socket as socketlib
+
+        _, oracle = served
+        server, addr = start_server(tmp_path, {"t1": oracle})
+        held = []
+        server_read = protocol.read_frame
+
+        def holding_read(rfile):
+            held.append(rfile)
+            return server_read(rfile)
+
+        monkeypatch.setattr(protocol, "read_frame", holding_read)
+        sock = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
+        sock.settimeout(10)
+        rfile = sock.makefile("rb")
+        try:
+            sock.connect(addr[1])
+            sock.sendall(struct.pack(">I", 8) + b"notjson!")
+            assert read_frame(rfile)["ok"] is False
+            # Held file objects must not keep the connection open: the
+            # hang-up reaches the client as EOF, not as a timeout.
+            assert rfile.read(1) == b""
+            assert held
+        finally:
+            rfile.close()
+            sock.close()
+            server.stop()
+
 
 def four_sites_right(design) -> list:
     inst = list(design.instances.values())[3]
