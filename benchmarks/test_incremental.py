@@ -12,8 +12,7 @@ identical access map after every move.
 import time
 
 from repro.bench import build_testcase
-from repro.core import PinAccessFramework
-from repro.core.incremental import IncrementalPinAccess
+from repro.core import PinAccessFramework, PinAccessOracle
 from repro.geom.point import Point
 from repro.report import format_table
 
@@ -48,19 +47,20 @@ def test_incremental_speedup(once):
     movable = pick_movable(design)[:NUM_MOVES]
     assert len(movable) >= 3
 
-    inc = IncrementalPinAccess(design)
-    inc.analyze()
+    oracle = PinAccessOracle(design)
 
     incremental_total = 0.0
     full_total = 0.0
     for inst in movable:
         target = shift_target(design, inst)
-        inc.move_instance(inst.name, target)
-        incremental_total += inc.last_update_seconds
+        _, update_seconds = oracle.move_instance(
+            inst.name, target.x, target.y
+        )
+        incremental_total += update_seconds
         t0 = time.perf_counter()
         full = PinAccessFramework(design).run()
         full_total += time.perf_counter() - t0
-        assert inc.access_map() == full.access_map()
+        assert oracle.snapshot.access_map() == full.access_map()
 
     speedup = full_total / max(1e-9, incremental_total)
     text = format_table(
@@ -81,4 +81,5 @@ def test_incremental_speedup(once):
 
     # Time one representative incremental move under the benchmark.
     inst = movable[0]
-    once(inc.move_instance, inst.name, shift_target(design, inst))
+    target = shift_target(design, inst)
+    once(oracle.move_instance, inst.name, target.x, target.y)

@@ -12,8 +12,12 @@ against re-running the full framework per move.
 import sys
 import time
 
-from repro import PinAccessFramework, build_testcase, evaluate_failed_pins
-from repro.core.incremental import IncrementalPinAccess
+from repro import (
+    PinAccessFramework,
+    PinAccessOracle,
+    build_testcase,
+    evaluate_failed_pins,
+)
 from repro.geom.point import Point
 
 
@@ -46,10 +50,8 @@ def main() -> None:
     design = build_testcase("ispd18_test5", scale=scale)
     print(f"{design.name}: {len(design.instances)} instances")
 
-    incremental = IncrementalPinAccess(design)
-    t0 = time.perf_counter()
-    incremental.analyze()
-    print(f"initial full analysis: {time.perf_counter() - t0:.2f}s")
+    oracle = PinAccessOracle(design)
+    print(f"initial full analysis: {oracle.analyze_seconds:.2f}s")
 
     moves = movable_singletons(design)[:10]
     site_w = design.tech.site_width
@@ -63,12 +65,14 @@ def main() -> None:
             if not legal_target(design, inst, target):
                 continue
         performed += 1
-        incremental.move_instance(inst.name, target)
-        incremental_cost += incremental.last_update_seconds
-        failed = evaluate_failed_pins(design, incremental.access_map())
+        _, update_seconds = oracle.move_instance(
+            inst.name, target.x, target.y
+        )
+        incremental_cost += update_seconds
+        failed = evaluate_failed_pins(design, oracle.snapshot.access_map())
         print(
             f"move {step}: {inst.name} -> {target}; "
-            f"update {incremental.last_update_seconds * 1000:.0f} ms; "
+            f"update {update_seconds * 1000:.0f} ms; "
             f"{len(failed)} failed pins"
         )
 

@@ -22,7 +22,6 @@ from repro.core import (
     AccessPattern,
     AccessPoint,
     CoordType,
-    IncrementalPinAccess,
     LegacyPinAccess,
     PaafConfig,
     PinAccessFramework,
@@ -45,7 +44,6 @@ __all__ = [
     "AccessPattern",
     "AccessPoint",
     "CoordType",
-    "IncrementalPinAccess",
     "LegacyPinAccess",
     "PaafConfig",
     "PinAccessFramework",

@@ -31,7 +31,6 @@ from repro.core.framework import (
 )
 from repro.core.config import PaafConfig
 from repro.core.baseline import LegacyPinAccess
-from repro.core.incremental import IncrementalPinAccess
 from repro.core.ioaccess import IoPinAccess
 from repro.core.oracle import (
     PinAccessAnswer,
@@ -55,7 +54,6 @@ __all__ = [
     "UniqueInstanceAccess",
     "evaluate_failed_pins",
     "LegacyPinAccess",
-    "IncrementalPinAccess",
     "IoPinAccess",
     "PinAccessOracle",
     "PinAccessAnswer",

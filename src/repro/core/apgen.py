@@ -79,20 +79,11 @@ class AccessPoint:
         return int(self.pref_type) + int(self.nonpref_type)
 
     def translated(self, dx: int, dy: int) -> "AccessPoint":
-        """Return a copy moved by ``(dx, dy)`` (unique-instance mapping)."""
-        return AccessPoint(
-            x=self.x + dx,
-            y=self.y + dy,
-            layer_name=self.layer_name,
-            pref_type=self.pref_type,
-            nonpref_type=self.nonpref_type,
-            valid_vias=list(self.valid_vias),
-            planar_dirs=list(self.planar_dirs),
-        )
+        """Return a copy moved by ``(dx, dy)`` (unique-instance mapping).
 
-    def shifted(self, dx: int, dy: int) -> "AccessPoint":
-        """Return :meth:`translated` sharing this point's lists: the
-        cheap copy for a read-only query answer."""
+        The copy shares this point's via and direction lists: no caller
+        edits them once a point is built.
+        """
         return AccessPoint(
             self.x + dx, self.y + dy, self.layer_name, self.pref_type,
             self.nonpref_type, self.valid_vias, self.planar_dirs,

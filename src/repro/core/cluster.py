@@ -29,7 +29,10 @@ class SelectedAccess:
 
     ``dx``/``dy`` translate the pattern's access points (stored in the
     unique-instance representative's coordinates) into this instance's
-    design coordinates.
+    design coordinates.  ``unique_access`` is the Step 1/2 result the
+    pattern came from, in the same coordinates: its ``aps_by_pin`` are
+    each pin's alternatives.  An instance whose unique access has no
+    pattern is selected with ``pattern`` None, and still carries both.
     """
 
     inst: object
@@ -42,6 +45,7 @@ class SelectedAccess:
     # signature.  Step 3's boundary verdicts are keyed by it; a
     # selection without one is rescanned on every check.
     key: tuple = field(default=None, repr=False, compare=False)
+    unique_access: object = field(default=None, repr=False, compare=False)
     _boundary_cache: dict = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -272,6 +276,7 @@ class ClusterPatternSelector:
                 dy=sel.dy,
                 overrides=dict(sel.overrides),
                 key=sel.key,
+                unique_access=sel.unique_access,
             )
             for member, sel in zip(members, chosen)
         ]

@@ -154,9 +154,11 @@ class PinAccessResult:
 
         ``(dx, dy)`` maps the unique access's coordinates onto the
         instance where it stood when this map was built: the one map
-        from an instance to its Step 1/2 results that Step 3, the
-        oracle's snapshot, the incremental analyzer and the baseline
-        read.
+        from an instance to its Step 1/2 results that Step 3,
+        :meth:`failed_pins` and the baseline read.  Step 3 hands each
+        instance's entry on in its selection
+        (:class:`~repro.core.cluster.SelectedAccess`), which is where
+        the oracle reads it.
         """
         return {
             member.name: (ua, ua.unique_instance.translation_to(member))
@@ -232,7 +234,8 @@ class PinAccessFramework:
         self.cache = cache
         # One translation-invariant pair kernel for the whole flow:
         # Step 2 compatibility, Step 3 boundary conflicts and the
-        # incremental analyzer share its forbidden-displacement tables.
+        # oracle's placement moves share its forbidden-displacement
+        # tables.
         self.kernel = PairKernel(
             design.tech,
             mode=self.config.paircheck_mode,
@@ -344,9 +347,9 @@ class PinAccessFramework:
         """Fused Step 1 + 2 for ``uis``: one access per unique instance.
 
         The one Step 1/2 path: ``run()`` passes every unique instance
-        of the design, :class:`~repro.core.incremental.
-        IncrementalPinAccess` a signature class first seen after a
-        move.  A cache hit skips the unit; a miss runs
+        of the design, :meth:`~repro.core.oracle.PinAccessOracle.
+        move_instance` a signature class first seen after a move.  A
+        cache hit skips the unit; a miss runs
         :func:`repro.perf.workers.step12_unique` and is stored back.
         When given, ``result`` receives the ``step1``/``step2`` seconds
         and ``paaf.step12_tasks``, the number of units run.
@@ -387,14 +390,16 @@ class PinAccessFramework:
         """Step 3: one cluster-DP pass over ``clusters``, in order.
 
         The one Step 3 path: ``run()`` passes every row cluster of the
-        design, :class:`~repro.core.incremental.IncrementalPinAccess`
+        design, :meth:`~repro.core.oracle.PinAccessOracle.move_instance`
         the clusters of the components a move touched, in
         cluster-index order.  ``placements`` maps every member's name
         to its ``(unique access, (dx, dy))``, as
-        :meth:`PinAccessResult.placements` does.  Each pass builds
-        its own selector, whose via-vs-instance memo dies with the
-        placement it was computed for; the boundary verdicts, keyed by
-        value, live in :attr:`verdicts` for the framework's lifetime.
+        :meth:`PinAccessResult.placements` does, and each selection
+        carries its member's entry on; a member whose unique access
+        has no pattern is selected with ``pattern`` None.  Each pass
+        builds its own selector, whose via-vs-instance memo dies with
+        the placement it was computed for; the boundary verdicts, keyed
+        by value, live in :attr:`verdicts` for the framework's lifetime.
         """
         candidates_by_inst = {}
         for cluster in clusters:
@@ -404,9 +409,14 @@ class PinAccessFramework:
                 candidates_by_inst[inst.name] = [
                     SelectedAccess(
                         inst=inst, pattern=p, dx=dx, dy=dy,
-                        key=(signature, ordinal),
+                        key=(signature, ordinal), unique_access=ua,
                     )
                     for ordinal, p in enumerate(ua.patterns)
+                ] or [
+                    SelectedAccess(
+                        inst=inst, pattern=None, dx=dx, dy=dy,
+                        unique_access=ua,
+                    )
                 ]
         alternatives_fn = None
         if self.config.boundary_conflict_aware:

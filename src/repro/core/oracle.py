@@ -9,17 +9,51 @@ order, and repairs its answers after a placement move (the paper's
 Experiment 2 loop).  The ``repro.serve`` daemon hosts one oracle per
 design, so wire and in-process answers come from the same object.
 
-Every answer comes from an immutable :class:`Snapshot` with one entry
-per instance: its Step 3 :class:`~repro.core.cluster.SelectedAccess`
-and its ``(unique access, (dx, dy))``.  A query translates only the
-pin it asks for.  :meth:`Snapshot.next` shares every entry a move did
-not replace with the generation before, which is safe because of one
-invariant: **no object a snapshot references is mutated after the
-Step 3 pass that made it.**  A pass builds a fresh ``SelectedAccess``
-for each instance it selects and sets its repair overrides before it
-returns; Step 1/2 results are never edited; a move replaces the moved
-instance's placement instead of editing it.  So a held snapshot keeps
-its answers however many moves follow, and no answer can tear.
+Every answer comes from an immutable :class:`Snapshot`: one map from
+each instance to its Step 3 :class:`~repro.core.cluster.SelectedAccess`,
+which carries the instance's unique access and offset ``(dx, dy)``.  A
+query translates only the pin it asks for.  :meth:`Snapshot.next`
+shares every entry a move did not re-select with the generation
+before, which is safe because of one invariant: **no object a snapshot
+references is mutated after the Step 3 pass that made it.**  A pass
+builds a fresh ``SelectedAccess`` for each instance it selects and
+sets its repair overrides before it returns; Step 1/2 results are
+never edited, nor is an access point's via or direction list once the
+point is built.  So a held snapshot keeps its answers however many
+moves follow, and no answer can tear.
+
+The published snapshot is the oracle's only selection state.  The
+paper motivates Step 3's speed with the placement loop (Sec. IV,
+Experiment 2: "frequent changes in placement require a tremendous
+amount of inter-cell pin access analysis"), and a move costs time in
+proportion to what moved:
+
+* the moved instance's signature reuses the Step 1/2 results of an
+  already-analyzed offset class; a new class goes through the
+  framework's cache-then-compute Step 1/2 path.  Every other instance
+  keeps the unique access and offset its published selection carries;
+* a per-row index keeps each row's members and clusters (the lists
+  :meth:`~repro.db.design.Design.row_clusters` returns, chunked by
+  the same :func:`~repro.db.design.row_chunks`); a move re-chunks only
+  the rows the instance left and entered;
+* Step 3 re-runs over the clusters of the components the move changed
+  -- every component holding a re-chunked cluster that holds the
+  moved instance or whose members the move changed (for a legal
+  placement: a cluster of the moved instance or of a former
+  cluster-mate), found by walking the index through multi-height
+  members -- in one pass of the framework's Step 3, on the configured
+  backend.  That pass reads and extends the framework's boundary
+  verdicts (:attr:`~repro.core.framework.PinAccessFramework.verdicts`),
+  keyed by two patterns and the displacement between their instances,
+  so no move invalidates one.
+
+The clusters of a row are independent DPs, linked only through
+multi-height members, and components share no instance.  A cluster
+that keeps its members, their placements and its component therefore
+keeps its selection, so every generation equals a from-scratch
+analysis of its placement (asserted by tests, including a seeded
+move-sequence property, and measured by
+``benchmarks/test_incremental.py``).
 
 Lookup failures raise the typed :class:`UnknownInstanceError` /
 :class:`UnknownPinError` hierarchy.  Both derive from ``KeyError`` so
@@ -37,8 +71,9 @@ from typing import Optional
 
 from repro.core.cluster import ClusterSelectionResult
 from repro.core.config import PaafConfig
-from repro.core.incremental import IncrementalPinAccess
-from repro.db.design import Design
+from repro.core.framework import PinAccessFramework
+from repro.core.signature import UniqueInstance, instance_signature
+from repro.db.design import Design, row_chunks
 from repro.geom.point import Point
 
 
@@ -95,34 +130,29 @@ class Snapshot:
     """The answers for one placement, immutable once built.
 
     ``selection`` maps each instance name to its Step 3
-    :class:`~repro.core.cluster.SelectedAccess` and ``placements`` to
-    its ``(unique access, (dx, dy))``.  ``pins_by_inst`` fixes the
-    known-pin universe, so a reader tells an unknown pin from a pin
-    with no access without consulting the mutable design.
+    :class:`~repro.core.cluster.SelectedAccess`, which carries the
+    instance's unique access and offset; ``conflicts`` holds the
+    residual inter-cell conflicts ``(inst a, pin a, inst b, pin b)``.
+    ``pins_by_inst`` fixes the known-pin universe, so a reader tells an
+    unknown pin from a pin with no access without consulting the
+    mutable design.
     """
 
     generation: int
     selection: dict
-    placements: dict
+    conflicts: tuple
     pins_by_inst: dict
 
     @classmethod
     def first(
-        cls,
-        design: Design,
-        selection: ClusterSelectionResult,
-        placements: dict,
+        cls, design: Design, selection: ClusterSelectionResult
     ) -> "Snapshot":
-        """Return generation 0: every instance of ``design``.
-
-        ``selection`` is a Step 3 result covering every instance and
-        ``placements`` maps every instance name to its ``(unique
-        access, (dx, dy))``.
-        """
+        """Return generation 0: ``selection``, a Step 3 result covering
+        every instance of ``design``."""
         return cls(
             generation=0,
             selection=dict(selection.selection),
-            placements=dict(placements),
+            conflicts=tuple(selection.conflicts),
             pins_by_inst={
                 inst.name: frozenset(
                     pin.name for pin in inst.master.signal_pins()
@@ -131,22 +161,33 @@ class Snapshot:
             },
         )
 
-    def next(
-        self, selection: ClusterSelectionResult, placements: dict
-    ) -> "Snapshot":
+    def next(self, partial: ClusterSelectionResult) -> "Snapshot":
         """Return the next generation, copy-on-write.
 
-        ``selection`` holds every instance Step 3 re-selected and
-        ``placements`` every instance whose placement changed.  Their
-        entries replace this snapshot's in shallow copies of its two
-        maps; every other entry, and ``pins_by_inst``, is shared.
+        ``partial`` holds every instance a Step 3 pass re-selected, and
+        their conflicts.  Its entries replace this snapshot's in a
+        shallow copy of the selection; every other entry, and
+        ``pins_by_inst``, is shared.  A conflict pairs two neighbors of
+        one cluster, so either both or neither of its instances were
+        re-selected: the conflicts of the instances the pass did not
+        re-select are kept, and the pass's own appended.
         """
+        reselected = partial.selection
         return Snapshot(
             generation=self.generation + 1,
-            selection={**self.selection, **selection.selection},
-            placements={**self.placements, **placements},
+            selection={**self.selection, **reselected},
+            conflicts=tuple(
+                conflict
+                for conflict in self.conflicts
+                if conflict[0] not in reselected
+            )
+            + tuple(partial.conflicts),
             pins_by_inst=self.pins_by_inst,
         )
+
+    def access_map(self) -> dict:
+        """Return (inst name, pin name) -> selected AP in design coords."""
+        return ClusterSelectionResult(self.selection).access_map()
 
     def query(self, instance_name: str, pin_name: str) -> PinAccessAnswer:
         """Answer one pin of this placement.
@@ -164,23 +205,22 @@ class Snapshot:
             raise UnknownInstanceError(instance_name)
         if pin_name not in pins:
             raise UnknownPinError(instance_name, pin_name)
-        ua, (dx, dy) = self.placements[instance_name]
+        selected = self.selection[instance_name]
+        dx, dy = selected.dx, selected.dy
         return PinAccessAnswer(
             instance_name,
             pin_name,
-            self.selected_point(instance_name, pin_name),
-            [ap.shifted(dx, dy) for ap in ua.aps_by_pin.get(pin_name, ())],
+            _selected_ap(selected, pin_name),
+            [
+                ap.translated(dx, dy)
+                for ap in selected.unique_access.aps_by_pin.get(pin_name, ())
+            ],
         )
 
     def selected_point(self, instance_name: str, pin_name: str):
         """Return the pin's Step 3 access point in design space, or None."""
         selected = self.selection.get(instance_name)
-        if selected is None or selected.pattern is None:
-            return None
-        if pin_name in selected.overrides:
-            return selected.overrides[pin_name]
-        ap = selected.pattern.aps.get(pin_name)
-        return None if ap is None else ap.shifted(selected.dx, selected.dy)
+        return None if selected is None else _selected_ap(selected, pin_name)
 
     def served_pins(self) -> int:
         """Return how many pins have a selected access point."""
@@ -191,29 +231,56 @@ class Snapshot:
         )
 
 
+def _selected_ap(selected, pin_name: str):
+    """Return ``selected``'s access point for one pin, or None."""
+    if selected.pattern is None:
+        return None
+    if pin_name in selected.overrides:
+        return selected.overrides[pin_name]
+    ap = selected.pattern.aps.get(pin_name)
+    return None if ap is None else ap.translated(selected.dx, selected.dy)
+
+
 class PinAccessOracle:
     """One analyzed design: answers pin queries and takes placement moves.
 
-    The oracle analyzes ``design`` through
-    :class:`~repro.core.incremental.IncrementalPinAccess` (:attr:`result`
-    is that run) and publishes generation 0 as :attr:`snapshot`.  Reads
-    are lock-free: a query reads :attr:`snapshot` with one attribute
-    load and never touches the mutable design.  Writes are serialized:
-    :meth:`move_instance` repairs the analysis and builds the next
-    snapshot under the write lock, then publishes it with one
-    assignment.
+    The oracle runs its :attr:`framework` once (:attr:`result` is that
+    run, never edited) and publishes generation 0 as :attr:`snapshot`.
+    Reads are lock-free: a query reads :attr:`snapshot` with one
+    attribute load and never touches the mutable design.  Writes are
+    serialized: :meth:`move_instance` repairs the analysis and builds
+    the next snapshot under the write lock, then publishes it with one
+    assignment.  Besides the snapshot, the oracle keeps only what
+    nothing else holds: the unique access of every signature seen, and
+    the per-row index.
     """
 
     def __init__(self, design: Design, config: Optional[PaafConfig] = None):
         self.design = design
-        self.inc = IncrementalPinAccess(design, config)
+        self.framework = PinAccessFramework(design, config)
         self._write_lock = threading.Lock()
+        self.last_update_seconds = 0.0
         t0 = time.perf_counter()
-        self.result = self.inc.analyze()
+        self.result = self.framework.run()
+        # Signature -> (unique access, the analysis-time origin of its
+        # representative).  Offsets MUST be taken from that origin, not
+        # from the live ``representative.location``: once the
+        # representative itself moves within its signature class, the
+        # live location drifts away from the coordinates the access
+        # points are expressed in.
+        self._ua_by_signature = {}
+        for ua in self.result.unique_accesses:
+            self._remember(ua)
+        # The per-row index: row y -> members left to right (ties in
+        # insertion order), and -> their row_chunks.
+        self._order = {name: k for k, name in enumerate(design.instances)}
+        self._row_members, _ = design.row_members()
+        self._row_clusters = {
+            y: row_chunks(members)
+            for y, members in self._row_members.items()
+        }
         self.analyze_seconds = time.perf_counter() - t0
-        self.snapshot = Snapshot.first(
-            design, self.result.selection, self.result.placements()
-        )
+        self.snapshot = Snapshot.first(design, self.result.selection)
 
     # -- reads (lock-free) ---------------------------------------------------
 
@@ -256,8 +323,8 @@ class PinAccessOracle:
         """
         with self._write_lock:
             snap = self.snapshot
-            last_update_seconds = self.inc.last_update_seconds
-        cache = self.inc.framework.cache
+            last_update_seconds = self.last_update_seconds
+        cache = self.framework.cache
         return {
             "design": self.design.name,
             "generation": snap.generation,
@@ -276,14 +343,138 @@ class PinAccessOracle:
 
         Returns ``(generation, update_seconds)`` of this move, both read
         under the write lock, so a concurrent writer cannot swap in its
-        own figures.  Raises :class:`UnknownInstanceError` for an
+        own figures; ``update_seconds`` times the repair, not the
+        publication.  Raises :class:`UnknownInstanceError` for an
         instance the design does not contain.
         """
         with self._write_lock:
-            partial = self.inc.move_instance(instance_name, Point(x, y))
-            moved = self.design.instance(instance_name)
-            snap = self.snapshot.next(
-                partial, {instance_name: self.inc.placement_of(moved)}
-            )
-            self.snapshot = snap
-            return snap.generation, self.inc.last_update_seconds
+            t0 = time.perf_counter()
+            design = self.design
+            try:
+                inst = design.instance(instance_name)
+            except KeyError:
+                raise UnknownInstanceError(instance_name) from None
+            left = design.rows_of(inst)
+            inst.location = Point(x, y)
+            entered = design.rows_of(inst)
+            if entered:
+                clusters = self._affected_clusters(
+                    self._reindex(inst, left, entered)
+                )
+            else:
+                # A macro joins no row: its component is its own singleton.
+                clusters = [[inst]]
+            held = self.snapshot.selection
+            placements = {}
+            for cluster in clusters:
+                for member in cluster:
+                    selected = held[member.name]
+                    placements[member.name] = (
+                        selected.unique_access, (selected.dx, selected.dy)
+                    )
+            placements[instance_name] = self._placement(inst)
+            partial = self.framework.select_patterns(clusters, placements)
+            self.last_update_seconds = time.perf_counter() - t0
+            self.snapshot = self.snapshot.next(partial)
+            return self.snapshot.generation, self.last_update_seconds
+
+    # -- internals ------------------------------------------------------------
+
+    def _remember(self, ua) -> tuple:
+        ui = ua.unique_instance
+        origin = ui.representative.location
+        entry = self._ua_by_signature[ui.signature] = (
+            ua, (origin.x, origin.y)
+        )
+        return entry
+
+    def _placement(self, inst) -> tuple:
+        """Return ``(unique access, (dx, dy))`` for ``inst`` where it is.
+
+        A signature first seen here is analyzed (or loaded from the
+        persistent AP cache) and remembered.
+        """
+        signature = instance_signature(self.design, inst)
+        entry = self._ua_by_signature.get(signature)
+        if entry is None:
+            ui = UniqueInstance(signature=signature, representative=inst)
+            ui.members.append(inst)
+            (ua,) = self.framework.analyze_uniques([ui])
+            entry = self._remember(ua)
+        ua, (ox, oy) = entry
+        return ua, (inst.location.x - ox, inst.location.y - oy)
+
+    def _reindex(self, inst, left: list, entered: list) -> list:
+        """Splice ``inst`` out of the rows ``left`` and into ``entered``.
+
+        Members stay sorted as ``Design.row_members`` sorts them
+        (x, then insertion order), and only those rows are re-chunked.
+        Returns the ``(row y, index)`` of every re-chunked cluster
+        that holds ``inst`` or whose members differ from every cluster
+        its row had before the move.  For a legal placement these are
+        the clusters of ``inst`` and of its former cluster-mates; an
+        overlapping one can also split off a cluster ``inst`` never
+        joins (:func:`~repro.db.design.row_chunks` links each member
+        to its left neighbor only).
+        """
+        order = self._order
+        rows = set(left).union(entered)
+        before = {
+            (y, tuple(member.name for member in cluster))
+            for y in rows
+            for cluster in self._row_clusters.get(y, ())
+        }
+        for y in left:
+            self._row_members[y] = [
+                member for member in self._row_members[y] if member is not inst
+            ]
+        for y in entered:
+            members = self._row_members.setdefault(y, [])
+            members.append(inst)
+            members.sort(key=lambda i: (i.location.x, order[i.name]))
+        changed = []
+        for y in rows:
+            members = self._row_members[y]
+            if not members:
+                del self._row_members[y]
+                del self._row_clusters[y]
+                continue
+            self._row_clusters[y] = row_chunks(members)
+            for index, cluster in enumerate(self._row_clusters[y]):
+                names = tuple(member.name for member in cluster)
+                if inst.name in names or (y, names) not in before:
+                    changed.append((y, index))
+        return changed
+
+    def _affected_clusters(self, seeds: list) -> list:
+        """Return the clusters of every component holding a seed.
+
+        ``seeds`` are ``(row y, index)`` keys of the per-row index.
+        The walk starts from them and follows multi-height members
+        into the clusters of the other rows they span.  Clusters come
+        back in design cluster order (row y, then left to right).
+        """
+        design = self.design
+        row_clusters = self._row_clusters
+        seen = set(seeds)
+        frontier = list(seen)
+        while frontier:
+            y, index = frontier.pop()
+            for member in row_clusters[y][index]:
+                spans = design.rows_of(member)
+                if len(spans) < 2:
+                    continue
+                for other in spans:
+                    key = (other, _index_of(row_clusters[other], member))
+                    if key not in seen:
+                        seen.add(key)
+                        frontier.append(key)
+        return [row_clusters[y][index] for y, index in sorted(seen)]
+
+
+def _index_of(clusters: list, inst) -> int:
+    """Return the index of the cluster in ``clusters`` holding ``inst``."""
+    for index, cluster in enumerate(clusters):
+        if any(member is inst for member in cluster):
+            return index
+    raise ValueError(f"{inst.name} is in no cluster of its row")

@@ -110,33 +110,26 @@ class _DefParser:
         for master in self.masters.values():
             design.add_master(master)
         io_nets = {}
-        for kind, payload in pending:
-            if kind == "diearea":
-                design.die_area = payload
-            elif kind == "row":
-                design.add_row(payload)
-            elif kind == "tracks":
-                design.add_track_pattern(payload)
-            elif kind == "components":
-                for name, master_name, x, y, orient in payload:
-                    master = self.masters.get(master_name)
-                    if master is None:
-                        raise DefParseError(f"unknown master {master_name}")
-                    design.add_instance(
-                        Instance(
-                            name=name,
-                            master=master,
-                            location=Point(x, y),
-                            orient=orient,
-                        )
-                    )
-            elif kind == "pins":
-                for pin, net_name in payload:
-                    design.add_io_pin(pin)
-                    io_nets[pin.name] = net_name
-            elif kind == "nets":
-                for net in payload:
-                    design.add_net(net)
+        try:
+            for kind, payload in pending:
+                self._add(design, kind, payload, io_nets)
+        except ValueError as exc:
+            # The database rejects a duplicate name or an unknown layer.
+            raise DefParseError(str(exc)) from None
+        # A term naming an absent instance is skipped by the flow; one
+        # naming a pin its instance's master lacks is malformed.
+        for net in design.nets.values():
+            for inst_name, pin_name in net.terms:
+                inst = design.instances.get(inst_name)
+                if inst is None:
+                    continue
+                try:
+                    inst.master.pin(pin_name)
+                except KeyError:
+                    raise DefParseError(
+                        f"net {net.name}: master {inst.master.name} of "
+                        f"{inst_name} has no pin named {pin_name!r}"
+                    ) from None
         # Attach IO pins whose NET property references a parsed net but
         # which the NETS section did not list explicitly.
         for io_name, net_name in io_nets.items():
@@ -144,6 +137,35 @@ class _DefParser:
             if net is not None and io_name not in net.io_pins:
                 net.add_io_pin(io_name)
         return design
+
+    def _add(self, design, kind, payload, io_nets) -> None:
+        """Add one parsed section to ``design``."""
+        if kind == "diearea":
+            design.die_area = payload
+        elif kind == "row":
+            design.add_row(payload)
+        elif kind == "tracks":
+            design.add_track_pattern(payload)
+        elif kind == "components":
+            for name, master_name, x, y, orient in payload:
+                master = self.masters.get(master_name)
+                if master is None:
+                    raise DefParseError(f"unknown master {master_name}")
+                design.add_instance(
+                    Instance(
+                        name=name,
+                        master=master,
+                        location=Point(x, y),
+                        orient=orient,
+                    )
+                )
+        elif kind == "pins":
+            for pin, net_name in payload:
+                design.add_io_pin(pin)
+                io_nets[pin.name] = net_name
+        elif kind == "nets":
+            for net in payload:
+                design.add_net(net)
 
     # -- sections -------------------------------------------------------------
 

@@ -138,10 +138,14 @@ class _LefParser:
             site_height=site_h,
             manufacturing_grid=self._grid,
         )
-        for layer in self._pending_layers:
-            self.tech.add_layer(layer)
-        for via in self._pending_vias:
-            self.tech.add_via(via)
+        try:
+            for layer in self._pending_layers:
+                self.tech.add_layer(layer)
+            for via in self._pending_vias:
+                self.tech.add_via(via)
+        except ValueError as exc:
+            # A duplicate name, or a via on an unknown layer.
+            raise LefParseError(str(exc)) from None
         for master in self.masters:
             master.site_name = master.site_name or site_name or ""
 
@@ -313,7 +317,11 @@ class _LefParser:
             elif token == "ORIGIN":
                 self._skip_statement()
             elif token == "PIN":
-                master.add_pin(self._parse_pin())
+                pin = self._parse_pin()
+                try:
+                    master.add_pin(pin)
+                except ValueError as exc:  # a duplicate pin name
+                    raise LefParseError(str(exc)) from None
             elif token == "OBS":
                 self._parse_obs(master)
             else:

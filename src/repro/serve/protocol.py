@@ -284,7 +284,8 @@ class QueryBatchRequest(Request):
 
 @dataclass
 class MoveInstanceRequest(Request):
-    """Move an instance; routed through ``IncrementalPinAccess``."""
+    """Move an instance: the session's ``PinAccessOracle`` repairs its
+    analysis and publishes the next snapshot."""
 
     op = "move_instance"
     design: Optional[str] = None

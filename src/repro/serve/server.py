@@ -388,7 +388,8 @@ class OracleServer:
                 "this server does not accept load_design",
                 code=protocol.E_BAD_REQUEST,
             )
-        from repro.lefdef import parse_def, parse_lef
+        from repro.lefdef.def_parser import DefParseError, parse_def
+        from repro.lefdef.lef_parser import LefParseError, parse_lef
 
         with self._sessions_lock:
             if request.design in self.sessions:
@@ -408,8 +409,18 @@ class OracleServer:
                 f"cannot read design inputs: {exc}",
                 code=protocol.E_BAD_REQUEST,
             ) from exc
-        tech, masters = parse_lef(lef_text)
-        design = parse_def(def_text, tech, masters)
+        try:
+            tech, masters = parse_lef(lef_text)
+        except LefParseError as exc:
+            raise ProtocolError(
+                f"{request.lef}: {exc}", code=protocol.E_BAD_REQUEST
+            ) from exc
+        try:
+            design = parse_def(def_text, tech, masters)
+        except DefParseError as exc:
+            raise ProtocolError(
+                f"{request.def_path}: {exc}", code=protocol.E_BAD_REQUEST
+            ) from exc
         config = PaafConfig(cache_dir=request.cache_dir)
         oracle = PinAccessOracle(design, config)
         self.add_session(request.design, oracle)

@@ -267,6 +267,70 @@ class TestAnalyzeErrors:
         err = capsys.readouterr().err
         assert err == f"error: {cut}: unexpected end of LEF\n"
 
+    @pytest.mark.parametrize(
+        "suffix, pattern, edit, message",
+        [
+            (
+                ".def",
+                r"^(- (inst_\S+) .*?;)$",
+                r"\1\n\1",
+                r"duplicate instance \2",
+            ),
+            (
+                ".def",
+                r"^(- (net_\S+) \(.*?;)$",
+                r"\1\n\1",
+                r"duplicate net \2",
+            ),
+            (
+                ".lef",
+                r"^(LAYER (\S+)\n.*?^END \2)$",
+                r"\1\n\n\1",
+                r"duplicate layer \2",
+            ),
+            (
+                ".lef",
+                r"^(MACRO (\S+)\n.*?)^(  PIN (\S+)\n.*?^  END \4)$",
+                r"\1\3\n\3",
+                r"duplicate pin \4 in master \2",
+            ),
+            (
+                ".def",
+                r"^(- (inst_\S+) (\S+) .*?^- (net_\S+) \( \2 )\S+",
+                r"\1QQ",
+                r"net \4: master \3 of \2 has no pin named 'QQ'",
+            ),
+        ],
+        ids=[
+            "duplicate-component",
+            "duplicate-net",
+            "duplicate-layer",
+            "duplicate-pin",
+            "undeclared-term-pin",
+        ],
+    )
+    def test_database_error(
+        self, lefdef_pair, tmp_path, capsys, suffix, pattern, edit, message
+    ):
+        """A duplicated name, or a net term naming a pin its master does
+        not declare, is a parse error naming it: exit 2, no traceback."""
+        lef, deff = lefdef_pair
+        good = lef if suffix == ".lef" else deff
+        text = good.read_text()
+        match = re.search(pattern, text, re.M | re.S)
+        assert match
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_text(
+            text[: match.start()] + match.expand(edit) + text[match.end():]
+        )
+        inputs = (bad, deff) if suffix == ".lef" else (lef, bad)
+        code = main(
+            ["analyze", "--lef", str(inputs[0]), "--def", str(inputs[1])]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: {match.expand(message)}\n"
+
     def test_unknown_paircheck_mode(self, lefdef_pair, capsys):
         lef, deff = lefdef_pair
         code = main(

@@ -67,7 +67,7 @@ class TestAccessPoint:
         moved = ap.translated(5, -5)
         assert (moved.x, moved.y) == (15, 15)
         assert moved.valid_vias == ap.valid_vias
-        assert moved.valid_vias is not ap.valid_vias
+        assert moved.valid_vias is ap.valid_vias
 
 
 class TestGeneration:

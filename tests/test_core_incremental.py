@@ -6,8 +6,12 @@ import threading
 import pytest
 
 from repro.bench import build_testcase
-from repro.core import PaafConfig, PinAccessFramework, evaluate_failed_pins
-from repro.core.incremental import IncrementalPinAccess
+from repro.core import (
+    PaafConfig,
+    PinAccessFramework,
+    PinAccessOracle,
+    evaluate_failed_pins,
+)
 from repro.drc.engine import DrcEngine
 from repro.geom.point import Point
 
@@ -35,46 +39,46 @@ def free_site(design, row_y):
 
 class TestIncremental:
     def test_analyze_matches_full(self, design):
-        inc = IncrementalPinAccess(design)
-        inc.analyze()
+        oracle = PinAccessOracle(design)
         full = PinAccessFramework(design).run()
-        inc_map = {k: (a.x, a.y) for k, a in inc.access_map().items()}
+        inc_map = {
+            k: (a.x, a.y) for k, a in oracle.snapshot.access_map().items()
+        }
         full_map = {k: (a.x, a.y) for k, a in full.access_map().items()}
         assert inc_map == full_map
 
     def test_move_same_row_stays_clean(self, design):
-        inc = IncrementalPinAccess(design)
-        inc.analyze()
+        oracle = PinAccessOracle(design)
         inst = next(iter(design.instances.values()))
         target = Point(
             free_site(design, inst.location.y), inst.location.y
         )
-        inc.move_instance(inst.name, target)
-        failed = evaluate_failed_pins(design, inc.access_map())
+        oracle.move_instance(inst.name, target.x, target.y)
+        failed = evaluate_failed_pins(design, oracle.snapshot.access_map())
         assert failed == []
         # The moved instance's APs follow its new placement.
-        moved_ap = inc.access_map()[
+        moved_ap = oracle.snapshot.access_map()[
             (inst.name, inst.master.signal_pins()[0].name)
         ]
         assert inst.bbox.xlo <= moved_ap.x <= inst.bbox.xhi
 
     def test_move_matches_full_reanalysis(self, design):
-        inc = IncrementalPinAccess(design)
-        inc.analyze()
+        oracle = PinAccessOracle(design)
         inst = list(design.instances.values())[3]
         target = Point(free_site(design, inst.location.y), inst.location.y)
-        inc.move_instance(inst.name, target)
+        oracle.move_instance(inst.name, target.x, target.y)
 
         # A from-scratch analysis of the mutated design agrees on every
         # pin's accessibility.
         full = PinAccessFramework(design).run()
-        inc_failed = set(evaluate_failed_pins(design, inc.access_map()))
+        inc_failed = set(
+            evaluate_failed_pins(design, oracle.snapshot.access_map())
+        )
         full_failed = set(evaluate_failed_pins(design, full.access_map()))
         assert inc_failed == full_failed == set()
 
     def test_move_across_rows(self, design):
-        inc = IncrementalPinAccess(design)
-        inc.analyze()
+        oracle = PinAccessOracle(design)
         rows = sorted({i.location.y for i in design.instances.values()})
         assert len(rows) >= 2
         inst = next(
@@ -87,22 +91,22 @@ class TestIncremental:
         # two rows when available.
         if len(rows) >= 3:
             target = Point(free_site(design, rows[2]), rows[2])
-        inc.move_instance(inst.name, target)
-        assert evaluate_failed_pins(design, inc.access_map()) == []
+        oracle.move_instance(inst.name, target.x, target.y)
+        failed = evaluate_failed_pins(design, oracle.snapshot.access_map())
+        assert failed == []
 
     def test_cached_signature_reused(self, design):
-        inc = IncrementalPinAccess(design)
-        inc.analyze()
-        signatures_before = len(inc._ua_by_signature)
+        oracle = PinAccessOracle(design)
+        signatures_before = len(oracle._ua_by_signature)
         inst = next(iter(design.instances.values()))
         # Move by exactly the track LCM: same signature class.
         target = Point(
             free_site(design, inst.location.y), inst.location.y
         )
-        inc.move_instance(inst.name, target)
+        oracle.move_instance(inst.name, target.x, target.y)
         # Same-parity move on an aligned design: no new signature
         # unless the upper-layer offsets changed.
-        assert len(inc._ua_by_signature) <= signatures_before + 1
+        assert len(oracle._ua_by_signature) <= signatures_before + 1
 
     def test_moved_representative_follows_placement(self, design):
         """Moving a signature class's own representative must move its
@@ -114,8 +118,7 @@ class TestIncremental:
         that lands on the same track-offset class) produced a zero
         translation and answers pinned to the old placement.
         """
-        inc = IncrementalPinAccess(design)
-        inc.analyze()
+        oracle = PinAccessOracle(design)
         full0 = PinAccessFramework(design).run()
         # Representatives are the first member of each unique
         # instance: pick one and move it within its own row.
@@ -125,12 +128,14 @@ class TestIncremental:
         )
         site = design.tech.site_width
         target = Point(rep.location.x + 4 * site, rep.location.y)
-        inc.move_instance(rep.name, target)
+        oracle.move_instance(rep.name, target.x, target.y)
         # Every selected AP of the moved instance sits in its new bbox
         # and matches a from-scratch analysis exactly.
         full = PinAccessFramework(design).run()
         full_map = full.access_map()
-        for (inst_name, pin_name), ap in inc.access_map().items():
+        for (inst_name, pin_name), ap in (
+            oracle.snapshot.access_map().items()
+        ):
             if inst_name != rep.name:
                 continue
             assert rep.bbox.xlo <= ap.x <= rep.bbox.xhi
@@ -140,27 +145,26 @@ class TestIncremental:
     def test_macro_move_matches_full_reanalysis(self):
         # A macro joins no row: its own singleton cluster is re-selected.
         design = build_testcase("ispd18_test3", scale=0.004)
-        inc = IncrementalPinAccess(design)
-        inc.analyze()
+        oracle = PinAccessOracle(design)
         macro = next(
             i for i in design.instances.values() if i.master.is_macro
         )
         site = design.tech.site_width
         target = Point(macro.location.x - 2 * site, macro.location.y)
-        inc.move_instance(macro.name, target)
+        oracle.move_instance(macro.name, target.x, target.y)
         full = PinAccessFramework(design).run()
-        assert inc.access_map() == full.access_map()
+        assert oracle.snapshot.access_map() == full.access_map()
 
     def test_repeated_moves_stay_consistent(self, design):
-        inc = IncrementalPinAccess(design)
-        inc.analyze()
+        oracle = PinAccessOracle(design)
         insts = list(design.instances.values())[:4]
         for inst in insts:
             target = Point(
                 free_site(design, inst.location.y), inst.location.y
             )
-            inc.move_instance(inst.name, target)
-            assert evaluate_failed_pins(design, inc.access_map()) == []
+            oracle.move_instance(inst.name, target.x, target.y)
+            access = oracle.snapshot.access_map()
+            assert evaluate_failed_pins(design, access) == []
 
 
 class TestMovePath:
@@ -171,9 +175,8 @@ class TestMovePath:
     """
 
     def probe_moves(self, design, monkeypatch, config):
-        inc = IncrementalPinAccess(design, config)
-        inc.analyze()
-        signatures = len(inc._ua_by_signature)
+        oracle = PinAccessOracle(design, config)
+        signatures = len(oracle._ua_by_signature)
         calls = []
         check = DrcEngine.check_via_placement
 
@@ -182,15 +185,15 @@ class TestMovePath:
             return check(engine, *args, **kwargs)
 
         monkeypatch.setattr(DrcEngine, "check_via_placement", counted)
-        kernel, akernel = inc.framework.kernel, inc.framework.akernel
+        kernel, akernel = oracle.framework.kernel, oracle.framework.akernel
         built = (len(kernel.tables), len(akernel.tables))
         candidates = akernel.candidates
         site = design.tech.site_width
         for inst in list(design.instances.values())[:4]:
             home = inst.location
-            inc.move_instance(inst.name, Point(home.x + site, home.y))
-            inc.move_instance(inst.name, home)
-        assert len(inc._ua_by_signature) > signatures
+            oracle.move_instance(inst.name, home.x + site, home.y)
+            oracle.move_instance(inst.name, home.x, home.y)
+        assert len(oracle._ua_by_signature) > signatures
         # Moves reuse the analysis' kernels: no table is compiled.
         assert (len(kernel.tables), len(akernel.tables)) == built
         return len(calls), akernel.candidates - candidates
@@ -213,21 +216,19 @@ class TestConcurrentMoves:
     def test_analyzers_in_parallel_threads_stay_exact(self):
         """Moves on separate designs from separate threads -- the
         daemon's sessions -- each run on their own worker state."""
-        incs = [
-            IncrementalPinAccess(build_testcase(name, scale=0.004))
+        oracles = [
+            PinAccessOracle(build_testcase(name, scale=0.004))
             for name in ("ispd18_test1", "ispd18_test2", "ispd18_test3")
         ]
-        for inc in incs:
-            inc.analyze()
         errors = []
 
-        def bounce(inc):
+        def bounce(oracle):
             try:
-                site = inc.design.tech.site_width
-                for inst in list(inc.design.instances.values())[:8]:
+                site = oracle.design.tech.site_width
+                for inst in list(oracle.design.instances.values())[:8]:
                     home = inst.location
-                    inc.move_instance(inst.name, Point(home.x + site, home.y))
-                    inc.move_instance(inst.name, home)
+                    oracle.move_instance(inst.name, home.x + site, home.y)
+                    oracle.move_instance(inst.name, home.x, home.y)
             except Exception as exc:  # reported below
                 errors.append(exc)
 
@@ -235,7 +236,8 @@ class TestConcurrentMoves:
         sys.setswitchinterval(1e-6)
         try:
             threads = [
-                threading.Thread(target=bounce, args=(inc,)) for inc in incs
+                threading.Thread(target=bounce, args=(oracle,))
+                for oracle in oracles
             ]
             for thread in threads:
                 thread.start()
@@ -245,6 +247,6 @@ class TestConcurrentMoves:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        for inc in incs:
-            full = PinAccessFramework(inc.design).run()
-            assert inc.access_map() == full.access_map()
+        for oracle in oracles:
+            full = PinAccessFramework(oracle.design).run()
+            assert oracle.snapshot.access_map() == full.access_map()

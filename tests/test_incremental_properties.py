@@ -9,7 +9,8 @@ fits), or a macro shift on ispd18_test3.  After every move:
   ``Snapshot.query`` answer in it, equal -- as do those of a fresh
   ``PinAccessOracle(design)`` -- answers built here from that fresh
   oracle's from-scratch run on the same placement, and
-* the incremental row index yields ``Design.row_clusters()``, member
+* the oracle's row index yields the row clusters of
+  ``Design.row_clusters()`` (all but the macros' singletons), member
   for member and in order.
 
 The profile is small and derandomized, so the suite sees the same
@@ -147,8 +148,13 @@ def check_session(oracle, design) -> None:
         }
         key = first_difference(got, answers)
         assert key is None, f"{name}: answer differs at {key}"
-    names = [[m.name for m in c] for c in oracle.inc.clusters()]
-    assert names == [[m.name for m in c] for c in design.row_clusters()]
+    index = oracle._row_clusters
+    names = [[m.name for m in c] for y in sorted(index) for c in index[y]]
+    assert names == [
+        [m.name for m in c]
+        for c in design.row_clusters()
+        if design.rows_of(c[0])
+    ]
 
 
 def run_moves(data, design, kinds, first_kind=None, max_moves=3) -> None:
@@ -268,8 +274,7 @@ class TestKeptVerdicts:
         )
         oracle = PinAccessOracle(design)
         seeded_moves(oracle, design, seed=11, count=6)
-        inc = oracle.inc
-        framework = inc.framework
+        framework = oracle.framework
         fresh = ClusterPatternSelector(
             design,
             framework.config,
@@ -280,7 +285,8 @@ class TestKeptVerdicts:
         )
 
         def candidates(inst):
-            ua, (dx, dy) = inc.placement_of(inst)
+            held = oracle.snapshot.selection[inst.name]
+            ua, dx, dy = held.unique_access, held.dx, held.dy
             signature = ua.unique_instance.signature
             return [
                 SelectedAccess(
@@ -290,7 +296,7 @@ class TestKeptVerdicts:
                 for ordinal, p in enumerate(ua.patterns)
             ]
 
-        for cluster in inc.clusters():
+        for cluster in design.row_clusters():
             for left, right in zip(cluster, cluster[1:]):
                 for a in candidates(left):
                     for b in candidates(right):
@@ -313,7 +319,7 @@ class TestKeptVerdicts:
         )
         config = PaafConfig(apcheck_mode="verify", paircheck_mode="verify")
         oracle = PinAccessOracle(design, config)
-        verdicts = oracle.inc.framework.verdicts
+        verdicts = oracle.framework.verdicts
         held = len(verdicts)
         seeded_moves(oracle, design, seed=5, count=3)
         # The moves met adjacencies the analysis never saw, so verify

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.bench import build_testcase
-from repro.core import PinAccessFramework
+from repro.core import PinAccessFramework, PinAccessOracle
 from repro.core.cluster import interaction_window
-from repro.core.incremental import IncrementalPinAccess
 from repro.drc.violations import Violation
 from repro.geom.rect import Rect
 from repro.lefdef import parse_def, parse_lef, write_def, write_lef
@@ -67,16 +66,16 @@ class TestMultiHeightIntegrations:
         move one site and back; after every edit the incremental access
         map and conflicts equal ``run()`` on the edited placement.
         """
-        inc = IncrementalPinAccess(mh_design)
-        inc.analyze()
+        oracle = PinAccessOracle(mh_design)
         moves = one_site_moves(mh_design)
         assert len(moves) >= 20
         for inst, target in moves:
             for location in (target, inst.location):
-                inc.move_instance(inst.name, location)
+                oracle.move_instance(inst.name, location.x, location.y)
                 full = PinAccessFramework(mh_design).run()
-                assert inc.access_map() == full.access_map(), inst.name
-                assert sorted(inc.conflicts()) == sorted(
+                snap = oracle.snapshot
+                assert snap.access_map() == full.access_map(), inst.name
+                assert sorted(snap.conflicts) == sorted(
                     full.selection.conflicts
                 ), inst.name
 

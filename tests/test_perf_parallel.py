@@ -11,8 +11,7 @@ import gc
 import pytest
 
 from repro.bench import build_testcase
-from repro.core import PinAccessFramework
-from repro.core.incremental import IncrementalPinAccess
+from repro.core import PinAccessFramework, PinAccessOracle
 from repro.db.design import row_chunks
 from repro.perf.parallel import effective_jobs
 from repro.obs.metrics import collecting, tick
@@ -151,7 +150,9 @@ class TestFrameworkDeterminism:
                 if conflict[0] in names
             ]
 
-    def test_move_reselects_the_components_it_touched(self, mh_design):
+    def test_move_reselects_the_components_it_touched(
+        self, mh_design, monkeypatch
+    ):
         """A move's Step 3 pass covers exactly the components it changed.
 
         Its partial selection lists, in cluster order, the instances
@@ -159,8 +160,17 @@ class TestFrameworkDeterminism:
         instance or one of its cluster-mates from before the move --
         not every component with a cluster in a row the move touched.
         """
-        inc = IncrementalPinAccess(mh_design)
-        inc.analyze()
+        oracle = PinAccessOracle(mh_design)
+        passes = []
+        select = oracle.framework.select_patterns
+
+        def recorded_select(clusters, placements):
+            passes.append(select(clusters, placements))
+            return passes[-1]
+
+        monkeypatch.setattr(
+            oracle.framework, "select_patterns", recorded_select
+        )
         walked = narrowed = 0
         for inst, target in one_site_moves(mh_design)[:12]:
             rows = set(mh_design.rows_of(inst))
@@ -170,7 +180,8 @@ class TestFrameworkDeterminism:
                 if any(member is inst for member in cluster)
                 for member in cluster
             }
-            partial = inc.move_instance(inst.name, target)
+            oracle.move_instance(inst.name, target.x, target.y)
+            partial = passes[-1]
             rows.update(mh_design.rows_of(inst))
             clusters = mh_design.row_clusters()
             touched = sorted(

@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -213,13 +214,9 @@ class TestErrorHierarchy:
             oracle.query("u0", "NOPE", strict=True)
 
     def test_incremental_raises_typed(self, simple_design):
-        from repro.core import IncrementalPinAccess
-        from repro.geom.point import Point
-
-        inc = IncrementalPinAccess(simple_design)
-        inc.analyze()
+        oracle = PinAccessOracle(simple_design)
         with pytest.raises(UnknownInstanceError):
-            inc.move_instance("ghost", Point(0, 0))
+            oracle.move_instance("ghost", 0, 0)
 
     def test_wire_errors_keep_their_names(self, tmp_path, simple_design):
         """Over the wire, a lookup error names what was asked and reads
@@ -549,15 +546,7 @@ class TestMoveReply:
         target = (first.name, first.location.x + 4 * site, first.location.y)
 
         own = []
-        inc_move = oracle.inc.move_instance
-
-        def recorded_move(name, location):
-            partial = inc_move(name, location)
-            own.append(oracle.inc.last_update_seconds)
-            return partial
-
-        monkeypatch.setattr(oracle.inc, "move_instance", recorded_move)
-        select = oracle.inc.framework.select_patterns
+        select = oracle.framework.select_patterns
 
         def slow_select(*args):
             time.sleep(0.02)
@@ -567,13 +556,15 @@ class TestMoveReply:
 
         def move_then_interleave(name, x, y):
             out = oracle_move(name, x, y)
+            own.append(oracle.last_update_seconds)
             # The lock is free again: a second, slower writer gets in.
             monkeypatch.setattr(
-                oracle.inc.framework, "select_patterns", slow_select
+                oracle.framework, "select_patterns", slow_select
             )
             oracle_move(
                 second.name, second.location.x + site, second.location.y
             )
+            own.append(oracle.last_update_seconds)
             return out
 
         monkeypatch.setattr(oracle, "move_instance", move_then_interleave)
@@ -602,10 +593,10 @@ class TestSessionStats:
         inside, release = threading.Event(), threading.Event()
         build = Snapshot.next
 
-        def held_next(snap, selection, placements):
+        def held_next(snap, partial):
             inside.set()
             release.wait(timeout=10)
-            return build(snap, selection, placements)
+            return build(snap, partial)
 
         monkeypatch.setattr(Snapshot, "next", held_next)
         site = oracle.design.tech.site_width
@@ -726,21 +717,23 @@ class TestSnapshotImmutability:
 
     def test_move_shares_untouched_entries(self, monkeypatch):
         """A move's snapshot shares, by identity, every entry it kept:
-        each selection the move did not re-select, each placement but
-        the moved instance's, and the pin universe."""
+        each selection the move did not re-select, and the pin
+        universe."""
         design = build_testcase(
             "ispd18_test1", scale=0.008, multi_height_fraction=0.1
         )
         oracle = PinAccessOracle(design)
         reselected = []
-        inc_move = oracle.inc.move_instance
+        select = oracle.framework.select_patterns
 
-        def recorded_move(name, location):
-            partial = inc_move(name, location)
+        def recorded_select(clusters, placements):
+            partial = select(clusters, placements)
             reselected.append(set(partial.selection))
             return partial
 
-        monkeypatch.setattr(oracle.inc, "move_instance", recorded_move)
+        monkeypatch.setattr(
+            oracle.framework, "select_patterns", recorded_select
+        )
         for inst, target in one_site_moves(design)[:5]:
             before = oracle.snapshot
             oracle.move_instance(inst.name, target.x, target.y)
@@ -753,10 +746,6 @@ class TestSnapshotImmutability:
             for name, selected in after.selection.items():
                 shared = selected is before.selection[name]
                 assert shared == (name not in again), name
-            assert after.placements.keys() == before.placements.keys()
-            for name, placed in after.placements.items():
-                shared = placed is before.placements[name]
-                assert shared == (name != inst.name), name
 
 
 class TestConcurrency:
@@ -988,22 +977,22 @@ class TestWarmStart:
         design = build_testcase("ispd18_test1", scale=0.01)
         cold = PinAccessOracle(design, PaafConfig(cache_dir=cache_dir))
         cold_stats = dict(
-            cold.inc.framework.cache.stats()
+            cold.framework.cache.stats()
         )
         assert cold_stats["apcache.store"] > 0
 
         # "Restart": a fresh process would do exactly this.
         design2 = build_testcase("ispd18_test1", scale=0.01)
         warm = PinAccessOracle(design2, PaafConfig(cache_dir=cache_dir))
-        warm_stats = warm.inc.framework.cache.stats()
+        warm_stats = warm.framework.cache.stats()
         assert warm_stats["apcache.miss"] == 0
         assert warm_stats["apcache.hit"] > 0
-        assert warm.inc.framework.cache.entry_count() > 0
+        assert warm.framework.cache.entry_count() > 0
         # Same answers either way.
         assert {
-            k: (a.x, a.y) for k, a in warm.inc.access_map().items()
+            k: (a.x, a.y) for k, a in warm.snapshot.access_map().items()
         } == {
-            k: (a.x, a.y) for k, a in cold.inc.access_map().items()
+            k: (a.x, a.y) for k, a in cold.snapshot.access_map().items()
         }
 
 
@@ -1026,6 +1015,38 @@ def lefdef_pair(tmp_path_factory):
 
 
 class TestLoadDesignWire:
+    def test_malformed_inputs_are_bad_requests(self, tmp_path, lefdef_pair):
+        """A LEF or DEF the parsers reject is the client's error, as an
+        unreadable path is: ``bad_request`` naming the file."""
+        _, lef, def_path = lefdef_pair
+        bad = {}
+        for path, block in (
+            (lef, r"^LAYER (\S+)\n.*?^END \1\n"),
+            (def_path, r"^- net_\S+ \(.*?;\n"),
+        ):
+            with open(path) as handle:
+                text = handle.read()
+            match = re.search(block, text, re.M | re.S)
+            bad[path] = str(tmp_path / ("dup" + os.path.splitext(path)[1]))
+            with open(bad[path], "w") as handle:
+                handle.write(text[: match.end()] + match[0])
+                handle.write(text[match.end():])
+        server, addr = start_server(tmp_path)
+        try:
+            with OracleClient(addr) as client:
+                for inputs, message in (
+                    ((bad[lef], def_path), f"{bad[lef]}: duplicate layer"),
+                    ((lef, bad[def_path]), f"{bad[def_path]}: duplicate net"),
+                    ((lef, def_path + ".gone"), "cannot read design inputs"),
+                ):
+                    with pytest.raises(ServerError) as info:
+                        client.load_design("d", *inputs)
+                    assert info.value.code == "bad_request"
+                    assert info.value.message.startswith(message)
+                assert client.health()["sessions"] == []
+        finally:
+            server.stop()
+
     def test_old_client_jobs_key_is_ignored(self, tmp_path, lefdef_pair):
         """A ``load_design`` frame from an older client carries ``jobs``.
 
