@@ -54,6 +54,15 @@ class _DefParser:
                 f"expected an integer, got {token!r}"
             ) from None
 
+    def _next_orientation(self) -> Orientation:
+        token = self._next()
+        try:
+            return Orientation.from_def_name(token)
+        except ValueError:
+            raise DefParseError(
+                f"expected an orientation, got {token!r}"
+            ) from None
+
     def _expect(self, token: str) -> None:
         got = self._next()
         if got != token:
@@ -188,7 +197,7 @@ class _DefParser:
         self._next()  # site name
         x = self._next_int()
         y = self._next_int()
-        orient = Orientation.from_def_name(self._next())
+        orient = self._next_orientation()
         self._expect("DO")
         count = self._next_int()
         self._expect("BY")
@@ -250,7 +259,7 @@ class _DefParser:
                     x = self._next_int()
                     y = self._next_int()
                     self._expect(")")
-                    orient = Orientation.from_def_name(self._next())
+                    orient = self._next_orientation()
             self._expect(";")
             out.append((name, master_name, x, y, orient))
         self._expect("END")

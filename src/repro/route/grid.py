@@ -11,11 +11,16 @@ Internally each node is one integer, ``(l * NI + i) * NJ + j`` for an
 ``NI`` x ``NJ`` grid, so a wire step is ``+-1`` (along y) or ``+-NJ``
 (along x) and a via step is ``+-NI * NJ``.  The occupancy maps are
 keyed by these ids and written only through the grid's methods.
+
+``via_steps`` holds the fewest level changes between two levels when a
+path must also turn, which the search's bound reads; it depends only on
+the layer stack, so it is computed once per stack.
 """
 
 from __future__ import annotations
 
 import bisect
+from functools import lru_cache
 
 from repro.db.design import Design
 from repro.tech.layer import RoutingDirection
@@ -42,6 +47,9 @@ class RoutingGrid:
             raise ValueError("design has no track patterns for the grid")
         self.ni = len(self.xs)
         self.nj = len(self.ys)
+        self.via_steps = _via_steps(
+            tuple(layer.is_horizontal for layer in self.layers)
+        )
         # node id -> net name
         self.occupancy = {}
         # cut-layer exclusion: lower node id -> net name, bloated to
@@ -98,7 +106,7 @@ class RoutingGrid:
         )
 
     def neighbors(self, node: tuple) -> list:
-        """Yield (neighbor node, move kind) pairs.
+        """Return the (neighbor node, move kind) pairs of ``node``.
 
         Moves along the layer's preferred direction cost as wire;
         level changes cost as vias.  ``kind`` is ``"wire"`` or
@@ -166,6 +174,41 @@ class RoutingGrid:
         for ii in range(max(0, i - 1), min(self.ni, i + 2)):
             for jj in range(max(0, j - 1), min(self.nj, j + 2)):
                 self.claim_via((l, ii, jj), net_name)
+
+
+@lru_cache(maxsize=None)
+def _via_steps(horizontal: tuple) -> tuple:
+    """Return the fewest level changes between levels, turns included.
+
+    ``steps[l][tl][h][v]`` is the length of the shortest walk over the
+    level stack from ``l`` to ``tl`` that visits a horizontal level
+    when ``h`` and a vertical one when ``v``.  Such a walk covers some
+    run of levels ``a..b`` around both ends and costs ``2 * (b - a) -
+    |l - tl|``; the table takes the cheapest run holding each needed
+    direction.  The walk starts on ``l``, so ``l``'s own direction is
+    never missing: the entry does not depend on that flag.
+    """
+    n = len(horizontal)
+
+    def fewest(l, tl, need_h, need_v):
+        return min(
+            2 * (b - a) - abs(l - tl)
+            for a in range(min(l, tl) + 1)
+            for b in range(max(l, tl), n)
+            if (not need_h or True in horizontal[a:b + 1])
+            and (not need_v or False in horizontal[a:b + 1])
+        )
+
+    return tuple(
+        tuple(
+            tuple(
+                tuple(fewest(l, tl, h, v) for v in (False, True))
+                for h in (False, True)
+            )
+            for tl in range(n)
+        )
+        for l in range(n)
+    )
 
 
 def _nearest(coords: list, value: int) -> int:

@@ -331,6 +331,29 @@ class TestAnalyzeErrors:
         err = capsys.readouterr().err
         assert err == f"error: {bad}: {match.expand(message)}\n"
 
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            r"^(- inst_\S+ \S+ \+ PLACED \( \d+ \d+ \) )\w+( ;)$",
+            r"^(ROW \S+ \S+ \d+ \d+ )\w+( DO )",
+        ],
+        ids=["component", "row"],
+    )
+    def test_unknown_orientation_in_def(
+        self, lefdef_pair, tmp_path, capsys, pattern
+    ):
+        lef, deff = lefdef_pair
+        text, count = re.subn(
+            pattern, r"\1Q\2", deff.read_text(), count=1, flags=re.M
+        )
+        assert count == 1
+        bad = tmp_path / "bad.def"
+        bad.write_text(text)
+        code = main(["analyze", "--lef", str(lef), "--def", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: expected an orientation, got 'Q'\n"
+
     def test_unknown_paircheck_mode(self, lefdef_pair, capsys):
         lef, deff = lefdef_pair
         code = main(

@@ -359,7 +359,7 @@ ROUTE_DIGESTS = {
         "1126f521e68cef565823dbcd4b4c0ca565af8663a7f8ec396c7d4d08d0b360ee"
     ),
     "ispd18_test5@0.002": (
-        "4637e702dad038d50e521034c176f77b878053af6a20afe937c1a5482cf460a9"
+        "eb9b4c5191f99a26428753a9cce4a77f52b110592e3cabbf4357c3e1558d3917"
     ),
 }
 

@@ -1031,12 +1031,25 @@ class TestLoadDesignWire:
             with open(bad[path], "w") as handle:
                 handle.write(text[: match.end()] + match[0])
                 handle.write(text[match.end():])
+        orient = str(tmp_path / "orient.def")
+        with open(def_path) as handle:
+            text, count = re.subn(
+                r"^(- inst_\S+ \S+ \+ PLACED \( \d+ \d+ \) )\w+( ;)$",
+                r"\1Q\2", handle.read(), count=1, flags=re.M,
+            )
+        assert count == 1
+        with open(orient, "w") as handle:
+            handle.write(text)
         server, addr = start_server(tmp_path)
         try:
             with OracleClient(addr) as client:
                 for inputs, message in (
                     ((bad[lef], def_path), f"{bad[lef]}: duplicate layer"),
                     ((lef, bad[def_path]), f"{bad[def_path]}: duplicate net"),
+                    (
+                        (lef, orient),
+                        f"{orient}: expected an orientation, got 'Q'",
+                    ),
                     ((lef, def_path + ".gone"), "cannot read design inputs"),
                 ):
                     with pytest.raises(ServerError) as info:
