@@ -6,10 +6,9 @@ variable); each module renders its table to stdout and into
 ``benchmarks/results/<name>.txt`` so a ``--benchmark-only`` run leaves
 the full evaluation on disk.
 
-Runtime histories (``BENCH_*.json`` at the repo root) use the shared
-``repro.qa.bench/v1`` envelope; :func:`bench_history` transparently
-upgrades entries written before the schema existed, so old histories
-stay readable without a manual migration.
+Runtime histories (``BENCH_*.json`` at the repo root) are JSON lists
+of entries in the shared ``repro.qa.bench/v1`` envelope
+(:func:`repro.qa.metrics.bench_entry`).
 """
 
 import json
@@ -20,7 +19,6 @@ import pytest
 
 from repro.bench import build_testcase
 from repro.bench.ispd18 import ISPD18_TESTCASES
-from repro.qa.metrics import migrate_bench_entry
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.004"))
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -43,38 +41,19 @@ def all_testcase_names():
 
 
 def bench_history(path) -> list:
-    """Load a ``BENCH_*.json`` history, upgrading pre-schema entries."""
+    """Load a ``BENCH_*.json`` history (empty if the file is absent)."""
     path = pathlib.Path(path)
     if not path.exists():
         return []
-    return [migrate_bench_entry(e) for e in json.loads(path.read_text())]
+    return json.loads(path.read_text())
 
 
 def append_bench_entry(path, entry: dict) -> None:
-    """Append one ``repro.qa.bench/v1`` entry to a history file.
-
-    The entry is also published as a standalone envelope under
-    ``benchmarks/results/envelopes/`` so ``repro sweep report`` can
-    aggregate hand-run benchmark results through its flat-directory
-    loader alongside sweep runs.
-    """
+    """Append one ``repro.qa.bench/v1`` entry to a history file."""
     history = bench_history(path)
     history.append(entry)
     text = json.dumps(history, indent=2, sort_keys=True)
     pathlib.Path(path).write_text(text + "\n")
-    publish_envelope(pathlib.Path(path).stem, entry)
-
-
-def publish_envelope(stem: str, entry: dict) -> None:
-    """Write one bench/v1 envelope file under results/envelopes."""
-    envelopes = RESULTS_DIR / "envelopes"
-    envelopes.mkdir(parents=True, exist_ok=True)
-    design = entry.get("design", "design")
-    scale = entry.get("scale", 0)
-    name = f"{stem}-{design}@{scale:g}.json"
-    text = json.dumps(migrate_bench_entry(entry), indent=2,
-                      sort_keys=True)
-    (envelopes / name).write_text(text + "\n")
 
 
 def publish(name: str, text: str) -> None:

@@ -38,7 +38,6 @@ from repro.qa.metrics import bench_entry
 from benchmarks.conftest import (
     append_bench_entry,
     publish,
-    publish_envelope,
 )
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -166,9 +165,7 @@ def test_analyze_cold_array_vs_engine(once):
     )
     publish("analyze_cold_smoke" if SMOKE else "analyze_cold", text)
 
-    if SMOKE:
-        publish_envelope(BENCH_JSON.stem, entry)
-    else:
+    if not SMOKE:
         append_bench_entry(BENCH_JSON, entry)
         # The compiled tables must buy real wall time back; the bar is
         # conservative against host-load noise on shared runners.

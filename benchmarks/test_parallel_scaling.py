@@ -40,7 +40,6 @@ from benchmarks.conftest import (
     BENCH_SCALE,
     append_bench_entry,
     publish,
-    publish_envelope,
 )
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -114,9 +113,7 @@ def test_serial_and_cache_scaling(once):
     )
     publish("parallel_scaling_smoke" if SMOKE else "parallel_scaling", text)
 
-    if SMOKE:
-        publish_envelope(BENCH_JSON.stem, entry)
-    else:
+    if not SMOKE:
         append_bench_entry(BENCH_JSON, entry)
 
     # A warm cache skips all of Steps 1/2; it must not be slower than
@@ -240,7 +237,5 @@ def test_paircheck_kernel_vs_engine(once):
     )
     publish("pairkernel_smoke" if SMOKE else "pairkernel", text)
 
-    if SMOKE:
-        publish_envelope(BENCH_PAIR_JSON.stem, entry)
-    else:
+    if not SMOKE:
         append_bench_entry(BENCH_PAIR_JSON, entry)

@@ -14,15 +14,13 @@ Measures the ``repro.serve`` daemon end to end over a Unix socket:
   the untraced numbers above are the headline and must not regress.
 
 Results go into ``BENCH_serve.json`` at the repo root (shared
-``repro.qa.bench/v1`` envelope) and, like the other benches, a
-standalone envelope lands under ``benchmarks/results/envelopes/``
-for ``repro sweep report``.  Correctness is asserted
+``repro.qa.bench/v1`` envelope).  Correctness is asserted
 unconditionally: every served answer must equal the in-process
 :class:`PinAccessOracle` answer bit for bit, and concurrent batches
 must carry a single generation stamp.
 
 Set ``REPRO_BENCH_SMOKE=1`` (CI) to shrink the design and skip the
-JSON append (the envelope is still published).
+JSON append.
 """
 
 import os
@@ -41,7 +39,6 @@ from repro.qa.metrics import bench_entry
 from benchmarks.conftest import (
     append_bench_entry,
     publish,
-    publish_envelope,
 )
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -236,7 +233,5 @@ def test_serve_throughput(once, tmp_path):
     publish("serve_throughput_smoke" if SMOKE else "serve_throughput",
             text)
 
-    if SMOKE:
-        publish_envelope(BENCH_JSON.stem, entry)
-    else:
+    if not SMOKE:
         append_bench_entry(BENCH_JSON, entry)

@@ -10,10 +10,6 @@ The deployment surface a downstream user drives:
 * ``render``   -- draw the pin access view of a LEF/DEF pair as SVG.
 * ``qa``       -- golden-result regression gates: ``snapshot``,
   ``check``, ``accept`` and ``diff`` over the committed corpus.
-* ``sweep``    -- manifest-driven DSE sweeps: ``run`` a YAML/JSON
-  spec into a resumable run directory, ``status`` it, and ``report``
-  the trend with a regression gate against goldens and
-  ``BENCH_*.json`` baselines.
 * ``compare``  -- router-in-the-loop comparator (Experiment 3,
   Figures 8-9): ``run`` a case matrix through the in-process PAO,
   serve-backed PAO and legacy Dr. CU-style access flows, then
@@ -35,7 +31,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench import build_testcase
+from repro.bench import (
+    CASE_NAMES,
+    TESTCASE_NAMES,
+    build_testcase,
+    check_scale,
+)
 from repro.core import (
     LegacyPinAccess,
     PaafConfig,
@@ -87,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="emit a testcase as LEF + DEF")
     gen.add_argument("testcase", help="e.g. ispd18_test1")
-    gen.add_argument("--scale", type=float, default=0.01)
+    gen.add_argument("--scale", type=_scale, default=0.01)
     gen.add_argument("--lef", required=True, help="output LEF path")
     gen.add_argument("--def", dest="def_path", required=True,
                      help="output DEF path")
@@ -176,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ste = sub.add_parser(
         "suite", help="reproduce the paper's Tables I-III on the suite"
     )
-    ste.add_argument("--scale", type=float, default=0.004)
+    ste.add_argument("--scale", type=_scale, default=0.004)
     ste.add_argument(
         "--testcases",
         nargs="*",
@@ -255,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "snapshot", help="run one generated case and record it as a golden"
     )
     snap.add_argument("testcase", help="e.g. ispd18_test1")
-    snap.add_argument("--scale", type=float, default=0.004)
+    snap.add_argument("--scale", type=_scale, default=0.004)
     _add_qa_run_args(snap)
     snap.set_defaults(handler=_cmd_qa_snapshot)
 
@@ -278,62 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dif.add_argument("--cases", nargs="*", default=None,
                      help="subset of golden case ids (default: all)")
     dif.set_defaults(handler=_cmd_qa_diff)
-
-    swp = sub.add_parser(
-        "sweep",
-        help="manifest-driven DSE sweeps with a trend/regression gate",
-    )
-    swp.set_defaults(handler=_cmd_sweep_help, sweep_parser=swp)
-    swp_sub = swp.add_subparsers(dest="sweep_command")
-
-    srun = swp_sub.add_parser(
-        "run", help="execute a sweep spec into a resumable run directory"
-    )
-    srun.add_argument("spec", help="sweep spec path (.yaml subset or .json)")
-    srun.add_argument("--dir", dest="run_dir",
-                      help="run directory (default: sweep-runs/<name>)")
-    srun.add_argument("--workers", type=_worker_count,
-                      help="concurrent point processes (default: spec "
-                           "option or 2)")
-    srun.add_argument("--timeout", type=_timeout_s,
-                      help="per-point timeout in seconds (default: spec "
-                           "option or 1800)")
-    srun.set_defaults(handler=_cmd_sweep_run)
-
-    sst = swp_sub.add_parser(
-        "status", help="summarize a sweep run directory point by point"
-    )
-    sst.add_argument("run_dir", help="sweep run directory")
-    sst.add_argument("--json", dest="as_json", action="store_true",
-                     help="print the status payload as JSON")
-    sst.set_defaults(handler=_cmd_sweep_status)
-
-    srep = swp_sub.add_parser(
-        "report",
-        help="aggregate a run's envelopes into a gated trend report",
-    )
-    srep.add_argument("run_dir", help="sweep run directory (or a "
-                                      "directory of bench envelopes)")
-    srep.add_argument("--against", action="append", default=[],
-                      metavar="BENCH.json",
-                      help="baseline history to gate against "
-                           "(repeatable)")
-    srep.add_argument("--goldens", default="goldens",
-                      help="golden corpus for fingerprint/metric "
-                           "checks (default: goldens)")
-    srep.add_argument("--no-goldens", action="store_true",
-                      help="skip the golden comparison")
-    srep.add_argument("--tolerances",
-                      help="JSON file of regression tolerances "
-                           "({key: {abs, rel}}, '_perf_default' for "
-                           "the perf fallback)")
-    srep.add_argument("--md", dest="md_path",
-                      help="write the markdown trend report here")
-    srep.add_argument("--json", dest="json_path",
-                      help="write the report JSON here")
-    srep.add_argument("--fail-on-regress", action="store_true",
-                      help="exit non-zero when any check regresses")
-    srep.set_defaults(handler=_cmd_sweep_report)
 
     cmp = sub.add_parser(
         "compare",
@@ -437,14 +382,11 @@ def _job_count(text: str) -> int:
     return value
 
 
-def _worker_count(text: str) -> int:
+def _scale(text: str) -> float:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("workers must be >= 1")
-    return value
+        return check_scale(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _timeout_s(text: str) -> float:
@@ -455,6 +397,15 @@ def _timeout_s(text: str) -> float:
     if not value > 0:
         raise argparse.ArgumentTypeError("timeout must be > 0 seconds")
     return value
+
+
+def _check_names(names, known) -> None:
+    """Refuse a testcase name the builder cannot build, before any work."""
+    for name in names:
+        if name not in known:
+            raise CliError(
+                f"unknown testcase {name!r} (known: {', '.join(known)})"
+            )
 
 
 def _add_io_args(sub_parser) -> None:
@@ -511,6 +462,7 @@ def _read_input(path: str, flag: str) -> str:
 
 
 def _cmd_generate(args) -> int:
+    _check_names([args.testcase], TESTCASE_NAMES)
     design = build_testcase(args.testcase, scale=args.scale)
     with open(args.lef, "w") as handle:
         handle.write(write_lef(design.tech, list(design.masters.values())))
@@ -866,7 +818,6 @@ def _format_answer(answer: dict) -> str:
 def _cmd_suite(args) -> int:
     import time
 
-    from repro.bench.ispd18 import ISPD18_TESTCASES
     from repro.report import (
         render_table1,
         render_table2,
@@ -875,7 +826,8 @@ def _cmd_suite(args) -> int:
         table3_row,
     )
 
-    names = args.testcases or [s.name for s in ISPD18_TESTCASES]
+    names = args.testcases or TESTCASE_NAMES
+    _check_names(names, TESTCASE_NAMES)
     designs = [build_testcase(name, scale=args.scale) for name in names]
     print(render_table1(designs))
     print()
@@ -942,6 +894,7 @@ def _cmd_qa_help(args) -> int:
 def _cmd_qa_snapshot(args) -> int:
     from repro.qa import golden
 
+    _check_names([args.testcase], CASE_NAMES)
     record = golden.snapshot_case(
         args.testcase,
         args.scale,
@@ -1028,142 +981,6 @@ def _cmd_qa_diff(args) -> int:
         else:
             print(f"{cid}: identical")
     return 1 if drifted else 0
-
-
-def _cmd_sweep_help(args) -> int:
-    args.sweep_parser.print_help()
-    return 2
-
-
-def _cmd_sweep_run(args) -> int:
-    import os
-
-    from repro.sweep import SpecError, load_spec, run_sweep
-
-    try:
-        spec = load_spec(args.spec)
-    except OSError as exc:
-        raise CliError(f"cannot read spec {args.spec!r}: {exc}") from exc
-    except SpecError as exc:
-        raise CliError(str(exc)) from exc
-    run_dir = args.run_dir or os.path.join("sweep-runs", spec.name)
-    try:
-        summary = run_sweep(
-            spec,
-            run_dir,
-            workers=args.workers,
-            point_timeout_s=args.timeout,
-            out=print,
-        )
-    except OSError as exc:
-        raise CliError(f"cannot use run dir {run_dir!r}: {exc}") from exc
-    print(
-        f"sweep {spec.name!r}: {len(summary['done'])} done, "
-        f"{len(summary['skipped'])} cached, "
-        f"{len(summary['failed'])} failed, "
-        f"{len(summary['timeout'])} timed out "
-        f"({summary['wall_s']:.2f}s, {run_dir})"
-    )
-    return 0 if not (summary["failed"] or summary["timeout"]) else 1
-
-
-def _cmd_sweep_status(args) -> int:
-    import json
-
-    from repro.report import format_table
-    from repro.sweep import sweep_status
-
-    status = sweep_status(args.run_dir)
-    if not status["points"]:
-        raise CliError(f"no sweep points under {args.run_dir!r}")
-    if args.as_json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-    else:
-        rows = [
-            [
-                point["key"],
-                point["state"],
-                "-" if point["wall_s"] is None
-                else f"{point['wall_s']:.2f}",
-                point.get("error") or "",
-            ]
-            for point in status["points"]
-        ]
-        title = f"Sweep status: {status['name'] or args.run_dir}"
-        print(format_table(["point", "state", "wall (s)", "error"],
-                           rows, title=title))
-        counts = ", ".join(
-            f"{count} {state}"
-            for state, count in sorted(status["counts"].items())
-        )
-        print(counts)
-    incomplete = sum(
-        count
-        for state, count in status["counts"].items()
-        if state != "done"
-    )
-    return 0 if not incomplete else 1
-
-
-def _cmd_sweep_report(args) -> int:
-    import json
-    import os
-
-    from repro.qa.metrics import migrate_bench_entry
-    from repro.sweep import build_report, load_rows, render_markdown
-
-    rows = load_rows(args.run_dir)
-    if not rows:
-        raise CliError(f"no sweep envelopes under {args.run_dir!r}")
-    baselines = []
-    for path in args.against:
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise CliError(
-                f"cannot read --against {path!r}: {exc}"
-            ) from exc
-        entries = payload if isinstance(payload, list) else [payload]
-        if not entries:
-            raise CliError(f"--against {path!r} holds no entries")
-        baselines.append(
-            (os.path.basename(path),
-             [migrate_bench_entry(e) for e in entries])
-        )
-    tolerances = None
-    if args.tolerances:
-        try:
-            with open(args.tolerances) as handle:
-                tolerances = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise CliError(
-                f"cannot read --tolerances {args.tolerances!r}: {exc}"
-            ) from exc
-    report = build_report(
-        rows,
-        baselines=baselines,
-        goldens_dir=None if args.no_goldens else args.goldens,
-        tolerances=tolerances,
-    )
-    markdown = render_markdown(
-        report, title=f"Sweep trend report: {args.run_dir}"
-    )
-    print(markdown, end="")
-    if args.md_path:
-        with open(args.md_path, "w") as handle:
-            handle.write(markdown)
-        print(f"wrote {args.md_path}")
-    if args.json_path:
-        with open(args.json_path, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json_path}")
-    if report["regressions"]:
-        print(f"regressions: {len(report['regressions'])}")
-        if args.fail_on_regress:
-            return 1
-    return 0
 
 
 def _cmd_compare_help(args) -> int:

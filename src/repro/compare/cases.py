@@ -37,11 +37,19 @@ class CaseSpec:
 
 
 def parse_case(text: str) -> CaseSpec:
-    """Parse ``name@scale`` (scale defaults to 1, as the zoo uses)."""
-    if "@" in text:
-        name, _, scale = text.partition("@")
-        return CaseSpec(testcase=name, scale=float(scale))
-    return CaseSpec(testcase=text, scale=1.0)
+    """Parse ``name@scale`` (scale defaults to 1, as the zoo uses).
+
+    Raises ValueError for a name :func:`repro.bench.build_case` cannot
+    build or a scale that is not a finite number > 0.
+    """
+    from repro.bench import CASE_NAMES, check_scale
+
+    name, at, scale = text.partition("@")
+    if name not in CASE_NAMES:
+        raise ValueError(
+            f"unknown case {name!r} (known: {', '.join(CASE_NAMES)})"
+        )
+    return CaseSpec(testcase=name, scale=check_scale(scale) if at else 1.0)
 
 
 #: The committed golden corpus: what `goldens/compare/` pins and CI

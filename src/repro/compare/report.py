@@ -110,8 +110,7 @@ def case_report(
 def flow_envelope(case: CaseSpec, records: dict) -> dict:
     """Roll one case's flow records into a ``repro.qa.bench/v1`` entry.
 
-    Written into the run's ``envelopes/`` directory, which is a flat
-    dir `repro sweep report` can consume directly.
+    The Figure 8 bench appends these entries to ``BENCH_compare.json``.
     """
     from repro.qa.metrics import bench_entry
 

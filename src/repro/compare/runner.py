@@ -4,8 +4,9 @@ Every (case, flow) pair is one :mod:`repro.runs` unit: it runs in its
 own worker process inside the run directory, with its stdout/stderr in
 ``log.txt``, a terminal ``status.json`` and its flow record in
 ``flow.json``.  Re-running the same directory re-executes only pairs
-that are missing, failed, or whose fingerprint (case parameters +
-flow) changed -- a finished pair is never re-run.
+that are missing, failed or timed out, whose ``flow.json`` does not
+parse, or whose fingerprint (case parameters + flow) changed -- a
+finished pair is never re-run.
 
 Layout::
 
@@ -16,11 +17,6 @@ Layout::
         flow.json                         repro.compare.flow/v1 record
         log.txt                           worker stdout/stderr
     <run_dir>/cases/<case>/report.json    repro.compare/v1 per-case report
-    <run_dir>/envelopes/compare-<case>.json   repro.qa.bench/v1
-
-The envelopes directory is `repro sweep report`-compatible: a flat
-directory of bench envelopes, so the sweep trend tooling can consume
-comparator runs unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +28,13 @@ from dataclasses import dataclass
 
 from repro.compare.cases import CaseSpec
 from repro.compare.flows import execute_flow
-from repro.runs import Unit, read_json, run_units, write_json
+from repro.runs import (
+    RESULT_FILE,
+    Unit,
+    read_json,
+    run_units,
+    write_json,
+)
 
 RUN_SCHEMA = "repro.compare.run/v1"
 
@@ -94,9 +96,7 @@ def run_compare(
                 Unit(
                     key=pf.key,
                     directory=directory,
-                    record_name="spec.json",
                     record={"key": pf.key, "fingerprint": pf.fingerprint},
-                    result_name="flow.json",
                     work=functools.partial(
                         execute_flow,
                         case,
@@ -109,7 +109,7 @@ def run_compare(
     states = run_units(units, jobs, flow_timeout_s, out, force=force)
 
     from repro.compare.cases import FLOWS
-    from repro.compare.report import case_report, flow_envelope
+    from repro.compare.report import case_report
 
     case_states = {}
     for case in cases:
@@ -120,7 +120,7 @@ def run_compare(
         for flow in FLOWS:
             pf = PlannedFlow(case, flow)
             record = read_json(
-                os.path.join(flow_dir(run_dir, pf), "flow.json")
+                os.path.join(flow_dir(run_dir, pf), RESULT_FILE)
             )
             if record is not None:
                 records[flow] = record
@@ -131,15 +131,6 @@ def run_compare(
             os.path.join(case_dir(run_dir, case), "report.json"), report
         )
         case_states[case.case_id] = report["complete"]
-        if records:
-            env_dir = os.path.join(run_dir, "envelopes")
-            os.makedirs(env_dir, exist_ok=True)
-            write_json(
-                os.path.join(
-                    env_dir, f"compare-{case.case_id}.json"
-                ),
-                flow_envelope(case, records),
-            )
 
     counts = {"done": 0, "cached": 0, "failed": 0, "timeout": 0}
     for state in states.values():

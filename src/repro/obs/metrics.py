@@ -20,10 +20,8 @@ convention (:data:`NAME_RE`): lowercase dot-separated segments of
 it on first use of each name; :func:`stats_name_violations` audits a
 whole ``PinAccessResult.stats`` payload against the same contract.
 
-Exports: :func:`render_prometheus` emits the Prometheus text format
-(validated by :func:`parse_prometheus`, the same checker CI uses) and
-:meth:`MetricsRegistry.to_bench_entry` wraps a snapshot into the
-shared ``repro.qa.bench/v1`` envelope.
+Export: :func:`render_prometheus` emits the Prometheus text format
+(validated by :func:`parse_prometheus`, the same checker CI uses).
 
 This module imports nothing from the rest of the package so the
 lowest layers (``repro.geom``, ``repro.drc``) can depend on it
@@ -200,38 +198,6 @@ class MetricsRegistry:
                 for name, hist in self.histograms.items()
             },
         }
-
-    # -- exports --------------------------------------------------------------
-
-    def to_bench_entry(
-        self,
-        design: str,
-        scale: float,
-        cells: int,
-        context: dict = None,
-    ) -> dict:
-        """Wrap this registry into the ``repro.qa.bench/v1`` envelope.
-
-        Counters land in ``perf`` under their metric names, timers as
-        ``<name>.seconds``; histogram summaries ride in ``metrics``.
-        """
-        from repro.qa.metrics import bench_entry
-
-        perf = {name: count for name, count in sorted(self.counters.items())}
-        for name, seconds in sorted(self.timers.items()):
-            perf[f"{name}.seconds"] = round(seconds, 6)
-        summaries = {
-            name: hist.summary()
-            for name, hist in sorted(self.histograms.items())
-        }
-        return bench_entry(
-            design=design,
-            scale=scale,
-            cells=cells,
-            perf=perf,
-            context=context,
-            metrics=summaries or None,
-        )
 
 
 # -- context-local activation -------------------------------------------------

@@ -14,12 +14,11 @@ fingerprint match.  This package supplies:
 Hot-path counters and timers live in :mod:`repro.obs.metrics`.
 """
 
-from repro.perf.apcache import AccessCache, paaf_fingerprint, perf_mode_key
+from repro.perf.apcache import AccessCache, paaf_fingerprint
 from repro.perf.parallel import effective_jobs
 
 __all__ = [
     "AccessCache",
     "paaf_fingerprint",
-    "perf_mode_key",
     "effective_jobs",
 ]

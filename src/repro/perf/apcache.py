@@ -92,21 +92,6 @@ def paaf_fingerprint(design, config) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def perf_mode_key(config) -> str:
-    """Hash the perf knobs the result fingerprint deliberately ignores.
-
-    Two runs sharing a :func:`paaf_fingerprint` compute identical
-    results but may execute very differently (``paircheck_mode``,
-    ``apcheck_mode``).  Sweep run directories key
-    on fingerprint *plus* this, so perf variants of one configuration
-    keep separate timing envelopes while still sharing the AP cache.
-    Output paths and telemetry toggles are excluded: they never
-    change what a measurement means.
-    """
-    modes = (config.paircheck_mode, config.apcheck_mode)
-    return hashlib.sha256(repr(modes).encode("utf-8")).hexdigest()
-
-
 def signature_key(signature) -> str:
     """Return a stable filename-safe key for a unique-instance signature."""
     master, orient, offsets = signature

@@ -1,7 +1,7 @@
 """The worker-count knob of ``repro compare run -j``.
 
-:mod:`repro.runs` runs independent compare flows (and sweep points) in
-separate processes; one analysis always runs in one process.
+:mod:`repro.runs` runs independent compare flows in separate
+processes; one analysis always runs in one process.
 """
 
 from __future__ import annotations

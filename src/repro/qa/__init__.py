@@ -43,11 +43,8 @@ from repro.qa.metrics import (
     BENCH_SCHEMA,
     METRICS_SCHEMA,
     bench_entry,
-    compare_bench_perf,
     compare_metrics,
     gate_value,
-    migrate_bench_entry,
-    perf_direction,
     quality_metrics,
 )
 
@@ -67,10 +64,7 @@ __all__ = [
     "BENCH_SCHEMA",
     "METRICS_SCHEMA",
     "bench_entry",
-    "compare_bench_perf",
     "compare_metrics",
     "gate_value",
-    "migrate_bench_entry",
-    "perf_direction",
     "quality_metrics",
 ]

@@ -9,9 +9,7 @@ flat JSON-serializable dict stamped with ``METRICS_SCHEMA``.
 The same schema underpins the ``BENCH_*.json`` perf baselines:
 ``bench_entry`` wraps a measurement into the shared envelope
 (``design`` / ``scale`` / ``cells`` identity, ``perf`` timings,
-``derived`` speedups, ``context`` host facts) and
-``migrate_bench_entry`` upgrades the pre-schema flat entries so old
-histories stay readable.
+``derived`` speedups, ``context`` host facts).
 
 ``compare_metrics`` is the quality gate: each metric has a known
 "better" direction, improvements always pass, and regressions fail
@@ -159,88 +157,7 @@ def regressions(rows: list) -> list:
     return [row for row in rows if row[3] == "regressed"]
 
 
-# -- perf (BENCH envelope) comparison ----------------------------------------
-
-#: The perf gate's default when a key has no explicit tolerance: a
-#: timing may regress up to 100% before failing.  Perf numbers carry
-#: host noise that quality metrics do not, so the default is loose;
-#: sweeps and CI tighten or widen it per key via ``tolerances``.
-PERF_DEFAULT_TOLERANCE = {"rel": 1.0}
-
-#: The tolerance-dict key holding the fallback for un-named perf keys.
-PERF_DEFAULT_KEY = "_perf_default"
-
-_LOWER_SUFFIXES = ("_s", "_ms", "_ns", "_seconds", ".seconds", "_calls")
-_HIGHER_SUFFIXES = ("_per_s", "_qps", "_speedup", "_reduction")
-
-
-def perf_direction(name: str) -> str:
-    """Infer which way is better for a perf key, or ``None``.
-
-    Timings and call counts regress upward; rates and speedups
-    regress downward.  Keys whose direction cannot be inferred return
-    ``None`` and are reported for information only, never gated.
-    """
-    if name.endswith(_LOWER_SUFFIXES):
-        return "lower"
-    if name.endswith(_HIGHER_SUFFIXES) or "qps" in name:
-        return "higher"
-    if "speedup" in name:
-        return "higher"
-    return None
-
-
-def perf_tolerance(name: str, tolerances: dict = None) -> dict:
-    """Resolve the tolerance for one perf key.
-
-    Precedence: an exact key entry, then the ``_perf_default`` entry,
-    then :data:`PERF_DEFAULT_TOLERANCE`.
-    """
-    tolerances = tolerances or {}
-    if name in tolerances:
-        return tolerances[name]
-    return tolerances.get(PERF_DEFAULT_KEY, PERF_DEFAULT_TOLERANCE)
-
-
-def compare_bench_perf(
-    golden_perf: dict, current_perf: dict, tolerances: dict = None
-) -> list:
-    """Gate two ``repro.qa.bench/v1`` ``perf`` maps key by key.
-
-    Only keys present in both maps with an inferable direction are
-    gated; rows follow the :func:`compare_metrics` shape.
-    """
-    rows = []
-    for name in sorted(set(golden_perf) & set(current_perf)):
-        direction = perf_direction(name)
-        if direction is None:
-            continue
-        want, have = golden_perf[name], current_perf[name]
-        if not isinstance(want, (int, float)) or isinstance(want, bool):
-            continue
-        status = gate_value(
-            want, have, direction, perf_tolerance(name, tolerances)
-        )
-        rows.append((name, want, have, status))
-    return rows
-
-
 # -- BENCH_*.json envelope ---------------------------------------------------
-
-#: Pre-schema flat keys that describe the host, not the measurement.
-_CONTEXT_KEYS = frozenset({"cpu_count"})
-
-#: Pre-schema flat keys that are ratios derived from the raw timings.
-_DERIVED_KEYS = frozenset(
-    {
-        "parallel_speedup",
-        "warm_speedup",
-        "pair_call_reduction",
-        "query_speedup",
-    }
-)
-
-_IDENTITY_KEYS = frozenset({"design", "scale", "cells"})
 
 
 def bench_context() -> dict:
@@ -288,38 +205,3 @@ def bench_entry(
     if metrics is not None:
         entry["metrics"] = dict(metrics)
     return entry
-
-
-def migrate_bench_entry(entry: dict) -> dict:
-    """Upgrade a pre-schema flat entry to the ``BENCH_SCHEMA`` layout.
-
-    Entries already carrying a ``schema`` stamp pass through
-    unchanged, so the migration is idempotent and histories may mix
-    generations.
-    """
-    if entry.get("schema") == BENCH_SCHEMA:
-        return entry
-    perf = {}
-    derived = {}
-    context = {}
-    for key, value in entry.items():
-        if key in _IDENTITY_KEYS:
-            continue
-        if key in _CONTEXT_KEYS:
-            context[key] = value
-        elif key in _DERIVED_KEYS:
-            derived[key] = value
-        else:
-            perf[key] = value
-    migrated = bench_entry(
-        design=entry.get("design", "unknown"),
-        scale=entry.get("scale", 0.0),
-        cells=entry.get("cells", 0),
-        perf=perf,
-        derived=derived,
-        context=context,
-    )
-    # Historic entries describe the machine they were recorded on; do
-    # not graft the current host description onto them.
-    migrated["context"] = context
-    return migrated

@@ -1,13 +1,12 @@
 """Resumable, process-isolated run directories.
 
-``repro sweep`` (one directory per sweep point) and ``repro compare``
-(one per (case, flow) pair) hand their work to this module as
-:class:`Unit` values.  A unit owns one directory::
+``repro compare run`` hands each (case, flow) pair to this module as a
+:class:`Unit`.  A unit owns one directory::
 
-    <record_name>   the unit's identity, including its ``fingerprint``
+    spec.json       the unit's identity, including its ``fingerprint``
     status.json     repro.sweep.status/v1: running | done | failed |
                     timeout (+ error, wall time)
-    <result_name>   the JSON payload the unit's work returned
+    flow.json       the JSON payload the unit's work returned
     log.txt         the worker's captured stdout/stderr
 
 :func:`run_units` reuses a unit whose status is ``done``, whose
@@ -19,7 +18,9 @@ terminated and recorded ``timeout``, and neither stops the others.
 Where processes cannot be started at all, units run inline (same
 worker code, no isolation and no deadline).
 
-Two environment hooks exist purely for the resumability tests:
+The status schema and the two test hooks keep their historical
+``sweep`` names, which status files on disk and CI's compare-smoke job
+use.  The hooks exist purely for the resumability tests:
 ``REPRO_SWEEP_TEST_CRASH`` hard-kills a worker whose key contains the
 value (simulating a mid-run crash that leaves a ``running`` status
 behind) and ``REPRO_SWEEP_TEST_HANG`` makes it sleep forever
@@ -41,6 +42,10 @@ from typing import Callable
 
 STATUS_SCHEMA = "repro.sweep.status/v1"
 
+#: A unit's identity record and its work's result, inside its directory.
+RECORD_FILE = "spec.json"
+RESULT_FILE = "flow.json"
+
 #: Worker exit code for the simulated crash (tests only).
 CRASH_EXIT_CODE = 23
 
@@ -49,18 +54,16 @@ CRASH_EXIT_CODE = 23
 class Unit:
     """One resumable unit of work and the directory it runs in.
 
-    ``record`` is written to ``record_name`` whenever the directory is
-    (re)created and must hold the unit's ``fingerprint``.  ``work`` is
-    called with no arguments in the worker and returns the payload
-    saved to ``result_name``; it must pickle (a module-level function
-    or a :func:`functools.partial` of one).
+    ``record`` is written to :data:`RECORD_FILE` whenever the directory
+    is (re)created and must hold the unit's ``fingerprint``.  ``work``
+    is called with no arguments in the worker and returns the payload
+    saved to :data:`RESULT_FILE`; it must pickle (a module-level
+    function or a :func:`functools.partial` of one).
     """
 
     key: str
     directory: str
-    record_name: str
     record: dict
-    result_name: str
     work: Callable[[], dict]
 
 
@@ -141,12 +144,11 @@ def run_units(
 
 def _reusable(unit: Unit) -> bool:
     status = read_json(os.path.join(unit.directory, "status.json")) or {}
-    record = read_json(os.path.join(unit.directory, unit.record_name)) or {}
+    record = read_json(os.path.join(unit.directory, RECORD_FILE)) or {}
     return (
         status.get("state") == "done"
         and record.get("fingerprint") == unit.record["fingerprint"]
-        and read_json(os.path.join(unit.directory, unit.result_name))
-        is not None
+        and read_json(os.path.join(unit.directory, RESULT_FILE)) is not None
     )
 
 
@@ -154,7 +156,7 @@ def _scrub(unit: Unit) -> None:
     if os.path.isdir(unit.directory):
         shutil.rmtree(unit.directory)
     os.makedirs(unit.directory)
-    write_json(os.path.join(unit.directory, unit.record_name), unit.record)
+    write_json(os.path.join(unit.directory, RECORD_FILE), unit.record)
 
 
 def _write_status(unit: Unit, state: str, **extra) -> None:
@@ -186,7 +188,7 @@ def _main(unit: Unit) -> int:
             started = time.perf_counter()
             result = unit.work()
             wall_s = round(time.perf_counter() - started, 6)
-            write_json(os.path.join(unit.directory, unit.result_name), result)
+            write_json(os.path.join(unit.directory, RESULT_FILE), result)
             _finish(unit, "done", wall_s=wall_s)
             return 0
         except Exception as exc:

@@ -36,18 +36,60 @@ class TestGenerate:
         assert "MACRO" in lef.read_text()
         assert "COMPONENTS" in deff.read_text()
 
-    def test_unknown_testcase(self, tmp_path):
-        with pytest.raises(KeyError):
-            main(
-                [
-                    "generate",
-                    "nope",
-                    "--lef",
-                    str(tmp_path / "a.lef"),
-                    "--def",
-                    str(tmp_path / "a.def"),
-                ]
-            )
+    def test_unknown_testcase(self, tmp_path, capsys):
+        code = main(
+            [
+                "generate",
+                "nope",
+                "--lef",
+                str(tmp_path / "a.lef"),
+                "--def",
+                str(tmp_path / "a.def"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown testcase 'nope'")
+        assert "ispd18_test1" in err and "ispd18_test10" in err
+        assert not (tmp_path / "a.lef").exists()
+
+
+class TestBadCaseArguments:
+    """An unknown testcase name or a scale that is not a finite number
+    > 0 exits 2 with one error line before any work starts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "bogus"],
+            ["generate", "ispd18_test1", "--scale", "nan"],
+            ["generate", "ispd18_test1", "--scale", "inf"],
+            ["generate", "ispd18_test1", "--scale", "0"],
+            ["generate", "ispd18_test1", "--scale", "-1"],
+            ["suite", "--testcases", "bogus"],
+            ["suite", "--testcases", "ispd18_test1", "--scale", "nan"],
+            ["qa", "snapshot", "bogus"],
+            ["qa", "snapshot", "pinzoo_io", "--scale", "inf"],
+            ["compare", "run", "bogus_case"],
+            ["compare", "run", "ispd18_test1@nan"],
+            ["compare", "run", "pinzoo_hostile@0"],
+        ],
+        ids=" ".join,
+    )
+    def test_refused_before_any_work(self, argv, tmp_path, capsys):
+        outputs = {
+            "generate": ["--lef", str(tmp_path / "a.lef"),
+                         "--def", str(tmp_path / "a.def")],
+            "suite": [],
+            "qa": ["--goldens", str(tmp_path / "goldens")],
+            "compare": ["--dir", str(tmp_path / "run")],
+        }
+        assert main(argv + outputs[argv[0]]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^(repro [a-z ]+: )?error: ", err, re.MULTILINE)
+        assert "Traceback" not in err
+        # Nothing was written: no LEF/DEF, no golden, no cases/ directory.
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAnalyze:

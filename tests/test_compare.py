@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.compare import (
     run_compare,
     write_goldens,
 )
-from repro.compare.report import _check_golden, golden_path
+from repro.compare.report import _check_golden, flow_envelope, golden_path
 from repro.runs import read_json, write_json
 
 
@@ -77,11 +78,14 @@ class TestRunLifecycle:
 
     def test_envelope_is_bench_schema(self, run):
         case, run_dir, _ = run
-        envelope = read_json(
-            os.path.join(
-                run_dir, "envelopes", f"compare-{case.case_id}.json"
+        records = {
+            flow: read_json(
+                os.path.join(run_dir, "cases", case.case_id, flow,
+                             "flow.json")
             )
-        )
+            for flow in FLOWS
+        }
+        envelope = flow_envelope(case, records)
         assert envelope["schema"] == "repro.qa.bench/v1"
         metrics = envelope["metrics"]
         assert metrics["serve_wire_identical"] == 1
@@ -187,6 +191,45 @@ class TestFailurePaths:
         resumed_report = read_json(os.path.join(run_dir, report_path))
         assert resumed_report["complete"]
         assert resumed_report["metrics"] == clean["metrics"]
+
+    def test_unparsable_result_reexecutes_only_that_flow(self, run, tmp_path):
+        _, clean_dir, _ = run
+        run_dir = str(tmp_path / "run")
+        shutil.copytree(clean_dir, run_dir)
+        flow_json = os.path.join(run_dir, "cases", "pinzoo_hostile@1",
+                                 "pao", "flow.json")
+        with open(flow_json, "r+") as handle:
+            handle.truncate(100)
+        resumed = run_compare(
+            [self.CASE], FLOWS, run_dir, jobs=1, out=lambda s: None
+        )
+        assert resumed["counts"] == {
+            "done": 1, "cached": 2, "failed": 0, "timeout": 0
+        }
+        assert resumed["states"]["pinzoo_hostile@1/pao"] == "done"
+        report_path = os.path.join("cases", "pinzoo_hostile@1", "report.json")
+        clean = read_json(os.path.join(clean_dir, report_path))
+        resumed_report = read_json(os.path.join(run_dir, report_path))
+        assert resumed_report["complete"]
+        assert resumed_report["metrics"] == clean["metrics"]
+
+    def test_changed_fingerprint_reexecutes_every_flow(self, run, tmp_path):
+        _, clean_dir, _ = run
+        run_dir = str(tmp_path / "run")
+        shutil.copytree(clean_dir, run_dir)
+        capped = CaseSpec("pinzoo_hostile", 1.0, max_nets=4)
+        assert capped.case_id == self.CASE.case_id
+        summary = run_compare(
+            [capped], FLOWS, run_dir, jobs=1, out=lambda s: None
+        )
+        assert summary["counts"] == {
+            "done": 3, "cached": 0, "failed": 0, "timeout": 0
+        }
+        for flow in FLOWS:
+            spec = read_json(os.path.join(run_dir, "cases",
+                                          "pinzoo_hostile@1", flow,
+                                          "spec.json"))
+            assert spec["fingerprint"]["max_nets"] == 4
 
     def test_hung_flow_times_out_then_resumes(self, tmp_path, monkeypatch):
         run_dir = str(tmp_path)

@@ -27,7 +27,6 @@ from repro.qa.metrics import (
     METRICS_SCHEMA,
     bench_entry,
     compare_metrics,
-    migrate_bench_entry,
     quality_metrics,
     regressions,
 )
@@ -196,31 +195,17 @@ class TestBenchSchema:
         assert entry["derived"]["warm_speedup"] == 4.4
         assert entry["context"]["cpu_count"] == 2
 
-    def test_migration_partitions_old_keys(self):
-        old = {
-            "design": "ispd18_test5",
-            "scale": 0.004,
-            "cells": 288,
-            "cpu_count": 1,
-            "serial_s": 2.609,
-            "warm_speedup": 4.4,
-        }
-        entry = migrate_bench_entry(old)
-        assert entry["schema"] == BENCH_SCHEMA
-        assert entry["design"] == "ispd18_test5"
-        assert entry["perf"] == {"serial_s": 2.609}
-        assert entry["derived"] == {"warm_speedup": 4.4}
-        assert entry["context"] == {"cpu_count": 1}
-        # Idempotent on already-migrated entries.
-        assert migrate_bench_entry(entry) is entry
-
     def test_committed_bench_files_use_schema(self):
+        # Every committed history is read as it is, with no upgrade
+        # step, so a pre-schema entry must never come back.
         root = pathlib.Path(__file__).parent.parent
-        for name in ("BENCH_parallel.json", "BENCH_pairkernel.json"):
-            history = json.loads((root / name).read_text())
-            assert history, name
+        paths = sorted(root.glob("BENCH_*.json"))
+        assert paths
+        for path in paths:
+            history = json.loads(path.read_text())
+            assert history, path.name
             for entry in history:
-                assert entry.get("schema") == BENCH_SCHEMA, name
+                assert entry.get("schema") == BENCH_SCHEMA, path.name
 
 
 class TestGoldenCorpusManagement:
