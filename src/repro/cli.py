@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 
 from repro.bench import (
     CASE_NAMES,
@@ -171,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ren = sub.add_parser("render", help="render the pin access view")
     _add_io_args(ren)
     ren.add_argument("--svg", required=True, help="output SVG path")
-    ren.add_argument("--width", type=int, default=1000)
+    ren.add_argument("--width", type=_positive_int, default=1000,
+                     help="SVG width in pixels (>= 1)")
     ren.set_defaults(handler=_cmd_render)
 
     ste = sub.add_parser(
@@ -196,14 +198,16 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--cache-dir",
                      help="persistent AP cache: restart = cache load, "
                           "not re-analysis")
-    srv.add_argument("--max-clients", type=int, default=32,
-                     help="concurrent connection cap (excess get an "
-                          "'overloaded' error)")
-    srv.add_argument("--request-timeout", type=float, default=30.0,
-                     help="per-connection idle/read timeout in seconds")
-    srv.add_argument("--drain-seconds", type=float, default=5.0,
+    srv.add_argument("--max-clients", type=_positive_int, default=32,
+                     help="concurrent connection cap, >= 1 (excess get "
+                          "an 'overloaded' error)")
+    srv.add_argument("--request-timeout", type=_request_timeout_s,
+                     default=30.0,
+                     help="per-connection idle/read timeout in seconds "
+                          "(> 0)")
+    srv.add_argument("--drain-seconds", type=_drain_s, default=5.0,
                      help="grace period for in-flight requests on "
-                          "shutdown")
+                          "shutdown (>= 0)")
     srv.add_argument("--no-load", action="store_true",
                      help="refuse client load_design requests")
     srv.add_argument("--apcheck-mode",
@@ -382,6 +386,16 @@ def _job_count(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be an int >= 1")
+    return value
+
+
 def _scale(text: str) -> float:
     try:
         return check_scale(text)
@@ -396,6 +410,31 @@ def _timeout_s(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
     if not value > 0:
         raise argparse.ArgumentTypeError("timeout must be > 0 seconds")
+    return value
+
+
+def _request_timeout_s(text: str) -> float:
+    # Every connection handler sets this as its socket timeout, which
+    # raises OverflowError past threading.TIMEOUT_MAX (inf included).
+    value = _timeout_s(text)
+    if value > threading.TIMEOUT_MAX:
+        raise argparse.ArgumentTypeError(
+            f"timeout must be <= {threading.TIMEOUT_MAX:g} seconds"
+        )
+    return value
+
+
+def _drain_s(text: str) -> float:
+    # The drain joins the handler threads with this timeout, which
+    # raises OverflowError past threading.TIMEOUT_MAX (inf included).
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 <= value <= threading.TIMEOUT_MAX:
+        raise argparse.ArgumentTypeError(
+            f"drain must be >= 0 and <= {threading.TIMEOUT_MAX:g} seconds"
+        )
     return value
 
 

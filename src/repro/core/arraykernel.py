@@ -50,8 +50,6 @@ difference in ``result.stats`` and the metrics registry.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from repro.core.coords import candidate_coords
 from repro.drc.disptable import (
     DisplacementTable,
@@ -62,6 +60,7 @@ from repro.drc.disptable import (
 )
 from repro.drc.engine import DrcEngine
 from repro.drc.minstep import check_min_step
+from repro.geom.polygon import covered_cells
 from repro.geom.rect import Rect
 from repro.obs.metrics import tick
 
@@ -87,20 +86,9 @@ def _union_any_short(rects: list, length: int) -> bool:
     rects = [r for r in rects if r.xhi > r.xlo and r.yhi > r.ylo]
     if not rects:
         return False
-    xs = sorted({c for r in rects for c in (r.xlo, r.xhi)})
-    ys = sorted({c for r in rects for c in (r.ylo, r.yhi)})
+    xs, ys, cov = covered_cells(rects)
     nx = len(xs) - 1
     ny = len(ys) - 1
-    cov = [[False] * ny for _ in range(nx)]
-    for r in rects:
-        i0 = bisect_left(xs, r.xlo)
-        i1 = bisect_left(xs, r.xhi)
-        j0 = bisect_left(ys, r.ylo)
-        j1 = bisect_left(ys, r.yhi)
-        for i in range(i0, i1):
-            row = cov[i]
-            for j in range(j0, j1):
-                row[j] = True
     for j in range(ny + 1):
         run = 0
         orient = None

@@ -34,8 +34,11 @@ class IoPinAccess:
         """Return IO pin name -> list of validated access points.
 
         ``context`` defaults to the full-design fixed shapes; pass a
-        pre-built one to amortize across calls.
+        pre-built one to amortize across calls.  A design without IO
+        pins returns ``{}`` and builds no context.
         """
+        if not self.design.io_pins:
+            return {}
         if context is None:
             context = ShapeContext.from_design(self.design)
         # An IO pin is reached by a clean via alone: no planar stubs

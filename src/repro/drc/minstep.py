@@ -36,12 +36,11 @@ def _check_loop(layer: Layer, loop: list, rule, label: str) -> list:
     n = len(loop)
     if n < 4:
         return []
-    short = []
-    for k in range(n):
-        a = loop[k]
-        b = loop[(k + 1) % n]
-        length = abs(a.x - b.x) + abs(a.y - b.y)
-        short.append(length < rule.min_step_length)
+    limit = rule.min_step_length
+    short = [
+        abs(ax - bx) + abs(ay - by) < limit
+        for (ax, ay), (bx, by) in zip(loop, loop[1:] + loop[:1])
+    ]
     if all(short):
         # Degenerate tiny polygon: one violation covering it all.
         return [
@@ -80,8 +79,8 @@ def _run_violation(
 ):
     n = len(loop)
     pts = [loop[(run_start + i) % n] for i in range(run + 1)]
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
     return Violation(
         rule="min-step",
         layer_name=layer.name,
@@ -91,6 +90,6 @@ def _run_violation(
 
 
 def _loop_bbox(loop: list) -> Rect:
-    xs = [p.x for p in loop]
-    ys = [p.y for p in loop]
+    xs = [p[0] for p in loop]
+    ys = [p[1] for p in loop]
     return Rect(min(xs), min(ys), max(xs), max(ys))

@@ -11,8 +11,10 @@ The package provides:
 * :class:`Interval` -- closed 1-D integer interval.
 * :class:`Rect` -- axis-aligned rectangle with the full set of
   intersection / bloat / distance predicates used by the DRC engine.
-* :class:`RectilinearPolygon` / :func:`merge_rects` -- union-of-rects
-  polygon with boundary extraction (needed for min-step checks).
+* :class:`RectilinearPolygon` / :func:`merge_rects` /
+  :func:`union_area` / :func:`boundary_edges` -- union-of-rects
+  polygon with area and boundary extraction (needed for min-area and
+  min-step checks).
 * :func:`maximal_rectangles` -- all maximal rectangles of a rectilinear
   polygon (needed for shape-center coordinate generation, paper Sec. II-C).
 * :class:`Orientation` / :class:`Transform` -- DEF placement orientations
@@ -23,7 +25,12 @@ The package provides:
 from repro.geom.point import Point, manhattan_distance
 from repro.geom.interval import Interval
 from repro.geom.rect import Rect
-from repro.geom.polygon import RectilinearPolygon, merge_rects, boundary_edges
+from repro.geom.polygon import (
+    RectilinearPolygon,
+    boundary_edges,
+    merge_rects,
+    union_area,
+)
 from repro.geom.maxrect import maximal_rectangles
 from repro.geom.transform import Orientation, Transform
 from repro.geom.spatial import GridIndex
@@ -36,6 +43,7 @@ __all__ = [
     "RectilinearPolygon",
     "merge_rects",
     "boundary_edges",
+    "union_area",
     "maximal_rectangles",
     "Orientation",
     "Transform",

@@ -13,7 +13,9 @@ rectangles per layer.  The DRC engine needs two derived views:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
 
 from repro.geom.interval import Interval, union_intervals
 from repro.geom.point import Point
@@ -64,139 +66,133 @@ def _coalesce_slabs(slabs: list) -> list:
     return merged
 
 
-@dataclass
-class _Edge:
-    """A directed boundary edge with the interior on its left."""
+def covered_cells(rects: list) -> tuple:
+    """Return ``(xs, ys, cov)``: the union of ``rects`` on its own grid.
 
-    start: Point
-    end: Point
+    ``xs`` and ``ys`` are the sorted distinct rect coordinates
+    (degenerate rects included) and ``cov[i][j]`` is True when the
+    elementary cell ``[xs[i], xs[i+1]] x [ys[j], ys[j+1]]`` lies inside
+    the union.  This grid backs :func:`boundary_edges`,
+    :func:`union_area` and the array kernel's min-step sweep.
+    """
+    xs = sorted({c for r in rects for c in (r.xlo, r.xhi)})
+    ys = sorted({c for r in rects for c in (r.ylo, r.yhi)})
+    cov = [[False] * (len(ys) - 1) for _ in range(len(xs) - 1)]
+    for r in rects:
+        j0 = bisect_left(ys, r.ylo)
+        j1 = bisect_left(ys, r.yhi)
+        fill = [True] * (j1 - j0)
+        for i in range(bisect_left(xs, r.xlo), bisect_left(xs, r.xhi)):
+            cov[i][j0:j1] = fill
+    return xs, ys, cov
+
+
+def union_area(rects: list) -> int:
+    """Return the area of the union of ``rects``."""
+    xs, ys, cov = covered_cells(rects)
+    heights = [b - a for a, b in zip(ys, ys[1:])]
+    return sum(
+        (xs[i + 1] - xs[i]) * sum(compress(heights, col))
+        for i, col in enumerate(cov)
+    )
 
 
 def boundary_edges(rects: list) -> list:
     """Return the boundary loops of the union of ``rects``.
 
-    Each loop is a list of :class:`Point` vertices in order, with the
+    Each loop is a list of ``(x, y)`` int tuples in order, with the
     polygon interior on the left of the direction of travel (outer
     loops counterclockwise, hole loops clockwise).  Consecutive
     collinear edges are merged, so every returned edge is a genuine
     boundary edge with a corner at each end — exactly what min-step
     checking needs.
+
+    The unit boundary segments of the :func:`covered_cells` grid are
+    stitched in a fixed order (horizontal segments column by column,
+    then vertical ones), each loop starting at the first unused
+    segment and listed from the first corner at or after its start.
     """
     if not rects:
         return []
-    xs = sorted({r.xlo for r in rects} | {r.xhi for r in rects})
-    ys = sorted({r.ylo for r in rects} | {r.yhi for r in rects})
+    xs, ys, cov = covered_cells(rects)
+    nx = len(xs) - 1
+    ny = len(ys) - 1
+    # Grid point (xs[i], ys[j]) is vertex i * h + j.  Directions are
+    # 0 east, 1 north, 2 west, 3 south: (d + 1) % 4 turns left.
+    h = ny + 1
+    starts = []
+    ends = []
+    dirs = []
+    for i in range(nx):
+        col = cov[i]
+        below = False
+        for j in range(h):
+            above = j < ny and col[j]
+            if above != below:
+                v = i * h + j
+                if above:
+                    starts.append(v)
+                    ends.append(v + h)
+                    dirs.append(0)
+                else:
+                    starts.append(v + h)
+                    ends.append(v)
+                    dirs.append(2)
+            below = above
+    outside = [False] * ny
+    for i in range(nx + 1):
+        left = cov[i - 1] if i > 0 else outside
+        right = cov[i] if i < nx else outside
+        for j in range(ny):
+            if left[j] != right[j]:
+                v = i * h + j
+                if left[j]:
+                    starts.append(v)
+                    ends.append(v + 1)
+                    dirs.append(1)
+                else:
+                    starts.append(v + 1)
+                    ends.append(v)
+                    dirs.append(3)
 
-    def covered(i: int, j: int) -> bool:
-        """Return True if elementary cell (i, j) is inside the union."""
-        if i < 0 or j < 0 or i >= len(xs) - 1 or j >= len(ys) - 1:
-            return False
-        cx = (xs[i] + xs[i + 1]) / 2.0
-        cy = (ys[j] + ys[j + 1]) / 2.0
-        return any(r.xlo < cx < r.xhi and r.ylo < cy < r.yhi for r in rects)
-
-    cover = [
-        [covered(i, j) for j in range(len(ys) - 1)] for i in range(len(xs) - 1)
-    ]
-
-    segments = []
-    # Horizontal boundary segments along y = ys[j].
-    for i in range(len(xs) - 1):
-        for j in range(len(ys)):
-            above = cover[i][j] if j < len(ys) - 1 else False
-            below = cover[i][j - 1] if j > 0 else False
-            if above and not below:
-                segments.append(
-                    _Edge(Point(xs[i], ys[j]), Point(xs[i + 1], ys[j]))
-                )
-            elif below and not above:
-                segments.append(
-                    _Edge(Point(xs[i + 1], ys[j]), Point(xs[i], ys[j]))
-                )
-    # Vertical boundary segments along x = xs[i].
-    for i in range(len(xs)):
-        for j in range(len(ys) - 1):
-            right = cover[i][j] if i < len(xs) - 1 else False
-            left = cover[i - 1][j] if i > 0 else False
-            if left and not right:
-                segments.append(
-                    _Edge(Point(xs[i], ys[j]), Point(xs[i], ys[j + 1]))
-                )
-            elif right and not left:
-                segments.append(
-                    _Edge(Point(xs[i], ys[j + 1]), Point(xs[i], ys[j]))
-                )
-
-    return _stitch_loops(segments)
-
-
-def _stitch_loops(segments: list) -> list:
-    """Stitch directed segments into closed vertex loops."""
     outgoing = {}
-    for seg in segments:
-        outgoing.setdefault(seg.start, []).append(seg)
+    for seg, v in enumerate(starts):
+        outgoing.setdefault(v, []).append(seg)
+    used = [False] * len(starts)
     loops = []
-    used = set()
-    for seg in segments:
-        if id(seg) in used:
+    for first in range(len(starts)):
+        if used[first]:
             continue
-        loop = [seg.start]
-        current = seg
+        origin = starts[first]
+        walk = []
+        seg = first
         while True:
-            used.add(id(current))
-            loop.append(current.end)
-            if current.end == loop[0]:
+            used[seg] = True
+            walk.append(seg)
+            v = ends[seg]
+            if v == origin:
                 break
-            candidates = [
-                s for s in outgoing.get(current.end, []) if id(s) not in used
-            ]
-            if not candidates:
-                break
-            # At a degenerate 4-way corner prefer the sharpest left turn so
-            # distinct loops never get cross-stitched.
-            current = min(
-                candidates, key=lambda s: _turn_key(current, s)
-            )
-        loops.append(_merge_collinear(loop))
+            candidates = outgoing[v]
+            if len(candidates) > 1:
+                # At a degenerate 4-way corner prefer the sharpest left
+                # turn so distinct loops never get cross-stitched.
+                turn = dirs[seg] + 1
+                seg = min(
+                    (s for s in candidates if not used[s]),
+                    key=lambda s: (turn - dirs[s]) % 4,
+                )
+            else:
+                seg = candidates[0]
+        loop = []
+        prev = dirs[walk[-1]]
+        for seg in walk:
+            d = dirs[seg]
+            if d != prev:
+                i, j = divmod(starts[seg], h)
+                loop.append((xs[i], ys[j]))
+            prev = d
+        loops.append(loop)
     return loops
-
-
-def _turn_key(incoming: _Edge, outgoing: _Edge) -> int:
-    """Rank outgoing edges: left turn < straight < right turn."""
-    din = (_sign(incoming.end.x - incoming.start.x),
-           _sign(incoming.end.y - incoming.start.y))
-    dout = (_sign(outgoing.end.x - outgoing.start.x),
-            _sign(outgoing.end.y - outgoing.start.y))
-    cross = din[0] * dout[1] - din[1] * dout[0]
-    # cross > 0 is a left turn (interior stays left), 0 straight, < 0 right.
-    return -cross
-
-
-def _sign(v: int) -> int:
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
-
-
-def _merge_collinear(loop: list) -> list:
-    """Drop intermediate vertices on straight runs; loop is closed."""
-    if len(loop) < 3:
-        return loop
-    pts = loop[:-1]  # drop the duplicated closing vertex
-    merged = []
-    n = len(pts)
-    for k in range(n):
-        prev_pt = pts[k - 1]
-        cur = pts[k]
-        nxt = pts[(k + 1) % n]
-        collinear = (prev_pt.x == cur.x == nxt.x) or (
-            prev_pt.y == cur.y == nxt.y
-        )
-        if not collinear:
-            merged.append(cur)
-    return merged
 
 
 @dataclass
@@ -205,13 +201,11 @@ class RectilinearPolygon:
 
     This is the shape model for pins and merged metal: LEF pins supply
     overlapping rectangles; the polygon exposes the disjoint
-    decomposition, union area, bounding box, point membership and
-    boundary loops.
+    decomposition, union area, bounding box and point membership.
     """
 
     rects: list
     _merged: list = field(default=None, repr=False, compare=False)
-    _loops: list = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rects:
@@ -223,13 +217,6 @@ class RectilinearPolygon:
         if self._merged is None:
             self._merged = merge_rects(self.rects)
         return self._merged
-
-    @property
-    def loops(self) -> list:
-        """Return the boundary loops (cached)."""
-        if self._loops is None:
-            self._loops = boundary_edges(self.rects)
-        return self._loops
 
     @property
     def bbox(self) -> Rect:
@@ -246,7 +233,7 @@ class RectilinearPolygon:
     @property
     def area(self) -> int:
         """Return the union area."""
-        return sum(r.area for r in self.merged)
+        return union_area(self.rects)
 
     def contains_point(self, p: Point) -> bool:
         """Return True if ``p`` lies inside or on the union boundary."""

@@ -19,34 +19,29 @@ class GridIndex:
     by rectangle (ties broken by insertion order), which keeps every
     query deterministic.
 
-    The sort order is precomputed: inserts mark the index dirty and
-    the first query after a batch of inserts ranks all items once by
-    rectangle.  Queries then dedup + order by plain integer rank --
-    the per-query ``O(h log h)`` comparison sort over ``Rect``
-    dataclasses (field-by-field tuple comparisons, the old hot spot)
-    becomes an integer sort.  The build-then-query-heavily usage
-    pattern of DRC contexts amortizes the ranking to nothing.
+    Inserts only append.  The first query after any inserts indexes
+    everything at once: it sorts the items by rectangle (a stable sort,
+    so equal rects keep insertion order) and fills each bucket with the
+    item ranks in that order.  A window inside one bucket then scans
+    one presorted list; a window over several buckets dedups its ranks
+    and sorts them.  An index that is never queried is never bucketed.
     """
 
     def __init__(self, bucket: int = 10000):
         if bucket <= 0:
             raise ValueError("bucket size must be positive")
         self._bucket = bucket
-        self._cells = {}
         self._items = []  # (rect, payload) in insertion order
-        self._order = None  # item indices sorted by (rect, insertion)
-        self._rank = None   # inverse permutation of _order
+        self._sorted = None  # (rect, payload) by (rect, insertion)
+        self._cells = None  # bucket -> ascending ranks into _sorted
 
     def __len__(self) -> int:
         return len(self._items)
 
     def insert(self, rect: Rect, payload) -> None:
         """Index ``payload`` under ``rect``."""
-        idx = len(self._items)
         self._items.append((rect, payload))
-        self._order = None
-        for key in self._keys(rect):
-            self._cells.setdefault(key, []).append(idx)
+        self._sorted = None
 
     def query(self, window: Rect) -> list:
         """Return payloads whose rect intersects ``window`` (closed)."""
@@ -55,41 +50,52 @@ class GridIndex:
     def query_pairs(self, window: Rect) -> list:
         """Return ``(rect, payload)`` pairs intersecting ``window``."""
         tick("grid.query")
-        if self._order is None:
-            self._build_order()
-        items = self._items
-        rank = self._rank
-        seen = set()
-        ranks = []
-        for key in self._keys(window):
-            for idx in self._cells.get(key, ()):
-                if idx in seen:
-                    continue
-                seen.add(idx)
-                if items[idx][0].intersects(window):
-                    ranks.append(rank[idx])
-        ranks.sort()
-        order = self._order
-        return [items[order[r]] for r in ranks]
+        if self._sorted is None:
+            self._build()
+        items = self._sorted
+        cells = self._cells
+        b = self._bucket
+        wxlo, wylo, wxhi, wyhi = window.xlo, window.ylo, window.xhi, window.yhi
+        ix0, ix1 = wxlo // b, wxhi // b
+        iy0, iy1 = wylo // b, wyhi // b
+        if ix0 == ix1 and iy0 == iy1:
+            ranks = cells.get((ix0, iy0), ())
+        else:
+            hits = set()
+            for ix in range(ix0, ix1 + 1):
+                for iy in range(iy0, iy1 + 1):
+                    hits.update(cells.get((ix, iy), ()))
+            ranks = sorted(hits)
+        out = []
+        for r in ranks:
+            pair = items[r]
+            rect = pair[0]
+            if (
+                rect.xlo <= wxhi
+                and wxlo <= rect.xhi
+                and rect.ylo <= wyhi
+                and wylo <= rect.yhi
+            ):
+                out.append(pair)
+        return out
 
-    def _build_order(self) -> None:
-        items = self._items
-        # sorted() is stable, so equal rects keep insertion order --
-        # exactly the tie-break the old per-query pair sort produced.
-        self._order = sorted(
-            range(len(items)), key=lambda i: items[i][0]
-        )
-        rank = [0] * len(items)
-        for position, idx in enumerate(self._order):
-            rank[idx] = position
-        self._rank = rank
+    def _build(self) -> None:
+        # sorted() is stable, so equal rects keep insertion order.
+        self._sorted = items = sorted(self._items, key=_rect_order)
+        b = self._bucket
+        cells = {}
+        for rank, (rect, _) in enumerate(items):
+            for ix in range(rect.xlo // b, rect.xhi // b + 1):
+                for iy in range(rect.ylo // b, rect.yhi // b + 1):
+                    cells.setdefault((ix, iy), []).append(rank)
+        self._cells = cells
 
     def all_items(self) -> list:
         """Return every ``(rect, payload)`` pair in insertion order."""
         return list(self._items)
 
-    def _keys(self, rect: Rect):
-        b = self._bucket
-        for ix in range(rect.xlo // b, rect.xhi // b + 1):
-            for iy in range(rect.ylo // b, rect.yhi // b + 1):
-                yield (ix, iy)
+
+def _rect_order(item) -> tuple:
+    """Sort key of an item: its rect's fields, the order ``Rect`` sorts by."""
+    rect = item[0]
+    return rect.xlo, rect.ylo, rect.xhi, rect.yhi

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from repro.db.design import Design
 from repro.drc.context import ShapeContext
 from repro.drc.engine import DrcEngine
+from repro.geom.polygon import union_area
 from repro.geom.rect import Rect
 from repro.route.astar import astar_route
 from repro.route.grid import RoutingGrid
@@ -109,7 +110,7 @@ class DetailedRouter:
             layer = self.tech.layer(layer_name)
             if layer.min_area is None:
                 continue
-            area = _union_area(list(rect for _, rect in members))
+            area = union_area([rect for _, rect in members])
             if area >= layer.min_area.min_area:
                 continue
             deficit = layer.min_area.min_area - area
@@ -499,12 +500,6 @@ def _connected_components(members: list) -> list:
     for k in range(len(members)):
         buckets.setdefault(find(k), []).append(members[k])
     return list(buckets.values())
-
-
-def _union_area(rects: list) -> int:
-    from repro.geom.polygon import merge_rects
-
-    return sum(r.area for r in merge_rects(rects))
 
 
 def count_route_drcs(

@@ -92,6 +92,63 @@ class TestBadCaseArguments:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestFlagRanges:
+    """An out-of-range ``serve`` or ``render`` flag exits 2 naming the
+    flag, before the inputs are read or the daemon starts."""
+
+    @staticmethod
+    def _argv(argv, tmp_path) -> list:
+        outputs = {
+            "serve": ["--socket", str(tmp_path / "pao.sock")],
+            "render": ["--svg", str(tmp_path / "out.svg")],
+        }
+        return argv + outputs[argv[0]] + [
+            "--lef", str(tmp_path / "missing.lef"),
+            "--def", str(tmp_path / "missing.def"),
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--max-clients", "0"],
+            ["serve", "--max-clients", "-1"],
+            ["serve", "--request-timeout", "0"],
+            ["serve", "--request-timeout", "-5"],
+            ["serve", "--request-timeout", "nan"],
+            ["serve", "--request-timeout", "inf"],
+            ["serve", "--request-timeout", "1e10"],
+            ["serve", "--drain-seconds", "-1"],
+            ["serve", "--drain-seconds", "nan"],
+            ["serve", "--drain-seconds", "inf"],
+            ["serve", "--drain-seconds", "1e10"],
+            ["render", "--width", "0"],
+            ["render", "--width", "-10"],
+        ],
+        ids=" ".join,
+    )
+    def test_refused_before_any_work(self, argv, tmp_path, capsys):
+        assert main(self._argv(argv, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}: " in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--max-clients", "1", "--request-timeout", "0.5",
+             "--drain-seconds", "0"],
+            ["render", "--width", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_boundary_values_parse(self, argv, tmp_path, capsys):
+        # The flags parse; the run then stops at the missing LEF.
+        assert main(self._argv(argv, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read --lef")
+
+
 class TestAnalyze:
     def test_paaf_clean_exit(self, lefdef_pair, capsys):
         lef, deff = lefdef_pair

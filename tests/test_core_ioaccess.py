@@ -62,8 +62,16 @@ class TestIoAccess:
         for aps in access.values():
             assert len(aps) <= 8  # k=3 with group completion
 
-    def test_design_without_io_pins(self, n45):
+    def test_design_without_io_pins(self, n45, monkeypatch):
         from tests.conftest import make_simple_design
 
+        def no_context(design):
+            raise AssertionError("built a design context for no IO pins")
+
+        # No IO pin to check, so no full-design context is built.
+        monkeypatch.setattr(
+            ShapeContext, "from_design", staticmethod(no_context)
+        )
         design = make_simple_design(n45)
+        assert not design.io_pins
         assert IoPinAccess(design).run() == {}

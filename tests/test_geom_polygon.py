@@ -47,9 +47,7 @@ class TestBoundaryEdges:
         loops = boundary_edges([Rect(0, 0, 10, 20)])
         assert len(loops) == 1
         assert len(loops[0]) == 4
-        assert set(loops[0]) == {
-            Point(0, 0), Point(10, 0), Point(10, 20), Point(0, 20),
-        }
+        assert set(loops[0]) == {(0, 0), (10, 0), (10, 20), (0, 20)}
 
     def test_l_shape_six_vertices(self):
         loops = boundary_edges([Rect(0, 0, 100, 40), Rect(0, 0, 40, 100)])
@@ -61,8 +59,8 @@ class TestBoundaryEdges:
         # Shoelace: positive signed area means counterclockwise.
         pts = loops[0]
         area2 = sum(
-            pts[i].x * pts[(i + 1) % len(pts)].y
-            - pts[(i + 1) % len(pts)].x * pts[i].y
+            pts[i][0] * pts[(i + 1) % len(pts)][1]
+            - pts[(i + 1) % len(pts)][0] * pts[i][1]
             for i in range(len(pts))
         )
         assert area2 > 0

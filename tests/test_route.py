@@ -1,5 +1,6 @@
 """Unit and integration tests for the routing substrate."""
 
+import functools
 import hashlib
 import json
 
@@ -319,12 +320,11 @@ class TestIoAccessParity:
         assert len(legacy_io) < len(pao_io)
 
 
-def pao_route_digest(case_id: str) -> str:
-    """Return a sha256 over the pao flow's routed result on ``case_id``.
+@functools.lru_cache(maxsize=None)
+def pao_routed(case_id: str) -> tuple:
+    """Return ``(design, result)`` of the pao flow routed on ``case_id``.
 
-    The digest covers the route's wires, vias, failed nets and
-    unconnected-terminal count plus its sorted pin-access violations,
-    so any change of path -- not only of a summary count -- shows.
+    Cached so the route and scorer digests of one case share a routing.
     """
     name, _, scale = case_id.partition("@")
     design = build_case(name, scale=float(scale))
@@ -333,23 +333,55 @@ def pao_route_digest(case_id: str) -> str:
         pin: aps[0] for pin, aps in IoPinAccess(design).run().items() if aps
     }
     result = DetailedRouter(design).route(access, io_access=io_map)
+    return design, result
+
+
+def _box(rect) -> list:
+    return [rect.xlo, rect.ylo, rect.xhi, rect.yhi]
+
+
+def _violation_rows(violations) -> list:
+    return [
+        [v.rule, v.layer_name, _box(v.marker), list(v.objects)]
+        for v in violations
+    ]
+
+
+def _digest(payload) -> str:
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def pao_route_digest(case_id: str) -> str:
+    """Return a sha256 over the pao flow's routed result on ``case_id``.
+
+    The digest covers the route's wires, vias, failed nets and
+    unconnected-terminal count plus its sorted pin-access violations,
+    so any change of path -- not only of a summary count -- shows.
+    """
+    design, result = pao_routed(case_id)
     violations = count_route_drcs(design, result, scope="pin-access")
-
-    def box(rect):
-        return [rect.xlo, rect.ylo, rect.xhi, rect.yhi]
-
-    payload = {
-        "wires": [[net, layer, box(r)] for net, layer, r in result.wires],
+    return _digest({
+        "wires": [[net, layer, _box(r)] for net, layer, r in result.wires],
         "vias": [list(via) for via in result.vias],
         "failed_nets": result.failed_nets,
         "unconnected_terms": result.unconnected_terms,
-        "pin_access_violations": sorted(
-            [v.rule, v.layer_name, box(v.marker), list(v.objects)]
-            for v in violations
-        ),
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+        "pin_access_violations": sorted(_violation_rows(violations)),
+    })
+
+
+def score_digest(case_id: str) -> str:
+    """Return a sha256 over the scorer's output on the pao route.
+
+    Unlike :func:`pao_route_digest` it keeps the violations in the
+    order ``count_route_drcs`` returns them, in both scopes, so a
+    geometry kernel that reorders, drops or moves one marker shows.
+    """
+    design, result = pao_routed(case_id)
+    return _digest({
+        scope: _violation_rows(count_route_drcs(design, result, scope=scope))
+        for scope in ("pin-access", "full")
+    })
 
 
 #: Digests of today's pao routes.  A router speedup must leave every
@@ -367,3 +399,21 @@ ROUTE_DIGESTS = {
 @pytest.mark.parametrize("case_id", sorted(ROUTE_DIGESTS))
 def test_pao_route_digest(case_id):
     assert pao_route_digest(case_id) == ROUTE_DIGESTS[case_id]
+
+
+#: Digests of the scorer's in-order violations (both scopes) on the
+#: routes above.  A geometry kernel under the DRC engine must leave
+#: every marker, and the order the scorer reports them in, as it is.
+SCORE_DIGESTS = {
+    "ispd18_test1@0.004": (
+        "bd213bcceef747af8e0ff5bca9f216fd35cac2d3ea761c1660006edfc997415e"
+    ),
+    "ispd18_test5@0.002": (
+        "7214165deedce41f29da787ed43b01a6b687e8afee7c11418a1690c836ee825b"
+    ),
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(SCORE_DIGESTS))
+def test_score_digest(case_id):
+    assert score_digest(case_id) == SCORE_DIGESTS[case_id]
