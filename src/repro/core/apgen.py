@@ -132,15 +132,20 @@ class AccessPointGenerator:
         """Generate up to ~k valid access points for one instance pin.
 
         ``context`` is the :class:`~repro.drc.ShapeContext` the vias
-        are validated against (intra-cell context in Step 1).  Returns
-        access points in generation (cost) order.
+        are validated against (intra-cell context in Step 1); it is
+        read only in ``engine`` and ``verify`` mode and to name
+        rejections to active sinks, so it may be None otherwise.
+        Candidates come from the maximal rectangles of the instance's
+        cell-class record.  Returns access points in generation (cost)
+        order.
         """
         tables = None
         if self.akernel.mode != "engine":
             tables = self.akernel.cell_tables(inst)
         with span("step1.pin", inst=inst.name, pin=pin.name) as record:
             aps = self.generate(
-                inst.pin_rects(pin.name), (inst.name, pin.name), context,
+                inst.master.cell_class(inst.orient).pin_rects[pin.name],
+                (inst.name, pin.name), context,
                 is_macro=inst.master.is_macro, inst=inst, tables=tables,
             )
             if record is not None:
@@ -158,20 +163,40 @@ class AccessPointGenerator:
 
         Layers are visited in name order; ``(x, y)`` is deduplicated
         across them and the quota, once reached on a layer, ends the
-        pin.  ``tables`` are ``inst``'s compiled cell tables, or None
-        to validate every candidate through the engine (IO pins pass
-        neither).
+        pin.  With ``inst`` given, ``shapes`` are the instance's pin
+        rects relative to its origin and the maximal rectangles come
+        from its cell-class record; otherwise (IO pins) ``shapes`` are
+        in design coordinates.  ``tables`` are ``inst``'s compiled cell
+        tables, or None to validate every candidate through the engine
+        (IO pins pass neither).
         """
+        ox = oy = 0
+        if inst is not None:
+            cell = inst.master.cell_class(inst.orient)
+            ox, oy = inst.location.x, inst.location.y
         aps = []
         seen = set()
         for layer_name in sorted(shapes):
             layer = self.tech.layer(layer_name)
             if not layer.is_routing:
                 continue
-            polygon = RectilinearPolygon(shapes[layer_name])
+            if inst is None:
+                rects = maximal_rectangles(
+                    RectilinearPolygon(shapes[layer_name])
+                )
+            else:
+                rects = [
+                    r.translated(ox, oy)
+                    for r in cell.maximal_rectangles(net_key[1], layer_name)
+                ]
+            cut_pin = None
+            if self.config.require_cut_on_pin:
+                cut_pin = RectilinearPolygon(
+                    [r.translated(ox, oy) for r in shapes[layer_name]]
+                )
             if self._generate_on_layer(
-                layer, polygon, net_key, context, aps, seen, is_macro,
-                inst, tables,
+                layer, rects, cut_pin, net_key, context, aps, seen,
+                is_macro, inst, tables,
             ):
                 break
         return aps
@@ -179,13 +204,15 @@ class AccessPointGenerator:
     # -- internals ---------------------------------------------------------
 
     def _generate_on_layer(
-        self, layer, polygon, net_key, context, aps, seen, is_macro, inst,
-        tables,
+        self, layer, rects, cut_pin, net_key, context, aps, seen, is_macro,
+        inst, tables,
     ) -> bool:
         """Run the Algorithm 1 double loop on one layer.
 
         Crosses non-preferred type ``t1`` with preferred type ``t0`` in
-        ascending cost order over every maximal rectangle; returns True
+        ascending cost order over every maximal rectangle in ``rects``
+        (``cut_pin`` is the pin polygon under ``require_cut_on_pin``,
+        else None); returns True
         once the quota is reached, checked after each type pair.  The
         coordinate cache returns the *same* list object for equal
         (type, span, via) queries, so a repeated (pref, nonpref) list
@@ -200,7 +227,6 @@ class AccessPointGenerator:
             primary_viadef = self.tech.primary_via_from(layer.name)
         except KeyError:
             primary_viadef = None
-        cut_pin = polygon if cfg.require_cut_on_pin else None
         registry = active_registry()
         log = active_log()
         if tables is not None:
@@ -214,7 +240,6 @@ class AccessPointGenerator:
             )
             ox, oy = inst.location.x, inst.location.y
             fixed_origin, moving_origin = (oy, ox) if fixed_is_y else (ox, oy)
-        rects = maximal_rectangles(polygon)
         done_pairs = set()
         for t1 in cfg.non_preferred_types:
             for t0 in cfg.preferred_types:
@@ -415,7 +440,14 @@ class AccessPointGenerator:
                     registry, log, violations,
                 )
         planar_dirs = []
-        if stubs is not None:
+        # Without a clean via the stubs matter only where planar-only
+        # access is allowed; verify mode cross-checks them everywhere.
+        if stubs is not None and (
+            valid_vias
+            or verify
+            or is_macro
+            or not self.config.require_via_access
+        ):
             planar_dirs = [
                 d
                 for d, stub in zip(PLANAR_DIRECTIONS, stubs)

@@ -161,20 +161,6 @@ def _pair_sides_short(c_a, span_a, c_b, span_b, low_side, length) -> bool:
     return 0 < piece < length
 
 
-def _two_rect_short(a: Rect, b: Rect, length: int) -> bool:
-    """Exact min-step verdict for two openly overlapping rects."""
-    ay = (a.ylo, a.yhi)
-    by = (b.ylo, b.yhi)
-    ax = (a.xlo, a.xhi)
-    bx = (b.xlo, b.xhi)
-    return (
-        _pair_sides_short(a.xlo, ay, b.xlo, by, True, length)
-        or _pair_sides_short(a.xhi, ay, b.xhi, by, False, length)
-        or _pair_sides_short(a.ylo, ax, b.ylo, bx, True, length)
-        or _pair_sides_short(a.yhi, ax, b.yhi, bx, False, length)
-    )
-
-
 class MinStepTable:
     """Min-step evaluator for one (pin, via) on the via's bottom layer.
 
@@ -236,11 +222,38 @@ class MinStepTable:
         length = self.length
         if not touching:
             return exhi - exlo < length or eyhi - eylo < length
-        enc = Rect(exlo, eylo, exhi, eyhi)
-        contained = any(
-            self.own[i].contains_rect(enc) for i in touching
-        )
-        if contained:
+        bounds = self._bounds
+        if len(touching) == 1:
+            # The dominant case: one pin rect.  Inside it, the
+            # enclosure adds nothing to the union; overlapping it
+            # openly, the two rects' four side pairs decide.
+            oxlo, oylo, oxhi, oyhi = bounds[touching[0]]
+            inside = (
+                oxlo <= exlo and oylo <= eylo
+                and exhi <= oxhi and eyhi <= oyhi
+            )
+            if not inside and (
+                exlo < oxhi and oxlo < exhi and eylo < oyhi and oylo < eyhi
+            ):
+                ey = (eylo, eyhi)
+                oy = (oylo, oyhi)
+                ex = (exlo, exhi)
+                ox = (oxlo, oxhi)
+                return (
+                    _pair_sides_short(exlo, ey, oxlo, oy, True, length)
+                    or _pair_sides_short(exhi, ey, oxhi, oy, False, length)
+                    or _pair_sides_short(eylo, ex, oylo, ox, True, length)
+                    or _pair_sides_short(eyhi, ex, oyhi, ox, False, length)
+                )
+        else:
+            inside = any(
+                bounds[i][0] <= exlo
+                and bounds[i][1] <= eylo
+                and exhi <= bounds[i][2]
+                and eyhi <= bounds[i][3]
+                for i in touching
+            )
+        if inside:
             # The enclosure adds nothing to the union; the verdict
             # depends only on which own rects participate.
             key = tuple(touching)
@@ -251,12 +264,10 @@ class MinStepTable:
                 )
                 self._subsets[key] = verdict
             return verdict
-        if len(touching) == 1:
-            other = self.own[touching[0]]
-            if enc.overlaps(other):
-                return _two_rect_short(enc, other, length)
         return _union_any_short(
-            [enc] + [self.own[i] for i in touching], length
+            [Rect(exlo, eylo, exhi, eyhi)]
+            + [self.own[i] for i in touching],
+            length,
         )
 
 
@@ -278,14 +289,16 @@ class CellShapes:
     __slots__ = ("tech", "by_layer", "memo", "_vias")
 
     def __init__(self, tech, inst, memo: dict = None):
-        ox, oy = inst.location.x, inst.location.y
+        cell = inst.master.cell_class(inst.orient)
         shapes = [
-            (layer_name, rect.translated(-ox, -oy), pin.name)
-            for pin, layer_name, rect in inst.all_pin_shapes()
+            (layer_name, rect, pin.name)
+            for pin in cell.pins
+            for layer_name, rects in cell.pin_rects[pin.name].items()
+            for rect in rects
         ]
         shapes.extend(
-            (layer_name, rect.translated(-ox, -oy), None)
-            for layer_name, rect in inst.obstruction_rects()
+            (layer_name, rect, None)
+            for layer_name, rect in cell.obstructions
         )
         self.tech = tech
         self.by_layer = shapes_by_layer(shapes)
@@ -348,14 +361,13 @@ def build_cell_tables(tech, inst, cell: CellShapes = None) -> CellTables:
     """
     if cell is None:
         cell = CellShapes(tech, inst)
-    ox, oy = inst.location.x, inst.location.y
+    pin_rects = inst.master.cell_class(inst.orient).pin_rects
     stub_memo = {}
     site = {}
     minstep = {}
     planar = {}
     for pin in inst.master.signal_pins():
-        rects_by_layer = inst.pin_rects(pin.name)
-        for layer_name in rects_by_layer:
+        for layer_name, own in pin_rects[pin.name].items():
             layer = tech.layer(layer_name)
             if not layer.is_routing:
                 continue
@@ -370,9 +382,6 @@ def build_cell_tables(tech, inst, cell: CellShapes = None) -> CellTables:
             planar[(pin.name, layer_name)] = tuple(
                 assemble(groups, (), pin.name) for groups in stubs
             )
-            own = [
-                r.translated(-ox, -oy) for r in rects_by_layer[layer_name]
-            ]
             for via in tech.vias_from(layer_name):
                 metal, cut = cell.via_entries(via)
                 site[(pin.name, via.name)] = assemble(metal, cut, pin.name)

@@ -42,13 +42,11 @@ class SelectedAccess:
     overrides: dict = field(default_factory=dict)
     # ``(signature, ordinal)``: the pattern named by value, as the
     # ``ordinal``-th pattern of the unique instance with that
-    # signature.  Step 3's boundary verdicts are keyed by it; a
-    # selection without one is rescanned on every check.
+    # signature.  Step 3's boundary verdicts and boundary via records
+    # are keyed by it; a selection without one is rescanned on every
+    # check.
     key: tuple = field(default=None, repr=False, compare=False)
     unique_access: object = field(default=None, repr=False, compare=False)
-    _boundary_cache: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def access_points(self) -> dict:
         """Return pin name -> translated access point.
@@ -74,39 +72,47 @@ class SelectedAccess:
             return override
         return self.pattern.aps[pin_name].translated(self.dx, self.dy)
 
-    def boundary_aps(self, window: int = None) -> list:
-        """Return the (pin name, translated AP) of the boundary pins.
 
-        By default these are the first and last pins of the pattern's
-        pin order (the paper's boundary pins).  With ``window`` set,
-        any pin whose access point lies within ``window`` DBU of the
-        instance's left or right edge is included too -- this is the
-        robust superset needed when the alpha-weighted pin order does
-        not end on the geometrically extreme pins.
-        """
-        if self.pattern is None or not self.pattern.aps:
-            return []
-        # The Step 3 DP prices each candidate against every neighbor
-        # candidate, re-asking for the same boundary set; memoize while
-        # no repair override is in play (overrides mutate in place, so
-        # a cached translation would go stale).
-        cacheable = not self.overrides
-        if cacheable:
-            cached = self._boundary_cache.get(window)
-            if cached is not None:
-                return cached
-        names = list(self.pattern.aps)
-        boundary = {names[0], names[-1]}
-        if window is not None:
-            bbox = self.inst.bbox
-            for pin_name in self.pattern.aps:
-                x = self.ap_of(pin_name).x
-                if x - bbox.xlo <= window or bbox.xhi - x <= window:
-                    boundary.add(pin_name)
-        out = [(pin_name, self.ap_of(pin_name)) for pin_name in boundary]
-        if cacheable:
-            self._boundary_cache[window] = out
-        return out
+def boundary_records(sel: SelectedAccess, window: int) -> tuple:
+    """Return ``sel``'s boundary up-vias as ``(pin, via, x, y)`` records.
+
+    ``(x, y)`` is the access point relative to the instance's origin
+    and ``via`` its primary via; pins without via access are left out.
+    The boundary pins are the first and last pins of the pattern's pin
+    order (the paper's boundary pins), plus any pin whose access point
+    lies within ``window`` DBU of the instance's left or right edge --
+    the robust superset needed when the alpha-weighted pin order does
+    not end on the geometrically extreme pins.  Repair overrides (in
+    design coordinates) replace the pattern's points.
+    """
+    pattern = sel.pattern
+    if pattern is None or not pattern.aps:
+        return ()
+    inst = sel.inst
+    loc = inst.location
+    tx, ty = sel.dx - loc.x, sel.dy - loc.y
+    overrides = sel.overrides
+    points = {}
+    for pin_name, ap in pattern.aps.items():
+        override = overrides.get(pin_name)
+        if override is None:
+            points[pin_name] = (ap, ap.x + tx, ap.y + ty)
+        else:
+            points[pin_name] = (
+                override, override.x - loc.x, override.y - loc.y
+            )
+    names = list(pattern.aps)
+    boundary = {names[0], names[-1]}
+    width = inst.master.cell_class(inst.orient).width
+    for pin_name, (_, x, _) in points.items():
+        if x <= window or width - x <= window:
+            boundary.add(pin_name)
+    records = []
+    for pin_name in boundary:
+        ap, x, y = points[pin_name]
+        if ap.has_via_access:
+            records.append((pin_name, ap.valid_vias[0], x, y))
+    return tuple(records)
 
 
 @dataclass
@@ -165,6 +171,12 @@ class ClusterPatternSelector:
     neighbor's shapes from ``akernel`` (an
     :class:`~repro.core.arraykernel.ArrayKernel`).
 
+    ``boundary_records`` holds each pattern's :func:`boundary_records`
+    once per :attr:`SelectedAccess.key`, relative to the instance
+    origin, so a check adds the two origins and builds no translated
+    access point; like ``verdicts``, a framework passes its one table
+    to every selector it makes.
+
     ``verdicts`` memoises the boundary scan of two neighbors, keyed by
     value: ``(left key, right key, dx, dy)``, the two selections'
     :attr:`SelectedAccess.key` and the displacement between the two
@@ -188,6 +200,7 @@ class ClusterPatternSelector:
         akernel: ArrayKernel,
         window: int,
         verdicts: dict,
+        boundary_records: dict,
     ):
         self.design = design
         self.tech = design.tech
@@ -198,6 +211,7 @@ class ClusterPatternSelector:
         # holds for the current placement only: one per selector.
         self._via_vs_inst_cache = {}
         self._verdicts = verdicts
+        self._records = boundary_records
         self._boundary_window = window
 
     def select(
@@ -420,6 +434,10 @@ class ClusterPatternSelector:
         each other, and each boundary up-via against the *static*
         shapes (pins, obstructions) of the neighboring instance.
         """
+        lloc = left.inst.location
+        rloc = right.inst.location
+        lox, loy = lloc.x, lloc.y
+        rox, roy = rloc.x, rloc.y
         rel_key = None
         if (
             not left.overrides
@@ -434,11 +452,7 @@ class ClusterPatternSelector:
             # so the pin-pair verdicts transfer.  Repair overrides
             # mutate a selection in place, so a side carrying any is
             # rescanned.
-            lloc = left.inst.location
-            rloc = right.inst.location
-            rel_key = (
-                left.key, right.key, rloc.x - lloc.x, rloc.y - lloc.y
-            )
+            rel_key = (left.key, right.key, rox - lox, roy - loy)
             hit = self._verdicts.get(rel_key)
             if hit is not None:
                 lname = left.inst.name
@@ -447,15 +461,19 @@ class ClusterPatternSelector:
                     (lname, pin_a, rname, pin_b) for pin_a, pin_b in hit
                 ]
         conflicts = []
-        left_aps = self._boundary_via_aps(left)
-        right_aps = self._boundary_via_aps(right)
+        left_vias = self._boundary_records(left)
+        right_vias = self._boundary_records(right)
         lname = left.inst.name
         rname = right.inst.name
         kernel = self.kernel
         tables = kernel.tables if kernel.mode == "kernel" else None
         pair_clean = kernel.pair_clean
-        for pin_a, _ap_a, via_a, ax, ay in left_aps:
-            for pin_b, _ap_b, via_b, bx, by in right_aps:
+        # Records are origin-relative: the right side's points sit at
+        # (x + shift_x, y + shift_y) in the left instance's frame.
+        shift_x = rox - lox
+        shift_y = roy - loy
+        for pin_a, via_a, ax, ay in left_vias:
+            for pin_b, via_b, bx, by in right_vias:
                 if tables is not None:
                     # Inlined kernel-mode fast path: the dict hit (or
                     # a first-use build) plus the table probe is the
@@ -463,16 +481,22 @@ class ClusterPatternSelector:
                     table = tables.get((via_a, via_b, False))
                     if table is None:
                         table = kernel.table(via_a, via_b, False)
-                    clean = table.clean(bx - ax, by - ay)
+                    clean = table.clean(bx + shift_x - ax, by + shift_y - ay)
                 else:
-                    clean = pair_clean(via_a, ax, ay, via_b, bx, by)
+                    clean = pair_clean(
+                        via_a, ax + lox, ay + loy, via_b, bx + rox, by + roy
+                    )
                 if not clean:
                     conflicts.append((lname, pin_a, rname, pin_b))
-        for pin_a, ap_a, _via, _ax, _ay in left_aps:
-            if not self._via_vs_instance_clean(ap_a, right.inst):
+        for pin_a, via_a, ax, ay in left_vias:
+            if not self._via_vs_instance_clean(
+                via_a, ax + lox, ay + loy, right.inst
+            ):
                 conflicts.append((lname, pin_a, rname, "<shapes>"))
-        for pin_b, ap_b, _via, _bx, _by in right_aps:
-            if not self._via_vs_instance_clean(ap_b, left.inst):
+        for pin_b, via_b, bx, by in right_vias:
+            if not self._via_vs_instance_clean(
+                via_b, bx + rox, by + roy, left.inst
+            ):
                 conflicts.append((lname, "<shapes>", rname, pin_b))
         if rel_key is not None:
             # A tuple: the entry is shared by every later pass.
@@ -481,32 +505,37 @@ class ClusterPatternSelector:
             )
         return conflicts
 
-    def _boundary_via_aps(self, sel: SelectedAccess) -> list:
-        """Boundary APs with via access, unpacked for the conflict scan.
+    def _boundary_records(self, sel: SelectedAccess) -> tuple:
+        """Return :func:`boundary_records` of ``sel``, held per key.
 
-        Entries are ``(pin, ap, primary_via, x, y)``.
+        A selection carrying repair overrides, or no key, is computed
+        afresh on every call.
         """
-        return [
-            (pin, ap, ap.valid_vias[0], ap.x, ap.y)
-            for pin, ap in sel.boundary_aps(self._boundary_window)
-            if ap.has_via_access
-        ]
+        key = sel.key
+        if key is None or sel.overrides:
+            return boundary_records(sel, self._boundary_window)
+        records = self._records.get(key)
+        if records is None:
+            records = self._records[key] = boundary_records(
+                sel, self._boundary_window
+            )
+        return records
 
-    def _via_vs_instance_clean(self, ap, neighbor_inst) -> bool:
-        """Check an up-via against a neighboring instance's shapes.
+    def _via_vs_instance_clean(self, via_name, x, y, neighbor_inst) -> bool:
+        """Check an up-via at ``(x, y)`` against a neighbor's shapes.
 
         The array kernel answers in its configured mode: a compiled
         table lookup keyed by the via's displacement from the
         neighbor's origin, a DRC engine probe, or both cross-checked.
         """
-        key = (ap.primary_via, ap.x, ap.y, neighbor_inst.name)
+        key = (via_name, x, y, neighbor_inst.name)
         cached = self._via_vs_inst_cache.get(key)
         if cached is not None:
             tick("cluster.via_vs_inst_cache.hit")
             return cached
         tick("cluster.via_vs_inst_cache.miss")
         clean = self.akernel.via_vs_instance_clean(
-            ap.primary_via, ap.x, ap.y, neighbor_inst
+            via_name, x, y, neighbor_inst
         )
         self._via_vs_inst_cache[key] = clean
         return clean

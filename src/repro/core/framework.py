@@ -29,11 +29,18 @@ from repro.drc.engine import DrcEngine
 
 @dataclass
 class UniqueInstanceAccess:
-    """Step 1 + Step 2 output for one unique instance."""
+    """Step 1 + Step 2 output for one unique instance.
+
+    ``wire`` holds each pin's access points rendered for the wire
+    protocol, filled on a pin's first query
+    (:func:`repro.serve.protocol.render_answer`): the fields are the
+    same for every member, which only offsets ``x`` and ``y``.
+    """
 
     unique_instance: UniqueInstance
     aps_by_pin: dict = field(default_factory=dict)
     patterns: list = field(default_factory=list)
+    wire: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def total_aps(self) -> int:
@@ -257,6 +264,10 @@ class PinAccessFramework:
         # placement, so a move re-checks only pairs never seen before.
         # It is bounded by pattern pairs times adjacent displacements.
         self.verdicts = {}
+        # Beside it, each pattern's boundary up-vias relative to its
+        # instance's origin, once per (signature, ordinal): a check
+        # adds the two origins and builds no translated access point.
+        self.boundary_records = {}
         # The boundary window is a constant of the technology, and a
         # walk over every via: computed once here, not once per pass.
         self.boundary_window = interaction_window(design.tech)
@@ -399,7 +410,9 @@ class PinAccessFramework:
         has no pattern is selected with ``pattern`` None.  Each pass
         builds its own selector, whose via-vs-instance memo dies with
         the placement it was computed for; the boundary verdicts, keyed
-        by value, live in :attr:`verdicts` for the framework's lifetime.
+        by value, live in :attr:`verdicts` for the framework's lifetime,
+        and each pattern's boundary via records in
+        :attr:`boundary_records`.
         """
         candidates_by_inst = {}
         for cluster in clusters:
@@ -431,6 +444,7 @@ class PinAccessFramework:
             akernel=self.akernel,
             verdicts=self.verdicts,
             window=self.boundary_window,
+            boundary_records=self.boundary_records,
         )
         return selector.select(clusters, candidates_by_inst, alternatives_fn)
 

@@ -19,8 +19,10 @@ references is mutated after the Step 3 pass that made it.**  A pass
 builds a fresh ``SelectedAccess`` for each instance it selects and
 sets its repair overrides before it returns; Step 1/2 results are
 never edited, nor is an access point's via or direction list once the
-point is built.  So a held snapshot keeps its answers however many
-moves follow, and no answer can tear.
+point is built (a unique access's ``wire`` memo fills on a pin's first
+wire answer, with the same value whichever reader fills it).  So a
+held snapshot keeps its answers however many moves follow, and no
+answer can tear.
 
 The published snapshot is the oracle's only selection state.  The
 paper motivates Step 3's speed with the placement loop (Sec. IV,
@@ -200,12 +202,7 @@ class Snapshot:
         objects with the snapshot (a repair override, and the via and
         direction lists of every access point).
         """
-        pins = self.pins_by_inst.get(instance_name)
-        if pins is None:
-            raise UnknownInstanceError(instance_name)
-        if pin_name not in pins:
-            raise UnknownPinError(instance_name, pin_name)
-        selected = self.selection[instance_name]
+        selected = self.selection_for(instance_name, pin_name)
         dx, dy = selected.dx, selected.dy
         return PinAccessAnswer(
             instance_name,
@@ -216,6 +213,20 @@ class Snapshot:
                 for ap in selected.unique_access.aps_by_pin.get(pin_name, ())
             ],
         )
+
+    def selection_for(self, instance_name: str, pin_name: str):
+        """Return the instance's Step 3 selection, checking the pin.
+
+        Raises as :meth:`query` does.  The selection's unique access
+        holds the pin's points in its own coordinates and ``(dx, dy)``
+        maps them onto the instance.
+        """
+        pins = self.pins_by_inst.get(instance_name)
+        if pins is None:
+            raise UnknownInstanceError(instance_name)
+        if pin_name not in pins:
+            raise UnknownPinError(instance_name, pin_name)
+        return self.selection[instance_name]
 
     def selected_point(self, instance_name: str, pin_name: str):
         """Return the pin's Step 3 access point in design space, or None."""

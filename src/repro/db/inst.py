@@ -15,7 +15,10 @@ class Instance:
     """A placed component.
 
     ``location`` is the DEF placement point (lower-left of the placed
-    bounding box); ``orient`` the DEF orientation.
+    bounding box); ``orient`` the DEF orientation.  The geometry views
+    translate the master's :class:`~repro.db.master.CellClass` record
+    of ``orient`` by ``location``; :attr:`transform` computes the same
+    shapes from the master directly.
     """
 
     name: str
@@ -36,33 +39,40 @@ class Instance:
     @property
     def bbox(self) -> Rect:
         """Return the placed bounding box in design coordinates."""
-        return self.transform.bbox()
+        cell = self.master.cell_class(self.orient)
+        x, y = self.location.x, self.location.y
+        return Rect(x, y, x + cell.width, y + cell.height)
 
     def pin_rects(self, pin_name: str) -> dict:
         """Return design-space pin rects, keyed by layer name."""
-        xf = self.transform
-        pin = self.master.pin(pin_name)
+        rects_by_layer = self.master.cell_class(self.orient).pin_rects.get(
+            pin_name
+        )
+        if rects_by_layer is None:
+            self.master.pin(pin_name)  # raises the KeyError naming it
+        x, y = self.location.x, self.location.y
         return {
-            layer: [xf.apply_rect(r) for r in rects]
-            for layer, rects in pin.shapes.items()
+            layer: [r.translated(x, y) for r in rects]
+            for layer, rects in rects_by_layer.items()
         }
 
     def all_pin_shapes(self) -> list:
         """Return (pin, layer_name, design-space rect) for all pins."""
-        xf = self.transform
-        out = []
-        for pin in self.master.pins:
-            for layer, rects in pin.shapes.items():
-                for r in rects:
-                    out.append((pin, layer, xf.apply_rect(r)))
-        return out
+        x, y = self.location.x, self.location.y
+        cell = self.master.cell_class(self.orient)
+        return [
+            (pin, layer, r.translated(x, y))
+            for pin in cell.pins
+            for layer, rects in cell.pin_rects[pin.name].items()
+            for r in rects
+        ]
 
     def obstruction_rects(self) -> list:
         """Return (layer_name, design-space rect) for all obstructions."""
-        xf = self.transform
+        x, y = self.location.x, self.location.y
         return [
-            (obs.layer_name, xf.apply_rect(obs.rect))
-            for obs in self.master.obstructions
+            (layer, r.translated(x, y))
+            for layer, r in self.master.cell_class(self.orient).obstructions
         ]
 
     def __str__(self) -> str:

@@ -23,14 +23,17 @@ class ShapeContext:
         """Index ``rect`` on ``layer_name`` under ``net_key``."""
         if layer_name not in self._layers:
             self._layers[layer_name] = GridIndex(bucket=self._bucket)
-        self._layers[layer_name].insert(rect, (rect, net_key))
+        self._layers[layer_name].insert(rect, net_key)
 
     def query(self, layer_name: str, window: Rect) -> list:
-        """Return ``(rect, net_key)`` pairs intersecting ``window``."""
+        """Return ``(rect, net_key)`` pairs intersecting ``window``.
+
+        The list is the index's own answer: read it, do not edit it.
+        """
         index = self._layers.get(layer_name)
         if index is None:
             return []
-        return index.query(window)
+        return index.query_pairs(window)
 
     def layers(self) -> list:
         """Return layer names with at least one shape."""

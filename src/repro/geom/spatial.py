@@ -43,12 +43,11 @@ class GridIndex:
         self._items.append((rect, payload))
         self._sorted = None
 
-    def query(self, window: Rect) -> list:
-        """Return payloads whose rect intersects ``window`` (closed)."""
-        return [payload for _, payload in self.query_pairs(window)]
-
     def query_pairs(self, window: Rect) -> list:
-        """Return ``(rect, payload)`` pairs intersecting ``window``."""
+        """Return ``(rect, payload)`` pairs intersecting ``window`` (closed).
+
+        The list is new on every call; its pairs are the index's own.
+        """
         tick("grid.query")
         if self._sorted is None:
             self._build()

@@ -189,7 +189,7 @@ class _DefParser:
         yhi = self._next_int()
         self._expect(")")
         self._expect(";")
-        return Rect(xlo, ylo, xhi, yhi)
+        return _rect(xlo, ylo, xhi, yhi, "DIEAREA")
 
     def _parse_row(self) -> Row:
         self._expect("ROW")
@@ -231,13 +231,16 @@ class _DefParser:
             if axis == "Y"
             else RoutingDirection.VERTICAL
         )
-        return TrackPattern(
-            layer_name=layer_name,
-            direction=direction,
-            start=start,
-            step=step,
-            count=count,
-        )
+        try:
+            return TrackPattern(
+                layer_name=layer_name,
+                direction=direction,
+                start=start,
+                step=step,
+                count=count,
+            )
+        except ValueError as exc:  # a step or count below 1
+            raise DefParseError(f"TRACKS on {layer_name}: {exc}") from None
 
     def _parse_components(self) -> list:
         self._expect("COMPONENTS")
@@ -293,7 +296,7 @@ class _DefParser:
                     xhi = self._next_int()
                     yhi = self._next_int()
                     self._expect(")")
-                    rect = Rect(xlo, ylo, xhi, yhi)
+                    rect = _rect(xlo, ylo, xhi, yhi, f"IO pin {name}")
                 elif token == "PLACED":
                     self._expect("(")
                     self._next()
@@ -334,6 +337,14 @@ class _DefParser:
         self._expect("END")
         self._expect("NETS")
         return out
+
+
+def _rect(xlo: int, ylo: int, xhi: int, yhi: int, owner: str) -> Rect:
+    """Return the rect, or raise :class:`DefParseError` naming ``owner``."""
+    try:
+        return Rect(xlo, ylo, xhi, yhi)
+    except ValueError as exc:
+        raise DefParseError(f"{owner}: {exc}") from None
 
 
 def _tokenize(text: str) -> list:

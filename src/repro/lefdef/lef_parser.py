@@ -254,7 +254,10 @@ class _LefParser:
                 self._next()
                 done = True
             width_rows.append((width, spacings))
-        return SpacingTable(prl_values=prl_values, width_rows=width_rows)
+        try:
+            return SpacingTable(prl_values=prl_values, width_rows=width_rows)
+        except ValueError as exc:
+            raise LefParseError(str(exc)) from None
 
     def _parse_via(self) -> None:
         self._expect("VIA")
@@ -269,7 +272,7 @@ class _LefParser:
                 current_layer = self._next()
                 self._expect(";")
             elif token == "RECT":
-                rect = self._parse_rect_um()
+                rect = self._parse_rect_um(current_layer, f"via {name}")
                 shapes.append((current_layer, rect))
             else:
                 self._skip_statement()
@@ -277,8 +280,8 @@ class _LefParser:
         self._expect(name)
         if len(shapes) != 3:
             raise LefParseError(f"via {name} must have exactly 3 shapes")
-        self._pending_vias.append(
-            ViaDef(
+        try:
+            via = ViaDef(
                 name=name,
                 bottom_layer=shapes[0][0],
                 cut_layer=shapes[1][0],
@@ -287,15 +290,25 @@ class _LefParser:
                 cut=shapes[1][1],
                 top_enc=shapes[2][1],
             )
-        )
+        except ValueError as exc:  # an enclosure that misses the cut
+            raise LefParseError(str(exc)) from None
+        self._pending_vias.append(via)
 
-    def _parse_rect_um(self) -> Rect:
+    def _parse_rect_um(self, layer: str, owner: str) -> Rect:
+        """Read a ``RECT`` statement's body; ``layer`` is the current
+        ``LAYER``, which must have been given (``owner`` names the
+        block in the message)."""
+        if layer is None:
+            raise LefParseError(f"{owner}: RECT before any LAYER")
         xlo = self._next_dbu()
         ylo = self._next_dbu()
         xhi = self._next_dbu()
         yhi = self._next_dbu()
         self._expect(";")
-        return Rect(xlo, ylo, xhi, yhi)
+        try:
+            return Rect(xlo, ylo, xhi, yhi)
+        except ValueError as exc:
+            raise LefParseError(f"{owner}: {exc}") from None
 
     def _parse_macro(self) -> None:
         self._expect("MACRO")
@@ -348,7 +361,10 @@ class _LefParser:
                         current_layer = self._next()
                         self._expect(";")
                     elif inner == "RECT":
-                        pin.add_shape(current_layer, self._parse_rect_um())
+                        pin.add_shape(
+                            current_layer,
+                            self._parse_rect_um(current_layer, f"pin {name}"),
+                        )
                     else:
                         self._skip_statement()
                 self._expect("END")
@@ -364,7 +380,9 @@ class _LefParser:
                 current_layer = self._next()
                 self._expect(";")
             elif token == "RECT":
-                rect = self._parse_rect_um()
+                rect = self._parse_rect_um(
+                    current_layer, f"OBS of {master.name}"
+                )
                 master.add_obstruction(
                     Obstruction(layer_name=current_layer, rect=rect)
                 )

@@ -21,6 +21,8 @@ import time
 from repro.core.apgen import AccessPointGenerator
 from repro.core.patterngen import AccessPatternGenerator
 from repro.drc.context import ShapeContext
+from repro.obs.events import active_log
+from repro.obs.metrics import active_registry
 from repro.obs.trace import span
 
 
@@ -28,9 +30,18 @@ def step1_unique(design, config, engine, akernel, rep) -> dict:
     """Step 1 for one unique instance: pin name -> access points.
 
     Generates the access points of every signal pin of the
-    representative ``rep`` against its intra-cell context.
+    representative ``rep`` against its intra-cell context.  The
+    context is built only when something reads it: the engine in
+    ``engine`` and ``verify`` mode, or an active sink the engine names
+    rejections to; the compiled tables alone never do.
     """
-    context = ShapeContext.from_instance(rep)
+    context = None
+    if (
+        akernel.mode != "array"
+        or active_registry() is not None
+        or active_log() is not None
+    ):
+        context = ShapeContext.from_instance(rep)
     generator = AccessPointGenerator(design, engine, config, akernel=akernel)
     return {
         pin.name: generator.generate_for_pin(rep, pin, context)

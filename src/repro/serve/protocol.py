@@ -465,6 +465,60 @@ def ap_to_wire(ap) -> Optional[dict]:
     }
 
 
+def render_answer(snap, instance_name: str, pin_name: str) -> dict:
+    """Render one pin's answer from a published snapshot.
+
+    Equal to ``answer_to_wire(snap.query(instance_name, pin_name),
+    snap.generation)``, and raises as ``snap.query`` does, but builds
+    no translated access point: each point of the selection's unique
+    access is rendered once, held on the unique access, and copied
+    with ``x``/``y`` offset by the selection's ``(dx, dy)``.  A repair
+    override is already in design coordinates.  The answer shares its
+    ``vias`` and ``planar`` lists with that rendering: encode it, do
+    not edit it.
+    """
+    selected = snap.selection_for(instance_name, pin_name)
+    dx, dy = selected.dx, selected.dy
+    ua = selected.unique_access
+    rendered = ua.wire.get(pin_name)
+    if rendered is None:
+        aps = ua.aps_by_pin.get(pin_name, ())
+        rendered = ua.wire[pin_name] = (
+            aps, [ap_to_wire(ap) for ap in aps]
+        )
+    aps, points = rendered
+    alternatives = [_offset(point, dx, dy) for point in points]
+    chosen = None
+    if selected.pattern is not None:
+        override = selected.overrides.get(pin_name)
+        ap = selected.pattern.aps.get(pin_name)
+        if override is not None:
+            chosen = ap_to_wire(override)
+        elif ap is not None:
+            for held, point in zip(aps, points):
+                if held is ap:
+                    chosen = _offset(point, dx, dy)
+                    break
+            else:
+                chosen = ap_to_wire(ap.translated(dx, dy))
+    return {
+        "instance": instance_name,
+        "pin": pin_name,
+        "generation": snap.generation,
+        "accessible": chosen is not None or bool(alternatives),
+        "selected": chosen,
+        "alternatives": alternatives,
+    }
+
+
+def _offset(point: dict, dx: int, dy: int) -> dict:
+    """Return a copy of a rendered point moved by ``(dx, dy)``."""
+    moved = dict(point)
+    moved["x"] += dx
+    moved["y"] += dy
+    return moved
+
+
 def ap_from_wire(wire: Optional[dict]):
     """Reconstruct an :class:`~repro.core.apgen.AccessPoint` from the wire.
 

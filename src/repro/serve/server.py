@@ -68,9 +68,9 @@ from repro.serve.protocol import (
     E_UNKNOWN_PIN,
     FrameError,
     ProtocolError,
-    answer_to_wire,
     error_envelope,
     ok_envelope,
+    render_answer,
 )
 
 
@@ -433,11 +433,11 @@ class OracleServer:
 
     def _op_query(self, request) -> dict:
         name, oracle = self._session_for(request.design)
-        snap = oracle.snapshot
-        answer = snap.query(request.instance, request.pin)
         return {
             "design": name,
-            "answer": answer_to_wire(answer, snap.generation),
+            "answer": render_answer(
+                oracle.snapshot, request.instance, request.pin
+            ),
         }
 
     def _op_query_batch(self, request) -> dict:
@@ -447,8 +447,7 @@ class OracleServer:
             "design": name,
             "generation": snap.generation,
             "answers": [
-                answer_to_wire(snap.query(inst, pin), snap.generation)
-                for inst, pin in request.pins
+                render_answer(snap, inst, pin) for inst, pin in request.pins
             ],
         }
 

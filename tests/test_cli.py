@@ -453,6 +453,79 @@ class TestAnalyzeErrors:
         err = capsys.readouterr().err
         assert err == f"error: {bad}: expected an orientation, got 'Q'\n"
 
+    @pytest.mark.parametrize(
+        "suffix, pattern, edit, message",
+        [
+            (
+                ".def",
+                r"^(TRACKS \S+ -?\d+ DO \d+ STEP )\d+( LAYER (\S+) ;)$",
+                r"\g<1>0\2",
+                r"TRACKS on \3: track step must be positive",
+            ),
+            (
+                ".def",
+                r"^(TRACKS \S+ -?\d+ DO )\d+( STEP \d+ LAYER (\S+) ;)$",
+                r"\g<1>0\2",
+                r"TRACKS on \3: track count must be positive",
+            ),
+            (
+                ".lef",
+                r"^(  PIN (\S+)\n.*?^ +RECT \S+ \S+ \S+ )\S+( ;)$",
+                r"\1-5\3",
+                r"pin \2: malformed rect",
+            ),
+            (
+                ".lef",
+                r"^(VIA (\S+) DEFAULT\n +LAYER \S+ ;\n +RECT \S+ \S+ \S+ )"
+                r"\S+( ;)$",
+                r"\g<1>0\3",
+                r"via \2: bottom enclosure must contain the cut",
+            ),
+            (
+                ".lef",
+                r"^( +PARALLELRUNLENGTH [^\n]*\n)",
+                r"\1\1",
+                r"spacing table must have at least one row/column",
+            ),
+            (
+                ".lef",
+                r"^(  PIN (\S+)\n.*?)^( +PORT\n)",
+                r"\1\3\3",
+                r"pin \2: RECT before any LAYER",
+            ),
+        ],
+        ids=[
+            "track-step-0",
+            "track-count-0",
+            "inverted-pin-rect",
+            "via-cut-outside-enclosure",
+            "duplicate-prl-line",
+            "duplicate-port-line",
+        ],
+    )
+    def test_hostile_value(
+        self, lefdef_pair, tmp_path, capsys, suffix, pattern, edit, message
+    ):
+        """A value the database refuses, or a RECT with no LAYER, is a
+        parse error naming the block: exit 2, no traceback."""
+        lef, deff = lefdef_pair
+        good = lef if suffix == ".lef" else deff
+        text = good.read_text()
+        match = re.search(pattern, text, re.M | re.S)
+        assert match
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_text(
+            text[: match.start()] + match.expand(edit) + text[match.end():]
+        )
+        inputs = (bad, deff) if suffix == ".lef" else (lef, bad)
+        code = main(
+            ["analyze", "--lef", str(inputs[0]), "--def", str(inputs[1])]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {match.expand(message)}")
+        assert err.count("\n") == 1
+
     def test_unknown_paircheck_mode(self, lefdef_pair, capsys):
         lef, deff = lefdef_pair
         code = main(

@@ -157,3 +157,33 @@ class TestGeneration:
             assert not engine.check_via_placement(
                 via, ap.x, ap.y, (inst.name, "Z"), ctx
             )
+
+
+class TestPlanarOnlyAccess:
+    def test_macro_planar_only_points_array_equals_engine(self):
+        """Macro pins accept planar-only points; the array backend, which
+        probes planar stubs only where they can change the answer, must
+        still find every one the engine backend does."""
+        from repro.bench.pinzoo import build_pinzoo
+        from repro.core import PinAccessFramework
+
+        design = build_pinzoo("pinzoo_sram", 1.0)
+        results = {
+            mode: PinAccessFramework(
+                design, PaafConfig(apcheck_mode=mode)
+            ).run(use_cache=False)
+            for mode in ("array", "engine")
+        }
+        points = {
+            mode: [
+                (pin, ap.x, ap.y, ap.valid_vias, ap.planar_dirs)
+                for ua in result.unique_accesses
+                for pin, aps in ua.aps_by_pin.items()
+                for ap in aps
+            ]
+            for mode, result in results.items()
+        }
+        assert points["array"] == points["engine"]
+        assert any(
+            not vias and planar for *_, vias, planar in points["array"]
+        )

@@ -7,6 +7,7 @@ from repro.core.arraykernel import ArrayKernel
 from repro.core.cluster import (
     ClusterPatternSelector,
     SelectedAccess,
+    boundary_records,
     interaction_window,
 )
 from repro.core.config import PaafConfig
@@ -51,6 +52,7 @@ def selector(design):
         akernel=ArrayKernel(design, mode="engine", engine=engine),
         window=interaction_window(design.tech),
         verdicts={},
+        boundary_records={},
     )
 
 
@@ -80,19 +82,19 @@ class TestSelectedAccess:
             inst=design.instance("u0"), pattern=None, dx=0, dy=0
         )
         assert sel.access_points() == {}
-        assert sel.boundary_aps() == []
+        assert boundary_records(sel, 150) == ()
 
     def test_boundary_aps_default_first_last(self, design):
-        inst = design.instance("u0")
+        inst = design.instance("u0")  # bbox (1400,1400)-(2100,2800)
         sel = SelectedAccess(
             inst=inst,
             pattern=pattern(
-                {"A": ap(100, 0), "B": ap(300, 0), "Z": ap(600, 0)}
+                {"A": ap(1700, 0), "B": ap(1750, 0), "Z": ap(1800, 0)}
             ),
             dx=0,
             dy=0,
         )
-        names = {name for name, _ in sel.boundary_aps()}
+        names = {name for name, *_ in boundary_records(sel, 150)}
         assert names == {"A", "Z"}
 
     def test_boundary_aps_window_includes_edge_pins(self, design):
@@ -103,14 +105,31 @@ class TestSelectedAccess:
                 {
                     "A": ap(1500, 0),
                     "B": ap(2050, 0),  # near right edge, not last in order
+                    "C": ap(1950, 0),  # exactly the window from the right
+                    "D": ap(1550, 0),  # exactly the window from the left
+                    "M": ap(1800, 0),  # interior, neither first nor last
                     "Z": ap(1700, 0),
                 }
             ),
             dx=0,
             dy=0,
         )
-        names = {name for name, _ in sel.boundary_aps(window=150)}
-        assert "B" in names
+        records = {name: rest for name, *rest in boundary_records(sel, 150)}
+        assert set(records) == {"A", "B", "C", "D", "Z"}
+        # Origin-relative: the via and the point less the location.
+        assert records["B"] == ["V12_P", 650, -1400]
+
+    def test_boundary_records_take_overrides(self, design):
+        inst = design.instance("u0")
+        sel = SelectedAccess(
+            inst=inst,
+            pattern=pattern({"A": ap(1700, 0), "Z": ap(1800, 0)}),
+            dx=10,
+            dy=20,
+        )
+        sel.overrides["Z"] = ap(2080, 1500, vias=("V12_Q",))
+        got = {name: rest for name, *rest in boundary_records(sel, 150)}
+        assert got == {"A": ["V12_P", 310, -1380], "Z": ["V12_Q", 680, 100]}
 
 
 class TestSelection:
@@ -301,6 +320,7 @@ class TestOnePass:
                 akernel=ArrayKernel(design, mode="engine", engine=engine),
                 window=interaction_window(design.tech),
                 verdicts=verdicts,
+                boundary_records={},
             )
 
         kept = {}

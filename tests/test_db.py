@@ -226,3 +226,137 @@ class TestIOPin:
         context = ShapeContext.from_design(design)
         hits = context.query("M2", Rect(0, 0, 50, 50))
         assert hits == [(Rect(0, 0, 100, 100), "io1")]
+
+
+# -- the cell-class record ----------------------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.geom.maxrect import maximal_rectangles  # noqa: E402
+from repro.geom.polygon import RectilinearPolygon  # noqa: E402
+
+
+@st.composite
+def _rects_in(draw, width, height):
+    """A rect inside ``width x height``: positive area, or one L of two."""
+    xlo = draw(st.integers(0, width - 2))
+    ylo = draw(st.integers(0, height - 2))
+    xhi = draw(st.integers(xlo + 1, width))
+    yhi = draw(st.integers(ylo + 1, height))
+    rects = [Rect(xlo, ylo, xhi, yhi)]
+    if draw(st.booleans()):  # an L: a second arm sharing the corner
+        rects.append(
+            Rect(xlo, ylo, draw(st.integers(xlo + 1, width)), ylo + 1)
+        )
+    return rects
+
+
+@st.composite
+def masters(draw):
+    """A master with multi-layer signal pins, L shapes and obstructions."""
+    width = draw(st.integers(4, 60)) * 10
+    height = draw(st.integers(4, 40)) * 10
+    master = CellMaster(name="GEN", width=width, height=height)
+    for i in range(draw(st.integers(1, 4))):
+        pin = MasterPin(name=f"P{i}")
+        for layer in draw(
+            st.lists(st.sampled_from(["M1", "M2", "M3"]), min_size=1,
+                     max_size=3)
+        ):
+            for rect in draw(_rects_in(width, height)):
+                pin.add_shape(layer, rect)
+        master.add_pin(pin)
+    for layer in draw(st.lists(st.sampled_from(["M1", "M2"]), max_size=3)):
+        for rect in draw(_rects_in(width, height)):
+            master.add_obstruction(Obstruction(layer, rect))
+    return master
+
+
+class TestCellClassMatchesTransform:
+    """Every instance view equals the Transform reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        masters(),
+        st.sampled_from(list(Orientation)),
+        st.integers(-100_000, 100_000),
+        st.integers(-100_000, 100_000),
+    )
+    def test_views(self, master, orient, x, y):
+        inst = Instance("u", master, Point(x, y), orient)
+        xf = inst.transform
+        assert inst.bbox == xf.bbox()
+        for pin in master.pins:
+            want = {
+                layer: [xf.apply_rect(r) for r in rects]
+                for layer, rects in pin.shapes.items()
+            }
+            got = inst.pin_rects(pin.name)
+            assert got == want and list(got) == list(want)
+            cell = inst.master.cell_class(orient)
+            for layer, rects in want.items():
+                assert [
+                    r.translated(x, y)
+                    for r in cell.maximal_rectangles(pin.name, layer)
+                ] == maximal_rectangles(RectilinearPolygon(rects))
+        assert inst.all_pin_shapes() == [
+            (pin, layer, xf.apply_rect(r))
+            for pin in master.pins
+            for layer, rects in pin.shapes.items()
+            for r in rects
+        ]
+        assert inst.obstruction_rects() == [
+            (obs.layer_name, xf.apply_rect(obs.rect))
+            for obs in master.obstructions
+        ]
+
+
+class TestCellClassEdits:
+    """An edit through the master's API never serves a stale record."""
+
+    def test_edits_rebuild_the_record(self):
+        master = make_simple_master()
+        inst = Instance("u", master, Point(300, 700), Orientation.MX)
+        before = inst.all_pin_shapes()
+        pin = master.signal_pins()[0]
+        layer = next(iter(pin.shapes))
+        inst.master.cell_class(inst.orient).maximal_rectangles(
+            pin.name, layer
+        )
+
+        pin.add_shape(layer, Rect(0, 0, 10, 10))
+        xf = inst.transform
+        assert len(inst.all_pin_shapes()) == len(before) + 1
+        assert inst.pin_rects(pin.name)[layer][-1] == xf.apply_rect(
+            Rect(0, 0, 10, 10)
+        )
+        want = maximal_rectangles(
+            RectilinearPolygon(inst.pin_rects(pin.name)[layer])
+        )
+        assert [
+            r.translated(300, 700)
+            for r in inst.master.cell_class(inst.orient).maximal_rectangles(
+                pin.name, layer
+            )
+        ] == want
+
+        extra = MasterPin(name="EXTRA")
+        extra.add_shape("M1", Rect(5, 5, 15, 15))
+        master.add_pin(extra)
+        assert inst.pin_rects("EXTRA") == {
+            "M1": [xf.apply_rect(Rect(5, 5, 15, 15))]
+        }
+        extra.add_shape("M2", Rect(1, 1, 2, 2))
+        assert "M2" in inst.pin_rects("EXTRA")
+
+        count = len(inst.obstruction_rects())
+        master.add_obstruction(Obstruction("M1", Rect(0, 0, 4, 4)))
+        assert inst.obstruction_rects()[count:] == [
+            ("M1", xf.apply_rect(Rect(0, 0, 4, 4)))
+        ]
+
+    def test_unknown_pin_still_raises(self):
+        inst = Instance("u", make_simple_master(), Point(0, 0))
+        with pytest.raises(KeyError, match="no pin named 'NOPE'"):
+            inst.pin_rects("NOPE")

@@ -282,6 +282,7 @@ class TestKeptVerdicts:
             akernel=framework.akernel,
             window=framework.boundary_window,
             verdicts={},
+            boundary_records={},
         )
 
         def candidates(inst):

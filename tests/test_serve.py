@@ -8,11 +8,13 @@ the parity oracles analyze.  One CLI test drives ``repro serve`` /
 """
 
 import copy
+import dataclasses
 import gc
 import io
 import itertools
 import json
 import os
+import random
 import re
 import struct
 import subprocess
@@ -24,6 +26,7 @@ import warnings
 import pytest
 
 from repro.bench import build_testcase
+from repro.bench.pinzoo import build_pinzoo
 from repro.core import UnknownInstanceError, UnknownPinError
 from repro.core.oracle import PinAccessOracle
 from repro.serve import (
@@ -43,9 +46,11 @@ from repro.serve.protocol import (
     ok_envelope,
     parse_request,
     read_frame,
+    render_answer,
 )
 
 from tests.conftest import make_simple_design, one_site_moves
+from tests.test_incremental_properties import legal_moves
 
 
 # -- protocol ----------------------------------------------------------------
@@ -684,6 +689,70 @@ def every_answer(snap) -> dict:
     }
 
 
+class TestRenderAnswer:
+    """``render_answer`` equals the reference rendering byte for byte."""
+
+    @staticmethod
+    def assert_renders_alike(snap) -> int:
+        for (inst, pin), answer in every_answer(snap).items():
+            want = encode_frame(answer_to_wire(answer, snap.generation))
+            assert encode_frame(render_answer(snap, inst, pin)) == want
+        return sum(
+            not answer.accessible for answer in every_answer(snap).values()
+        )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_testcase(
+                "ispd18_test1", scale=0.004, multi_height_fraction=0.1
+            ),
+            lambda: build_pinzoo("pinzoo_hostile", 1.0),
+        ],
+        ids=["ispd18_test1@0.004", "pinzoo_hostile@1"],
+    )
+    def test_every_pin_after_seeded_moves(self, build):
+        design = build()
+        oracle = PinAccessOracle(design)
+        home = {name: i.location for name, i in design.instances.items()}
+        rng = random.Random(7)
+        inaccessible = self.assert_renders_alike(oracle.snapshot)
+        for _ in range(6):
+            moves = legal_moves(design, home)
+            kind = rng.choice([k for k in moves if moves[k]])
+            name, target = rng.choice(moves[kind])
+            oracle.move_instance(name, target.x, target.y)
+            inaccessible += self.assert_renders_alike(oracle.snapshot)
+        if design.name.startswith("pinzoo_hostile"):
+            assert inaccessible > 0
+
+    def test_override_and_errors(self):
+        """A repair override renders as it stands, in design
+        coordinates; unknown names raise as ``Snapshot.query`` does."""
+        design = build_testcase("ispd18_test1", scale=0.004)
+        snap = PinAccessOracle(design).snapshot
+        name, held = next(
+            (name, sel)
+            for name, sel in snap.selection.items()
+            if sel.pattern is not None
+        )
+        pin = next(iter(held.pattern.aps))
+        alt = held.unique_access.aps_by_pin[pin][-1]
+        edited = dataclasses.replace(
+            held, overrides={pin: alt.translated(held.dx + 7, held.dy)}
+        )
+        snap = dataclasses.replace(
+            snap, selection={**snap.selection, name: edited}
+        )
+        got = render_answer(snap, name, pin)
+        assert got["selected"]["x"] == alt.x + held.dx + 7
+        self.assert_renders_alike(snap)
+        with pytest.raises(UnknownInstanceError):
+            render_answer(snap, "ghost", pin)
+        with pytest.raises(UnknownPinError):
+            render_answer(snap, name, "NOPE")
+
+
 class TestSnapshotImmutability:
     def test_held_snapshot_survives_later_moves(self):
         """Copy-on-write never edits an entry an older snapshot shares.
@@ -1040,6 +1109,15 @@ class TestLoadDesignWire:
         assert count == 1
         with open(orient, "w") as handle:
             handle.write(text)
+        tracks = str(tmp_path / "tracks.def")
+        with open(def_path) as handle:
+            text, count = re.subn(
+                r"^(TRACKS \S+ -?\d+ DO \d+ STEP )\d+( LAYER (\S+) ;)$",
+                r"\g<1>0\2", handle.read(), count=1, flags=re.M,
+            )
+        assert count == 1
+        with open(tracks, "w") as handle:
+            handle.write(text)
         server, addr = start_server(tmp_path)
         try:
             with OracleClient(addr) as client:
@@ -1049,6 +1127,11 @@ class TestLoadDesignWire:
                     (
                         (lef, orient),
                         f"{orient}: expected an orientation, got 'Q'",
+                    ),
+                    (
+                        (lef, tracks),
+                        f"{tracks}: TRACKS on M1: track step must be "
+                        f"positive",
                     ),
                     ((lef, def_path + ".gone"), "cannot read design inputs"),
                 ):
