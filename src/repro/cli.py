@@ -364,9 +364,6 @@ def _add_qa_check_args(sub_parser) -> None:
     _add_qa_run_args(sub_parser)
     sub_parser.add_argument("--cases", nargs="*", default=None,
                             help="subset of golden case ids (default: all)")
-    sub_parser.add_argument("--tolerances",
-                            help="JSON file of per-metric regression "
-                                 "tolerances ({metric: {abs, rel}})")
     sub_parser.add_argument("--json", dest="json_path",
                             help="write the check report JSON here "
                                  "(the CI artifact)")
@@ -955,22 +952,12 @@ def _cmd_qa_check(args) -> int:
 
     from repro.qa import golden
 
-    tolerances = None
-    if args.tolerances:
-        try:
-            with open(args.tolerances) as handle:
-                tolerances = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise CliError(
-                f"cannot read --tolerances {args.tolerances!r}: {exc}"
-            ) from exc
     try:
         code, report = golden.check_goldens(
             args.goldens,
             cases=args.cases,
             paircheck_mode=args.paircheck_mode,
             apcheck_mode=args.apcheck_mode,
-            tolerances=tolerances,
             accept=args.qa_accept,
             max_diff_lines=args.max_diff_lines,
         )

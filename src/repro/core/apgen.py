@@ -322,9 +322,9 @@ class AccessPointGenerator:
 
         Returns the ``(via, site table, min-step table)`` triples, the
         planar stub tables (None without planar checks) and whether the
-        fast reject applies: with no verify oracle and via access
-        required, a point dirty for *every* via can never be accepted,
-        so the ANDed via masks reject it without per-via validation.
+        fast reject applies: with no verify oracle, a standard-cell
+        point dirty for *every* via can never be accepted, so the ANDed
+        via masks reject it without per-via validation.
         """
         cfg = self.config
         vias = self.tech.vias_from(layer.name)
@@ -344,7 +344,6 @@ class AccessPointGenerator:
         fast_reject = (
             bool(vias)
             and self.akernel.mode != "verify"
-            and cfg.require_via_access
             and not is_macro
             and not cfg.require_cut_on_pin
         )
@@ -442,12 +441,7 @@ class AccessPointGenerator:
         planar_dirs = []
         # Without a clean via the stubs matter only where planar-only
         # access is allowed; verify mode cross-checks them everywhere.
-        if stubs is not None and (
-            valid_vias
-            or verify
-            or is_macro
-            or not self.config.require_via_access
-        ):
+        if stubs is not None and (valid_vias or verify or is_macro):
             planar_dirs = [
                 d
                 for d, stub in zip(PLANAR_DIRECTIONS, stubs)
@@ -479,12 +473,9 @@ class AccessPointGenerator:
         An access point is valid if a via can be dropped DRC-free
         (Sec. III-A); planar-only access also counts for macro pins,
         since the footnote's via-only restriction applies to standard
-        cells, and whenever via access is not required.
+        cells.
         """
-        if not valid_vias and not (
-            planar_dirs
-            and (is_macro or not self.config.require_via_access)
-        ):
+        if not valid_vias and not (planar_dirs and is_macro):
             return None
         if registry is not None:
             registry.incr("apgen.accept")

@@ -19,8 +19,9 @@ the two per-candidate workloads against a cell:
 
 * **Step 3 boundary conflicts** -- :meth:`ArrayKernel.via_vs_instance_clean`
   is the same check with ``net_key=None`` and min-step off; it
-  compiles its own table per ``(master, orient, via)`` when first
-  asked, and never builds the cell's Step 1 tables.
+  probes one verdict per ``(master, orient, via)``
+  (:meth:`ArrayKernel.instance_table`), built when first asked, and
+  never builds the cell's Step 1 tables.
 
 Min-step is the one check that is not pairwise (it walks the merged
 boundary of the enclosure plus the pin metal it lands on), so it gets
@@ -36,9 +37,14 @@ Three modes mirror ``paircheck_mode``:
 
 * ``array``  -- compiled tables only (the fast path, default);
 * ``engine`` -- no tables: Step 1 callers use the DrcEngine, and
-  :meth:`ArrayKernel.via_vs_instance_clean` asks the engine itself;
+  Step 3's verdicts ask it of the cell class's shapes at the origin
+  (:class:`EngineCellVerdict`);
 * ``verify`` -- compute both and raise :class:`ApCheckMismatch` on any
   divergence (the engine remains the oracle).
+
+Step 1 reads the mode in its callers (:mod:`repro.core.apgen`,
+:mod:`repro.perf.workers`); Step 3's mode is decided once per verdict,
+when :meth:`ArrayKernel.instance_table` builds it.
 
 Step 2's flat-array DP lives in :class:`repro.core.dpgraph.FlatDp`
 and runs in every mode; the kernel only counts its solves
@@ -50,9 +56,12 @@ difference in ``result.stats`` and the metrics registry.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core.coords import candidate_coords
+from repro.drc.context import ShapeContext
 from repro.drc.disptable import (
-    DisplacementTable,
+    VerifiedTable,
     assemble,
     metal_groups,
     shapes_by_layer,
@@ -281,12 +290,13 @@ class CellShapes:
     (layer -> ``(rect, pin)``), so it serves every instance of the
     class.  :meth:`via_entries` compiles a moving via against them once
     and serves Step 1's per-pin tables and Step 3's ``net_key=None``
-    table alike.  ``memo`` carries EOL trigger regions and
-    per-rect-pair test records across cells (rail and power shapes
-    repeat between masters).
+    table alike; :meth:`context` holds the same shapes for the
+    engine.  ``memo`` carries EOL trigger regions and per-rect-pair
+    test records across cells (rail and power shapes repeat between
+    masters).
     """
 
-    __slots__ = ("tech", "by_layer", "memo", "_vias")
+    __slots__ = ("tech", "by_layer", "memo", "_vias", "_context")
 
     def __init__(self, tech, inst, memo: dict = None):
         cell = inst.master.cell_class(inst.orient)
@@ -304,6 +314,20 @@ class CellShapes:
         self.by_layer = shapes_by_layer(shapes)
         self.memo = {} if memo is None else memo
         self._vias = {}
+        self._context = None
+
+    def context(self) -> ShapeContext:
+        """Return (building on first use) the shapes as an engine context.
+
+        Pins are keyed by name and obstructions by None; Step 3 asks
+        with ``net_key=None``, which finds every shape foreign.
+        """
+        if self._context is None:
+            self._context = ShapeContext(bucket=2000)
+            for layer_name, shapes in self.by_layer.items():
+                for rect, pin_name in shapes:
+                    self._context.add(layer_name, rect, pin_name)
+        return self._context
 
     def via_entries(self, via) -> tuple:
         """Return ``via``'s compiled entries against the cell's shapes.
@@ -438,13 +462,34 @@ class CoordCache:
 # -- the kernel --------------------------------------------------------------
 
 
+class EngineCellVerdict:
+    """The DRC engine's Step 3 verdict of one via against one cell class.
+
+    :meth:`clean` drops the via at ``(dx, dy)`` among the class's
+    shapes at the origin (:meth:`CellShapes.context`, one per class)
+    with ``net_key=None`` and min-step off.
+    """
+
+    __slots__ = ("engine", "via", "context")
+
+    def __init__(self, engine, via, context):
+        self.engine = engine
+        self.via = via
+        self.context = context
+
+    def clean(self, dx: int, dy: int) -> bool:
+        return not self.engine.check_via_placement(
+            self.via, dx, dy, None, self.context, with_min_step=False
+        )
+
+
 class ArrayKernel:
     """Value-keyed per-cell verdict service for Steps 1 and 3.
 
     Every table compiles on first use and lives as long as the kernel.
     ``tables`` holds Step 1's :class:`CellTables` per ``(master,
     orientation)``, and the ``arraykernel.built`` stat counts them;
-    ``instance_tables`` holds Step 3's table per ``(master,
+    ``instance_tables`` holds Step 3's verdict per ``(master,
     orientation, via)``.  Both compile from one :class:`CellShapes`
     per cell class, so a via's entries against a cell compile once
     for either step.
@@ -468,17 +513,12 @@ class ArrayKernel:
         self.minstep_engine = 0
         self.dp_solves = 0
         self.verify_mismatches = 0
-        self._inst_ctx = {}
         self._cells = {}
         self._compile_memo = {}
 
     @staticmethod
     def cell_key(inst) -> tuple:
-        orient = inst.orient
-        return (
-            inst.master.name,
-            getattr(orient, "name", None) or str(orient),
-        )
+        return (inst.master.name, inst.orient)
 
     def cell_tables(self, inst) -> CellTables:
         """Return (building if needed) Step 1's tables of ``inst``'s class."""
@@ -492,22 +532,50 @@ class ArrayKernel:
             tick("arraykernel.table.hit")
         return tables
 
-    def instance_table(self, via_name, inst) -> DisplacementTable:
-        """Return (building if needed) Step 3's table of ``via_name``.
+    def instance_table(self, via_name, inst):
+        """Return (building if needed) Step 3's verdict of ``via_name``.
 
         The via against every shape of ``inst``'s class with
-        ``net_key=None`` semantics: no shape is the via's own, so none
-        is exempt from metal and EOL.
+        ``net_key=None`` semantics (no shape is the via's own, so none
+        is exempt from metal and EOL), by displacement from the
+        instance origin.  The mode is decided here, once per
+        ``(master, orientation, via)``: the compiled table
+        (``array``), an :class:`EngineCellVerdict` (``engine``), or
+        the table cross-checked against it on every probe
+        (``verify``).
         """
-        cell = self.cell_key(inst)
-        key = (*cell, via_name)
-        table = self.instance_tables.get(key)
-        if table is None:
-            metal, cut = self._cell(cell, inst).via_entries(
-                self.tech.via(via_name)
-            )
-            table = self.instance_tables[key] = assemble(metal, cut, None)
-        return table
+        key = (inst.master.name, inst.orient, via_name)
+        verdict = self.instance_tables.get(key)
+        if verdict is None:
+            verdict = self._instance_verdict(key, inst)
+            self.instance_tables[key] = verdict
+        return verdict
+
+    def _instance_verdict(self, key, inst):
+        cell = self._cell(key[:2], inst)
+        via = self.tech.via(key[2])
+        if self.mode == "engine":
+            return EngineCellVerdict(self.engine, via, cell.context())
+        metal, cut = cell.via_entries(via)
+        table = assemble(metal, cut, None)
+        if self.mode == "array":
+            return table
+        return VerifiedTable(
+            table,
+            EngineCellVerdict(self.engine, via, cell.context()),
+            partial(self._mismatch, key),
+        )
+
+    def _mismatch(self, key, dx, dy, verdict) -> ApCheckMismatch:
+        self.verify_mismatches += 1
+        tick("arraykernel.verify.mismatch")
+        master, orient, via_name = key
+        return ApCheckMismatch(
+            f"array kernel diverged from DrcEngine for via {via_name} "
+            f"at ({dx}, {dy}) from the origin of {master} {orient.name}: "
+            f"kernel={'clean' if verdict else 'dirty'}, "
+            f"engine={'dirty' if verdict else 'clean'}"
+        )
 
     def _cell(self, key, inst) -> CellShapes:
         cell = self._cells.get(key)
@@ -520,49 +588,21 @@ class ArrayKernel:
     # -- verdicts -----------------------------------------------------------
 
     def via_vs_instance_clean(self, via_name, x, y, inst) -> bool:
-        """Step 3's via-vs-neighbor-shapes verdict in the kernel's mode.
+        """Step 3's via-vs-neighbor-shapes verdict.
 
         ``not engine.check_via_placement(via, x, y, None, context,
-        with_min_step=False)`` against ``inst``'s intra-cell context:
-        asked of the engine in ``engine`` mode, answered from the
-        compiled table by displacement otherwise (and cross-checked in
-        ``verify`` mode).
+        with_min_step=False)`` against ``inst``'s intra-cell context,
+        answered by :meth:`instance_table` at the via's displacement
+        from the instance origin.
         """
-        if self.mode == "engine":
-            return self._engine_instance_clean(via_name, x, y, inst)
-        table = self.instance_table(via_name, inst)
-        verdict = table.clean(x - inst.location.x, y - inst.location.y)
-        self.candidates += 1
-        if not verdict:
-            self.filtered += 1
-        if self.mode == "verify":
-            oracle = self._engine_instance_clean(via_name, x, y, inst)
-            if oracle != verdict:
-                self.verify_mismatches += 1
-                tick("arraykernel.verify.mismatch")
-                raise ApCheckMismatch(
-                    f"array kernel diverged from DrcEngine for via "
-                    f"{via_name} at ({x}, {y}) vs instance {inst.name}: "
-                    f"kernel={'clean' if verdict else 'dirty'}, "
-                    f"engine={'clean' if oracle else 'dirty'}"
-                )
-        return verdict
-
-    def _engine_instance_clean(self, via_name, x, y, inst) -> bool:
-        from repro.drc.context import ShapeContext
-
-        # One context per instance, rebuilt when a placement edit has
-        # moved the instance since it was built.
-        origin = (inst.location.x, inst.location.y)
-        hit = self._inst_ctx.get(inst.name)
-        if hit is None or hit[0] != origin:
-            hit = (origin, ShapeContext.from_instance(inst))
-            self._inst_ctx[inst.name] = hit
-        context = hit[1]
-        return not self.engine.check_via_placement(
-            self.tech.via(via_name), x, y, None, context,
-            with_min_step=False,
+        loc = inst.location
+        clean = self.instance_table(via_name, inst).clean(
+            x - loc.x, y - loc.y
         )
+        self.candidates += 1
+        if not clean:
+            self.filtered += 1
+        return clean
 
     # -- observability -------------------------------------------------------
 

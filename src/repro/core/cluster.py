@@ -19,7 +19,6 @@ from repro.core.pattern import AccessPattern
 from repro.db.design import Design
 from repro.drc.pairkernel import PairKernel
 from repro.obs.events import active_log
-from repro.obs.metrics import tick
 from repro.obs.trace import span
 
 
@@ -165,30 +164,29 @@ def interaction_window(tech) -> int:
 class ClusterPatternSelector:
     """Runs the Step 3 DP over the clusters of a design.
 
-    Every DRC verdict comes from the two shared kernels, each in its
-    configured mode: via pairs from ``kernel`` (a
-    :class:`~repro.drc.pairkernel.PairKernel`), vias against a
-    neighbor's shapes from ``akernel`` (an
+    Every DRC verdict comes from the two shared kernels, each of which
+    decided its mode when it built the verdict: via pairs from
+    ``kernel`` (a :class:`~repro.drc.pairkernel.PairKernel`), vias
+    against a neighbor's shapes from ``akernel`` (an
     :class:`~repro.core.arraykernel.ArrayKernel`).
 
-    ``boundary_records`` holds each pattern's :func:`boundary_records`
-    once per :attr:`SelectedAccess.key`, relative to the instance
-    origin, so a check adds the two origins and builds no translated
-    access point; like ``verdicts``, a framework passes its one table
-    to every selector it makes.
+    One selector serves every pass of a framework, because everything
+    it keeps is keyed by value and holds for any placement:
 
-    ``verdicts`` memoises the boundary scan of two neighbors, keyed by
-    value: ``(left key, right key, dx, dy)``, the two selections'
-    :attr:`SelectedAccess.key` and the displacement between the two
-    instances' origins.  Every check behind a verdict is translation
-    invariant and the pattern's geometry relative to its instance is
-    fixed by its key, so no placement edit invalidates an entry: a
-    framework passes its one table to every selector it makes, and a
-    fresh scan passes an empty one.  It memoises the kernels'
-    verdicts in every mode, so ``verify`` mode cross-checks a verdict
-    only the first time the table sees it.  ``window`` is the
-    technology's :func:`interaction_window`; it costs a walk over every
-    via, so a framework computes it once and hands it to each pass.
+    * ``records`` holds each pattern's :func:`boundary_records` once
+      per :attr:`SelectedAccess.key`, relative to the instance origin,
+      so a check adds the two origins and builds no translated access
+      point;
+    * ``verdicts`` memoises the boundary scan of two neighbors, keyed
+      ``(left key, right key, dx, dy)``: the two selections'
+      :attr:`SelectedAccess.key` and the displacement between the two
+      instances' origins.  Every check behind a verdict is translation
+      invariant and the pattern's geometry relative to its instance is
+      fixed by its key, so no placement edit invalidates an entry.  It
+      memoises the kernels' verdicts in every mode, so ``verify`` mode
+      cross-checks a verdict only the first time the table sees it;
+    * ``window`` is the technology's :func:`interaction_window`, a walk
+      over every via, computed once.
     """
 
     def __init__(
@@ -198,21 +196,15 @@ class ClusterPatternSelector:
         *,
         kernel: PairKernel,
         akernel: ArrayKernel,
-        window: int,
-        verdicts: dict,
-        boundary_records: dict,
     ):
         self.design = design
         self.tech = design.tech
         self.config = config or PaafConfig()
         self.kernel = kernel
         self.akernel = akernel
-        # Keyed by absolute coordinates and a neighbor's name, so it
-        # holds for the current placement only: one per selector.
-        self._via_vs_inst_cache = {}
-        self._verdicts = verdicts
-        self._records = boundary_records
-        self._boundary_window = window
+        self.verdicts = {}
+        self.records = {}
+        self.window = interaction_window(design.tech)
 
     def select(
         self, clusters: list, candidates_by_inst: dict, alternatives_fn=None
@@ -222,11 +214,9 @@ class ClusterPatternSelector:
         ``clusters`` are row clusters (instances left to right, as
         :meth:`~repro.db.design.Design.row_clusters` returns them) in
         row order: a multi-height instance selected in a lower row's
-        cluster keeps its choice in every cluster above.  The
-        via-vs-instance memo holds verdicts for the current placement,
-        so a selector serves one placement and is rebuilt after a
-        move; the boundary verdicts it reads and extends hold for any
-        placement (see the class docstring).
+        cluster keeps its choice in every cluster above.  The boundary
+        verdicts it reads and extends hold for any placement (see the
+        class docstring), so one selector serves every pass.
 
         ``candidates_by_inst`` maps instance name to a list of
         ``SelectedAccess`` candidates (one per pattern of the unique
@@ -371,8 +361,9 @@ class ClusterPatternSelector:
             if other_pin == pin_name:
                 continue
             other_ap = selected.ap_of(other_pin)
-            if other_ap.has_via_access and not self._pair_clean(
-                candidate, other_ap
+            if other_ap.has_via_access and not self.kernel.pair_clean(
+                candidate.primary_via, candidate.x, candidate.y,
+                other_ap.primary_via, other_ap.x, other_ap.y,
             ):
                 return False
         before = self._neighbor_conflicts(chosen, position)
@@ -453,7 +444,7 @@ class ClusterPatternSelector:
             # mutate a selection in place, so a side carrying any is
             # rescanned.
             rel_key = (left.key, right.key, rox - lox, roy - loy)
-            hit = self._verdicts.get(rel_key)
+            hit = self.verdicts.get(rel_key)
             if hit is not None:
                 lname = left.inst.name
                 rname = right.inst.name
@@ -466,41 +457,34 @@ class ClusterPatternSelector:
         lname = left.inst.name
         rname = right.inst.name
         kernel = self.kernel
-        tables = kernel.tables if kernel.mode == "kernel" else None
-        pair_clean = kernel.pair_clean
+        tables = kernel.tables
         # Records are origin-relative: the right side's points sit at
         # (x + shift_x, y + shift_y) in the left instance's frame.
         shift_x = rox - lox
         shift_y = roy - loy
         for pin_a, via_a, ax, ay in left_vias:
             for pin_b, via_b, bx, by in right_vias:
-                if tables is not None:
-                    # Inlined kernel-mode fast path: the dict hit (or
-                    # a first-use build) plus the table probe is the
-                    # whole verdict (uncounted by ``pairkernel.query``).
-                    table = tables.get((via_a, via_b, False))
-                    if table is None:
-                        table = kernel.table(via_a, via_b, False)
-                    clean = table.clean(bx + shift_x - ax, by + shift_y - ay)
-                else:
-                    clean = pair_clean(
-                        via_a, ax + lox, ay + loy, via_b, bx + rox, by + roy
-                    )
-                if not clean:
+                # A held verdict (or a first-use build) probed by
+                # displacement, uncounted by ``pairkernel.query``.
+                verdict = tables.get((via_a, via_b, False))
+                if verdict is None:
+                    verdict = kernel.table(via_a, via_b, False)
+                if not verdict.clean(bx + shift_x - ax, by + shift_y - ay):
                     conflicts.append((lname, pin_a, rname, pin_b))
+        via_vs_instance_clean = self.akernel.via_vs_instance_clean
         for pin_a, via_a, ax, ay in left_vias:
-            if not self._via_vs_instance_clean(
+            if not via_vs_instance_clean(
                 via_a, ax + lox, ay + loy, right.inst
             ):
                 conflicts.append((lname, pin_a, rname, "<shapes>"))
         for pin_b, via_b, bx, by in right_vias:
-            if not self._via_vs_instance_clean(
+            if not via_vs_instance_clean(
                 via_b, bx + rox, by + roy, left.inst
             ):
                 conflicts.append((lname, "<shapes>", rname, pin_b))
         if rel_key is not None:
             # A tuple: the entry is shared by every later pass.
-            self._verdicts[rel_key] = tuple(
+            self.verdicts[rel_key] = tuple(
                 (pin_a, pin_b) for _, pin_a, _, pin_b in conflicts
             )
         return conflicts
@@ -513,42 +497,11 @@ class ClusterPatternSelector:
         """
         key = sel.key
         if key is None or sel.overrides:
-            return boundary_records(sel, self._boundary_window)
-        records = self._records.get(key)
+            return boundary_records(sel, self.window)
+        records = self.records.get(key)
         if records is None:
-            records = self._records[key] = boundary_records(
-                sel, self._boundary_window
-            )
+            records = self.records[key] = boundary_records(sel, self.window)
         return records
-
-    def _via_vs_instance_clean(self, via_name, x, y, neighbor_inst) -> bool:
-        """Check an up-via at ``(x, y)`` against a neighbor's shapes.
-
-        The array kernel answers in its configured mode: a compiled
-        table lookup keyed by the via's displacement from the
-        neighbor's origin, a DRC engine probe, or both cross-checked.
-        """
-        key = (via_name, x, y, neighbor_inst.name)
-        cached = self._via_vs_inst_cache.get(key)
-        if cached is not None:
-            tick("cluster.via_vs_inst_cache.hit")
-            return cached
-        tick("cluster.via_vs_inst_cache.miss")
-        clean = self.akernel.via_vs_instance_clean(
-            via_name, x, y, neighbor_inst
-        )
-        self._via_vs_inst_cache[key] = clean
-        return clean
-
-    def _pair_clean(self, ap_a, ap_b) -> bool:
-        """Boundary pair verdict via the shared translation-invariant
-        kernel -- the same value-keyed backend Step 2 uses, so verdicts
-        are shared across clusters and selectors instead of living in
-        a per-selector position-keyed dict."""
-        return self.kernel.pair_clean(
-            ap_a.primary_via, ap_a.x, ap_a.y,
-            ap_b.primary_via, ap_b.x, ap_b.y,
-        )
 
     def _record_conflicts(self, chosen, result) -> None:
         """Re-check the selected neighbors and log residual conflicts."""

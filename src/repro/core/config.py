@@ -23,7 +23,6 @@ class PaafConfig:
 
     # Step 1 -- access point generation.
     k: int = 3
-    require_via_access: bool = True     # std cells need up-via access
     check_planar: bool = True           # also record planar directions
     require_cut_on_pin: bool = False    # strict via-in-pin: the cut must
                                         # land fully on pin metal

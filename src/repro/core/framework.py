@@ -18,7 +18,6 @@ from repro.core.cluster import (
     ClusterPatternSelector,
     ClusterSelectionResult,
     SelectedAccess,
-    interaction_window,
 )
 from repro.core.config import PaafConfig
 from repro.core.signature import UniqueInstance, unique_instances
@@ -258,19 +257,14 @@ class PinAccessFramework:
             mode=self.config.apcheck_mode,
             engine=self.engine,
         )
-        # And one table of Step 3 boundary verdicts, keyed by value (two
-        # pattern keys and a displacement; see ClusterPatternSelector),
-        # which every pass reads and extends: a verdict holds for any
-        # placement, so a move re-checks only pairs never seen before.
-        # It is bounded by pattern pairs times adjacent displacements.
-        self.verdicts = {}
-        # Beside it, each pattern's boundary up-vias relative to its
-        # instance's origin, once per (signature, ordinal): a check
-        # adds the two origins and builds no translated access point.
-        self.boundary_records = {}
-        # The boundary window is a constant of the technology, and a
-        # walk over every via: computed once here, not once per pass.
-        self.boundary_window = interaction_window(design.tech)
+        # And one Step 3 selector for every pass: its boundary verdicts
+        # (two pattern keys and a displacement), its per-pattern
+        # boundary via records and the technology's interaction window
+        # are keyed by value and hold for any placement, so a move
+        # re-checks only pairs never seen before.
+        self.selector = ClusterPatternSelector(
+            design, self.config, kernel=self.kernel, akernel=self.akernel
+        )
 
     def run(self, use_cache: bool = True) -> PinAccessResult:
         """Run all three steps and return the populated result.
@@ -407,12 +401,10 @@ class PinAccessFramework:
         to its ``(unique access, (dx, dy))``, as
         :meth:`PinAccessResult.placements` does, and each selection
         carries its member's entry on; a member whose unique access
-        has no pattern is selected with ``pattern`` None.  Each pass
-        builds its own selector, whose via-vs-instance memo dies with
-        the placement it was computed for; the boundary verdicts, keyed
-        by value, live in :attr:`verdicts` for the framework's lifetime,
-        and each pattern's boundary via records in
-        :attr:`boundary_records`.
+        has no pattern is selected with ``pattern`` None.  Every pass
+        runs on the framework's one :attr:`selector`, whose boundary
+        verdicts and via records, keyed by value, live for the
+        framework's lifetime.
         """
         candidates_by_inst = {}
         for cluster in clusters:
@@ -437,16 +429,9 @@ class PinAccessFramework:
             def alternatives_fn(inst_name, pin_name):
                 return placements[inst_name][0].aps_by_pin.get(pin_name, [])
 
-        selector = ClusterPatternSelector(
-            self.design,
-            self.config,
-            kernel=self.kernel,
-            akernel=self.akernel,
-            verdicts=self.verdicts,
-            window=self.boundary_window,
-            boundary_records=self.boundary_records,
+        return self.selector.select(
+            clusters, candidates_by_inst, alternatives_fn
         )
-        return selector.select(clusters, candidates_by_inst, alternatives_fn)
 
     # -- internals ---------------------------------------------------------
 

@@ -43,11 +43,11 @@ proportion to what moved:
   moved instance or whose members the move changed (for a legal
   placement: a cluster of the moved instance or of a former
   cluster-mate), found by walking the index through multi-height
-  members -- in one pass of the framework's Step 3, on the configured
-  backend.  That pass reads and extends the framework's boundary
-  verdicts (:attr:`~repro.core.framework.PinAccessFramework.verdicts`),
-  keyed by two patterns and the displacement between their instances,
-  so no move invalidates one.
+  members -- in one pass of the framework's one Step 3 selector
+  (:attr:`~repro.core.framework.PinAccessFramework.selector`), on the
+  configured backend.  That pass reads and extends the selector's
+  boundary verdicts, keyed by two patterns and the displacement
+  between their instances, so no move invalidates one.
 
 The clusters of a row are independent DPs, linked only through
 multi-height members, and components share no instance.  A cluster

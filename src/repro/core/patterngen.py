@@ -90,9 +90,9 @@ def _report_edges(solver: FlatDp, label, registry, log) -> None:
 class AccessPatternGenerator:
     """Generates up to N mutually-diverse access patterns per unique instance.
 
-    Pairwise via compatibility is served by the shared
-    :class:`~repro.drc.pairkernel.PairKernel` ``kernel`` in its
-    configured mode; the shared array kernel ``akernel`` counts the DP
+    Pairwise via compatibility is served by the verdicts of the shared
+    :class:`~repro.drc.pairkernel.PairKernel` ``kernel``, one path in
+    every mode; the shared array kernel ``akernel`` counts the DP
     solves in ``dp_solves``.
     """
 
@@ -134,7 +134,7 @@ class AccessPatternGenerator:
         seen_signatures = set()
         registry = active_registry()
         log = active_log()
-        solver = FlatDp(groups, self._compat_probe(), cfg)
+        solver = FlatDp(groups, self.aps_compatible, cfg)
 
         def is_used_boundary(vertex) -> bool:
             pin_name, ap = vertex
@@ -177,47 +177,26 @@ class AccessPatternGenerator:
                 record["attrs"]["patterns"] = len(patterns)
         return patterns
 
-    def _compat_probe(self):
-        """Return the via-compatibility test the DP masks compile from.
-
-        In ``kernel`` mode the pair tables are probed directly (built
-        on first use): mask compilation is the Step 2 hot loop, and these
-        inlined probes skip :meth:`PairKernel.pair_clean` and its
-        ``pairkernel.query`` tick.  Other modes go through
-        :meth:`aps_compatible` so ``engine`` and ``verify`` keep their
-        semantics.
-        """
-        kernel = self.kernel
-        if kernel.mode != "kernel":
-            return self.aps_compatible
-        tables = kernel.tables
-
-        def compat(a, b):
-            if not a.has_via_access or not b.has_via_access:
-                return True
-            table = tables.get((a.primary_via, b.primary_via, False))
-            if table is None:
-                table = kernel.table(a.primary_via, b.primary_via, False)
-            return table.clean(b.x - a.x, b.y - a.y)
-
-        return compat
-
     def aps_compatible(self, ap_a: AccessPoint, ap_b: AccessPoint) -> bool:
         """Return True if the primary up-vias of two APs are DRC-clean.
 
-        Only up-vias are checked (the paper's acceleration).  Planar
-        access points short-circuit before any kernel lookup -- they
-        cannot conflict through vias.  The verdict itself comes from
-        the translation-invariant pair kernel, which replaces the old
-        per-generator ``id()``-keyed memo with tables shared across
-        unique instances and DP iterations.
+        The compatibility test the DP masks compile from.  Only
+        up-vias are checked (the paper's acceleration).  Planar access
+        points short-circuit before any kernel lookup -- they cannot
+        conflict through vias.  The verdict itself comes from the
+        translation-invariant pair kernel, shared across unique
+        instances and DP iterations: mask compilation is the Step 2
+        hot loop, so a held verdict is probed directly, skipping
+        :meth:`PairKernel.pair_clean` and its ``pairkernel.query``
+        tick.
         """
         if not ap_a.has_via_access or not ap_b.has_via_access:
             return True
-        return self.kernel.pair_clean(
-            ap_a.primary_via, ap_a.x, ap_a.y,
-            ap_b.primary_via, ap_b.x, ap_b.y,
-        )
+        key = (ap_a.primary_via, ap_b.primary_via, False)
+        verdict = self.kernel.tables.get(key)
+        if verdict is None:
+            verdict = self.kernel.table(*key)
+        return verdict.clean(ap_b.x - ap_a.x, ap_b.y - ap_a.y)
 
     # -- post-generation validation -----------------------------------------
 

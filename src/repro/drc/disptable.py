@@ -31,7 +31,9 @@ test interaction ranges, outside which the via is clean) and per-test
 ``spans``.  Besides the pointwise :meth:`DisplacementTable.clean`, it
 answers a whole row of candidate displacements at once
 (:meth:`DisplacementTable.row_mask`), which is how Algorithm 1 validates
-a candidate row.
+a candidate row.  A :class:`VerifiedTable` answers like its table and
+raises when the engine's verdict differs (the kernels' ``verify``
+mode).
 
 The compiler takes the fixed shapes tagged with their owning pin
 (:func:`shapes_by_layer`), compiles the moving via against all of them
@@ -261,6 +263,30 @@ class DisplacementTable:
                     if not _cut_clean(test, dx, dy):
                         mask |= 1 << i
         return mask
+
+
+class VerifiedTable:
+    """A compiled table cross-checked against a reference on every probe.
+
+    ``reference`` is any verdict with ``clean(dx, dy)``; the kernels
+    pass the DRC engine's, which stays the oracle.  When the two
+    disagree, :meth:`clean` raises the exception that ``mismatch(dx,
+    dy, verdict)`` returns, ``verdict`` being the table's.
+    """
+
+    __slots__ = ("table", "reference", "mismatch")
+
+    def __init__(self, table, reference, mismatch):
+        self.table = table
+        self.reference = reference
+        self.mismatch = mismatch
+
+    def clean(self, dx: int, dy: int) -> bool:
+        """Return the table's verdict once the reference agrees."""
+        verdict = self.table.clean(dx, dy)
+        if verdict != self.reference.clean(dx, dy):
+            raise self.mismatch(dx, dy, verdict)
+        return verdict
 
 
 # -- compilation --------------------------------------------------------------

@@ -15,24 +15,32 @@ both vias as one net, so metal and EOL are exempt and the identical
 cut is skipped (the contract pinned by ``tests/test_drc_engine.py``).
 Otherwise A's shapes are foreign.
 
-The kernel runs in one of three modes:
+The kernel runs in one of three modes, and decides it once per
+combination, when :meth:`PairKernel.table` builds the verdict every
+caller then probes by displacement:
 
-* ``kernel`` -- tables only (the fast path, default);
-* ``engine`` -- always defer to :meth:`DrcEngine.check_via_pair` (the
-  reference path; the kernel is inert);
-* ``verify`` -- compute both and raise :class:`PairCheckMismatch` on
-  any divergence.  The engine remains the oracle; this mode proves the
-  kernel equivalent on live workloads.
+* ``kernel`` -- the compiled table (the fast path, default);
+* ``engine`` -- an :class:`EnginePairVerdict`, which asks
+  :meth:`DrcEngine.check_via_pair` with A at the origin (the
+  reference path; nothing compiles);
+* ``verify`` -- the table cross-checked against the engine on every
+  probe (a :class:`~repro.drc.disptable.VerifiedTable`), raising
+  :class:`PairCheckMismatch` on any divergence.  The engine remains
+  the oracle; this mode proves the kernel equivalent on live
+  workloads.
 
-Tables are keyed by via *names*, so one kernel is shared across unique
-instances; each table compiles on first use and lives as long as its
+Verdicts are keyed by via *names*, so one kernel is shared across
+unique instances; each builds on first use and lives as long as its
 kernel.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.drc.disptable import (
     DisplacementTable,
+    VerifiedTable,
     assemble,
     shapes_by_layer,
     via_entries,
@@ -68,11 +76,36 @@ def build_pair_table(
     return assemble(metal, cuts, "a" if same_net else None)
 
 
+class EnginePairVerdict:
+    """The DRC engine's verdict on one via-pair combination.
+
+    :meth:`clean` asks :meth:`DrcEngine.check_via_pair` with A at the
+    origin and B at ``(dx, dy)``.  The engine's answer depends on the
+    displacement alone (a property ``tests/test_drc_engine.py``
+    checks), so one verdict serves every placement of the pair.
+    """
+
+    __slots__ = ("engine", "via_a", "via_b", "same_net")
+
+    def __init__(self, engine, via_a: ViaDef, via_b: ViaDef, same_net):
+        self.engine = engine
+        self.via_a = via_a
+        self.via_b = via_b
+        self.same_net = same_net
+
+    def clean(self, dx: int, dy: int) -> bool:
+        return not self.engine.check_via_pair(
+            self.via_a, (0, 0), self.via_b, (dx, dy),
+            same_net=self.same_net,
+        )
+
+
 class PairKernel:
     """Value-keyed via-pair verdict service shared across Steps 2/3.
 
-    Tables build lazily per ``(via_a, via_b, same_net)`` name key and
-    are never dropped, so ``pairkernel.built`` is ``len(tables)``.
+    ``tables`` holds one verdict per ``(via_a, via_b, same_net)`` name
+    key, built on first use and never dropped; ``pairkernel.built``
+    counts the compiled tables among them (none in ``engine`` mode).
     """
 
     def __init__(
@@ -91,30 +124,39 @@ class PairKernel:
         self.engine = engine if engine is not None else DrcEngine(tech)
         self.tables = {}
 
-    def table(
-        self, via_a: str, via_b: str, same_net: bool = False
-    ) -> DisplacementTable:
-        """Return (building if needed) the table for one combination."""
+    def table(self, via_a: str, via_b: str, same_net: bool = False):
+        """Return (building if needed) the verdict of one combination.
+
+        The verdict's ``clean(dx, dy)`` answers for B displaced by
+        ``(dx, dy)`` from A, in the kernel's mode (see the module
+        docstring).
+        """
         key = (via_a, via_b, same_net)
-        table = self.tables.get(key)
-        if table is None:
-            tick("pairkernel.table.build")
+        verdict = self.tables.get(key)
+        if verdict is not None:
+            tick("pairkernel.table.hit")
+            return verdict
+        tick("pairkernel.table.build")
+        a = self.tech.via(via_a)
+        b = self.tech.via(via_b)
+        if self.mode == "engine":
+            verdict = EnginePairVerdict(self.engine, a, b, same_net)
+        else:
             with span(
                 "pairkernel.build",
                 via_a=via_a,
                 via_b=via_b,
                 same_net=same_net,
             ):
-                table = build_pair_table(
-                    self.tech,
-                    self.tech.via(via_a),
-                    self.tech.via(via_b),
-                    same_net,
+                verdict = build_pair_table(self.tech, a, b, same_net)
+            if self.mode == "verify":
+                verdict = VerifiedTable(
+                    verdict,
+                    EnginePairVerdict(self.engine, a, b, same_net),
+                    partial(_mismatch, key),
                 )
-            self.tables[key] = table
-        else:
-            tick("pairkernel.table.hit")
-        return table
+        self.tables[key] = verdict
+        return verdict
 
     # -- verdicts -----------------------------------------------------------
 
@@ -133,30 +175,8 @@ class PairKernel:
         The displacement-space equivalent of ``not
         engine.check_via_pair(va, (ax, ay), vb, (bx, by), same_net)``.
         """
-        if self.mode == "engine":
-            return self._engine_clean(via_a, ax, ay, via_b, bx, by, same_net)
         tick("pairkernel.query")
-        verdict = self.table(via_a, via_b, same_net).clean(bx - ax, by - ay)
-        if self.mode == "verify":
-            oracle = self._engine_clean(
-                via_a, ax, ay, via_b, bx, by, same_net
-            )
-            if oracle != verdict:
-                raise PairCheckMismatch(
-                    f"pair kernel diverged from DrcEngine for "
-                    f"({via_a}, {via_b}, same_net={same_net}) at "
-                    f"displacement ({bx - ax}, {by - ay}): "
-                    f"kernel={'clean' if verdict else 'dirty'}, "
-                    f"engine={'clean' if oracle else 'dirty'}"
-                )
-        return verdict
-
-    def _engine_clean(self, via_a, ax, ay, via_b, bx, by, same_net) -> bool:
-        return not self.engine.check_via_pair(
-            self.tech.via(via_a), (ax, ay),
-            self.tech.via(via_b), (bx, by),
-            same_net=same_net,
-        )
+        return self.table(via_a, via_b, same_net).clean(bx - ax, by - ay)
 
     # -- observability -------------------------------------------------------
 
@@ -169,5 +189,18 @@ class PairKernel:
         """
         return {
             "pairkernel.mode": self.mode,
-            "pairkernel.built": len(self.tables),
+            "pairkernel.built": (
+                0 if self.mode == "engine" else len(self.tables)
+            ),
         }
+
+
+def _mismatch(key, dx, dy, verdict) -> PairCheckMismatch:
+    via_a, via_b, same_net = key
+    return PairCheckMismatch(
+        f"pair kernel diverged from DrcEngine for "
+        f"({via_a}, {via_b}, same_net={same_net}) at "
+        f"displacement ({dx}, {dy}): "
+        f"kernel={'clean' if verdict else 'dirty'}, "
+        f"engine={'dirty' if verdict else 'clean'}"
+    )

@@ -16,11 +16,10 @@ two stable artifacts:
 :mod:`repro.qa.golden` manages a committed corpus of golden records
 over generated testcases and backs the ``repro qa snapshot / check /
 accept / diff`` CLI subcommands.  ``qa check`` is the gate CI runs:
-any fingerprint drift or quality-metric regression beyond the
-configured tolerances fails the build, and because the fingerprint is
-independent of every perf knob, checking the same golden under
-``-j1``/``-jN`` and ``kernel``/``engine`` pair-check modes asserts
-their identity by construction.
+any fingerprint drift or quality-metric regression fails the build,
+and because the fingerprint is independent of every perf knob,
+checking the same golden under each pair-check and candidate-check
+mode asserts their identity by construction.
 """
 
 from repro.qa.fingerprint import (

@@ -231,7 +231,6 @@ def check_goldens(
     cases: list = None,
     paircheck_mode: str = "kernel",
     apcheck_mode: str = "array",
-    tolerances: dict = None,
     accept: bool = False,
     max_diff_lines: int = 20,
     out=print,
@@ -264,7 +263,7 @@ def check_goldens(
             paircheck_mode=paircheck_mode,
             apcheck_mode=apcheck_mode,
         )
-        entry = _check_one(record, result, failed, tolerances, max_diff_lines)
+        entry = _check_one(record, result, failed, max_diff_lines)
         entry["case"] = case_id(case["testcase"], case["scale"])
         if entry["status"] != "ok" and accept:
             fresh = golden_record(
@@ -284,12 +283,12 @@ def check_goldens(
     return (1 if failures else 0), report
 
 
-def _check_one(record, result, failed, tolerances, max_diff_lines) -> dict:
+def _check_one(record, result, failed, max_diff_lines) -> dict:
     canonical = canonical_result(result)
     fingerprint = fingerprint_of_canonical(canonical)
     golden_fp = ResultFingerprint.from_json(record["fingerprint"])
     metrics = quality_metrics(result, failed)
-    rows = compare_metrics(record["metrics"], metrics, tolerances)
+    rows = compare_metrics(record["metrics"], metrics)
     entry = {
         "digest": fingerprint.digest,
         "golden_digest": golden_fp.digest,
@@ -325,5 +324,5 @@ def _print_entry(entry: dict, out) -> None:
     for line in entry["diff"]:
         out(f"  {line}")
     for name, want, have, status in entry["metric_rows"]:
-        if status in ("regressed", "tolerated", "improved"):
+        if status in ("regressed", "improved"):
             out(f"  metric {name}: {want} -> {have} ({status})")

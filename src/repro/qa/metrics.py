@@ -12,8 +12,8 @@ The same schema underpins the ``BENCH_*.json`` perf baselines:
 ``derived`` speedups, ``context`` host facts).
 
 ``compare_metrics`` is the quality gate: each metric has a known
-"better" direction, improvements always pass, and regressions fail
-once they exceed the configured absolute/relative tolerance.
+"better" direction, improvements always pass, and any regression
+fails (goldens stay bit-exact at zero tolerance).
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ METRIC_DIRECTIONS = {
     "failed_pins": "lower",
     "failed_pins_internal": "lower",
 }
-
-#: Default gate: any regression at all fails.  ``qa check
-#: --tolerances`` points at a JSON file of per-metric overrides, e.g.
-#: ``{"cluster_cost": {"rel": 0.05}, "failed_pins": {"abs": 1}}``.
-DEFAULT_TOLERANCES = {}
-
 
 def quality_metrics(result, failed: list = None) -> dict:
     """Extract the gated quality metrics from a result.
@@ -106,49 +100,37 @@ def _ratio(num: int, den: int) -> float:
     return round(num / den, 6) if den else 0.0
 
 
-def gate_value(want, have, direction: str, tolerance: dict = None) -> str:
+def gate_value(want, have, direction: str) -> str:
     """Classify one golden-vs-current value pair.
 
-    Returns ``ok`` (unchanged), ``improved``, ``tolerated``
-    (regressed within the ``{"abs": x, "rel": y}`` tolerance) or
-    ``regressed`` (the failing verdict).  ``direction`` names which
-    way is better (``higher`` or ``lower``); a missing current value
-    is always a regression.
+    Returns ``ok`` (unchanged), ``improved`` or ``regressed`` (the
+    failing verdict).  ``direction`` names which way is better
+    (``higher`` or ``lower``); a missing current value is always a
+    regression.
     """
     if have is None:
         return "regressed"
     delta = have - want
-    worse = delta < 0 if direction == "higher" else delta > 0
     if delta == 0:
         return "ok"
-    if not worse:
-        return "improved"
-    tol = tolerance or {}
-    allowed = max(
-        float(tol.get("abs", 0)),
-        float(tol.get("rel", 0)) * abs(want),
-    )
-    return "tolerated" if abs(delta) <= allowed else "regressed"
+    worse = delta < 0 if direction == "higher" else delta > 0
+    return "regressed" if worse else "improved"
 
 
-def compare_metrics(
-    golden: dict, current: dict, tolerances: dict = None
-) -> list:
+def compare_metrics(golden: dict, current: dict) -> list:
     """Gate ``current`` against ``golden`` metric by metric.
 
     Returns one row per gated metric:
     ``(name, golden value, current value, status)`` -- the statuses of
     :func:`gate_value`.
     """
-    tolerances = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     rows = []
     for name, direction in METRIC_DIRECTIONS.items():
         if name not in golden:
             continue
         want = golden[name]
         have = current.get(name)
-        status = gate_value(want, have, direction, tolerances.get(name))
-        rows.append((name, want, have, status))
+        rows.append((name, want, have, gate_value(want, have, direction)))
     return rows
 
 

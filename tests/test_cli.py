@@ -603,22 +603,6 @@ class TestQaCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_tolerances_file(self, goldens_dir, tmp_path, capsys):
-        bad = tmp_path / "tol.json"
-        bad.write_text("{not json")
-        code = main(
-            [
-                "qa",
-                "check",
-                "--goldens",
-                str(goldens_dir),
-                "--tolerances",
-                str(bad),
-            ]
-        )
-        assert code == 2
-        assert "--tolerances" in capsys.readouterr().err
-
     def test_qa_without_subcommand_shows_help(self, capsys):
         assert main(["qa"]) == 2
         assert "usage" in capsys.readouterr().out

@@ -22,7 +22,7 @@ from repro.core.arraykernel import (
     build_cell_tables,
 )
 from repro.core.config import PaafConfig
-from repro.drc.disptable import BOX, DisplacementTable
+from repro.drc.disptable import BOX, DisplacementTable, VerifiedTable
 from repro.drc.minstep import check_min_step
 from repro.geom.rect import Rect
 from repro.lefdef import parse_def, parse_lef
@@ -311,15 +311,18 @@ class TestVerifyAlarm:
             i for i in design.instances.values()
             if i.master.name == "AND2"
         )
-        # Poison the Step-3 table: an everything-is-dirty box that the
-        # engine cross-check cannot possibly agree with.
+        # Poison the compiled Step-3 table the verdict wraps: an
+        # everything-is-dirty box that the engine cross-check cannot
+        # possibly agree with.
         big = 10 ** 9
         poison = DisplacementTable(
             (-big, big, -big, big),
             ((BOX, -big, big, -big, big),),
             ((-big, big, -big, big),),
         )
-        kernel.instance_tables[(*kernel.cell_key(inst), "cutvia")] = poison
+        verdict = kernel.instance_table("cutvia", inst)
+        assert isinstance(verdict, VerifiedTable)
+        verdict.table = poison
         with pytest.raises(ApCheckMismatch, match="diverged"):
             kernel.via_vs_instance_clean(
                 "cutvia",

@@ -8,7 +8,6 @@ from repro.core.cluster import (
     ClusterPatternSelector,
     SelectedAccess,
     boundary_records,
-    interaction_window,
 )
 from repro.core.config import PaafConfig
 from repro.core.coords import CoordType
@@ -50,9 +49,6 @@ def selector(design):
         design,
         kernel=PairKernel(design.tech, engine=engine),
         akernel=ArrayKernel(design, mode="engine", engine=engine),
-        window=interaction_window(design.tech),
-        verdicts={},
-        boundary_records={},
     )
 
 
@@ -267,9 +263,8 @@ class TestOnePass:
         first cluster's candidate lists freed before the second pass
         (their object ids may be handed out again): the second cluster
         must be served from the verdicts the first left in the table.
-        A new selector over the same table, as a framework's next pass,
-        adds nothing either.  Every pass must equal a fresh selector's
-        with an empty table.
+        Later passes of the same selector, as a framework's, add
+        nothing either.  Every pass must equal a fresh selector's.
         """
         design = make_simple_design(n45, num_instances=4)
         for name in ("u2", "u3"):
@@ -313,18 +308,15 @@ class TestOnePass:
 
         engine = DrcEngine(design.tech)
 
-        def selector(verdicts):
+        def selector():
             return ClusterPatternSelector(
                 design,
                 kernel=PairKernel(design.tech, engine=engine),
                 akernel=ArrayKernel(design, mode="engine", engine=engine),
-                window=interaction_window(design.tech),
-                verdicts=verdicts,
-                boundary_records={},
             )
 
-        kept = {}
-        shared = selector(kept)
+        shared = selector()
+        kept = shared.verdicts
         passes = []
         sizes = []
         for cluster in clusters:
@@ -334,10 +326,10 @@ class TestOnePass:
             sizes.append(len(kept))
         assert sizes[0] > 0
         assert sizes[1] == sizes[0]
-        later = [selector(kept).select([c], candidates(c)) for c in clusters]
+        later = [shared.select([c], candidates(c)) for c in clusters]
         assert len(kept) == sizes[0]
         for cluster, got, again in zip(clusters, passes, later):
-            want = selector({}).select([cluster], candidates(cluster))
+            want = selector().select([cluster], candidates(cluster))
             assert want.conflicts == []
             for res in (got, again):
                 assert list(res.selection) == list(want.selection)

@@ -1,11 +1,21 @@
 """Unit tests for the DRC engine facade (via placement, pairs, dedupe)."""
 
-import pytest
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bench.stdcells import build_library
+from repro.db.inst import Instance
 from repro.drc.context import ShapeContext
 from repro.drc.engine import DrcEngine
+from repro.drc.pairkernel import build_pair_table
 from repro.drc.violations import Violation
+from repro.geom.point import Point
 from repro.geom.rect import Rect
+from repro.geom.transform import Orientation
+from repro.tech.nodes import make_node
 
 from tests.conftest import make_simple_design
 
@@ -176,3 +186,115 @@ class TestShapeContext:
         ctx.add("M2", Rect(0, 0, 1, 1), "x")
         ctx.add("M1", Rect(0, 0, 1, 1), "x")
         assert ctx.layers() == ["M1", "M2"]
+
+
+# -- the engine answers by displacement ---------------------------------------
+#
+# Both kernels' engine and verify modes ask the engine once per
+# combination at the origin and probe it by displacement, which holds
+# only if the engine's verdict does not depend on where the shapes sit.
+
+NODES = ("N45", "N32", "N14")
+
+
+@lru_cache(maxsize=None)
+def _node(name):
+    return make_node(name)
+
+
+@lru_cache(maxsize=None)
+def _library(name):
+    return build_library(_node(name), seed=1, multi_height=True)
+
+
+@lru_cache(maxsize=None)
+def _pair_window(node, via_a, via_b, same_net):
+    tech = _node(node)
+    table = build_pair_table(
+        tech, tech.via(via_a), tech.via(via_b), same_net
+    )
+    return table.window or (-300, 300, -300, 300)
+
+
+origins = st.tuples(
+    st.integers(min_value=-100_000, max_value=100_000),
+    st.integers(min_value=-100_000, max_value=100_000),
+)
+
+
+@st.composite
+def via_pairs(draw):
+    """A via pair of one node and a displacement around its window."""
+    node = draw(st.sampled_from(NODES))
+    vias = [via.name for via in _node(node).vias]
+    via_a = draw(st.sampled_from(vias))
+    via_b = draw(st.sampled_from(vias))
+    same_net = draw(st.booleans())
+    xlo, xhi, ylo, yhi = _pair_window(node, via_a, via_b, same_net)
+    dx = draw(st.integers(min_value=xlo - 20, max_value=xhi + 20))
+    dy = draw(st.integers(min_value=ylo - 20, max_value=yhi + 20))
+    return node, via_a, via_b, same_net, (dx, dy)
+
+
+@st.composite
+def cell_vias(draw):
+    """A generated cell in one orientation, a low via and its offset.
+
+    The offset ``(x, y)`` is the via's position relative to the
+    cell's origin, anywhere over the placed cell plus two pitches.
+    """
+    node = draw(st.sampled_from(NODES))
+    tech = _node(node)
+    master = draw(st.sampled_from(_library(node).all_masters()))
+    orient = draw(st.sampled_from(list(Orientation)))
+    via = draw(st.sampled_from(tech.vias_from("M1") + tech.vias_from("M2")))
+    cell = master.cell_class(orient)
+    margin = 2 * tech.layer("M1").pitch
+    x = draw(st.integers(min_value=-margin, max_value=cell.width + margin))
+    y = draw(st.integers(min_value=-margin, max_value=cell.height + margin))
+    return node, master, orient, via.name, (x, y)
+
+
+class TestVerdictsByDisplacement:
+    @settings(max_examples=300, deadline=None)
+    @given(via_pairs(), origins)
+    def test_via_pair_verdict_moves_with_the_pair(self, pair, origin):
+        node, via_a, via_b, same_net, (dx, dy) = pair
+        ox, oy = origin
+        tech = _node(node)
+        engine = DrcEngine(tech)
+        a, b = tech.via(via_a), tech.via(via_b)
+        at_origin = engine.check_via_pair(
+            a, (0, 0), b, (dx, dy), same_net=same_net
+        )
+        placed = engine.check_via_pair(
+            a, (ox, oy), b, (ox + dx, oy + dy), same_net=same_net
+        )
+        assert bool(placed) == bool(at_origin)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell_vias(), origins)
+    def test_cell_verdict_moves_with_the_cell(self, probe, origin):
+        # The Step 3 check: ``net_key=None``, min-step off.
+        node, master, orient, via_name, (x, y) = probe
+        ox, oy = origin
+        tech = _node(node)
+        engine = DrcEngine(tech)
+        via = tech.via(via_name)
+        verdicts = []
+        for location, (vx, vy) in (
+            (Point(ox, oy), (ox + x, oy + y)),
+            (Point(0, 0), (x, y)),
+        ):
+            inst = Instance("u0", master, location, orient)
+            verdicts.append(
+                not engine.check_via_placement(
+                    via,
+                    vx,
+                    vy,
+                    None,
+                    ShapeContext.from_instance(inst),
+                    with_min_step=False,
+                )
+            )
+        assert verdicts[0] == verdicts[1]

@@ -25,10 +25,12 @@ from repro.core.config import PaafConfig
 from repro.core.coords import CoordType
 from repro.core.framework import PinAccessFramework
 from repro.core.patterngen import AccessPatternGenerator
-from repro.drc.disptable import CUT, DisplacementTable
+from repro.drc import pairkernel
+from repro.drc.disptable import CUT, DisplacementTable, VerifiedTable
 from repro.drc.engine import DrcEngine
 from repro.drc.pairkernel import (
     PAIRCHECK_MODES,
+    EnginePairVerdict,
     PairCheckMismatch,
     PairKernel,
     build_pair_table,
@@ -157,19 +159,27 @@ class TestModes:
         with pytest.raises(ValueError):
             PaafConfig(paircheck_mode="bogus")
 
-    def test_engine_mode_builds_no_tables(self, n45):
+    def test_engine_mode_builds_no_tables(self, n45, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("engine mode consulted a compiled table")
+
+        # Engine mode neither compiles a table nor probes one.
+        monkeypatch.setattr(pairkernel, "build_pair_table", refuse)
+        monkeypatch.setattr(DisplacementTable, "clean", refuse)
         kernel = PairKernel(n45, mode="engine")
         # Same displacement the engine suite pins as clean / dirty.
         assert kernel.pair_clean("V12_P", 0, 0, "V12_P", 0, 290)
         assert not kernel.pair_clean("V12_P", 0, 0, "V12_P", 0, 140)
-        assert kernel.tables == {}
+        verdict = kernel.table("V12_P", "V12_P")
+        assert isinstance(verdict, EnginePairVerdict)
         assert kernel.stats()["pairkernel.built"] == 0
 
     def test_verify_mode_passes_end_to_end(self, n45):
         kernel = PairKernel(n45, mode="verify")
-        table = kernel.table("V12_P", "V12_S")
+        verdict = kernel.table("V12_P", "V12_S")
+        assert isinstance(verdict, VerifiedTable)
         rng = random.Random(11)
-        xlo, xhi, ylo, yhi = table.window
+        xlo, xhi, ylo, yhi = verdict.table.window
         for _ in range(16 + SWEEP):
             dx = rng.randint(xlo - 10, xhi + 10)
             dy = rng.randint(ylo - 10, yhi + 10)
@@ -177,11 +187,11 @@ class TestModes:
 
     def test_verify_mode_raises_on_divergence(self, n45):
         kernel = PairKernel(n45, mode="verify")
-        # Poison the table: an empty table claims every displacement
-        # is clean, which the engine refutes at d=(0, 140).
-        kernel.tables[("V12_P", "V12_P", False)] = DisplacementTable(
-            None, (), ()
-        )
+        # Poison the compiled table the verdict wraps: an empty table
+        # claims every displacement is clean, which the engine refutes
+        # at d=(0, 140).
+        verdict = kernel.table("V12_P", "V12_P")
+        verdict.table = DisplacementTable(None, (), ())
         with pytest.raises(PairCheckMismatch):
             kernel.pair_clean("V12_P", 0, 0, "V12_P", 0, 140)
 

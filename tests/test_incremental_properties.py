@@ -258,7 +258,7 @@ class TestMoveSequences:
 
 
 class TestKeptVerdicts:
-    """The framework's boundary verdicts hold for every placement.
+    """The framework selector's boundary verdicts hold for every placement.
 
     The table memoises the kernels' verdicts in every mode, so
     ``verify`` mode cross-checks a verdict only the first time the
@@ -280,9 +280,6 @@ class TestKeptVerdicts:
             framework.config,
             kernel=framework.kernel,
             akernel=framework.akernel,
-            window=framework.boundary_window,
-            verdicts={},
-            boundary_records={},
         )
 
         def candidates(inst):
@@ -302,12 +299,9 @@ class TestKeptVerdicts:
                 for a in candidates(left):
                     for b in candidates(right):
                         fresh._boundary_conflicts(a, b)
-        scanned = fresh._verdicts
-        kept = {
-            key: framework.verdicts[key]
-            for key in scanned
-            if key in framework.verdicts
-        }
+        scanned = fresh.verdicts
+        held = framework.selector.verdicts
+        kept = {key: held[key] for key in scanned if key in held}
         assert len(kept) > len(scanned) // 2
         assert kept == {key: scanned[key] for key in kept}
 
@@ -320,7 +314,7 @@ class TestKeptVerdicts:
         )
         config = PaafConfig(apcheck_mode="verify", paircheck_mode="verify")
         oracle = PinAccessOracle(design, config)
-        verdicts = oracle.framework.verdicts
+        verdicts = oracle.framework.selector.verdicts
         held = len(verdicts)
         seeded_moves(oracle, design, seed=5, count=3)
         # The moves met adjacencies the analysis never saw, so verify

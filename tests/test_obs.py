@@ -492,8 +492,8 @@ _TELEMETRY_DIGESTS = {
                   "b0ec23c21931771343dd762e3544bd3c",
         "histograms": "99b8aca1c10ec95b3ad0dd1c40e40bd7"
                       "274c204aaf48a8b122eabdeb97c58e22",
-        "counters": "b6f7a1b4126d82585d1ce29a5507bdd4"
-                    "977b3e34cc4c14eca6220e0671104dbe",
+        "counters": "f74ff795a4d1f30c17e28edd2e2b5d5b"
+                    "5183c9cfd1e8f16738b2ac64a16a9273",
     },
     ("pinzoo_hostile", 1): {
         "events": "41f3c05c194b98ffa1dae8998dfe3e7e"

@@ -220,9 +220,9 @@ class TestFrameworkDeterminism:
         framework = PinAccessFramework(mh_design)
         framework.run()
         gc.collect()
-        held = len(framework.verdicts)
+        held = len(framework.selector.verdicts)
         second = framework.run()
-        assert len(framework.verdicts) == held
+        assert len(framework.selector.verdicts) == held
         assert (
             second.fingerprint()
             == PinAccessFramework(mh_design).run().fingerprint()
