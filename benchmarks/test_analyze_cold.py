@@ -4,8 +4,8 @@ Times the full PAAF flow from a cold start (no AP cache, tables
 compiled in-run) on the golden corpus, once per ``apcheck_mode``
 backend:
 
-* engine -- every Algorithm-1 candidate validated by per-candidate
-  ``DrcEngine`` probes (the pre-compilation baseline)
+* engine -- every Algorithm-1 candidate validated by ``DrcEngine``
+  verdicts, memoized by displacement (the pre-compilation baseline)
 * array  -- occupancy bitmask rows + forbidden-interval tables
   compiled once per unique (master, orient) cell, candidates
   validated by vectorized row passes

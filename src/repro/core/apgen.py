@@ -9,28 +9,28 @@ finishing the current type combination -- so large pins can yield
 slightly more than ``k`` points (Sec. III-A).
 
 The ladder is one loop (:meth:`AccessPointGenerator._generate_on_layer`)
-that every caller runs: cell pins in each check backend and top-level
-IO pins (:mod:`repro.core.ioaccess`).  The backends differ only in
-who gives the verdict -- the cell's compiled tables or the DRC engine
--- and both verdicts end in one accept step
-(:meth:`AccessPointGenerator._accept`).
+with one validator (:meth:`AccessPointGenerator._validate`) that every
+caller runs: cell pins in each check backend and top-level IO pins
+(:mod:`repro.core.ioaccess`).  The backends differ only in who gives
+the verdicts the validator reads -- the cell's compiled tables, the DRC
+engine, or both cross-checked -- and the array kernel chose that once
+per cell class (:meth:`~repro.core.arraykernel.ArrayKernel.cell_tables`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.core.arraykernel import ApCheckMismatch, ArrayKernel
+from repro.core.arraykernel import ArrayKernel
 from repro.core.config import PaafConfig
 from repro.core.coords import CoordType
 from repro.db.design import Design
 from repro.db.inst import Instance
 from repro.db.master import MasterPin
-from repro.drc.engine import DrcEngine
 from repro.geom.maxrect import maximal_rectangles
 from repro.geom.point import Point
 from repro.geom.polygon import RectilinearPolygon
-from repro.geom.rect import Rect
 from repro.obs.events import active_log
 from repro.obs.metrics import active_registry
 from repro.obs.trace import span
@@ -101,52 +101,39 @@ class AccessPointGenerator:
     """Implements Algorithm 1 for one design.
 
     One per-layer ladder loop (:meth:`_generate_on_layer`) enumerates
-    the candidates of every caller -- cell pins in each ``apcheck_mode``
-    and top-level IO pins -- from the shared
-    :class:`~repro.core.arraykernel.ArrayKernel` ``akernel``'s
-    coordinate cache.  When the cell has compiled tables (``array`` and
-    ``verify`` mode) they decide each candidate: a whole candidate row
-    is answered by one occupancy bitmask per via, with the engine
-    consulted only to name the violated rule when telemetry sinks are
-    active, or on every candidate in ``verify`` mode.  Otherwise each
-    candidate is probed through the DRC engine.
+    the candidates of every caller -- cell pins and top-level IO pins
+    -- from the shared :class:`~repro.core.arraykernel.ArrayKernel`
+    ``akernel``'s coordinate cache, and one validator
+    (:meth:`_validate`) decides them from the caller's
+    :class:`~repro.core.arraykernel.CellTables`: a whole candidate row
+    is answered by one occupancy bitmask per via.  The kernel chose
+    once per cell class whether those verdicts are compiled tables,
+    the DRC engine's or both; the generator reads no mode.
     """
 
     def __init__(
-        self,
-        design: Design,
-        engine: DrcEngine,
-        config: PaafConfig = None,
-        *,
+        self, design: Design, config: PaafConfig = None, *,
         akernel: ArrayKernel,
     ):
         self.design = design
         self.tech = design.tech
-        self.engine = engine
         self.config = config or PaafConfig()
         self.akernel = akernel
 
-    def generate_for_pin(
-        self, inst: Instance, pin: MasterPin, context
-    ) -> list:
+    def generate_for_pin(self, inst: Instance, pin: MasterPin) -> list:
         """Generate up to ~k valid access points for one instance pin.
 
-        ``context`` is the :class:`~repro.drc.ShapeContext` the vias
-        are validated against (intra-cell context in Step 1); it is
-        read only in ``engine`` and ``verify`` mode and to name
-        rejections to active sinks, so it may be None otherwise.
         Candidates come from the maximal rectangles of the instance's
-        cell-class record.  Returns access points in generation (cost)
-        order.
+        cell-class record and are validated against the kernel's
+        verdicts on that class.  Returns access points in generation
+        (cost) order.
         """
-        tables = None
-        if self.akernel.mode != "engine":
-            tables = self.akernel.cell_tables(inst)
+        tables = self.akernel.cell_tables(inst)
         with span("step1.pin", inst=inst.name, pin=pin.name) as record:
             aps = self.generate(
                 inst.master.cell_class(inst.orient).pin_rects[pin.name],
-                (inst.name, pin.name), context,
-                is_macro=inst.master.is_macro, inst=inst, tables=tables,
+                (inst.name, pin.name), pin.name, tables,
+                is_macro=inst.master.is_macro, inst=inst,
             )
             if record is not None:
                 record["attrs"]["aps"] = len(aps)
@@ -156,19 +143,19 @@ class AccessPointGenerator:
         return aps
 
     def generate(
-        self, shapes: dict, net_key, context, *, is_macro: bool = False,
-        inst: Instance = None, tables=None,
+        self, shapes: dict, net_key, pin_name: str, tables, *,
+        is_macro: bool = False, inst: Instance = None,
     ) -> list:
         """Run Algorithm 1 over one pin's ``shapes`` (layer -> rects).
 
         Layers are visited in name order; ``(x, y)`` is deduplicated
         across them and the quota, once reached on a layer, ends the
-        pin.  With ``inst`` given, ``shapes`` are the instance's pin
-        rects relative to its origin and the maximal rectangles come
-        from its cell-class record; otherwise (IO pins) ``shapes`` are
-        in design coordinates.  ``tables`` are ``inst``'s compiled cell
-        tables, or None to validate every candidate through the engine
-        (IO pins pass neither).
+        pin.  ``tables`` hold the verdicts on ``pin_name``'s vias and
+        stubs by displacement.  With ``inst`` given, ``shapes`` are the
+        instance's pin rects relative to its origin, the maximal
+        rectangles come from its cell-class record and displacements
+        are taken from its origin; otherwise (IO pins) ``shapes`` and
+        displacements are in design coordinates.
         """
         ox = oy = 0
         if inst is not None:
@@ -187,7 +174,7 @@ class AccessPointGenerator:
             else:
                 rects = [
                     r.translated(ox, oy)
-                    for r in cell.maximal_rectangles(net_key[1], layer_name)
+                    for r in cell.maximal_rectangles(pin_name, layer_name)
                 ]
             cut_pin = None
             if self.config.require_cut_on_pin:
@@ -195,8 +182,8 @@ class AccessPointGenerator:
                     [r.translated(ox, oy) for r in shapes[layer_name]]
                 )
             if self._generate_on_layer(
-                layer, rects, cut_pin, net_key, context, aps, seen,
-                is_macro, inst, tables,
+                layer, rects, cut_pin, net_key, pin_name, tables, aps, seen,
+                is_macro, ox, oy,
             ):
                 break
         return aps
@@ -204,8 +191,8 @@ class AccessPointGenerator:
     # -- internals ---------------------------------------------------------
 
     def _generate_on_layer(
-        self, layer, rects, cut_pin, net_key, context, aps, seen, is_macro,
-        inst, tables,
+        self, layer, rects, cut_pin, net_key, pin_name, tables, aps, seen,
+        is_macro, ox, oy,
     ) -> bool:
         """Run the Algorithm 1 double loop on one layer.
 
@@ -229,17 +216,14 @@ class AccessPointGenerator:
             primary_viadef = None
         registry = active_registry()
         log = active_log()
-        if tables is not None:
-            via_info, stubs, fast_reject = self._layer_tables(
-                layer, net_key[1], tables, is_macro
-            )
-            nvias = len(via_info)
-            # The vias a fast-rejected point names to the sinks.
-            named = (
-                via_info if registry is not None or log is not None else ()
-            )
-            ox, oy = inst.location.x, inst.location.y
-            fixed_origin, moving_origin = (oy, ox) if fixed_is_y else (ox, oy)
+        via_info, stubs, fast_reject = self._layer_tables(
+            layer, pin_name, tables, is_macro
+        )
+        nvias = len(via_info)
+        name = partial(tables.probe, pin_name)
+        # The vias a fast-rejected point names to the sinks.
+        named = via_info if registry is not None or log is not None else ()
+        fixed_origin, moving_origin = (oy, ox) if fixed_is_y else (ox, oy)
         done_pairs = set()
         for t1 in cfg.non_preferred_types:
             for t0 in cfg.preferred_types:
@@ -258,8 +242,7 @@ class AccessPointGenerator:
                     if pair in done_pairs:
                         continue
                     done_pairs.add(pair)
-                    if tables is not None:
-                        moving = [c - moving_origin for c in nonpref_coords]
+                    moving = [c - moving_origin for c in nonpref_coords]
                     for pc in pref_coords:
                         row = None
                         for ni, nc in enumerate(nonpref_coords):
@@ -267,50 +250,46 @@ class AccessPointGenerator:
                             if (x, y) in seen:
                                 continue
                             seen.add((x, y))
-                            if tables is None:
-                                ap = self._validate(
-                                    layer, x, y, t0, t1, net_key, context,
-                                    is_macro, cut_pin, registry, log,
-                                )
-                            else:
-                                if row is None:
-                                    # One dirty bitmask per via over the
-                                    # whole row.  Planar stubs stay
-                                    # pointwise: after the cross-type
-                                    # dedupe a row rarely yields more
-                                    # than a point or two, so whole-row
-                                    # stub masks would cost more than
-                                    # probing the tiny stub tables.
-                                    row = [
-                                        site.row_mask(
-                                            fixed_is_y, pc - fixed_origin,
-                                            moving,
-                                        )
-                                        for _, site, _ms in via_info
-                                    ]
-                                    all_dirty = 0
-                                    if fast_reject:
-                                        all_dirty = -1
-                                        for mask in row:
-                                            all_dirty &= mask
-                                if all_dirty >> ni & 1:
-                                    # Counters advance by arithmetic so
-                                    # stats match the per-point path;
-                                    # sinks get each via's rule named by
-                                    # the engine, as that path reports.
-                                    akernel.candidates += nvias
-                                    akernel.filtered += nvias
-                                    for viadef, _s, _m in named:
-                                        self._name_rejection(
-                                            layer, x, y, t0, t1, net_key,
-                                            context, viadef, registry, log,
-                                        )
-                                    continue
-                                ap = self._validate_array(
-                                    layer, x, y, t0, t1, net_key, context,
-                                    is_macro, cut_pin, via_info, stubs,
-                                    row, ni, x - ox, y - oy, registry, log,
-                                )
+                            if row is None:
+                                # One dirty bitmask per via over the
+                                # whole row.  Planar stubs stay
+                                # pointwise: after the cross-type
+                                # dedupe a row rarely yields more than
+                                # a point or two, so whole-row stub
+                                # masks would cost more than probing
+                                # the tiny stub tables.
+                                row = [
+                                    site.row_mask(
+                                        fixed_is_y, pc - fixed_origin, moving
+                                    )
+                                    for _, site, _ms in via_info
+                                ]
+                                all_dirty = 0
+                                if fast_reject:
+                                    all_dirty = -1
+                                    for mask in row:
+                                        all_dirty &= mask
+                            if all_dirty >> ni & 1:
+                                # Counters advance by arithmetic so
+                                # stats match the per-via path, and
+                                # sinks get each via's rule named.
+                                akernel.candidates += nvias
+                                akernel.filtered += nvias
+                                for viadef, _s, _m in named:
+                                    violation = name(
+                                        viadef.name, x - ox, y - oy
+                                    )
+                                    self._note_rejection(
+                                        registry, log, net_key, layer, x, y,
+                                        t0, t1, viadef.name, violation.rule,
+                                        violation.layer_name,
+                                    )
+                                continue
+                            ap = self._validate(
+                                layer, x, y, t0, t1, net_key, is_macro,
+                                cut_pin, via_info, stubs, name, row, ni,
+                                x - ox, y - oy, registry, log,
+                            )
                             if ap is not None:
                                 aps.append(ap)
                 if len(aps) >= cfg.k:
@@ -318,13 +297,13 @@ class AccessPointGenerator:
         return False
 
     def _layer_tables(self, layer, pin_name, tables, is_macro) -> tuple:
-        """Resolve one pin/layer's table constants for the point loop.
+        """Resolve one pin/layer's verdicts for the point loop.
 
-        Returns the ``(via, site table, min-step table)`` triples, the
-        planar stub tables (None without planar checks) and whether the
-        fast reject applies: with no verify oracle, a standard-cell
-        point dirty for *every* via can never be accepted, so the ANDed
-        via masks reject it without per-via validation.
+        Returns the ``(via, site verdict, min-step table)`` triples,
+        the planar stub verdicts (None without planar checks) and
+        whether the fast reject applies: a standard-cell point dirty
+        for *every* via can never be accepted, so the ANDed via masks
+        reject it without per-via validation.
         """
         cfg = self.config
         vias = self.tech.vias_from(layer.name)
@@ -342,66 +321,28 @@ class AccessPointGenerator:
             else None
         )
         fast_reject = (
-            bool(vias)
-            and self.akernel.mode != "verify"
-            and not is_macro
-            and not cfg.require_cut_on_pin
+            bool(vias) and not is_macro and not cfg.require_cut_on_pin
         )
         return via_info, stubs, fast_reject
 
     def _validate(
-        self, layer, x, y, t0, t1, net_key, context, is_macro, cut_pin,
-        registry, log,
+        self, layer, x, y, t0, t1, net_key, is_macro, cut_pin, via_info,
+        stubs, name, row, ni, dx, dy, registry, log,
     ):
-        """Engine-probed candidate validation: an AccessPoint or None.
+        """Validate one candidate from its verdicts: an AccessPoint or None.
 
-        Each via of the layer is dropped through the DRC engine; with
+        Bit ``ni`` of ``row[i]`` is via ``i``'s site verdict at this
+        point, which sits at ``(dx, dy)`` from the verdicts' origin; a
+        via clean there must pass its min-step table too.  With
         ``cut_pin`` (the pin polygon under ``require_cut_on_pin``) a
         via additionally needs its cut fully landed on pin metal (the
-        strict via-in-pin reading for advanced nodes).
-        """
-        valid_vias = []
-        for viadef in self.tech.vias_from(layer.name):
-            if cut_pin is not None and self._cut_off_pin(
-                cut_pin, viadef, layer, x, y, t0, t1, net_key, registry, log
-            ):
-                continue
-            violations = self.engine.check_via_placement(
-                viadef, x, y, net_key, context
-            )
-            if not violations:
-                valid_vias.append(viadef.name)
-            else:
-                self._note_rejection(
-                    registry, log, net_key, layer, x, y, t0, t1,
-                    viadef.name, violations[0].rule,
-                    violations[0].layer_name,
-                )
-        planar_dirs = []
-        if self.config.check_planar:
-            planar_dirs = self._planar_directions(
-                layer, x, y, net_key, context
-            )
-        return self._accept(
-            layer, x, y, t0, t1, net_key, is_macro, valid_vias,
-            planar_dirs, registry, log,
-        )
-
-    def _validate_array(
-        self, layer, x, y, t0, t1, net_key, context, is_macro, cut_pin,
-        via_info, stubs, row, ni, dx, dy, registry, log,
-    ):
-        """Table-served twin of :meth:`_validate`.
-
-        The tables decide; the engine runs only to name the violated
-        rule for telemetry (dirty candidates, when sinks are active)
-        or to cross-check every verdict in ``verify`` mode.  A dirty
-        table verdict the engine cannot reproduce raises
-        :class:`~repro.core.arraykernel.ApCheckMismatch` even outside
-        verify mode -- it is a proven divergence, never noise.
+        strict via-in-pin reading for advanced nodes).  Active sinks
+        get each rejection named: a min-step one from its table, with
+        no engine call (the site is clean, so spacing, EOL and cut
+        are, and min-step on the bottom layer is the engine's first
+        violation), the others by ``name(via, dx, dy)``.
         """
         akernel = self.akernel
-        verify = akernel.mode == "verify"
         valid_vias = []
         for vi, (viadef, _site, minstep) in enumerate(via_info):
             if cut_pin is not None and self._cut_off_pin(
@@ -409,56 +350,35 @@ class AccessPointGenerator:
             ):
                 continue
             akernel.candidates += 1
-            dirty = bool(row[vi] >> ni & 1)
-            if not dirty:
-                if minstep is not None:
-                    if minstep.max_edges:
-                        akernel.minstep_engine += 1
-                    dirty = minstep.dirty(dx, dy, layer)
-            violations = None
-            if verify:
-                violations = self.engine.check_via_placement(
-                    viadef, x, y, net_key, context
-                )
-                if bool(violations) != dirty:
-                    akernel.verify_mismatches += 1
-                    raise ApCheckMismatch(
-                        f"array kernel diverged from DrcEngine for via "
-                        f"{viadef.name} at ({x}, {y}) on "
-                        f"{layer.name} (net {net_key}): "
-                        f"kernel={'dirty' if dirty else 'clean'}, "
-                        f"engine={'dirty' if violations else 'clean'}"
+            if row[vi] >> ni & 1:
+                akernel.filtered += 1
+                if registry is not None or log is not None:
+                    violation = name(viadef.name, dx, dy)
+                    self._note_rejection(
+                        registry, log, net_key, layer, x, y, t0, t1,
+                        viadef.name, violation.rule, violation.layer_name,
                     )
-            if not dirty:
-                valid_vias.append(viadef.name)
                 continue
-            akernel.filtered += 1
-            if registry is not None or log is not None:
-                self._name_rejection(
-                    layer, x, y, t0, t1, net_key, context, viadef,
-                    registry, log, violations,
-                )
+            if minstep is not None:
+                if minstep.max_edges:
+                    akernel.minstep_engine += 1
+                if minstep.dirty(dx, dy, layer):
+                    akernel.filtered += 1
+                    self._note_rejection(
+                        registry, log, net_key, layer, x, y, t0, t1,
+                        viadef.name, "min-step", viadef.bottom_layer,
+                    )
+                    continue
+            valid_vias.append(viadef.name)
         planar_dirs = []
         # Without a clean via the stubs matter only where planar-only
-        # access is allowed; verify mode cross-checks them everywhere.
-        if stubs is not None and (valid_vias or verify or is_macro):
+        # access is allowed.
+        if stubs is not None and (valid_vias or is_macro):
             planar_dirs = [
                 d
                 for d, stub in zip(PLANAR_DIRECTIONS, stubs)
                 if stub.clean(dx, dy)
             ]
-            if verify:
-                oracle = self._planar_directions(
-                    layer, x, y, net_key, context
-                )
-                if oracle != planar_dirs:
-                    akernel.verify_mismatches += 1
-                    raise ApCheckMismatch(
-                        f"array kernel planar verdict diverged at "
-                        f"({x}, {y}) on {layer.name} "
-                        f"(net {net_key}): kernel={planar_dirs}, "
-                        f"engine={oracle}"
-                    )
         return self._accept(
             layer, x, y, t0, t1, net_key, is_macro, valid_vias,
             planar_dirs, registry, log,
@@ -514,34 +434,6 @@ class AccessPointGenerator:
         )
         return True
 
-    def _name_rejection(
-        self, layer, x, y, t0, t1, net_key, context, viadef, registry,
-        log, violations=None,
-    ) -> None:
-        """Report a table-rejected via under the engine's rule name.
-
-        Runs only when a sink is active, after the tables decided;
-        ``violations`` reuses a verify-mode engine result.  Raises
-        :class:`~repro.core.arraykernel.ApCheckMismatch` when the
-        engine finds the via clean (see :meth:`_validate_array`).
-        """
-        if violations is None:
-            violations = self.engine.check_via_placement(
-                viadef, x, y, net_key, context
-            )
-        if not violations:
-            self.akernel.verify_mismatches += 1
-            raise ApCheckMismatch(
-                f"array kernel rejected via {viadef.name} at "
-                f"({x}, {y}) on {layer.name} "
-                f"(net {net_key}) but the engine found no "
-                f"violation"
-            )
-        self._note_rejection(
-            registry, log, net_key, layer, x, y, t0, t1,
-            viadef.name, violations[0].rule, violations[0].layer_name,
-        )
-
     def _note_rejection(
         self, registry, log, net_key, layer, x, y, t0, t1, via_name,
         rule, rule_layer,
@@ -572,28 +464,3 @@ class AccessPointGenerator:
                 t0=t0.name.lower(),
                 t1=t1.name.lower(),
             )
-
-    def _planar_directions(self, layer, x, y, net_key, context) -> list:
-        """Return planar escape directions that check DRC-clean.
-
-        The stub is one pitch of wire at the layer's default width
-        leaving the access point; a clean stub means the router can end
-        routing here in that direction.
-        """
-        half = layer.width // 2
-        length = layer.pitch
-        stubs = {
-            "E": Rect(x, y - half, x + length, y + half),
-            "W": Rect(x - length, y - half, x, y + half),
-            "N": Rect(x - half, y, x + half, y + length),
-            "S": Rect(x - half, y - length, x + half, y),
-        }
-        clean = []
-        for direction in PLANAR_DIRECTIONS:
-            stub = stubs[direction]
-            violations = self.engine.check_metal_rect(
-                layer.name, stub, net_key, context, label="planar-stub"
-            )
-            if not violations:
-                clean.append(direction)
-        return clean

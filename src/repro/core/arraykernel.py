@@ -33,18 +33,20 @@ dominant case and a coordinate-compressed parity sweep (mirroring
 ``repro.geom.polygon.boundary_edges``) answers in general.  Rules
 with ``max_edges > 0`` fall back to the engine's loop walk.
 
-Three modes mirror ``paircheck_mode``:
+Three modes mirror ``paircheck_mode``, and the kernel decides one
+once per verdict it builds -- :meth:`ArrayKernel.cell_tables` per
+``(master, orientation)`` for Step 1, :meth:`ArrayKernel.instance_table`
+per ``(master, orientation, via)`` for Step 3 -- so no caller reads it:
 
 * ``array``  -- compiled tables only (the fast path, default);
-* ``engine`` -- no tables: Step 1 callers use the DrcEngine, and
-  Step 3's verdicts ask it of the cell class's shapes at the origin
-  (:class:`EngineCellVerdict`);
-* ``verify`` -- compute both and raise :class:`ApCheckMismatch` on any
-  divergence (the engine remains the oracle).
-
-Step 1 reads the mode in its callers (:mod:`repro.core.apgen`,
-:mod:`repro.perf.workers`); Step 3's mode is decided once per verdict,
-when :meth:`ArrayKernel.instance_table` builds it.
+* ``engine`` -- no tables: every verdict is an :class:`EngineVerdict`
+  asking the DrcEngine of the cell class's shapes at the origin
+  (:meth:`CellShapes.context`); a Step 1 via verdict is the engine's
+  whole check, min-step included;
+* ``verify`` -- the compiled tables, cross-checked against those engine
+  verdicts (whole candidate rows for Step 1, :class:`VerifiedSite`),
+  raising :class:`ApCheckMismatch` on any divergence (the engine
+  remains the oracle).
 
 Step 2's flat-array DP lives in :class:`repro.core.dpgraph.FlatDp`
 and runs in every mode; the kernel only counts its solves
@@ -56,6 +58,7 @@ difference in ``result.stats`` and the metrics registry.
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 
 from repro.core.coords import candidate_coords
@@ -345,20 +348,24 @@ class CellShapes:
 
 
 class CellTables:
-    """Step 1's compiled tables of one ``(master, orientation)`` cell.
+    """Step 1's verdicts on one ``(master, orientation)`` cell class.
 
-    * ``site`` -- ``(pin, via) -> DisplacementTable`` (metal/EOL/cut,
-      signal pins only);
+    * ``site`` -- ``(pin, via) -> verdict`` with ``row_mask``
+      (metal/EOL/cut, signal pins only; an :class:`EngineVerdict` is
+      the whole check, min-step included, beside a None ``minstep``);
     * ``minstep`` -- ``(pin, via) -> MinStepTable or None``;
-    * ``planar`` -- ``(pin, layer) -> (E, W, N, S)`` stub tables.
+    * ``planar`` -- ``(pin, layer) -> (E, W, N, S)`` stub verdicts;
+    * ``probe`` -- ``(pin, via, dx, dy) -> Violation``, the engine's
+      first violation of a rejected via, which names it to the sinks.
     """
 
-    __slots__ = ("site", "minstep", "planar")
+    __slots__ = ("site", "minstep", "planar", "probe")
 
-    def __init__(self, site, minstep, planar):
+    def __init__(self, site, minstep, planar, probe=None):
         self.site = site
         self.minstep = minstep
         self.planar = planar
+        self.probe = probe
 
 
 def _planar_stubs(layer) -> tuple:
@@ -423,6 +430,128 @@ def build_cell_tables(tech, inst, cell: CellShapes = None) -> CellTables:
     return CellTables(site, minstep, planar)
 
 
+# -- engine verdicts ---------------------------------------------------------
+
+
+class EngineVerdict:
+    """The DRC engine's answer to one check, probed by displacement.
+
+    ``probe(dx, dy)`` returns the engine's violations with the check's
+    moving shape at ``(dx, dy)``, memoized: a row re-asking a point,
+    a rejection named after its verdict or a placement probed again
+    costs no engine call.
+    """
+
+    __slots__ = ("probe", "_memo")
+
+    def __init__(self, probe):
+        self.probe = probe
+        self._memo = {}
+
+    def violations(self, dx: int, dy: int) -> list:
+        found = self._memo.get((dx, dy))
+        if found is None:
+            found = self._memo[(dx, dy)] = self.probe(dx, dy)
+        return found
+
+    def clean(self, dx: int, dy: int) -> bool:
+        return not self.violations(dx, dy)
+
+    def row_mask(self, fixed_is_y: bool, fixed: int, moving: list) -> int:
+        """Dirty bitmask over one row, as ``DisplacementTable.row_mask``."""
+        mask = 0
+        for i, d in enumerate(moving):
+            if not (
+                self.clean(d, fixed) if fixed_is_y else self.clean(fixed, d)
+            ):
+                mask |= 1 << i
+        return mask
+
+
+def via_verdict(engine, via, net_key, context, with_min_step=True):
+    """The engine's verdict on ``via`` dropped at ``(dx, dy)``.
+
+    ``context()`` returns the shapes to check against, so a cell class
+    builds its context only when the engine is first asked.
+    """
+    return EngineVerdict(
+        lambda dx, dy: engine.check_via_placement(
+            via, dx, dy, net_key, context(), with_min_step
+        )
+    )
+
+
+def stub_verdict(engine, layer_name, stub, net_key, context):
+    """The engine's verdict on the planar ``stub`` moved by ``(dx, dy)``."""
+    return EngineVerdict(
+        lambda dx, dy: engine.check_metal_rect(
+            layer_name, stub.translated(dx, dy), net_key, context(),
+            label="planar-stub",
+        )
+    )
+
+
+def engine_tables(engine, tech, pin_layers, context) -> CellTables:
+    """Step 1's verdicts on some pins from the DRC engine alone.
+
+    ``pin_layers`` yields ``(pin name, net key, layer name)`` per layer
+    a pin has shapes on; ``context()`` returns the shapes around them
+    in the frame candidates are displaced in: a cell class's at the
+    origin, or the whole design's for IO pins.
+    """
+    site = {}
+    planar = {}
+    for pin_name, net_key, layer_name in pin_layers:
+        layer = tech.layer(layer_name)
+        if not layer.is_routing:
+            continue
+        for via in tech.vias_from(layer_name):
+            site[(pin_name, via.name)] = via_verdict(
+                engine, via, net_key, context
+            )
+        planar[(pin_name, layer_name)] = tuple(
+            stub_verdict(engine, layer_name, stub, net_key, context)
+            for stub in _planar_stubs(layer)
+        )
+    return CellTables(
+        site,
+        dict.fromkeys(site),
+        planar,
+        lambda pin, via, dx, dy: site[(pin, via)].violations(dx, dy)[0],
+    )
+
+
+class VerifiedSite:
+    """A Step 1 site table whose rows are checked against the engine.
+
+    :meth:`row_mask` answers from ``table`` once every point of the row
+    agrees with ``reference``, the engine's whole check: clean exactly
+    where the table and ``minstep`` (None without a rule) are.  A
+    divergence raises what ``mismatch(dx, dy, verdict)`` returns.
+    """
+
+    __slots__ = ("table", "minstep", "layer", "reference", "mismatch")
+
+    def __init__(self, table, minstep, layer, reference, mismatch):
+        self.table = table
+        self.minstep = minstep
+        self.layer = layer
+        self.reference = reference
+        self.mismatch = mismatch
+
+    def row_mask(self, fixed_is_y: bool, fixed: int, moving: list) -> int:
+        mask = self.table.row_mask(fixed_is_y, fixed, moving)
+        minstep = self.minstep
+        for i, d in enumerate(moving):
+            dx, dy = (d, fixed) if fixed_is_y else (fixed, d)
+            clean = not mask >> i & 1 and (
+                minstep is None or not minstep.dirty(dx, dy, self.layer)
+            )
+            if clean != self.reference.clean(dx, dy):
+                raise self.mismatch(dx, dy, clean)
+        return mask
+
+
 # -- candidate coordinate tables ---------------------------------------------
 
 
@@ -462,37 +591,16 @@ class CoordCache:
 # -- the kernel --------------------------------------------------------------
 
 
-class EngineCellVerdict:
-    """The DRC engine's Step 3 verdict of one via against one cell class.
-
-    :meth:`clean` drops the via at ``(dx, dy)`` among the class's
-    shapes at the origin (:meth:`CellShapes.context`, one per class)
-    with ``net_key=None`` and min-step off.
-    """
-
-    __slots__ = ("engine", "via", "context")
-
-    def __init__(self, engine, via, context):
-        self.engine = engine
-        self.via = via
-        self.context = context
-
-    def clean(self, dx: int, dy: int) -> bool:
-        return not self.engine.check_via_placement(
-            self.via, dx, dy, None, self.context, with_min_step=False
-        )
-
-
 class ArrayKernel:
     """Value-keyed per-cell verdict service for Steps 1 and 3.
 
-    Every table compiles on first use and lives as long as the kernel.
-    ``tables`` holds Step 1's :class:`CellTables` per ``(master,
-    orientation)``, and the ``arraykernel.built`` stat counts them;
-    ``instance_tables`` holds Step 3's verdict per ``(master,
-    orientation, via)``.  Both compile from one :class:`CellShapes`
-    per cell class, so a via's entries against a cell compile once
-    for either step.
+    Every verdict is built on first use and lives as long as the
+    kernel.  ``tables`` holds Step 1's :class:`CellTables` per
+    ``(master, orientation)``, and the ``arraykernel.built`` stat
+    counts the compiled ones; ``instance_tables`` holds Step 3's
+    verdict per ``(master, orientation, via)``.  Both compile from one
+    :class:`CellShapes` per cell class, so a via's entries against a
+    cell compile once for either step.
     """
 
     def __init__(self, design, mode: str = "array", engine=None):
@@ -514,23 +622,98 @@ class ArrayKernel:
         self.dp_solves = 0
         self.verify_mismatches = 0
         self._cells = {}
+        self._references = {}
         self._compile_memo = {}
+        # The verdicts the kernel holds call back into it through this
+        # proxy (as ``ArrayKernel.<method>``, not a bound method): a
+        # strong cycle would keep a finished run's tables alive until
+        # the cyclic collector ran.
+        self._weak = weakref.proxy(self)
 
     @staticmethod
     def cell_key(inst) -> tuple:
         return (inst.master.name, inst.orient)
 
     def cell_tables(self, inst) -> CellTables:
-        """Return (building if needed) Step 1's tables of ``inst``'s class."""
+        """Return (building if needed) Step 1's verdicts on ``inst``'s class.
+
+        The mode is decided here, once per ``(master, orientation)``:
+        the compiled tables (``array``), :func:`engine_tables` on the
+        class's shapes at the origin (``engine``), or the compiled
+        tables with each via row and stub checked against those
+        (``verify``).
+        """
         key = self.cell_key(inst)
         tables = self.tables.get(key)
         if tables is None:
             tick("arraykernel.table.build")
-            tables = build_cell_tables(self.tech, inst, self._cell(key, inst))
-            self.tables[key] = tables
+            tables = self.tables[key] = self._cell_verdicts(key, inst)
         else:
             tick("arraykernel.table.hit")
         return tables
+
+    def _cell_verdicts(self, key, inst) -> CellTables:
+        if self.mode == "engine":
+            return self._reference(key, inst)
+        tables = build_cell_tables(self.tech, inst, self._cell(key, inst))
+        if self.mode == "verify":
+            reference = self._reference(key, inst)
+            for site_key, table in tables.site.items():
+                pin_name, via_name = site_key
+                subject = f"via {via_name} of pin {pin_name}"
+                tables.site[site_key] = VerifiedSite(
+                    table,
+                    tables.minstep[site_key],
+                    self.tech.layer(self.tech.via(via_name).bottom_layer),
+                    reference.site[site_key],
+                    self._raiser(subject, key),
+                )
+            for stub_key, stubs in tables.planar.items():
+                pin_name, layer_name = stub_key
+                tables.planar[stub_key] = tuple(
+                    VerifiedTable(
+                        stub,
+                        engine_stub,
+                        self._raiser(
+                            f"{d} stub of pin {pin_name} on {layer_name}", key
+                        ),
+                    )
+                    for d, stub, engine_stub in zip(
+                        "EWNS", stubs, reference.planar[stub_key]
+                    )
+                )
+        tables.probe = partial(ArrayKernel._name, self._weak, key, inst)
+        return tables
+
+    def _reference(self, key, inst) -> CellTables:
+        """The engine's Step 1 verdicts on ``inst``'s class, built once.
+
+        Array mode builds them when a sink first names a rejection.
+        """
+        reference = self._references.get(key)
+        if reference is None:
+            pin_rects = inst.master.cell_class(inst.orient).pin_rects
+            reference = self._references[key] = engine_tables(
+                self.engine,
+                self.tech,
+                [
+                    (pin.name, pin.name, layer_name)
+                    for pin in inst.master.signal_pins()
+                    for layer_name in pin_rects[pin.name]
+                ],
+                self._cell(key, inst).context,
+            )
+        return reference
+
+    def _name(self, key, inst, pin_name, via_name, dx, dy):
+        """Name a rejected via; the engine finding it clean diverges."""
+        site = self._reference(key, inst).site[(pin_name, via_name)]
+        violations = site.violations(dx, dy)
+        if not violations:
+            raise self._mismatch(
+                f"via {via_name} of pin {pin_name}", key, dx, dy, False
+            )
+        return violations[0]
 
     def instance_table(self, via_name, inst):
         """Return (building if needed) Step 3's verdict of ``via_name``.
@@ -540,7 +723,7 @@ class ArrayKernel:
         is exempt from metal and EOL), by displacement from the
         instance origin.  The mode is decided here, once per
         ``(master, orientation, via)``: the compiled table
-        (``array``), an :class:`EngineCellVerdict` (``engine``), or
+        (``array``), an :class:`EngineVerdict` (``engine``), or
         the table cross-checked against it on every probe
         (``verify``).
         """
@@ -555,24 +738,28 @@ class ArrayKernel:
         cell = self._cell(key[:2], inst)
         via = self.tech.via(key[2])
         if self.mode == "engine":
-            return EngineCellVerdict(self.engine, via, cell.context())
+            return via_verdict(self.engine, via, None, cell.context, False)
         metal, cut = cell.via_entries(via)
         table = assemble(metal, cut, None)
         if self.mode == "array":
             return table
         return VerifiedTable(
             table,
-            EngineCellVerdict(self.engine, via, cell.context()),
-            partial(self._mismatch, key),
+            via_verdict(self.engine, via, None, cell.context, False),
+            self._raiser(f"via {via.name}", key),
         )
 
-    def _mismatch(self, key, dx, dy, verdict) -> ApCheckMismatch:
+    def _raiser(self, subject, key):
+        """The ``mismatch(dx, dy, verdict)`` of a verdict on ``subject``."""
+        return partial(ArrayKernel._mismatch, self._weak, subject, key)
+
+    def _mismatch(self, subject, key, dx, dy, verdict) -> ApCheckMismatch:
+        """Count the kernel's ``verdict`` on ``subject`` that diverged."""
         self.verify_mismatches += 1
         tick("arraykernel.verify.mismatch")
-        master, orient, via_name = key
         return ApCheckMismatch(
-            f"array kernel diverged from DrcEngine for via {via_name} "
-            f"at ({dx}, {dy}) from the origin of {master} {orient.name}: "
+            f"array kernel diverged from DrcEngine for {subject} "
+            f"at ({dx}, {dy}) from the origin of {key[0]} {key[1].name}: "
             f"kernel={'clean' if verdict else 'dirty'}, "
             f"engine={'dirty' if verdict else 'clean'}"
         )
@@ -625,7 +812,9 @@ class ArrayKernel:
         """Return kernel counters for ``PinAccessResult.stats``."""
         return {
             "arraykernel.mode": self.mode,
-            "arraykernel.built": len(self.tables),
+            "arraykernel.built": (
+                0 if self.mode == "engine" else len(self.tables)
+            ),
             **self.work_counts(),
             "arraykernel.verify_mismatches": self.verify_mismatches,
         }

@@ -49,9 +49,9 @@ class PaafConfig:
     apcheck_mode: str = "array"         # Step 1/3 candidate backend:
                                         # "array" (compiled per-cell
                                         # occupancy tables), "engine"
-                                        # (per-candidate DrcEngine
-                                        # probes) or "verify" (both;
-                                        # raise on any divergence)
+                                        # (DrcEngine verdicts) or
+                                        # "verify" (both; raise on any
+                                        # divergence)
 
     # Observability knobs (repro.obs).  Perf-only like the block
     # above: they add telemetry, never change results, and the AP

@@ -334,8 +334,7 @@ class PinAccessFramework:
         t0 = time.perf_counter()
         for ui in unique_instances(self.design):
             aps_by_pin = step1_unique(
-                self.design, self.config, self.engine, self.akernel,
-                ui.representative,
+                self.design, self.config, self.akernel, ui.representative
             )
             result.unique_accesses.append(
                 UniqueInstanceAccess(unique_instance=ui, aps_by_pin=aps_by_pin)

@@ -4,10 +4,12 @@ The contest designs carry up to 1211 IO pins (Table I); a router ends
 nets on them just like on instance pins.  IO pins sit on routing
 layers at the die boundary, so their analysis is simpler than cell
 pins -- no unique-instance machinery, no clustering -- but runs the
-same Algorithm 1 ladder (:meth:`~repro.core.apgen.AccessPointGenerator.
-generate`), every candidate probed through the DRC engine against the
-full design.  An IO access point needs a clean via: no planar
-directions are recorded and no cut-on-pin test applies.
+same Algorithm 1 ladder and validator (:meth:`~repro.core.apgen.
+AccessPointGenerator.generate`) over DRC engine verdicts against the
+full design, in design coordinates
+(:func:`~repro.core.arraykernel.engine_tables`).  An IO access point
+needs a clean via: no planar directions are recorded and no
+cut-on-pin test applies.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.apgen import AccessPointGenerator
-from repro.core.arraykernel import ArrayKernel
+from repro.core.arraykernel import ArrayKernel, engine_tables
 from repro.core.config import PaafConfig
 from repro.db.design import Design
 from repro.drc.context import ShapeContext
@@ -46,17 +48,21 @@ class IoPinAccess:
         config = dataclasses.replace(
             self.config, check_planar=False, require_cut_on_pin=False
         )
-        akernel = ArrayKernel(self.design, mode="engine", engine=self.engine)
         generator = AccessPointGenerator(
-            self.design, self.engine, config, akernel=akernel
+            self.design, config, akernel=ArrayKernel(self.design)
         )
-        return {
-            io_pin.name: generator.generate(
-                {io_pin.layer_name: [io_pin.rect]}, self._net_key(io_pin),
-                context,
+        access = {}
+        for io_pin in self.design.io_pins.values():
+            net_key = self._net_key(io_pin)
+            tables = engine_tables(
+                self.engine, self.design.tech,
+                [(io_pin.name, net_key, io_pin.layer_name)], lambda: context,
             )
-            for io_pin in self.design.io_pins.values()
-        }
+            access[io_pin.name] = generator.generate(
+                {io_pin.layer_name: [io_pin.rect]}, net_key, io_pin.name,
+                tables,
+            )
+        return access
 
     def _net_key(self, io_pin):
         for net in self.design.nets.values():

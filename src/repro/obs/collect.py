@@ -56,7 +56,7 @@ class Collector:
         self._tokens = None
         return False
 
-    # -- run finalization ------------------------------------------------------
+    # -- run finalization -----------------------------------------------------
 
     def finish(self, result, config) -> None:
         """Attach sinks to ``result`` and write the configured outputs.

@@ -20,31 +20,19 @@ import time
 
 from repro.core.apgen import AccessPointGenerator
 from repro.core.patterngen import AccessPatternGenerator
-from repro.drc.context import ShapeContext
-from repro.obs.events import active_log
-from repro.obs.metrics import active_registry
 from repro.obs.trace import span
 
 
-def step1_unique(design, config, engine, akernel, rep) -> dict:
+def step1_unique(design, config, akernel, rep) -> dict:
     """Step 1 for one unique instance: pin name -> access points.
 
     Generates the access points of every signal pin of the
-    representative ``rep`` against its intra-cell context.  The
-    context is built only when something reads it: the engine in
-    ``engine`` and ``verify`` mode, or an active sink the engine names
-    rejections to; the compiled tables alone never do.
+    representative ``rep`` from ``akernel``'s verdicts on its cell
+    class, whichever mode built them.
     """
-    context = None
-    if (
-        akernel.mode != "array"
-        or active_registry() is not None
-        or active_log() is not None
-    ):
-        context = ShapeContext.from_instance(rep)
-    generator = AccessPointGenerator(design, engine, config, akernel=akernel)
+    generator = AccessPointGenerator(design, config, akernel=akernel)
     return {
-        pin.name: generator.generate_for_pin(rep, pin, context)
+        pin.name: generator.generate_for_pin(rep, pin)
         for pin in rep.master.signal_pins()
     }
 
@@ -66,7 +54,7 @@ def step12_unique(design, config, engine, kernel, akernel, ui,
         members=len(ui.members),
     ):
         t0 = time.perf_counter()
-        aps_by_pin = step1_unique(design, config, engine, akernel, rep)
+        aps_by_pin = step1_unique(design, config, akernel, rep)
         t1 = time.perf_counter()
         patterns = AccessPatternGenerator(
             design.tech, engine, config, kernel=kernel, akernel=akernel,

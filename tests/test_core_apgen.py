@@ -6,8 +6,10 @@ from repro.core.apgen import AccessPoint, AccessPointGenerator
 from repro.core.arraykernel import ArrayKernel
 from repro.core.config import PaafConfig
 from repro.core.coords import CoordType
+from repro.db.master import Obstruction
 from repro.drc.context import ShapeContext
 from repro.drc.engine import DrcEngine
+from repro.geom.rect import Rect
 
 from tests.conftest import make_simple_design
 
@@ -18,10 +20,8 @@ def design(n45):
 
 
 def engine_generator(design, config=None):
-    engine = DrcEngine(design.tech)
     return AccessPointGenerator(
-        design, engine, config,
-        akernel=ArrayKernel(design, mode="engine", engine=engine),
+        design, config, akernel=ArrayKernel(design, mode="engine")
     )
 
 
@@ -32,8 +32,7 @@ def generator(design):
 
 def gen_for(design, generator, inst_name, pin_name):
     inst = design.instance(inst_name)
-    ctx = ShapeContext.from_instance(inst)
-    return generator.generate_for_pin(inst, inst.master.pin(pin_name), ctx)
+    return generator.generate_for_pin(inst, inst.master.pin(pin_name))
 
 
 class TestAccessPoint:
@@ -141,22 +140,32 @@ class TestGeneration:
         a2 = [(a.x, a.y) for a in gen_for(design, g2, "u0", "A")]
         assert a1 == a2
 
-    def test_obstructed_pin_gets_no_dirty_aps(self, design, generator, n45):
-        # Add a blocking obstruction right over pin Z of u1's master
-        # region by inserting a foreign context shape, then verify APs
-        # avoid it.
+    def test_obstructed_pin_gets_no_dirty_aps(self, design, generator):
+        # Foreign metal hugging pin Z from above, drawn into the master
+        # as an obstruction: the access points must avoid it.
         inst = design.instance("u0")
-        ctx = ShapeContext.from_instance(inst)
-        # Foreign metal hugging the pin from above.
-        pin_rect = inst.pin_rects("Z")["M1"][0]
-        ctx.add("M1", pin_rect.translated(0, 200), "blocker")
-        aps = generator.generate_for_pin(inst, inst.master.pin("Z"), ctx)
         engine = DrcEngine(design.tech)
-        for ap in aps:
-            via = design.tech.via(ap.primary_via)
-            assert not engine.check_via_placement(
-                via, ap.x, ap.y, (inst.name, "Z"), ctx
-            )
+
+        def dirty(aps):
+            ctx = ShapeContext.from_instance(inst)
+            return [
+                ap
+                for ap in aps
+                if engine.check_via_placement(
+                    design.tech.via(ap.primary_via), ap.x, ap.y,
+                    (inst.name, "Z"), ctx,
+                )
+            ]
+
+        free = gen_for(design, generator, "u0", "Z")
+        inst.master.add_obstruction(
+            Obstruction("M1", Rect(420, 1040, 630, 1180))
+        )
+        # The blocker bites: it dirties points chosen without it.
+        assert dirty(free)
+        aps = gen_for(design, engine_generator(design), "u0", "Z")
+        assert aps
+        assert dirty(aps) == []
 
 
 class TestPlanarOnlyAccess:

@@ -15,10 +15,12 @@ table.
 import pytest
 
 from repro.core import PinAccessFramework, arraykernel
+from repro.core.apgen import AccessPointGenerator
 from repro.core.arraykernel import (
     ApCheckMismatch,
     ArrayKernel,
     MinStepTable,
+    VerifiedSite,
     build_cell_tables,
 )
 from repro.core.config import PaafConfig
@@ -26,6 +28,7 @@ from repro.drc.disptable import BOX, DisplacementTable, VerifiedTable
 from repro.drc.minstep import check_min_step
 from repro.geom.rect import Rect
 from repro.lefdef import parse_def, parse_lef
+from repro.obs.metrics import collecting
 from tests.conftest import make_simple_design
 
 # Three macros, one per hostile shape:
@@ -304,6 +307,16 @@ class TestCompileOnce:
         }
 
 
+def _everything_dirty() -> DisplacementTable:
+    """A table no engine cross-check can agree with: all dirty."""
+    big = 10 ** 9
+    return DisplacementTable(
+        (-big, big, -big, big),
+        ((BOX, -big, big, -big, big),),
+        ((-big, big, -big, big),),
+    )
+
+
 class TestVerifyAlarm:
     def test_corrupted_table_raises_mismatch(self, design):
         kernel = ArrayKernel(design, mode="verify")
@@ -311,18 +324,10 @@ class TestVerifyAlarm:
             i for i in design.instances.values()
             if i.master.name == "AND2"
         )
-        # Poison the compiled Step-3 table the verdict wraps: an
-        # everything-is-dirty box that the engine cross-check cannot
-        # possibly agree with.
-        big = 10 ** 9
-        poison = DisplacementTable(
-            (-big, big, -big, big),
-            ((BOX, -big, big, -big, big),),
-            ((-big, big, -big, big),),
-        )
+        # Poison the compiled Step-3 table the verdict wraps.
         verdict = kernel.instance_table("cutvia", inst)
         assert isinstance(verdict, VerifiedTable)
-        verdict.table = poison
+        verdict.table = _everything_dirty()
         with pytest.raises(ApCheckMismatch, match="diverged"):
             kernel.via_vs_instance_clean(
                 "cutvia",
@@ -332,3 +337,26 @@ class TestVerifyAlarm:
             )
         assert kernel.verify_mismatches == 1
         assert isinstance(ApCheckMismatch("x"), RuntimeError)
+
+    @pytest.mark.parametrize("mode", ["array", "verify"])
+    def test_poisoned_step1_site_table_counts_a_mismatch(self, design, mode):
+        # Verify mode's row check finds the engine clean where the
+        # table is dirty; in array mode the probe that names the
+        # rejection to the active registry does.
+        kernel = ArrayKernel(design, mode=mode)
+        inst = next(
+            i for i in design.instances.values()
+            if i.master.name == "AND2"
+        )
+        tables = kernel.cell_tables(inst)
+        if mode == "verify":
+            assert isinstance(tables.site[("A", "cutvia")], VerifiedSite)
+            tables.site[("A", "cutvia")].table = _everything_dirty()
+        else:
+            tables.site[("A", "cutvia")] = _everything_dirty()
+        generator = AccessPointGenerator(design, akernel=kernel)
+        with collecting() as registry:
+            with pytest.raises(ApCheckMismatch, match="diverged"):
+                generator.generate_for_pin(inst, inst.master.pin("A"))
+        assert kernel.verify_mismatches == 1
+        assert registry.counters["arraykernel.verify.mismatch"] == 1

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.core import (
     PinAccessOracle,
     evaluate_failed_pins,
 )
+from repro.core.arraykernel import EngineVerdict
 from repro.drc.engine import DrcEngine
 from repro.geom.point import Point
 
@@ -175,16 +177,20 @@ class TestMovePath:
     """
 
     def probe_moves(self, design, monkeypatch, config):
+        """Bounce four cells; count engine calls and engine verdicts."""
         oracle = PinAccessOracle(design, config)
         signatures = len(oracle._ua_by_signature)
-        calls = []
-        check = DrcEngine.check_via_placement
+        calls = Counter()
+        for cls, name in (
+            (DrcEngine, "check_via_placement"),
+            (EngineVerdict, "violations"),
+        ):
 
-        def counted(engine, *args, **kwargs):
-            calls.append(args[0].name)
-            return check(engine, *args, **kwargs)
+            def counted(*args, _original=getattr(cls, name), _key=cls, **kw):
+                calls[_key] += 1
+                return _original(*args, **kw)
 
-        monkeypatch.setattr(DrcEngine, "check_via_placement", counted)
+            monkeypatch.setattr(cls, name, counted)
         kernel, akernel = oracle.framework.kernel, oracle.framework.akernel
         built = (len(kernel.tables), len(akernel.tables))
         candidates = akernel.candidates
@@ -196,20 +202,32 @@ class TestMovePath:
         assert len(oracle._ua_by_signature) > signatures
         # Moves reuse the analysis' kernels: no table is compiled.
         assert (len(kernel.tables), len(akernel.tables)) == built
-        return len(calls), akernel.candidates - candidates
+        return calls, akernel, akernel.candidates - candidates
 
     def test_default_moves_run_the_array_kernel(self, design, monkeypatch):
-        calls, candidates = self.probe_moves(
+        calls, _, candidates = self.probe_moves(
             design, monkeypatch, PaafConfig()
         )
-        assert calls == 0
+        assert not calls
         assert candidates > 0
 
     def test_engine_mode_moves_probe_the_engine(self, design, monkeypatch):
-        calls, _ = self.probe_moves(
+        calls, akernel, candidates = self.probe_moves(
             design, monkeypatch, PaafConfig(apcheck_mode="engine")
         )
-        assert calls > 0
+        # The moves' Step 1 and 3 verdicts are the engine's (memoized by
+        # displacement, so they may not need to call it again), and no
+        # table was ever compiled for them.
+        assert calls[EngineVerdict] > 0
+        assert candidates > 0
+        verdicts = list(akernel.instance_tables.values()) + [
+            verdict
+            for tables in akernel.tables.values()
+            for verdict in tables.site.values()
+        ]
+        assert verdicts
+        assert all(isinstance(v, EngineVerdict) for v in verdicts)
+        assert akernel.stats()["arraykernel.built"] == 0
 
 
 class TestConcurrentMoves:

@@ -1,8 +1,11 @@
 """Tests for IO pin access analysis."""
 
+import hashlib
+import json
+
 import pytest
 
-from repro.bench import build_testcase
+from repro.bench import build_case, build_testcase
 from repro.core.ioaccess import IoPinAccess
 from repro.drc import DrcEngine, ShapeContext
 
@@ -75,3 +78,38 @@ class TestIoAccess:
         design = make_simple_design(n45)
         assert not design.io_pins
         assert IoPinAccess(design).run() == {}
+
+
+def io_digest(access) -> str:
+    """sha256 of every IO access point, in pin and generation order."""
+    points = {
+        name: [
+            [ap.x, ap.y, ap.layer_name, ap.valid_vias, ap.planar_dirs,
+             int(ap.pref_type), int(ap.nonpref_type)]
+            for ap in aps
+        ]
+        for name, aps in access.items()
+    }
+    text = json.dumps(points, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# sha256 digests of the IO access points of two fixed designs.
+IO_DIGESTS = {
+    ("pinzoo_io", 1): (
+        "ad5c95b1c09952a8865394d5699a20a1"
+        "7a83522a8ab79d2140d3b4499ed10219"
+    ),
+    ("ispd18_test5", 0.002): (
+        "e2e53d3602a2061e7fd2e631b9359cd1"
+        "e5bd67a94a227cb8d476942c28a834ea"
+    ),
+}
+
+
+class TestPinnedIoAccess:
+    @pytest.mark.parametrize("case", sorted(IO_DIGESTS))
+    def test_io_access_points_match_pinned_digest(self, case):
+        access = IoPinAccess(build_case(*case)).run()
+        assert access
+        assert io_digest(access) == IO_DIGESTS[case]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.stdcells import build_library
+from repro.core.arraykernel import CellShapes, _planar_stubs
 from repro.db.inst import Instance
 from repro.drc.context import ShapeContext
 from repro.drc.engine import DrcEngine
@@ -255,6 +256,39 @@ def cell_vias(draw):
     return node, master, orient, via.name, (x, y)
 
 
+@st.composite
+def cell_pin_vias(draw):
+    """A generated cell, one of its signal pins, a via and its offset.
+
+    The via drops from a routing layer the pin has shapes on; the
+    offset is relative to the cell's origin, as in :func:`cell_vias`.
+    """
+    node = draw(st.sampled_from(NODES))
+    tech = _node(node)
+    master = draw(st.sampled_from(_library(node).all_masters()))
+    orient = draw(st.sampled_from(list(Orientation)))
+    cell = master.cell_class(orient)
+    pin = draw(st.sampled_from(master.signal_pins()))
+    layer = draw(
+        st.sampled_from(
+            [
+                name
+                for name in sorted(cell.pin_rects[pin.name])
+                if tech.layer(name).is_routing and tech.vias_from(name)
+            ]
+        )
+    )
+    via = draw(st.sampled_from(tech.vias_from(layer)))
+    margin = 2 * tech.layer(layer).pitch
+    x = draw(st.integers(min_value=-margin, max_value=cell.width + margin))
+    y = draw(st.integers(min_value=-margin, max_value=cell.height + margin))
+    return node, master, orient, pin.name, layer, via.name, (x, y)
+
+
+def _rules(violations):
+    return [(v.rule, v.layer_name) for v in violations]
+
+
 class TestVerdictsByDisplacement:
     @settings(max_examples=300, deadline=None)
     @given(via_pairs(), origins)
@@ -298,3 +332,39 @@ class TestVerdictsByDisplacement:
                 )
             )
         assert verdicts[0] == verdicts[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell_pin_vias(), origins)
+    def test_step1_check_moves_with_the_cell(self, probe, origin):
+        # The Step 1 check (the pin's net key, min-step on) and its four
+        # planar stubs name the same rules in the same order on a placed
+        # instance and among the cell class's shapes at the origin,
+        # which the array kernel's engine verdicts ask.
+        node, master, orient, pin_name, layer, via_name, (x, y) = probe
+        ox, oy = origin
+        tech = _node(node)
+        engine = DrcEngine(tech)
+        via = tech.via(via_name)
+        placed = Instance("u0", master, Point(ox, oy), orient)
+        placed_ctx = ShapeContext.from_instance(placed)
+        class_ctx = CellShapes(
+            tech, Instance("u0", master, Point(0, 0), orient)
+        ).context()
+        assert _rules(
+            engine.check_via_placement(
+                via, ox + x, oy + y, ("u0", pin_name), placed_ctx
+            )
+        ) == _rules(
+            engine.check_via_placement(via, x, y, pin_name, class_ctx)
+        )
+        for stub in _planar_stubs(tech.layer(layer)):
+            assert _rules(
+                engine.check_metal_rect(
+                    layer, stub.translated(ox + x, oy + y),
+                    ("u0", pin_name), placed_ctx,
+                )
+            ) == _rules(
+                engine.check_metal_rect(
+                    layer, stub.translated(x, y), pin_name, class_ctx
+                )
+            )

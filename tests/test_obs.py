@@ -433,7 +433,7 @@ _WORK_COUNTERS = (
 # per-point validation (skipped by the fast reject), the pair-kernel
 # method (skipped by inlined table probes) and the two DP solvers.
 _PATH_CALLS = (
-    (AccessPointGenerator, "_validate_array"),
+    (AccessPointGenerator, "_validate"),
     (PairKernel, "pair_clean"),
     (FlatDp, "solve"),
     (LayeredDpGraph, "solve"),
@@ -483,6 +483,35 @@ class TestSinksLeaveThePathUnchanged:
         )
 
 
+class TestOnePathInEveryMode:
+    @pytest.mark.parametrize(
+        "case", [("ispd18_test1", 0.004), ("pinzoo_hostile", 1)]
+    )
+    def test_same_stream_and_work_in_every_apcheck_mode(self, case):
+        # A mode only changes who gives Steps 1 and 3 their verdicts:
+        # the events, the rejection counters and the work they count
+        # are those of one path.
+        design = build_case(*case)
+        runs = {}
+        for mode in ("array", "engine", "verify"):
+            result = PinAccessFramework(
+                design,
+                PaafConfig(profile=True, explain=True, apcheck_mode=mode),
+            ).run()
+            runs[mode] = (
+                result.events.events,
+                {
+                    name: count
+                    for name, count in result.metrics.counters.items()
+                    if name.startswith("apgen.")
+                },
+                {name: result.stats[name] for name in _WORK_COUNTERS[:2]},
+            )
+        assert runs["array"][2]["arraykernel.candidates"] > 0
+        assert runs["engine"] == runs["array"]
+        assert runs["verify"] == runs["array"]
+
+
 # sha256 digests of the telemetry streams of two fixed runs.  Lazily
 # compiled kernel tables move the ``pairkernel.table.*`` and
 # ``arraykernel.table.*`` counters by design, so those are left out.
@@ -492,16 +521,16 @@ _TELEMETRY_DIGESTS = {
                   "b0ec23c21931771343dd762e3544bd3c",
         "histograms": "99b8aca1c10ec95b3ad0dd1c40e40bd7"
                       "274c204aaf48a8b122eabdeb97c58e22",
-        "counters": "f74ff795a4d1f30c17e28edd2e2b5d5b"
-                    "5183c9cfd1e8f16738b2ac64a16a9273",
+        "counters": "87305bb9aefb7e5db85b9a11f7f6139f"
+                    "e9bcb6ee00bcec7cde0e4661a51fa69b",
     },
     ("pinzoo_hostile", 1): {
         "events": "41f3c05c194b98ffa1dae8998dfe3e7e"
                   "e549b31c854bf6443a7c81299040e044",
         "histograms": "5213a264447fe63f83683d6ed38fe4a8"
                       "b5ff78b021488182bda124d50de4f0b7",
-        "counters": "258a9638db273f4e1549efa70a1bb4a4"
-                    "d602cecb36f4731b570ac05f442cac03",
+        "counters": "6c8c92026596baa387df4406c5f2ccbd"
+                    "727d3502a80fd1b30790a26cf1219418",
     },
 }
 
