@@ -245,8 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "dial/serialize/wait/parse/server breakdown")
     qry.add_argument("--json", dest="as_json", action="store_true",
                      help="print raw wire payloads as JSON")
-    qry.add_argument("--timeout", type=float, default=30.0,
-                     help="request timeout in seconds")
+    qry.add_argument("--timeout", type=_request_timeout_s, default=30.0,
+                     help="request timeout in seconds (> 0)")
     qry.set_defaults(handler=_cmd_query)
 
     qa = sub.add_parser(
@@ -411,13 +411,25 @@ def _timeout_s(text: str) -> float:
 
 
 def _request_timeout_s(text: str) -> float:
-    # Every connection handler sets this as its socket timeout, which
-    # raises OverflowError past threading.TIMEOUT_MAX (inf included).
+    # Each daemon connection handler, and the query client, sets this
+    # as its socket timeout, which raises past threading.TIMEOUT_MAX
+    # (inf included).
     value = _timeout_s(text)
     if value > threading.TIMEOUT_MAX:
         raise argparse.ArgumentTypeError(
             f"timeout must be <= {threading.TIMEOUT_MAX:g} seconds"
         )
+    return value
+
+
+def _port(text: str) -> int:
+    # bind() and connect() raise OverflowError outside 0-65535.
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError("port must be >= 0 and <= 65535")
     return value
 
 
@@ -455,7 +467,7 @@ def _add_endpoint_args(sub_parser) -> None:
                             help="Unix domain socket path")
     sub_parser.add_argument("--host", default="127.0.0.1",
                             help="TCP bind/connect host (with --port)")
-    sub_parser.add_argument("--port", type=int,
+    sub_parser.add_argument("--port", type=_port,
                             help="TCP port (mutually exclusive with "
                                  "--socket)")
 

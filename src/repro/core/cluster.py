@@ -32,44 +32,31 @@ class SelectedAccess:
     pattern came from, in the same coordinates: its ``aps_by_pin`` are
     each pin's alternatives.  An instance whose unique access has no
     pattern is selected with ``pattern`` None, and still carries both.
+    Nothing writes to a selection once it is built: the repair pass
+    builds a new one.
     """
 
     inst: object
     pattern: AccessPattern
     dx: int
     dy: int
-    overrides: dict = field(default_factory=dict)
-    # ``(signature, ordinal)``: the pattern named by value, as the
+    # The pattern named by value: ``(signature, ordinal)`` for the
     # ``ordinal``-th pattern of the unique instance with that
-    # signature.  Step 3's boundary verdicts and boundary via records
-    # are keyed by it; a selection without one is rescanned on every
-    # check.
+    # signature, extended by ``(pin, index)`` for each repair that
+    # moved ``pin`` to ``unique_access.aps_by_pin[pin][index]``.  Step
+    # 3's boundary verdicts and boundary via records are keyed by it; a
+    # selection without one (no pattern) is rescanned on every check.
     key: tuple = field(default=None, repr=False, compare=False)
     unique_access: object = field(default=None, repr=False, compare=False)
 
     def access_points(self) -> dict:
-        """Return pin name -> translated access point.
-
-        ``overrides`` (already in design coordinates) replace the
-        pattern's choice for individual pins; the repair post-pass uses
-        them to resolve residual conflicts without mutating the shared
-        pattern object.
-        """
+        """Return pin name -> translated access point."""
         if self.pattern is None:
             return {}
-        out = {
+        return {
             pin_name: ap.translated(self.dx, self.dy)
             for pin_name, ap in self.pattern.aps.items()
         }
-        out.update(self.overrides)
-        return out
-
-    def ap_of(self, pin_name: str):
-        """Return the effective (translated) AP of one pin."""
-        override = self.overrides.get(pin_name)
-        if override is not None:
-            return override
-        return self.pattern.aps[pin_name].translated(self.dx, self.dy)
 
 
 def boundary_records(sel: SelectedAccess, window: int) -> tuple:
@@ -81,36 +68,25 @@ def boundary_records(sel: SelectedAccess, window: int) -> tuple:
     order (the paper's boundary pins), plus any pin whose access point
     lies within ``window`` DBU of the instance's left or right edge --
     the robust superset needed when the alpha-weighted pin order does
-    not end on the geometrically extreme pins.  Repair overrides (in
-    design coordinates) replace the pattern's points.
+    not end on the geometrically extreme pins.
     """
     pattern = sel.pattern
     if pattern is None or not pattern.aps:
         return ()
     inst = sel.inst
-    loc = inst.location
-    tx, ty = sel.dx - loc.x, sel.dy - loc.y
-    overrides = sel.overrides
-    points = {}
-    for pin_name, ap in pattern.aps.items():
-        override = overrides.get(pin_name)
-        if override is None:
-            points[pin_name] = (ap, ap.x + tx, ap.y + ty)
-        else:
-            points[pin_name] = (
-                override, override.x - loc.x, override.y - loc.y
-            )
+    tx, ty = sel.dx - inst.location.x, sel.dy - inst.location.y
     names = list(pattern.aps)
     boundary = {names[0], names[-1]}
     width = inst.master.cell_class(inst.orient).width
-    for pin_name, (_, x, _) in points.items():
+    for pin_name, ap in pattern.aps.items():
+        x = ap.x + tx
         if x <= window or width - x <= window:
             boundary.add(pin_name)
     records = []
     for pin_name in boundary:
-        ap, x, y = points[pin_name]
+        ap = pattern.aps[pin_name]
         if ap.has_via_access:
-            records.append((pin_name, ap.valid_vias[0], x, y))
+            records.append((pin_name, ap.valid_vias[0], ap.x + tx, ap.y + ty))
     return tuple(records)
 
 
@@ -207,7 +183,7 @@ class ClusterPatternSelector:
         self.window = interaction_window(design.tech)
 
     def select(
-        self, clusters: list, candidates_by_inst: dict, alternatives_fn=None
+        self, clusters: list, placements: dict
     ) -> ClusterSelectionResult:
         """Select one pattern per instance over ``clusters``, in order.
 
@@ -218,17 +194,15 @@ class ClusterPatternSelector:
         verdicts it reads and extends hold for any placement (see the
         class docstring), so one selector serves every pass.
 
-        ``candidates_by_inst`` maps instance name to a list of
-        ``SelectedAccess`` candidates (one per pattern of the unique
-        instance, already carrying the member translation).  Instances
-        missing from the mapping, or mapped to an empty list, are
-        treated as having no selectable pattern.
-
-        ``alternatives_fn(inst_name, pin_name)``, when given, returns
-        the pin's full Step 1 access point list (representative
-        coordinates); it powers the conflict-repair post-pass (the
-        paper's corner-case post-processing): pins left in conflict by
-        the DP are retried with their alternative access points.
+        ``placements`` maps every member's name to its ``(unique
+        access, (dx, dy))``, as
+        :meth:`~repro.core.framework.PinAccessResult.placements` does.
+        Each instance's candidates are its unique access's patterns,
+        and each selection carries its member's entry on; a member
+        whose unique access has no pattern is selected with
+        ``pattern`` None.  With ``config.boundary_conflict_aware`` set,
+        pins the DP leaves in conflict are retried with their other
+        Step 1 access points (the paper's corner-case post-processing).
         """
         result = ClusterSelectionResult()
         for cluster in clusters:
@@ -237,19 +211,14 @@ class ClusterPatternSelector:
                 first=cluster[0].name if cluster else None,
                 insts=len(cluster),
             ):
-                self._solve_cluster(
-                    cluster, candidates_by_inst, result, alternatives_fn
-                )
+                self._solve_cluster(cluster, placements, result)
         return result
 
     # -- internals ---------------------------------------------------------
 
-    def _solve_cluster(
-        self, cluster, candidates_by_inst, result, alternatives_fn
-    ) -> None:
+    def _solve_cluster(self, cluster, placements, result) -> None:
         """Run the DP for one cluster, accumulating into ``result``."""
         groups = []
-        members = []
         pinned = set()
         for inst in cluster:
             already = result.selection.get(inst.name)
@@ -260,34 +229,12 @@ class ClusterPatternSelector:
                 groups.append([already])
                 pinned.add(inst.name)
             else:
-                candidates = candidates_by_inst.get(inst.name) or [
-                    SelectedAccess(inst=inst, pattern=None, dx=0, dy=0)
-                ]
-                groups.append(candidates)
-            members.append(inst)
-        graph = LayeredDpGraph(groups)
-        chosen, _ = graph.solve(self._edge_cost)
-        # The DP reuses SelectedAccess objects across members of a
-        # unique instance; give each member its own copy so repair
-        # overrides stay per-instance (pinned selections are kept).
-        chosen = [
-            sel
-            if member.name in pinned
-            else SelectedAccess(
-                inst=member,
-                pattern=sel.pattern,
-                dx=sel.dx,
-                dy=sel.dy,
-                overrides=dict(sel.overrides),
-                key=sel.key,
-                unique_access=sel.unique_access,
-            )
-            for member, sel in zip(members, chosen)
-        ]
-        if alternatives_fn is not None:
-            self._repair_cluster(chosen, alternatives_fn)
+                groups.append(_candidates(inst, placements[inst.name]))
+        chosen, _ = LayeredDpGraph(groups).solve(self._edge_cost)
+        if self.config.boundary_conflict_aware:
+            self._repair_cluster(chosen)
         log = active_log()
-        for inst, selected in zip(members, chosen):
+        for inst, selected in zip(cluster, chosen):
             result.selection[inst.name] = selected
             if log is not None and inst.name not in pinned:
                 pattern = selected.pattern
@@ -299,84 +246,83 @@ class ClusterPatternSelector:
                 )
         self._record_conflicts(chosen, result)
 
-    def _repair_cluster(self, chosen, alternatives_fn) -> None:
-        """Resolve residual conflicts by retrying alternative APs."""
+    def _repair_cluster(self, chosen) -> None:
+        """Resolve residual conflicts by retrying alternative APs.
+
+        A repair replaces its instance's entry of ``chosen`` with a new
+        selection.
+        """
         for idx in range(len(chosen) - 1):
             left, right = chosen[idx], chosen[idx + 1]
-            for il, pin_l, ir, pin_r in self._boundary_conflicts(left, right):
+            for _, pin_l, _, pin_r in self._boundary_conflicts(left, right):
                 for position, pin_name in ((idx + 1, pin_r), (idx, pin_l)):
-                    if pin_name == "<shapes>":
-                        continue
-                    if self._try_override(
-                        chosen, position, pin_name, alternatives_fn
+                    if pin_name != "<shapes>" and self._try_repair(
+                        chosen, position, pin_name
                     ):
                         break
 
-    def _try_override(
-        self, chosen, position, pin_name, alternatives_fn
-    ) -> bool:
+    def _try_repair(self, chosen, position, pin_name) -> bool:
         """Try the pin's alternative APs; keep the first clean one."""
         selected = chosen[position]
-        if selected.pattern is None or pin_name not in selected.pattern.aps:
+        pattern = selected.pattern
+        if pattern is None or pin_name not in pattern.aps:
             return False
-        current = selected.ap_of(pin_name)
-        alternatives = alternatives_fn(selected.inst.name, pin_name)
-        for ap in alternatives:
-            candidate = ap.translated(selected.dx, selected.dy)
-            if (candidate.x, candidate.y) == (current.x, current.y):
+        current = pattern.aps[pin_name]
+        ua = selected.unique_access
+        for index, ap in enumerate(ua.aps_by_pin.get(pin_name, ())):
+            if (ap.x, ap.y) == (current.x, current.y) or not ap.has_via_access:
                 continue
-            if not candidate.has_via_access:
-                continue
-            if not self._override_is_clean(
-                chosen, position, pin_name, candidate
-            ):
+            repaired = SelectedAccess(
+                inst=selected.inst,
+                pattern=AccessPattern(
+                    aps={**pattern.aps, pin_name: ap},
+                    cost=pattern.cost,
+                    violations=pattern.violations,
+                ),
+                dx=selected.dx,
+                dy=selected.dy,
+                key=selected.key + ((pin_name, index),),
+                unique_access=ua,
+            )
+            if not self._repair_is_clean(chosen, position, pin_name, repaired):
                 continue
             log = active_log()
             if log is not None:
+                dx, dy = selected.dx, selected.dy
                 log.emit(
                     "cluster.repair",
                     inst=selected.inst.name,
                     pin=pin_name,
-                    from_x=current.x,
-                    from_y=current.y,
-                    to_x=candidate.x,
-                    to_y=candidate.y,
+                    from_x=current.x + dx,
+                    from_y=current.y + dy,
+                    to_x=ap.x + dx,
+                    to_y=ap.y + dy,
                 )
-            selected.overrides[pin_name] = candidate
+            chosen[position] = repaired
             return True
         return False
 
-    def _override_is_clean(
-        self, chosen, position, pin_name, candidate
-    ) -> bool:
-        """Check a tentative AP against neighbors and its own pattern.
+    def _repair_is_clean(self, chosen, position, pin_name, repaired) -> bool:
+        """Check a repaired selection against neighbors and itself.
 
-        The override is accepted when the pin drops out of every
-        neighbor conflict and no *new* conflicts appear -- pre-existing
+        The repair is accepted when the pin drops out of every neighbor
+        conflict and no *new* conflicts appear -- pre-existing
         conflicts between other pins neither block nor excuse it.
         """
-        selected = chosen[position]
+        aps = repaired.pattern.aps
+        ap = aps[pin_name]
         # Intra-pattern compatibility with the instance's other pins.
-        for other_pin in selected.pattern.aps:
+        for other_pin, other_ap in aps.items():
             if other_pin == pin_name:
                 continue
-            other_ap = selected.ap_of(other_pin)
             if other_ap.has_via_access and not self.kernel.pair_clean(
-                candidate.primary_via, candidate.x, candidate.y,
+                ap.primary_via, ap.x, ap.y,
                 other_ap.primary_via, other_ap.x, other_ap.y,
             ):
                 return False
-        before = self._neighbor_conflicts(chosen, position)
-        old = selected.overrides.get(pin_name)
-        selected.overrides[pin_name] = candidate
-        try:
-            after = self._neighbor_conflicts(chosen, position)
-        finally:
-            if old is None:
-                selected.overrides.pop(pin_name, None)
-            else:
-                selected.overrides[pin_name] = old
-        inst_name = selected.inst.name
+        before = self._neighbor_conflicts(chosen, position, chosen[position])
+        after = self._neighbor_conflicts(chosen, position, repaired)
+        inst_name = repaired.inst.name
         still_conflicting = any(
             (a == inst_name and pa == pin_name)
             or (b == inst_name and pb == pin_name)
@@ -384,20 +330,16 @@ class ClusterPatternSelector:
         )
         return not still_conflicting and set(after) <= set(before)
 
-    def _neighbor_conflicts(self, chosen, position) -> list:
-        """Conflicts of the instance at ``position`` with its neighbors."""
+    def _neighbor_conflicts(self, chosen, position, selected) -> list:
+        """Conflicts of ``selected``, at ``position``, with its neighbors."""
         conflicts = []
         if position > 0:
             conflicts.extend(
-                self._boundary_conflicts(
-                    chosen[position - 1], chosen[position]
-                )
+                self._boundary_conflicts(chosen[position - 1], selected)
             )
         if position < len(chosen) - 1:
             conflicts.extend(
-                self._boundary_conflicts(
-                    chosen[position], chosen[position + 1]
-                )
+                self._boundary_conflicts(selected, chosen[position + 1])
             )
         return conflicts
 
@@ -430,19 +372,12 @@ class ClusterPatternSelector:
         lox, loy = lloc.x, lloc.y
         rox, roy = rloc.x, rloc.y
         rel_key = None
-        if (
-            not left.overrides
-            and not right.overrides
-            and left.key is not None
-            and right.key is not None
-        ):
+        if left.key is not None and right.key is not None:
             # Each key pins down its pattern's geometry relative to the
             # instance origin; the origins' displacement pins the
             # members' relative placement.  Every conflict check (pair
             # kernel, via-vs-instance table) is translation invariant,
-            # so the pin-pair verdicts transfer.  Repair overrides
-            # mutate a selection in place, so a side carrying any is
-            # rescanned.
+            # so the pin-pair verdicts transfer.
             rel_key = (left.key, right.key, rox - lox, roy - loy)
             hit = self.verdicts.get(rel_key)
             if hit is not None:
@@ -492,11 +427,10 @@ class ClusterPatternSelector:
     def _boundary_records(self, sel: SelectedAccess) -> tuple:
         """Return :func:`boundary_records` of ``sel``, held per key.
 
-        A selection carrying repair overrides, or no key, is computed
-        afresh on every call.
+        A selection without a key is computed afresh on every call.
         """
         key = sel.key
-        if key is None or sel.overrides:
+        if key is None:
             return boundary_records(sel, self.window)
         records = self.records.get(key)
         if records is None:
@@ -518,3 +452,25 @@ class ClusterPatternSelector:
                         inst_b=inst_b,
                         pin_b=pin_b,
                     )
+
+
+def _candidates(inst, placement) -> list:
+    """Return ``inst``'s Step 3 candidates, one per pattern, by value.
+
+    ``placement`` is the instance's ``(unique access, (dx, dy))``; an
+    instance whose unique access has no pattern gets one candidate
+    with ``pattern`` None.
+    """
+    ua, (dx, dy) = placement
+    signature = ua.unique_instance.signature
+    return [
+        SelectedAccess(
+            inst=inst, pattern=p, dx=dx, dy=dy,
+            key=(signature, ordinal), unique_access=ua,
+        )
+        for ordinal, p in enumerate(ua.patterns)
+    ] or [
+        SelectedAccess(
+            inst=inst, pattern=None, dx=dx, dy=dy, unique_access=ua
+        )
+    ]

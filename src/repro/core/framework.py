@@ -14,11 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.core.cluster import (
-    ClusterPatternSelector,
-    ClusterSelectionResult,
-    SelectedAccess,
-)
+from repro.core.cluster import ClusterPatternSelector, ClusterSelectionResult
 from repro.core.config import PaafConfig
 from repro.core.signature import UniqueInstance, unique_instances
 from repro.db.design import Design
@@ -257,11 +253,12 @@ class PinAccessFramework:
             mode=self.config.apcheck_mode,
             engine=self.engine,
         )
-        # And one Step 3 selector for every pass: its boundary verdicts
-        # (two pattern keys and a displacement), its per-pattern
-        # boundary via records and the technology's interaction window
-        # are keyed by value and hold for any placement, so a move
-        # re-checks only pairs never seen before.
+        # And one Step 3 selector for every pass (``run()`` over every
+        # row cluster, a move over the clusters it touched): its
+        # boundary verdicts (two pattern keys and a displacement), its
+        # per-pattern boundary via records and the technology's
+        # interaction window are keyed by value and hold for any
+        # placement, so a move re-checks only pairs never seen before.
         self.selector = ClusterPatternSelector(
             design, self.config, kernel=self.kernel, akernel=self.akernel
         )
@@ -388,56 +385,14 @@ class PinAccessFramework:
             result.stats["paaf.step12_tasks"] = tasks
         return accesses
 
-    def select_patterns(
-        self, clusters: list, placements: dict
-    ) -> ClusterSelectionResult:
-        """Step 3: one cluster-DP pass over ``clusters``, in order.
-
-        The one Step 3 path: ``run()`` passes every row cluster of the
-        design, :meth:`~repro.core.oracle.PinAccessOracle.move_instance`
-        the clusters of the components a move touched, in
-        cluster-index order.  ``placements`` maps every member's name
-        to its ``(unique access, (dx, dy))``, as
-        :meth:`PinAccessResult.placements` does, and each selection
-        carries its member's entry on; a member whose unique access
-        has no pattern is selected with ``pattern`` None.  Every pass
-        runs on the framework's one :attr:`selector`, whose boundary
-        verdicts and via records, keyed by value, live for the
-        framework's lifetime.
-        """
-        candidates_by_inst = {}
-        for cluster in clusters:
-            for inst in cluster:
-                ua, (dx, dy) = placements[inst.name]
-                signature = ua.unique_instance.signature
-                candidates_by_inst[inst.name] = [
-                    SelectedAccess(
-                        inst=inst, pattern=p, dx=dx, dy=dy,
-                        key=(signature, ordinal), unique_access=ua,
-                    )
-                    for ordinal, p in enumerate(ua.patterns)
-                ] or [
-                    SelectedAccess(
-                        inst=inst, pattern=None, dx=dx, dy=dy,
-                        unique_access=ua,
-                    )
-                ]
-        alternatives_fn = None
-        if self.config.boundary_conflict_aware:
-
-            def alternatives_fn(inst_name, pin_name):
-                return placements[inst_name][0].aps_by_pin.get(pin_name, [])
-
-        return self.selector.select(
-            clusters, candidates_by_inst, alternatives_fn
-        )
-
     # -- internals ---------------------------------------------------------
 
     def _run_step3(self, result: PinAccessResult) -> None:
         """Step 3 over every row cluster of the design."""
         clusters = self.design.row_clusters()
-        result.selection = self.select_patterns(clusters, result.placements())
+        result.selection = self.selector.select(
+            clusters, result.placements()
+        )
         result.stats["paaf.clusters"] = len(clusters)
 
 

@@ -16,13 +16,13 @@ query translates only the pin it asks for.  :meth:`Snapshot.next`
 shares every entry a move did not re-select with the generation
 before, which is safe because of one invariant: **no object a snapshot
 references is mutated after the Step 3 pass that made it.**  A pass
-builds a fresh ``SelectedAccess`` for each instance it selects and
-sets its repair overrides before it returns; Step 1/2 results are
-never edited, nor is an access point's via or direction list once the
-point is built (a unique access's ``wire`` memo fills on a pin's first
-wire answer, with the same value whichever reader fills it).  So a
-held snapshot keeps its answers however many moves follow, and no
-answer can tear.
+builds a fresh ``SelectedAccess`` for each instance it selects, and a
+repair builds another with a new pattern, so nothing writes to a
+selection once it is built; Step 1/2 results are never edited, nor is
+an access point's via or direction list once the point is built (a
+unique access's ``wire`` memo fills on a pin's first wire answer, with
+the same value whichever reader fills it).  So a held snapshot keeps
+its answers however many moves follow, and no answer can tear.
 
 The published snapshot is the oracle's only selection state.  The
 paper motivates Step 3's speed with the placement loop (Sec. IV,
@@ -199,8 +199,8 @@ class Snapshot:
         its master does not declare; a declared pin without access
         answers inaccessible.  Only this pin's access points are
         translated.  Read the answer, do not mutate it: it shares
-        objects with the snapshot (a repair override, and the via and
-        direction lists of every access point).
+        objects with the snapshot (the via and direction lists of every
+        access point).
         """
         selected = self.selection_for(instance_name, pin_name)
         dx, dy = selected.dx, selected.dy
@@ -236,7 +236,7 @@ class Snapshot:
     def served_pins(self) -> int:
         """Return how many pins have a selected access point."""
         return sum(
-            len(selected.pattern.aps.keys() | selected.overrides.keys())
+            len(selected.pattern.aps)
             for selected in self.selection.values()
             if selected.pattern is not None
         )
@@ -246,8 +246,6 @@ def _selected_ap(selected, pin_name: str):
     """Return ``selected``'s access point for one pin, or None."""
     if selected.pattern is None:
         return None
-    if pin_name in selected.overrides:
-        return selected.overrides[pin_name]
     ap = selected.pattern.aps.get(pin_name)
     return None if ap is None else ap.translated(selected.dx, selected.dy)
 
@@ -384,7 +382,7 @@ class PinAccessOracle:
                         selected.unique_access, (selected.dx, selected.dy)
                     )
             placements[instance_name] = self._placement(inst)
-            partial = self.framework.select_patterns(clusters, placements)
+            partial = self.framework.selector.select(clusters, placements)
             self.last_update_seconds = time.perf_counter() - t0
             self.snapshot = self.snapshot.next(partial)
             return self.snapshot.generation, self.last_update_seconds

@@ -29,10 +29,6 @@ class AccessPattern:
         """Return covered pin names in insertion (pin ordering) order."""
         return list(self.aps)
 
-    def ap_of(self, pin_name: str):
-        """Return the access point chosen for ``pin_name``."""
-        return self.aps[pin_name]
-
     def signature(self) -> tuple:
         """Return a hashable identity (pin -> AP location/via) tuple.
 

@@ -10,7 +10,8 @@ a flat, ordered stream of structured decision events --
   DRC-incompatible, or history-incompatible instead of by AP cost;
 - ``pattern.generated`` -- each surviving access pattern;
 - ``cluster.conflict`` / ``cluster.repair`` / ``cluster.selected`` --
-  Step 3 boundary conflicts, repair overrides, and final picks.
+  Step 3 boundary conflicts, repairs (a pin moved to another of its
+  Step 1 points, in design coordinates), and final picks.
 
 Events are plain JSON-scalar dicts appended to a context-local
 :class:`EventLog` (same activation pattern as the registry/tracer:

@@ -175,10 +175,15 @@ class OracleClient:
                     )
                     return self
                 except OSError as exc:
+                    self.close()
                     last_error = exc
-                    self._sock = None
                     time.sleep(delay)
                     delay = min(delay * 2, self.max_backoff)
+                except BaseException:
+                    # Set-up refused (a bad timeout, say): a half-open
+                    # connection must not outlive the call.
+                    self.close()
+                    raise
             raise ConnectionFailed(
                 f"cannot connect to {self.address!r}: {last_error}"
             )

@@ -472,10 +472,9 @@ def render_answer(snap, instance_name: str, pin_name: str) -> dict:
     snap.generation)``, and raises as ``snap.query`` does, but builds
     no translated access point: each point of the selection's unique
     access is rendered once, held on the unique access, and copied
-    with ``x``/``y`` offset by the selection's ``(dx, dy)``.  A repair
-    override is already in design coordinates.  The answer shares its
-    ``vias`` and ``planar`` lists with that rendering: encode it, do
-    not edit it.
+    with ``x``/``y`` offset by the selection's ``(dx, dy)``.  The
+    answer shares its ``vias`` and ``planar`` lists with that
+    rendering: encode it, do not edit it.
     """
     selected = snap.selection_for(instance_name, pin_name)
     dx, dy = selected.dx, selected.dy
@@ -490,11 +489,8 @@ def render_answer(snap, instance_name: str, pin_name: str) -> dict:
     alternatives = [_offset(point, dx, dy) for point in points]
     chosen = None
     if selected.pattern is not None:
-        override = selected.overrides.get(pin_name)
         ap = selected.pattern.aps.get(pin_name)
-        if override is not None:
-            chosen = ap_to_wire(override)
-        elif ap is not None:
+        if ap is not None:
             for held, point in zip(aps, points):
                 if held is ap:
                     chosen = _offset(point, dx, dy)

@@ -249,11 +249,13 @@ class OracleServer:
                 name="pao-conn",
                 daemon=True,
             )
-            with self._handlers_lock:
-                self._handlers.add(thread)
             with self._conns_lock:
                 self._conns.add(conn)
-            thread.start()
+            with self._handlers_lock:
+                # Started under the lock, so stop() never joins a
+                # handler it sees before the handler has started.
+                self._handlers.add(thread)
+                thread.start()
 
     def _refuse(self, conn, code: str, message: str, req_id: int = 0) -> None:
         try:

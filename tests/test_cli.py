@@ -93,19 +93,26 @@ class TestBadCaseArguments:
 
 
 class TestFlagRanges:
-    """An out-of-range ``serve`` or ``render`` flag exits 2 naming the
-    flag, before the inputs are read or the daemon starts."""
+    """An out-of-range ``serve``, ``query`` or ``render`` flag exits 2
+    naming the flag, before the inputs are read, the daemon starts or
+    the client dials."""
 
     @staticmethod
     def _argv(argv, tmp_path) -> list:
-        outputs = {
-            "serve": ["--socket", str(tmp_path / "pao.sock")],
-            "render": ["--svg", str(tmp_path / "out.svg")],
-        }
-        return argv + outputs[argv[0]] + [
+        endpoint = (
+            [] if "--port" in argv
+            else ["--socket", str(tmp_path / "pao.sock")]
+        )
+        inputs = [
             "--lef", str(tmp_path / "missing.lef"),
             "--def", str(tmp_path / "missing.def"),
         ]
+        outputs = {
+            "serve": endpoint + inputs,
+            "query": endpoint + ["--health"],
+            "render": ["--svg", str(tmp_path / "out.svg")] + inputs,
+        }
+        return argv + outputs[argv[0]]
 
     @pytest.mark.parametrize(
         "argv",
@@ -121,6 +128,14 @@ class TestFlagRanges:
             ["serve", "--drain-seconds", "nan"],
             ["serve", "--drain-seconds", "inf"],
             ["serve", "--drain-seconds", "1e10"],
+            ["serve", "--port", "70000"],
+            ["serve", "--port", "-5"],
+            ["query", "--port", "65536"],
+            ["query", "--timeout", "-1"],
+            ["query", "--timeout", "0"],
+            ["query", "--timeout", "nan"],
+            ["query", "--timeout", "inf"],
+            ["query", "--timeout", "1e10"],
             ["render", "--width", "0"],
             ["render", "--width", "-10"],
         ],
@@ -138,6 +153,8 @@ class TestFlagRanges:
         [
             ["serve", "--max-clients", "1", "--request-timeout", "0.5",
              "--drain-seconds", "0"],
+            ["serve", "--port", "0"],
+            ["serve", "--port", "65535"],
             ["render", "--width", "1"],
         ],
         ids=" ".join,

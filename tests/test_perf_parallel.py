@@ -133,7 +133,7 @@ class TestFrameworkDeterminism:
         placements = result.placements()
         full = result.selection
         for component in components:
-            part = framework.select_patterns(
+            part = framework.selector.select(
                 [clusters[ci] for ci in component], placements
             )
             names = {inst.name for ci in component for inst in clusters[ci]}
@@ -162,14 +162,14 @@ class TestFrameworkDeterminism:
         """
         oracle = PinAccessOracle(mh_design)
         passes = []
-        select = oracle.framework.select_patterns
+        select = oracle.framework.selector.select
 
         def recorded_select(clusters, placements):
             passes.append(select(clusters, placements))
             return passes[-1]
 
         monkeypatch.setattr(
-            oracle.framework, "select_patterns", recorded_select
+            oracle.framework.selector, "select", recorded_select
         )
         walked = narrowed = 0
         for inst, target in one_site_moves(mh_design)[:12]:

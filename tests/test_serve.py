@@ -8,7 +8,6 @@ the parity oracles analyze.  One CLI test drives ``repro serve`` /
 """
 
 import copy
-import dataclasses
 import gc
 import io
 import itertools
@@ -304,6 +303,28 @@ class TestClientDial:
         leaked = [w for w in caught if w.category is ResourceWarning]
         assert leaked == []
 
+    def test_refused_set_up_closes_the_connection(self, tmp_path):
+        """A set-up error after the dial (here a negative timeout)
+        leaves no half-open connection: the socket is closed, and a
+        later call dials again and fails the same way."""
+        server, addr = start_server(tmp_path)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                client = OracleClient(addr, timeout=-1)
+                with pytest.raises(ValueError):
+                    client.connect()
+                assert client._sock is None
+                assert client._rfile is client._wfile is None
+                with pytest.raises(ValueError):
+                    client.health()
+                del client
+                gc.collect()
+        finally:
+            server.stop()
+        leaked = [w for w in caught if w.category is ResourceWarning]
+        assert leaked == []
+
 
 # -- end-to-end daemon --------------------------------------------------------
 
@@ -551,7 +572,7 @@ class TestMoveReply:
         target = (first.name, first.location.x + 4 * site, first.location.y)
 
         own = []
-        select = oracle.framework.select_patterns
+        select = oracle.framework.selector.select
 
         def slow_select(*args):
             time.sleep(0.02)
@@ -564,7 +585,7 @@ class TestMoveReply:
             own.append(oracle.last_update_seconds)
             # The lock is free again: a second, slower writer gets in.
             monkeypatch.setattr(
-                oracle.framework, "select_patterns", slow_select
+                oracle.framework.selector, "select", slow_select
             )
             oracle_move(
                 second.name, second.location.x + site, second.location.y
@@ -708,12 +729,17 @@ class TestRenderAnswer:
                 "ispd18_test1", scale=0.004, multi_height_fraction=0.1
             ),
             lambda: build_pinzoo("pinzoo_hostile", 1.0),
+            lambda: build_testcase("ispd18_test9", scale=0.002),
         ],
-        ids=["ispd18_test1@0.004", "pinzoo_hostile@1"],
+        ids=["ispd18_test1@0.004", "pinzoo_hostile@1", "ispd18_test9@0.002"],
     )
     def test_every_pin_after_seeded_moves(self, build):
         design = build()
         oracle = PinAccessOracle(design)
+        if design.name.startswith("ispd18_test9"):
+            # Step 3's repair pass moved a pin here: the selection's
+            # pattern is none of its unique access's patterns.
+            assert repaired_pins(oracle.snapshot)
         home = {name: i.location for name, i in design.instances.items()}
         rng = random.Random(7)
         inaccessible = self.assert_renders_alike(oracle.snapshot)
@@ -726,31 +752,43 @@ class TestRenderAnswer:
         if design.name.startswith("pinzoo_hostile"):
             assert inaccessible > 0
 
-    def test_override_and_errors(self):
-        """A repair override renders as it stands, in design
+    def test_repaired_pin_and_errors(self):
+        """A pin Step 3 repaired renders its Step 1 point, in design
         coordinates; unknown names raise as ``Snapshot.query`` does."""
-        design = build_testcase("ispd18_test1", scale=0.004)
+        design = build_testcase("ispd18_test9", scale=0.002)
         snap = PinAccessOracle(design).snapshot
-        name, held = next(
-            (name, sel)
-            for name, sel in snap.selection.items()
-            if sel.pattern is not None
-        )
-        pin = next(iter(held.pattern.aps))
-        alt = held.unique_access.aps_by_pin[pin][-1]
-        edited = dataclasses.replace(
-            held, overrides={pin: alt.translated(held.dx + 7, held.dy)}
-        )
-        snap = dataclasses.replace(
-            snap, selection={**snap.selection, name: edited}
-        )
+        name, pin, index = repaired_pins(snap)[0]
+        held = snap.selection[name]
+        alt = held.unique_access.aps_by_pin[pin][index]
+        dp_pattern = held.unique_access.patterns[held.key[1]]
+        assert dp_pattern.aps[pin] is not alt
         got = render_answer(snap, name, pin)
-        assert got["selected"]["x"] == alt.x + held.dx + 7
+        assert (got["selected"]["x"], got["selected"]["y"]) == (
+            alt.x + held.dx,
+            alt.y + held.dy,
+        )
+        assert got["selected"] in got["alternatives"]
         self.assert_renders_alike(snap)
         with pytest.raises(UnknownInstanceError):
             render_answer(snap, "ghost", pin)
         with pytest.raises(UnknownPinError):
             render_answer(snap, name, "NOPE")
+
+
+def repaired_pins(snap) -> list:
+    """Return ``(instance, pin, index)`` of each pin Step 3 repaired.
+
+    A repaired selection's pattern is none of its unique access's
+    patterns, and its key names each repair, in order, as ``(pin,
+    index)`` into the pin's Step 1 points.
+    """
+    return [
+        (name, pin, index)
+        for name, selected in snap.selection.items()
+        if selected.pattern is not None
+        and selected.pattern not in selected.unique_access.patterns
+        for pin, index in dict(selected.key[2:]).items()
+    ]
 
 
 class TestSnapshotImmutability:
@@ -793,7 +831,7 @@ class TestSnapshotImmutability:
         )
         oracle = PinAccessOracle(design)
         reselected = []
-        select = oracle.framework.select_patterns
+        select = oracle.framework.selector.select
 
         def recorded_select(clusters, placements):
             partial = select(clusters, placements)
@@ -801,7 +839,7 @@ class TestSnapshotImmutability:
             return partial
 
         monkeypatch.setattr(
-            oracle.framework, "select_patterns", recorded_select
+            oracle.framework.selector, "select", recorded_select
         )
         for inst, target in one_site_moves(design)[:5]:
             before = oracle.snapshot
@@ -1035,6 +1073,41 @@ class TestShutdown:
         server, addr = start_server(tmp_path, {"simple": oracle})
         server.stop()
         server.stop()
+        assert not server.running
+
+    def test_stop_joins_a_handler_only_once_started(
+        self, tmp_path, monkeypatch
+    ):
+        """A stop() that lands while the accept loop is starting a
+        connection's handler waits for the start, then drains."""
+        server, addr = start_server(tmp_path)
+        starting, release = threading.Event(), threading.Event()
+        start = threading.Thread.start
+
+        def held_start(thread):
+            if thread.name == "pao-conn":
+                starting.set()
+                release.wait(timeout=10)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", held_start)
+        errors = []
+
+        def stop():
+            try:
+                server.stop()
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        with OracleClient(addr):
+            assert starting.wait(timeout=10)
+            stopper = threading.Thread(target=stop, name="stopper")
+            stopper.start()
+            stopper.join(timeout=0.2)  # let stop() meet the handler
+            release.set()
+            stopper.join(timeout=10)
+        assert not stopper.is_alive()
+        assert errors == []
         assert not server.running
 
 
